@@ -42,14 +42,11 @@ from .core import (
     SlidingWindowWithReplacement,
     WithReplacementSampler,
     get_variant,
-    infinite_window_sampler,
     make_sampler,
     register_variant,
     restore,
     sampler_variants,
-    sliding_window_sampler,
     snapshot,
-    with_replacement_sampler,
 )
 from .errors import (
     ConfigurationError,
@@ -62,11 +59,9 @@ from .errors import (
 from .hashing import SeededHashFamily, UnitHasher
 from .runtime import (
     Engine,
-    ProcessExecutor,
     SerialExecutor,
     SharedMemoryExecutor,
     ShardedSampler,
-    ThreadExecutor,
     Topology,
 )
 
@@ -82,9 +77,6 @@ __all__ = [
     "register_variant",
     "sampler_variants",
     "get_variant",
-    "infinite_window_sampler",
-    "sliding_window_sampler",
-    "with_replacement_sampler",
     "DistinctSamplerSystem",
     "SlidingWindowBottomSFeedback",
     "BroadcastSamplerSystem",
@@ -98,11 +90,9 @@ __all__ = [
     "CentralizedDistinctSampler",
     "CentralizedWindowSampler",
     "Engine",
-    "ProcessExecutor",
     "SerialExecutor",
     "SharedMemoryExecutor",
     "ShardedSampler",
-    "ThreadExecutor",
     "Topology",
     "UnitHasher",
     "SeededHashFamily",

@@ -40,7 +40,7 @@ __all__ = [
 #: Suite parameters that shape the workload and the estimators' inputs.
 #: Two reports are only comparable when these agree — otherwise every
 #: error delta just measures the workload mismatch, not a regression.
-#: ``workers`` is deliberately absent: the process pool never changes
+#: ``workers`` is deliberately absent: the shm worker count never changes
 #: the deterministic estimates (that bit-identity is itself under test).
 WORKLOAD_PARAMS = (
     "n_events",

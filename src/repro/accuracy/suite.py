@@ -12,9 +12,9 @@ Everything here is deterministic given the seed: workload generation,
 sampling hashes, the auxiliary sketches, and the ground truth.  In
 particular the ``sharded:*`` cells are *bit-identical* to their
 centralized twins — the query-time bottom-s merge is provably the global
-sample — whether the shard groups run serially or through the
-multiprocessing :class:`~repro.runtime.executor.ProcessExecutor`, and
-the suite's default grid exercises both paths.
+sample — whether the shard groups run serially or in the persistent
+workers of the :class:`~repro.runtime.executor.SharedMemoryExecutor`,
+and the suite's default grid exercises both paths.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ __all__ = ["AccuracyConfig", "run_accuracy_suite"]
 
 #: The default grid covers the acceptance matrix: centralized vs sharded
 #: on the same streams (bit-identical by construction), serial vs
-#: process-executed shard groups, infinite vs sliding windows.
+#: shm-executed shard groups, infinite vs sliding windows.
 DEFAULT_SCENARIOS = (
     "sharded-uniform",
-    "sharded-uniform-parallel",
+    "sharded-uniform-shm",
     "sliding-churn",
     "uniform",
 )
@@ -70,7 +70,7 @@ class AccuracyConfig:
         algorithm: Hash algorithm for the samplers.
         shards: Coordinator groups S for the ``sharded:*`` variants.
         workers: Worker processes W for scenarios forcing the
-            ``"process"`` backend (never changes the estimates — the
+            ``"shm"`` backend (never changes the estimates — the
             acceptance matrix runs S=4, W=2).
     """
 

@@ -41,6 +41,7 @@ from .analysis.bounds import (
     upper_bound_total,
 )
 from .core.api import get_variant, make_sampler, sampler_variants
+from .core.protocol import EXECUTORS
 from .errors import ReproError
 from .experiments.config import ExperimentConfig
 from .experiments.registry import EXPERIMENTS, run_experiment
@@ -122,15 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker count W for the non-serial executors; > 0 with no "
-        "--executor selects the multiprocessing ProcessExecutor "
-        "(0 = auto for an explicit --executor, else in-process serial)",
+        help="worker processes W for the shm executor; > 0 with no "
+        "--executor selects shm (0 = auto for an explicit --executor "
+        "shm, else in-process serial)",
     )
     demo_p.add_argument(
         "--executor",
         default=None,
-        choices=("serial", "thread", "process", "shm"),
-        help="execution backend for the shard groups (default: process "
+        choices=EXECUTORS,
+        help="execution backend for the shard groups (default: shm "
         "when --workers > 0, serial otherwise)",
     )
     demo_p.add_argument(
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="P",
         help="chaos mode: per-message drop probability (rewires the "
-        "group networks onto the seeded ChaosNetwork; forces the "
+        "group networks onto the seeded ChaosNetwork; needs the "
         "serial executor)",
     )
     demo_p.add_argument(
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=4,
-            help="worker processes for the parallel-executor scenarios",
+            help="worker processes for the shm-executor scenarios",
         )
         p.add_argument("--seed", type=int, default=20150525)
         p.add_argument(
@@ -293,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=4,
-        help="worker count W for the non-serial executors",
+        help="worker processes W for the shm executor",
     )
     perf_prof.add_argument(
         "--executor",
         default=None,
-        choices=("serial", "thread", "process", "shm"),
+        choices=EXECUTORS,
         help="execution backend override (default: what the scenario "
         "forces, else serial)",
     )
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=2,
-            help="worker processes for the parallel-executor scenarios",
+            help="worker processes for the shm-executor scenarios",
         )
         p.add_argument("--seed", type=int, default=20150525)
         p.add_argument(
@@ -552,9 +553,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     ids = spec.generate(rng)
     variant = args.variant
-    executor = args.executor or (
-        "process" if args.workers > 0 else "serial"
-    )
+    executor = args.executor or ("shm" if args.workers > 0 else "serial")
     chaos_kill = args.chaos_kill or []
     chaos = bool(
         args.chaos_drop
@@ -562,14 +561,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         or args.chaos_reorder
         or chaos_kill
     )
-    if chaos and executor != "serial":
-        print(
-            "error: chaos mode rewires the parent's group networks; "
-            "parallel workers rebuild on the default transport — use "
-            "the serial executor (drop --workers/--executor)",
-            file=sys.stderr,
-        )
-        return 2
     if any(site not in range(args.sites) for site in chaos_kill):
         print(
             f"error: --chaos-kill sites must be in [0, {args.sites})",
@@ -682,9 +673,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         if executor == "serial":
             path_kind = "simulated (serial in-process)"
         else:
-            unit = "threads" if executor == "thread" else "worker processes"
             width = args.workers if args.workers > 0 else "auto"
-            path_kind = f"measured over {width} {unit}"
+            path_kind = f"measured over {width} worker processes"
         print(
             f"shards: {system.shards} coordinator groups "
             f"[{system.executor.name} executor], critical-path "
@@ -796,7 +786,7 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
     sampler = build_sampler_for(
         config, variant_name, scenario.slotted, executor
     )
-    warmup_sampler(sampler)  # keep pool start-up out of the profile
+    warmup_sampler(sampler)  # keep worker start-up out of the profile
     profiler = cProfile.Profile()
     profiler.enable()
     scenario.driver(sampler, events, params)

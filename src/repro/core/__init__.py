@@ -4,13 +4,10 @@ from .api import (
     SHARDABLE_VARIANTS,
     SamplerVariant,
     get_variant,
-    infinite_window_sampler,
     make_sampler,
     register_sharded_variant,
     register_variant,
     sampler_variants,
-    sliding_window_sampler,
-    with_replacement_sampler,
 )
 from .events import EventBatch
 from .protocol import Sampler, SampleResult, SamplerConfig, SamplerStats
@@ -50,9 +47,6 @@ __all__ = [
     "register_sharded_variant",
     "sampler_variants",
     "get_variant",
-    "infinite_window_sampler",
-    "sliding_window_sampler",
-    "with_replacement_sampler",
     "DistinctSamplerSystem",
     "InfiniteWindowSite",
     "InfiniteWindowCoordinator",

@@ -315,10 +315,9 @@ class EventBatch:
     # -- dunder --------------------------------------------------------------
 
     def __reduce__(self) -> tuple[Any, ...]:
-        # Cached hash columns and row-view lists are derived data: the
-        # receiving side (a ProcessExecutor worker) recomputes its slice
-        # locally — in parallel — so pickling ships only the defining
-        # columns.
+        # Cached hash columns and row-view lists are derived data the
+        # receiving side (a deepcopy, a snapshot tool) recomputes on
+        # demand, so pickling ships only the defining columns.
         return (EventBatch, (self.items, self.sites, self.slots))
 
     def __len__(self) -> int:

@@ -1,11 +1,8 @@
 """The unified sampler protocol: one lifecycle for every sampler variant.
 
-Historically each sampler family grew its own surface —
-``DistinctSamplerSystem.observe(site, e)`` + ``sample() -> list``,
-``SlidingWindowSystem.process_slot(slot, arrivals)`` + ``query() -> e``,
-divergent cost accessors — which forced every consumer (CLI, experiment
-drivers, benchmarks, persistence) to special-case sampler classes.  This
-module defines the single API all of them now share:
+Every consumer (CLI, experiment drivers, benchmarks, persistence) drives
+every sampler family through the same surface, with no special cases
+per sampler class.  This module defines that single API:
 
 * :class:`Sampler` — the abstract base every system facade inherits.
   Lifecycle: :meth:`~Sampler.observe` / :meth:`~Sampler.observe_batch`
@@ -25,15 +22,10 @@ module defines the single API all of them now share:
   direction, bytes, per-site memory, and slots processed.
 * :class:`SamplerConfig` — the declarative construction recipe consumed
   by :func:`repro.core.api.make_sampler`.
-
-Old per-class entry points (``process_slot``, ``query``, the ad-hoc
-factories) remain available for one release as thin shims that emit
-:class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from typing import (
@@ -63,7 +55,6 @@ __all__ = [
     "SamplerConfig",
     "Sampler",
     "EXECUTORS",
-    "deprecated_call",
     "iter_event_runs",
 ]
 
@@ -71,17 +62,7 @@ _INF = float("inf")
 
 #: Execution backend names accepted by ``SamplerConfig.executor`` (see
 #: :mod:`repro.runtime.executor` for the implementations).
-EXECUTORS = ("serial", "thread", "process", "shm")
-
-
-def deprecated_call(old: str, new: str) -> None:
-    """Emit the standard deprecation warning for a legacy entry point."""
-    warnings.warn(
-        f"{old} is deprecated and will be removed in a future release; "
-        f"use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+EXECUTORS = ("serial", "shm")
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +199,11 @@ class SamplerConfig:
             :mod:`repro.runtime.sharded`).
         executor: Execution backend for the sharded batch-ingest path
             (see :data:`EXECUTORS` and :mod:`repro.runtime.executor`):
-            ``"serial"`` (in-process, the default), ``"thread"`` (a
-            thread pool over the NumPy kernels), ``"process"`` (a
-            multiprocessing pool, per-batch pickling), or ``"shm"``
-            (persistent workers over zero-copy shared-memory columns).
-            Non-serial backends apply to ``sharded:*`` variants only.
-        workers: Worker count W for the non-serial executors (0 = auto);
-            ignored by the serial executor.
+            ``"serial"`` (in-process, the default) or ``"shm"``
+            (persistent worker processes over zero-copy shared-memory
+            columns).  ``"shm"`` applies to ``sharded:*`` variants only.
+        workers: Worker-process count W for the ``"shm"`` executor
+            (0 = auto); ignored by the serial executor.
     """
 
     variant: str = "infinite"
@@ -377,8 +356,7 @@ class Sampler(ABC):
     overriding :meth:`message_stats`.  Subclasses implement the small
     hook surface (:meth:`_deliver`, :meth:`_advance_to`, :meth:`sample`,
     :meth:`config`, :meth:`_state`, :meth:`_load`); the base class
-    provides the uniform lifecycle, accounting, and the deprecated
-    compatibility shims on top.
+    provides the uniform lifecycle and accounting on top.
     """
 
     # -- construction ------------------------------------------------------
@@ -611,29 +589,3 @@ class Sampler(ABC):
     @abstractmethod
     def _load(self, state: dict[str, Any]) -> None:
         """Restore variant-specific state captured by :meth:`_state`."""
-
-    # -- deprecated shims (one release) ------------------------------------
-
-    def process_slot(self, slot: int, arrivals: list[tuple[int, Any]]) -> None:
-        """Deprecated: use ``advance(slot)`` + ``observe_batch(arrivals)``."""
-        deprecated_call(
-            f"{type(self).__name__}.process_slot()",
-            "advance(slot) + observe_batch(arrivals)",
-        )
-        self.advance(slot)
-        for site_id, item in arrivals:
-            self._deliver(site_id, item)
-
-    def query(self) -> Any:
-        """Deprecated: use ``sample()`` (returns a :class:`SampleResult`)."""
-        deprecated_call(f"{type(self).__name__}.query()", "sample()")
-        return self._legacy_sample_shape()
-
-    def sample_legacy(self) -> Any:
-        """Deprecated: the pre-protocol shape of ``sample()``."""
-        deprecated_call(f"{type(self).__name__}.sample_legacy()", "sample()")
-        return self._legacy_sample_shape()
-
-    def _legacy_sample_shape(self) -> Any:
-        """The old per-class return shape (list of items by default)."""
-        return list(self.sample().items)

@@ -464,10 +464,6 @@ class SlidingWindowSystem(Sampler):
             slot=self.current_slot,
         )
 
-    def _legacy_sample_shape(self) -> Optional[Any]:
-        # The old ``query()`` returned the sample element or None.
-        return self.sample().first
-
     def per_site_memory(self) -> list[int]:
         """Current candidate-set sizes, one per site (Fig 5.7/5.9 metric)."""
         return [site.memory_size for site in self.sites]

@@ -17,7 +17,9 @@ in-flight messages lost with the crash.
 
 The snapshot is a plain JSON-serializable dict: no pickle, safe to store.
 Version-1 snapshots (infinite-window only, written by earlier releases)
-are still read.
+are still read, and so are version-2 snapshots that name a retired
+execution backend (``"process"`` restores as ``"shm"``, ``"thread"`` as
+``"serial"``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ __all__ = ["snapshot", "restore", "SNAPSHOT_VERSION"]
 
 #: Format version written into every snapshot.
 SNAPSHOT_VERSION = 2
+
+#: Backends earlier releases could record in ``config.executor``, mapped
+#: to their surviving equivalent.  The backend never changes sampler
+#: state (every backend is bit-identical), so the substitution is exact.
+_RETIRED_EXECUTORS = {"process": "shm", "thread": "serial"}
 
 
 def snapshot(sampler: Sampler) -> dict[str, Any]:
@@ -88,6 +95,9 @@ def restore(state: dict[str, Any]) -> Sampler:
         sampler_state = state["state"]
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed snapshot: {exc}") from exc
+    executor = config_dict.get("executor")
+    if isinstance(executor, str) and executor in _RETIRED_EXECUTORS:
+        config_dict["executor"] = _RETIRED_EXECUTORS[executor]
     try:
         config = SamplerConfig(**config_dict)
     except TypeError as exc:

@@ -169,10 +169,6 @@ class _WithReplacementBase(Sampler):
     def _load(self, state: dict[str, Any]) -> None:  # pragma: no cover
         raise NotImplementedError
 
-    def _legacy_sample_shape(self) -> list[Optional[Any]]:
-        # The old ``sample()`` returned the list of per-copy draws.
-        return list(self.sample().items)
-
 
 class WithReplacementSampler(_WithReplacementBase):
     """Infinite-window distinct sampling with replacement.

@@ -2,8 +2,8 @@
 
 The distributed runtime grown in PRs 3-5 rests on invariants no general
 linter knows about: columnar fast paths must never fall back to tuple
-materialization, anything crossing the ProcessExecutor boundary must be
-pickle-clean, every concrete sampler must stay reachable from the variant
+materialization, anything crossing the executor's process boundary must
+be pickle-clean, every concrete sampler must stay reachable from the variant
 registry and covered by the conformance suite, snapshots must stay
 symmetric, and nothing in the hot layers may smuggle in nondeterminism.
 :mod:`repro.devtools.lint` encodes those invariants as AST rules

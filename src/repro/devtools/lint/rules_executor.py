@@ -1,17 +1,20 @@
 """RPR006 — executor shared-state safety: workers never mutate the parent.
 
-The ProcessExecutor contract is strict: a worker function receives a
-*plan* (config + state + tasks), rebuilds the shard group locally,
-replays the plan, and **returns** new state.  The parent alone commits
-results back into the facade.  Under ``multiprocessing`` a worker that
-writes through a captured facade/topology reference only mutates its own
-fork — the bug is silent until someone swaps in a thread pool or shared
-memory, at which point it becomes a data race.  Either way, worker-side
-mutation of parent-owned objects is wrong by design.
+The executor contract is strict: a worker (the shm backend's persistent
+worker process) receives *plans* and group state over its pipe, rebuilds
+the shard groups locally, replays the plans, and **replies** with
+results.  The parent alone commits results back into the facade.  Under
+``multiprocessing`` a worker that writes through a captured
+facade/topology reference only mutates its own process's copy — the bug
+is silent until the same function runs on a thread, at which point it
+becomes a data race.  Either way, worker-side mutation of parent-owned
+objects is wrong by design.
 
 The rule finds worker entry points statically: any function passed as
 the callable to a pool-dispatch call (``pool.map``, ``imap``,
-``apply_async``, ``starmap``, ``submit``, ...).  Inside each worker
+``apply_async``, ``starmap``, ``submit``, ...) or as the ``target=`` of a
+``Process(...)``/``Thread(...)`` constructor (``multiprocessing.Process``,
+``context.Process``, ``threading.Thread``, ...).  Inside each worker
 function it flags:
 
 * attribute or subscript **stores** whose base object is a parameter
@@ -47,19 +50,39 @@ _DISPATCH_METHODS = frozenset(
     }
 )
 
+#: Constructors whose ``target=`` keyword is a worker callable.
+_SPAWN_CONSTRUCTORS = frozenset({"Process", "Thread"})
+
+
+def _callee_name(func: ast.expr) -> str | None:
+    """``Process`` for both ``Process(...)`` and ``ctx.Process(...)``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
 
 def _worker_names(tree: ast.Module) -> frozenset[str]:
-    """Names of functions dispatched to a pool anywhere in the module."""
+    """Names of functions dispatched to a pool, or started as the
+    ``target`` of a process/thread, anywhere in the module."""
     names: set[str] = set()
     for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
         if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
+            isinstance(node.func, ast.Attribute)
             and node.func.attr in _DISPATCH_METHODS
             and node.args
             and isinstance(node.args[0], ast.Name)
         ):
             names.add(node.args[0].id)
+        if _callee_name(node.func) in _SPAWN_CONSTRUCTORS:
+            for keyword in node.keywords:
+                if keyword.arg == "target" and isinstance(
+                    keyword.value, ast.Name
+                ):
+                    names.add(keyword.value.id)
     return frozenset(names)
 
 
@@ -96,8 +119,9 @@ class ExecutorSharedStateRule(Rule):
     code = "RPR006"
     name = "executor-shared-state"
     summary = (
-        "pool worker functions must not mutate parent-owned state "
-        "(facade/topology attributes, globals); return results instead"
+        "worker functions (pool callables, Process/Thread targets) must "
+        "not mutate parent-owned state (facade/topology attributes, "
+        "globals); return results instead"
     )
 
     def check_module(self, module: ModuleContext) -> Iterator[Violation]:

@@ -1,8 +1,9 @@
 """RPR002 — pickle safety for state that crosses the executor boundary.
 
-The :class:`~repro.runtime.executor.ProcessExecutor` ships shard-group
-plans to worker processes by pickle, and snapshot/deepcopy reach the
-same ``__reduce__``/``__getstate__`` machinery.  Two classes of bug get
+The :class:`~repro.runtime.executor.SharedMemoryExecutor` ships group
+state, plan metadata, and tuple-event sub-batches to its worker
+processes by pickle, and snapshot/deepcopy reach the same
+``__reduce__``/``__getstate__`` machinery.  Two classes of bug get
 in by default and only explode at runtime, in a worker:
 
 * **Unpicklable resources.**  A class that binds a lock, a process
@@ -16,8 +17,7 @@ in by default and only explode at runtime, in a worker:
 * **Shipped derived caches.**  Memoized columns and row-view lists
   (``_hash_columns``, ``*_cache``, ``*_list``, ``*_memo``) are cheap to
   recompute and expensive to serialize; a ``__reduce__``/``__getstate__``
-  that references them ships redundant bytes per batch and undoes the
-  workers-rehash-in-parallel design
+  that references them ships redundant bytes on every crossing
   (:meth:`repro.core.events.EventBatch.__reduce__` is the model: it
   returns only the defining columns).
 
@@ -125,7 +125,7 @@ class PickleSafetyRule(Rule):
                         f"{cls.name}.{target.attr} holds an unpicklable "
                         f"{factory}() result but {cls.name} defines no "
                         "__reduce__/__getstate__ to drop it; instances "
-                        "will break at the ProcessExecutor pickle "
+                        "will break at the shm executor's pickle "
                         "boundary (and under deepcopy)",
                     )
         for item in cls.body:

@@ -1,7 +1,7 @@
 """RPR004 — snapshot symmetry: state keys written must equal keys read.
 
 Snapshot-v2 persistence is the serialization substrate for everything:
-checkpoint/restore, the ProcessExecutor worker protocol, and the
+checkpoint/restore, the shm executor's worker protocol, and the
 stateful property tests.  Its weak point is that the writer and the
 reader of a state dict are two hand-maintained methods: add a field to
 ``_state`` and forget ``_load`` (or vice versa) and nothing fails until

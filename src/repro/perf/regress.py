@@ -59,8 +59,8 @@ WORKLOAD_PARAMS = (
     # Read/write mix drives the mixed-rw query scenarios; reports taken
     # at different ratios measure different workloads.
     "read_ratio",
-    # Pool size does not change the deterministic counters, but the
-    # parallel cells' wall-clock is only comparable at equal W.
+    # Worker count does not change the deterministic counters, but the
+    # shm cells' wall-clock is only comparable at equal W.
     "workers",
 )
 
@@ -110,11 +110,11 @@ class Tolerances:
 GATED_METRICS = ("elapsed_s", "messages_total", "bytes_total", "memory_total")
 
 #: Execution backends whose columnar ingest must move zero pickled event
-#: payload bytes across process boundaries.  ``serial``/``thread`` run
-#: in-process; ``shm`` ships columns through shared memory — that is its
-#: whole contract, so any pickled event payload is a regression
-#: regardless of what the baseline recorded.
-ZERO_PICKLE_EXECUTORS = ("serial", "thread", "shm")
+#: payload bytes across process boundaries.  ``serial`` runs in-process;
+#: ``shm`` ships columns through shared memory — that is its whole
+#: contract, so any pickled event payload is a regression regardless of
+#: what the baseline recorded.
+ZERO_PICKLE_EXECUTORS = ("serial", "shm")
 
 #: Scenarios whose records must show the incremental merge cache working:
 #: a cached query at least :data:`QUERY_CACHE_FLOOR` times faster than a

@@ -60,7 +60,7 @@ class PerfRecord:
     shared-memory backend eliminates (exactly 0.0 on columnar workloads)
     — and ``ipc_bytes_per_event`` is all request/reply framing bytes per
     event (plans, timings, state exchanges).  Both are identically 0.0
-    for the in-process backends (serial, thread).
+    for the in-process serial backend.
 
     Query metrics (also from the last repeat, measured *after* the
     driver finishes): ``query_seconds_cold`` is the best-of-several time

@@ -29,14 +29,11 @@ Built-in scenarios:
   :class:`~repro.core.events.EventBatch` so the whole pipeline stays
   columnar; the gap between twin cells is the tuple-churn tax the
   columnar ingest path removes.
-* ``sharded-uniform-parallel`` / ``sharded-uniform-shm`` /
-  ``sharded-uniform-thread`` — the columnar sharded workload again, but
-  ingested through the :class:`~repro.runtime.executor.ProcessExecutor`,
-  :class:`~repro.runtime.executor.SharedMemoryExecutor`, or
-  :class:`~repro.runtime.executor.ThreadExecutor`
+* ``sharded-uniform-shm`` — the columnar sharded workload again, but
+  ingested through the :class:`~repro.runtime.executor.SharedMemoryExecutor`
   (``SuiteConfig.workers`` workers): deterministic counters identical to
   the serial twins by construction, wall-clock measuring real multi-core
-  ingest.  The shm cell additionally pins ``pickle_bytes_per_event`` to
+  ingest.  The cell additionally pins ``pickle_bytes_per_event`` to
   exactly 0 — the zero-copy contract the regression gate enforces.
 * ``sharded-query-heavy`` — the columnar sharded ingest followed by a
   burst of ``sample()``/``threshold``/``stats()`` queries on the
@@ -165,9 +162,9 @@ class Scenario:
             variants it accepts run this scenario.
         executor: Execution backend this scenario forces on its samplers
             (``None`` = the default serial backend).  The
-            ``sharded-uniform-parallel`` scenario sets ``"process"`` so
-            the suite times real multi-core ingest; the suite sizes the
-            pool from ``SuiteConfig.workers``.
+            ``sharded-uniform-shm`` scenario sets ``"shm"`` so the suite
+            times real multi-core ingest; the suite sizes the worker
+            count from ``SuiteConfig.workers``.
     """
 
     name: str
@@ -396,18 +393,6 @@ register_scenario(
 )
 register_scenario(
     Scenario(
-        name="sharded-uniform-parallel",
-        summary="sharded-uniform-columnar's workload through the "
-        "multiprocessing ProcessExecutor (real multi-core ingest, "
-        "measured critical path)",
-        build=_build_sharded_uniform_columnar,
-        driver=_drive_engine_hash,
-        variant_filter=lambda variant: variant.sharded and not variant.windowed,
-        executor="process",
-    )
-)
-register_scenario(
-    Scenario(
         name="sharded-uniform-shm",
         summary="sharded-uniform-columnar's workload through the "
         "SharedMemoryExecutor (persistent workers, zero-copy /dev/shm "
@@ -551,17 +536,5 @@ register_scenario(
         build=_build_sharded_uniform_columnar,
         driver=_drive_reshard,
         variant_filter=lambda variant: variant.sharded and not variant.windowed,
-    )
-)
-register_scenario(
-    Scenario(
-        name="sharded-uniform-thread",
-        summary="sharded-uniform-columnar's workload through the "
-        "ThreadExecutor (in-process thread pool over the GIL-dropping "
-        "NumPy kernels)",
-        build=_build_sharded_uniform_columnar,
-        driver=_drive_engine_hash,
-        variant_filter=lambda variant: variant.sharded and not variant.windowed,
-        executor="thread",
     )
 )

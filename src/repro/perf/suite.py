@@ -70,18 +70,18 @@ def measure_query_metrics(sampler: Sampler) -> tuple[float, float, float]:
 
 
 def close_sampler(sampler: Sampler) -> None:
-    """Release a cell sampler's backend resources (process pools)."""
+    """Release a cell sampler's backend resources (shm workers)."""
     close = getattr(sampler, "close", None)
     if close is not None:
         close()
 
 
 def warmup_sampler(sampler: Sampler) -> None:
-    """Force a process-backend sampler's worker pool into existence.
+    """Force an shm-backend sampler's worker processes into existence.
 
-    Timed and profiled windows must measure ingest, not pool start-up —
-    the pool is created lazily, so without this the first batch of every
-    fresh sampler pays the fork cost inside the measurement.
+    Timed and profiled windows must measure ingest, not worker start-up —
+    the workers are spawned lazily, so without this the first batch of
+    every fresh sampler pays the fork cost inside the measurement.
     """
     warmup = getattr(getattr(sampler, "executor", None), "warmup", None)
     if warmup is not None:
@@ -106,10 +106,9 @@ class SuiteConfig:
             ingestion fast paths over the integer workloads).
         shards: Coordinator groups S for the ``sharded:*`` variants
             (single-coordinator variants always run with 1).
-        workers: Worker count W for scenarios that force a non-serial
-            execution backend (``sharded-uniform-parallel``,
-            ``sharded-uniform-shm``, ``sharded-uniform-thread``); serial
-            cells ignore it.
+        workers: Worker count W for scenarios that force the shm
+            execution backend (``sharded-uniform-shm``); serial cells
+            ignore it.
         read_ratio: Queries per ingest chunk for the mixed
             read/write scenario (``sharded-mixed-rw``); other scenarios
             ignore it.
@@ -168,7 +167,7 @@ def build_sampler_for(
     window, so it runs its sliding flavour on slotted scenarios and its
     infinite flavour everywhere else.  A scenario-forced ``executor``
     applies only to sharded variants (the only ones that accept one);
-    pool size comes from ``config.workers``.
+    the worker count comes from ``config.workers``.
     """
     variant = get_variant(variant_name)
     windowed = variant.windowed or (variant.with_replacement and slotted)

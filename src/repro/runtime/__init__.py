@@ -12,15 +12,12 @@ Everything the protocol facades used to duplicate lives here, once:
 * :class:`~repro.runtime.sharded.ShardedSampler` — S independent
   coordinator groups over a hash-partitioned key space with query-time
   bottom-s merge (registered as ``sharded:<variant>``).
-* :mod:`~repro.runtime.executor` — pluggable execution backends for the
+* :mod:`~repro.runtime.executor` — the two execution backends for the
   sharded ingest path: :class:`~repro.runtime.executor.SerialExecutor`
-  (in-process, simulated critical path),
-  :class:`~repro.runtime.executor.ThreadExecutor` (thread pool over the
-  GIL-dropping NumPy kernels),
-  :class:`~repro.runtime.executor.ProcessExecutor` (a multiprocessing
-  pool; measured critical path, per-batch pickling), and
+  (in-process, simulated critical path) and
   :class:`~repro.runtime.executor.SharedMemoryExecutor` (persistent
-  workers over zero-copy ``/dev/shm`` columns) — all bit-identical.
+  worker processes over zero-copy ``/dev/shm`` columns; measured
+  critical path) — bit-identical to each other.
 
 Layering: ``streams → runtime (engine) → protocol cores → runtime
 (topology) → netsim transports``.  The runtime depends only on
@@ -32,10 +29,8 @@ topologies (multi-process, async) plug in behind the same interfaces.
 from .engine import ROUTING_POLICIES, Engine
 from .executor import (
     ExecutionBackend,
-    ProcessExecutor,
     SerialExecutor,
     SharedMemoryExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from .sharded import ShardedSampler
@@ -44,12 +39,10 @@ from .topology import Topology, merge_message_stats
 __all__ = [
     "Engine",
     "ExecutionBackend",
-    "ProcessExecutor",
     "ROUTING_POLICIES",
     "SerialExecutor",
     "SharedMemoryExecutor",
     "ShardedSampler",
-    "ThreadExecutor",
     "Topology",
     "make_executor",
     "merge_message_stats",

@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the sharded scale-out ingest path.
+"""Execution backends for the sharded scale-out ingest path.
 
 :class:`~repro.runtime.sharded.ShardedSampler` runs S independent
 coordinator groups over disjoint key spaces.  An :class:`ExecutionBackend`
@@ -8,23 +8,8 @@ makes the ingest strategy a configuration choice (``SamplerConfig.executor``):
   delivered in-process, run-major, sharing one warmed sampling-hash
   column.  ``critical_path_seconds`` stays a *simulated* quantity (max of
   per-group serial timers).
-* :class:`ThreadExecutor` — a thread pool over the same per-group plans.
-  Groups are mutated in place (threads share the parent's heap, so there
-  is nothing to ship or copy), and the NumPy kernels release the GIL, so
-  the columnar hot loops overlap across cores at zero serialization
-  cost.  Python-level bookkeeping still serializes on the GIL — this is
-  the cheap middle ground, not the scale-out backend.
-* :class:`ProcessExecutor` — a ``multiprocessing`` pool of ``W`` worker
-  processes.  Each batch, every group's column slices (or tuple
-  sub-batches) are pickled across the pipe together with the group's
-  construction recipe and full ``state_dict``; the worker rebuilds the
-  group, replays the plan, and returns (pickles) the new state.  Simple
-  and stateless, but the per-batch pickle tax caps its speedup — the
-  backend's instrumented ``pickle_bytes``/``ipc_bytes`` counters make
-  that tax a measured quantity.
-* :class:`SharedMemoryExecutor` — persistent workers plus zero-copy
-  columns, the backend that kills the pickle tax.  See the protocol
-  below.
+* :class:`SharedMemoryExecutor` — the parallel backend: persistent
+  worker processes plus zero-copy columns.  See the protocol below.
 
 The persistent-worker protocol (``executor="shm"``)
 ---------------------------------------------------
@@ -55,32 +40,30 @@ where the canonical group state lives:
   Parent-side mutation (``observe``, ``advance``, ``load_state``)
   additionally *invalidates* the session so the next batch re-adopts.
 
-Results are **bit-identical** across all four backends: plans are built
-by the same routing pass, groups share no state, every backend replays
-the exact serial per-group delivery order, and the sampling hash is a
-pure function of (seed, algorithm, item) wherever it is computed.  The
+Results are **bit-identical** across both backends: plans are built by
+the same routing pass, groups share no state, the workers replay the
+exact serial per-group delivery order, and the sampling hash is a pure
+function of (seed, algorithm, item) wherever it is computed.  The
 property suite in ``tests/test_properties.py`` pins ``sample()``,
 ``stats()``, and the full ``state_dict`` across backends for every
 ``sharded:*`` variant.
 
-Failure and lifecycle semantics of the parallel backends (crash-replay):
+Failure and lifecycle semantics of the shm backend (crash-replay):
 
-* Every in-flight batch plan is **retained until its worker acknowledges
-  it** — per batch for the process pool (whose replies double as acks),
-  and in a per-group replay log since the last sync for the persistent
-  shm workers.  When a worker dies, the executor tears the remaining
-  workers down and rebuilds each crashed worker's groups from the
-  parent's last-synchronized state by replaying the pending plans
-  in-process — the recovered groups are **bit-identical to a
-  never-crashed run** (same delivery order, same shared sampling hash),
-  so no acknowledged data is ever lost.  Ingest calls simply succeed;
-  the ``recoveries`` counter records that a replay happened, and the
-  next batch respawns workers and re-adopts.  Only a *deterministic*
-  in-worker protocol error (a poisoned plan) still raises — replaying it
-  in-process raises the same underlying error.
-* The shm replay log is trimmed at every sync/adopt boundary and, to
-  bound memory on sync-free workloads, the executor checkpoints (a
-  partial sync) every ``checkpoint_batches`` batches per session.
+* Every batch plan shipped since a group's last sync is **retained in a
+  per-group replay log until a sync acknowledges it**.  When a worker
+  dies, the executor tears the remaining workers down and rebuilds
+  every worker-held group from the parent's last-synchronized state by
+  replaying the pending plans in-process — the recovered groups are
+  **bit-identical to a never-crashed run** (same delivery order, same
+  shared sampling hash), so no acknowledged data is ever lost.  Ingest
+  calls simply succeed; the ``recoveries`` counter records that a replay
+  happened, and the next batch respawns workers and re-adopts.  Only a
+  *deterministic* in-worker protocol error (a poisoned plan) still
+  raises — replaying it in-process raises the same underlying error.
+* The replay log is trimmed at every sync/adopt boundary and, to bound
+  memory on sync-free workloads, the executor checkpoints (a partial
+  sync) every ``checkpoint_batches`` batches per session.
 * Shared-memory blocks are created/unlinked strictly per batch inside
   ``try/finally``; worker terminations are additionally registered via
   ``weakref.finalize`` (which hooks interpreter exit like ``atexit``)
@@ -90,19 +73,19 @@ Failure and lifecycle semantics of the parallel backends (crash-replay):
   guarantees ``close()`` (which first collects every live session's
   state back into its sampler).
 
-Two documented backend differences, neither visible on a valid stream:
-a non-monotone slot stamp raises *before* any delivery under the
-plan-building backends (thread/process/shm), while the serial generic
-loop has already delivered the earlier runs by the time it raises; and
-groups rewired onto a non-default transport (``DelayedNetwork``) are
-rebuilt by process/shm workers on the config's default synchronous
-network — keep the serial or thread backend for delayed-transport
-studies.
+Two documented backend differences.  A non-monotone slot stamp raises
+*before* any delivery under the shm backend (plans are built up front),
+while the serial generic loop has already delivered the earlier runs by
+the time it raises.  And workers rebuild groups on the config's default
+synchronous network, so the shm backend rejects every batch of a
+sampler whose groups were rewired onto an asynchronous transport
+(``DelayedNetwork``/``ChaosNetwork``) with :class:`ConfigurationError`
+before touching any state — keep the serial backend for
+delayed-transport studies.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import multiprocessing
 import os
 import pickle
@@ -110,7 +93,6 @@ import sys
 import time
 import weakref
 from abc import ABC, abstractmethod
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, Any, Optional
@@ -129,8 +111,6 @@ if TYPE_CHECKING:  # sharded imports this module; annotate without a cycle
 __all__ = [
     "ExecutionBackend",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "SharedMemoryExecutor",
     "make_executor",
 ]
@@ -138,9 +118,6 @@ __all__ = [
 #: One group's replay plan: ``(slot, None)`` advances, ``(None, batch)``
 #: delivers (a tuple sub-batch or a columnar sub-run).
 GroupPlan = list[tuple[Optional[int], Any]]
-
-#: What ships to a process-pool worker: ``(config_dict, state_dict, plan)``.
-WorkerPayload = tuple[dict[str, Any], dict[str, Any], GroupPlan]
 
 #: A shm worker's task: ``(slot, None)`` advances, ``(None, (offset,
 #: length))`` delivers that row range of the batch's shared columns.
@@ -153,10 +130,9 @@ WorkerPlans = list[tuple[int, Any]]
 def _replay_group(group: Sampler, tasks: GroupPlan) -> float:
     """Replay one group's plan in place; returns the measured seconds.
 
-    Shared by every backend that executes plans against live group
-    objects (thread workers, shm workers after the rebuild) — the replay
-    order is exactly the serial per-group delivery order, which is what
-    makes the backends bit-identical.
+    Shared by the shm workers (tuple-event batches) and the parent's
+    crash-replay — the replay order is exactly the serial per-group
+    delivery order, which is what makes the backends bit-identical.
     """
     started = time.perf_counter()
     for slot, batch in tasks:
@@ -165,42 +141,6 @@ def _replay_group(group: Sampler, tasks: GroupPlan) -> float:
         else:
             group.observe_batch(batch)
     return time.perf_counter() - started
-
-
-def _ingest_group(payload: WorkerPayload) -> tuple[dict[str, Any], float]:
-    """Process-pool worker entry point: rebuild one group, replay its plan.
-
-    ``payload`` is ``(config_dict, state, tasks)`` where ``tasks`` is the
-    group's ``(slot, None) | (None, batch)`` plan.  Returns the group's
-    new ``state_dict`` and the measured ingest seconds (timer starts
-    after the rebuild, so the measurement is the group's actual compute,
-    not the serialization overhead).
-    """
-    # Lazy import: repro.core.api lazily imports this runtime package's
-    # sharded module, so the dependency must not exist at import time.
-    from ..core.api import make_sampler
-
-    config_dict, state, tasks = payload
-    group = make_sampler(SamplerConfig(**config_dict))
-    group.load_state(state)
-    elapsed = _replay_group(group, tasks)
-    return group.state_dict(), elapsed
-
-
-def _ingest_group_pickled(blob: bytes) -> bytes:
-    """The instrumented pool entry point: explicit pickle framing.
-
-    The parent pickles the payload itself (so it can count the bytes)
-    and the worker pickles the reply for the same reason; the pool then
-    ships opaque ``bytes`` either way.  Cost-wise this only re-wraps a
-    bytes object — the payload is serialized exactly once per direction.
-    """
-    state, elapsed = _ingest_group(pickle.loads(blob))
-    return pickle.dumps((state, elapsed), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _noop(_: int) -> None:
-    """Pool warm-up task (forces the worker processes to exist)."""
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +404,12 @@ class ExecutionBackend(ABC):
     """How a :class:`~repro.runtime.sharded.ShardedSampler` ingests.
 
     One backend instance may be shared between samplers; tests reuse a
-    single worker pool across many short-lived samplers this way (the
-    shm backend keys its per-sampler sessions weakly, so sharing is safe
-    there too).
+    single set of shm workers across many short-lived samplers this way
+    (the shm backend keys its per-sampler sessions weakly, so sharing is
+    safe).
 
     Serialization accounting: ``pickle_bytes`` counts bytes of pickled
-    *per-batch event payloads* (tuple sub-batches, column slices, and the
-    per-batch state round-trip of the process backend) and ``ipc_bytes``
+    *per-batch event payloads* (tuple sub-batches) and ``ipc_bytes``
     counts every byte that crosses a process boundary for any reason
     (payloads, plan metadata, session state exchanges).  The zero-copy
     claim of the shm backend is therefore falsifiable:
@@ -486,7 +425,7 @@ class ExecutionBackend(ABC):
     #: Cumulative bytes crossing a process boundary, any encoding.
     ipc_bytes: int = 0
     #: Crash-replay recoveries performed (see the module docstring's
-    #: failure-semantics section).  Zero for the in-process backends.
+    #: failure-semantics section).  Always zero for the serial backend.
     recoveries: int = 0
 
     @abstractmethod
@@ -501,10 +440,10 @@ class ExecutionBackend(ABC):
         """Pull worker-held group state back into ``sharded.groups``.
 
         No-op for backends whose parent-side groups are always
-        canonical (serial/thread/process).  The sharded facade calls
-        this at most once per quiescent period — queries between two
-        mutations share a single sync — and a stateful backend should
-        itself collect only the groups dirtied since the last sync.
+        canonical (serial).  The sharded facade calls this at most once
+        per quiescent period — queries between two mutations share a
+        single sync — and a stateful backend should itself collect only
+        the groups dirtied since the last sync.
         """
 
     def invalidate(self, sharded: "ShardedSampler") -> None:
@@ -562,256 +501,6 @@ class SerialExecutor(ExecutionBackend):
                 sharded.advance(slot)
             sharded._deliver_columns(run)
         return len(batch)
-
-
-class ThreadExecutor(ExecutionBackend):
-    """Thread-pool ingest over the parent's own group objects.
-
-    Args:
-        workers: Thread count W; ``0`` picks ``min(8, cpu_count)``.
-
-    Plans are built exactly like the process backend's (slot validation
-    up front), but the threads replay them against the parent's groups
-    *in place* — same heap, zero serialization, zero copies, and nothing
-    to sync back.  The NumPy kernels (hash sweeps, routing, threshold
-    pre-filters) drop the GIL and genuinely overlap; the Python-level
-    delivery bookkeeping does not, so expect a modest win on columnar
-    workloads and none on tuple ones.  Per-group disjointness makes this
-    race-free: a group is touched by exactly one thread per batch.
-
-    Raises:
-        ConfigurationError: For a negative ``workers``.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: int = 0) -> None:
-        workers = int(workers)
-        if workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        self.workers = workers or min(8, os.cpu_count() or 1)
-        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-shard"
-            )
-        return self._pool
-
-    def warmup(self) -> None:
-        """Create the pool outside any timed window (threads are cheap,
-        but benchmark hygiene is uniform across backends)."""
-        self._ensure_pool()
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent); the next ingest re-creates it."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __getstate__(self) -> dict[str, int]:
-        return {"workers": self.workers}
-
-    def __setstate__(self, state: dict[str, int]) -> None:
-        self.workers = state["workers"]
-        self._pool = None
-
-    def ingest_events(self, sharded: "ShardedSampler", events: list[Any]) -> int:
-        plans, last_slot, advances = sharded._plan_events(events)
-        self._run(sharded, plans, last_slot, advances)
-        return len(events)
-
-    def ingest_columns(self, sharded: "ShardedSampler", batch: EventBatch) -> int:
-        plans, last_slot, advances = sharded._plan_columns(
-            batch, warm_hasher=sharded.sampling_hasher
-        )
-        self._run(sharded, plans, last_slot, advances)
-        return len(batch)
-
-    def _run(
-        self,
-        sharded: "ShardedSampler",
-        plans: list[GroupPlan],
-        last_slot: Optional[int],
-        advances: int,
-    ) -> None:
-        jobs = [(g, tasks) for g, tasks in enumerate(plans) if tasks]
-        if jobs:
-            pool = self._ensure_pool()
-            futures = [
-                (g, pool.submit(_replay_group, sharded.groups[g], tasks))
-                for g, tasks in jobs
-            ]
-            for g, future in futures:
-                sharded.group_ingest_seconds[g] += future.result()
-        sharded._commit_slots(last_slot, advances)
-
-
-class ProcessExecutor(ExecutionBackend):
-    """Multi-core ingest over a lazily created process pool.
-
-    Args:
-        workers: Pool size ``W``; ``0`` picks ``min(8, cpu_count)``.
-
-    Each batch call builds the per-group plans up front (one vectorized
-    routing pass, slot monotonicity validated before anything ships),
-    fans the non-empty plans out to the pool, and merges the returned
-    group states.  Per-call cost is one pickled state + payload
-    round-trip per group — the "pickle tax" the instrumented
-    ``pickle_bytes`` counter makes visible and the shm backend removes —
-    so the backend pays off for large batches and is pure overhead for
-    event-at-a-time ingest (single ``observe`` calls stay in-process).
-
-    The backend is stateless across batches, which makes crash recovery
-    cheap: a reply *is* the acknowledgement, and a group whose reply
-    never arrives (worker killed mid-batch) is simply replayed against
-    the parent's own copy — untouched since before the batch — giving a
-    result bit-identical to a never-crashed run.  ``recoveries`` counts
-    the replayed groups.
-
-    Raises:
-        ConfigurationError: For a negative ``workers``.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int = 0) -> None:
-        workers = int(workers)
-        if workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        self.workers = workers or min(8, os.cpu_count() or 1)
-        # A concurrent.futures pool rather than multiprocessing.Pool:
-        # only the former surfaces an abruptly killed worker as a
-        # BrokenProcessPool on the affected futures (Pool.map simply
-        # hangs — the long-standing bpo-22393 behavior), and crash
-        # recovery needs that signal.
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self.pickle_bytes = 0
-        self.ipc_bytes = 0
-        self.recoveries = 0
-
-    # -- pool lifecycle ------------------------------------------------------
-
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers
-            )
-        return self._pool
-
-    def warmup(self) -> None:
-        """Force the worker processes into existence (benchmark hygiene:
-        keeps pool start-up out of timed ingest windows)."""
-        list(self._ensure_pool().map(_noop, range(self.workers)))
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent); the next ingest re-creates it."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # -- pickling ------------------------------------------------------------
-
-    def __getstate__(self) -> dict[str, int]:
-        # The pool is an OS resource owned by this process; a pickled
-        # executor (snapshot tooling, deepcopy of a ShardedSampler
-        # facade) carries only its configuration and re-creates a pool
-        # lazily on first ingest.
-        return {"workers": self.workers}
-
-    def __setstate__(self, state: dict[str, int]) -> None:
-        self.workers = state["workers"]
-        self._pool = None
-        self.pickle_bytes = 0
-        self.ipc_bytes = 0
-        self.recoveries = 0
-
-    # -- ingest --------------------------------------------------------------
-
-    def ingest_events(self, sharded: "ShardedSampler", events: list[Any]) -> int:
-        plans, last_slot, advances = sharded._plan_events(events)
-        self._run(sharded, plans, last_slot, advances)
-        return len(events)
-
-    def ingest_columns(self, sharded: "ShardedSampler", batch: EventBatch) -> int:
-        plans, last_slot, advances = sharded._plan_columns(batch)
-        self._run(sharded, plans, last_slot, advances)
-        return len(batch)
-
-    def _run(
-        self,
-        sharded: "ShardedSampler",
-        plans: list[GroupPlan],
-        last_slot: Optional[int],
-        advances: int,
-    ) -> None:
-        payloads = [
-            (g, (group.config.to_dict(), group.state_dict(), tasks))
-            for g, (group, tasks) in enumerate(zip(sharded.groups, plans))
-            if tasks
-        ]
-        if payloads:
-            blobs = [
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-                for _, payload in payloads
-            ]
-            shipped = sum(len(blob) for blob in blobs)
-            self.pickle_bytes += shipped
-            self.ipc_bytes += shipped
-            pool = self._ensure_pool()
-            futures: list[tuple[int, "concurrent.futures.Future[bytes]"]] = []
-            lost: list[int] = []
-            try:
-                for (g, _), blob in zip(payloads, blobs):
-                    futures.append(
-                        (g, pool.submit(_ingest_group_pickled, blob))
-                    )
-            except BrokenProcessPool:
-                # Workers died before this batch even started; every
-                # unsubmitted group replays in-process below.
-                submitted = {g for g, _ in futures}
-                lost.extend(g for g, _ in payloads if g not in submitted)
-            replies: dict[int, bytes] = {}
-            failure: Optional[BaseException] = None
-            for g, future in futures:
-                try:
-                    replies[g] = future.result()
-                except BrokenProcessPool:
-                    lost.append(g)
-                except Exception as exc:
-                    if failure is None:
-                        failure = exc
-            if failure is not None:
-                # A deterministic in-worker error (poisoned plan): keep
-                # the all-or-nothing contract — adopt nothing, commit
-                # nothing, surface the real error.
-                raise failure
-            for g, reply in replies.items():
-                self.pickle_bytes += len(reply)
-                self.ipc_bytes += len(reply)
-                state, elapsed = pickle.loads(reply)
-                sharded.groups[g].load_state(state)
-                sharded.group_ingest_seconds[g] += elapsed
-            if lost:
-                # Crash-replay: a reply doubles as the worker's ack, so
-                # a lost group's parent copy is exactly its pre-batch
-                # state — replaying the retained plan there reproduces
-                # the never-crashed result bit for bit (same delivery
-                # order, same sampling hash, same message counters).
-                self.close()
-                self.recoveries += len(lost)
-                for g in sorted(lost):
-                    sharded.group_ingest_seconds[g] += _replay_group(
-                        sharded.groups[g], plans[g]
-                    )
-        sharded._commit_slots(last_slot, advances)
 
 
 class SharedMemoryExecutor(ExecutionBackend):
@@ -1152,19 +841,40 @@ class SharedMemoryExecutor(ExecutionBackend):
     # -- ingest --------------------------------------------------------------
 
     def ingest_events(self, sharded: "ShardedSampler", events: list[Any]) -> int:
+        self._require_synchronous(sharded)
         plans, last_slot, advances = sharded._plan_events(events)
         self._execute_batch(sharded, plans, hasher=None)
         sharded._commit_slots(last_slot, advances)
         return len(events)
 
     def ingest_columns(self, sharded: "ShardedSampler", batch: EventBatch) -> int:
-        hasher = sharded.sampling_hasher
-        plans, last_slot, advances = sharded._plan_columns(
-            batch, warm_hasher=hasher
-        )
-        self._execute_batch(sharded, plans, hasher=hasher)
+        self._require_synchronous(sharded)
+        plans, last_slot, advances = sharded._plan_columns(batch)
+        self._execute_batch(sharded, plans, hasher=sharded.sampling_hasher)
         sharded._commit_slots(last_slot, advances)
         return len(batch)
+
+    @staticmethod
+    def _require_synchronous(sharded: "ShardedSampler") -> None:
+        """Reject a batch the workers could not replay faithfully.
+
+        Workers rebuild groups from ``(config, state_dict)``, which always
+        yields the default synchronous transport, so a group rewired onto
+        an asynchronous one (``DelayedNetwork``/``ChaosNetwork``) would
+        silently lose it.  Checked before planning: the sampler is left
+        exactly as it was.
+
+        Raises:
+            ConfigurationError: If any group's network is asynchronous.
+        """
+        for g, group in enumerate(sharded.groups):
+            if not group.network.synchronous:
+                raise ConfigurationError(
+                    f"shard group {g} runs on {type(group.network).__name__}, "
+                    "an asynchronous transport the shm workers cannot "
+                    "rebuild; use executor='serial' for delayed-transport "
+                    "studies"
+                )
 
     def _execute_batch(
         self,
@@ -1341,10 +1051,6 @@ def make_executor(config: SamplerConfig) -> ExecutionBackend:
     """
     if config.executor == "serial":
         return SerialExecutor()
-    if config.executor == "thread":
-        return ThreadExecutor(config.workers)
-    if config.executor == "process":
-        return ProcessExecutor(config.workers)
     if config.executor == "shm":
         return SharedMemoryExecutor(config.workers)
     raise ConfigurationError(

@@ -31,22 +31,17 @@ sequentially in-process and per-group wall-clock is accumulated in
 :attr:`ShardedSampler.group_ingest_seconds`, so the scale-out metric —
 the **critical path**, i.e. the slowest group
 (:attr:`ShardedSampler.critical_path_seconds`) — is a *simulated*
-quantity.  Under the parallel backends each group's batch plan really
-runs concurrently and the per-group timers hold measured wall-clock:
-``executor="thread"`` replays plans against the parent's groups from a
-thread pool (zero-copy, GIL-bound outside the NumPy kernels),
-``executor="process"`` ships each plan plus group state to a
-``multiprocessing`` pool per batch (the pickle tax), and
-``executor="shm"`` keeps persistent workers that own their groups
-across batches and map the batch's columns from shared memory
-(zero-copy *and* multi-core; queries transparently re-synchronize the
-parent's copies).  All backends are bit-identical, because every group
-replays the same per-group delivery order under the same shared
-sampling hash.  Message counts, by contrast, are a real total
-either way: sharding does not reduce (and with ``S`` full-size samples
-slightly increases) the paper's message metric; what it buys is
-per-coordinator load ~``1/S`` and, under the process backend, real
-multi-core ingest throughput.
+quantity.  Under ``executor="shm"`` each group's batch plan really runs
+concurrently and the per-group timers hold measured wall-clock:
+persistent worker processes own their groups across batches and map the
+batch's columns from shared memory (zero-copy *and* multi-core; queries
+transparently re-synchronize the parent's copies).  Both backends are
+bit-identical, because every group replays the same per-group delivery
+order under the same shared sampling hash.  Message counts, by
+contrast, are a real total either way: sharding does not reduce (and
+with ``S`` full-size samples slightly increases) the paper's message
+metric; what it buys is per-coordinator load ~``1/S`` and, under the
+shm backend, real multi-core ingest throughput.
 
 With-replacement samplers are not shardable this way: their per-copy
 samples are independent draws under *different* hash functions, so a
@@ -133,11 +128,11 @@ class ShardedSampler(Sampler):
             salt=_SHARD_SALT,
         )
         #: Cumulative batch-ingest wall-clock per group, in seconds —
-        #: in-process timers under the serial/thread executors, the
-        #: workers' own measurements under the process/shm executors.
+        #: in-process timers under the serial executor, the workers' own
+        #: measurements under the shm executor.
         self.group_ingest_seconds = [0.0] * len(groups)
         #: The execution backend (swappable; e.g. tests share one
-        #: :class:`~repro.runtime.executor.ProcessExecutor` pool across
+        #: :class:`~repro.runtime.executor.SharedMemoryExecutor` across
         #: many short-lived samplers).
         self.executor = make_executor(config)
         #: Monotonic per-group mutation counters.  Every path that can
@@ -160,13 +155,12 @@ class ShardedSampler(Sampler):
         self._init_protocol()
 
     def close(self) -> None:
-        """Release the execution backend's resources (worker pool).
+        """Release the execution backend's resources (worker processes).
 
-        Idempotent, and a no-op for the serial backend; the sampler
-        remains usable — a process pool is re-created on the next batch.
-        A stateful backend (``"shm"``) first collects every live
-        session's worker-held group state back into its sampler, so no
-        ingested data is lost by closing.
+        Idempotent, and a no-op for the serial backend.  The shm backend
+        first collects every live session's worker-held group state back
+        into its sampler, so no ingested data is lost by closing; the
+        sampler remains usable — the next batch respawns the workers.
         """
         self.executor.close()
 
@@ -216,8 +210,8 @@ class ShardedSampler(Sampler):
 
         Each same-slot run is split by owning group in one vectorized
         routing pass, then every group bulk-ingests its sub-run through
-        its own fast path — in-process under the serial executor, in a
-        worker process per group under the process executor.  Groups
+        its own fast path — in-process under the serial executor, in the
+        group's persistent worker process under the shm executor.  Groups
         share no state, so per-group order (which both backends
         preserve) is all that matters — equivalence with the event loop
         is pinned by the batch-equivalence and property tests.
@@ -235,17 +229,15 @@ class ShardedSampler(Sampler):
 
         Each same-slot run is routed with one vectorized shard-hash pass
         and :meth:`~repro.core.events.EventBatch.select` slices it into
-        per-group sub-batches.  The serial backend additionally warms the
-        shared *sampling*-hash column once per run so the groups never
-        rehash; the process backend ships the raw column slices instead
-        and lets every worker hash its own slice — in parallel.
+        per-group sub-batches.  Both backends warm the shared
+        *sampling*-hash column once per run, so no group ever rehashes.
         """
         batch.require_sites()
         if not len(batch):
             return 0
         return self.executor.ingest_columns(self, batch)
 
-    # -- per-group plans (the process backend's unit of shipment) ------------
+    # -- per-group plans (the shm backend's unit of shipment) ----------------
 
     def _plan_advance(
         self, plans: list[GroupPlan], slot: int, state: list[Any]
@@ -299,31 +291,24 @@ class ShardedSampler(Sampler):
         return plans, state[0], state[1]
 
     def _plan_columns(
-        self,
-        batch: EventBatch,
-        warm_hasher: Optional[UnitHasher] = None,
+        self, batch: EventBatch
     ) -> tuple[list[GroupPlan], Optional[int], int]:
         """Columnar twin of :meth:`_plan_events`: per-group column slices.
 
-        With ``warm_hasher=None`` (the process backend) the shared
-        sampling-hash column is deliberately *not* warmed — each worker
-        hashes its own slice, in parallel (and
-        :class:`~repro.core.events.EventBatch` drops derived hash caches
-        when pickled, so nothing is shipped twice).  The thread and
-        shared-memory backends pass the sampling hasher instead: the
-        column is computed once per run in the parent — exactly like the
-        serial path — and the per-group ``select`` *slices* it, so shm
-        workers adopt views of one warmed column rather than rehashing.
+        The shared sampling-hash column is warmed once per run in the
+        parent, before routing, and the per-group ``select`` *slices* it,
+        so shm workers adopt views of one warmed column rather than
+        rehashing.
         """
         plans: list[GroupPlan] = [[] for _ in self.groups]
         state: list[Any] = [self._last_slot, 0]
+        hasher = self.sampling_hasher
         for slot, run in batch.slot_runs():
             if slot is not None:
                 self._plan_advance(plans, slot, state)
             if not len(run):
                 continue
-            if warm_hasher is not None:
-                run.hash_column(warm_hasher)
+            run.hash_column(hasher)
             if len(self.groups) == 1:
                 plans[0].append((None, run))
                 continue

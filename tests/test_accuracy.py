@@ -149,8 +149,8 @@ class TestSuite:
             compared += 1
         assert compared >= 6
 
-    def test_process_executor_matches_serial(self):
-        """W=2 process-pool ingestion must not change a single estimate."""
+    def test_shm_executor_matches_serial(self):
+        """W=2 shm-worker ingestion must not change a single estimate."""
         base = dataclasses.replace(
             SMALL,
             scenarios=("sharded-uniform",),
@@ -158,11 +158,11 @@ class TestSuite:
         )
         serial = run_accuracy_suite(base)
         parallel = run_accuracy_suite(
-            dataclasses.replace(base, scenarios=("sharded-uniform-parallel",))
+            dataclasses.replace(base, scenarios=("sharded-uniform-shm",))
         )
         for record in serial.records:
             twin = parallel.record_for(
-                "sharded-uniform-parallel", record.estimator, record.variant
+                "sharded-uniform-shm", record.estimator, record.variant
             )
             assert twin is not None
             assert record.estimate == twin.estimate

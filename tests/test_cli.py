@@ -136,12 +136,41 @@ class TestDemo:
         assert code == 0
         out = capsys.readouterr().out
         assert "variant=sharded:infinite" in out
-        assert "process executor" in out
+        assert "shm executor" in out
         assert "measured over 2 worker processes" in out
+
+    def test_demo_chaos_under_shm_is_a_usage_error(self, capsys):
+        # Chaos rewires the groups onto an asynchronous transport, which
+        # the shm workers cannot rebuild: the typed error exits 2.
+        code = main(
+            [
+                "demo",
+                "--dataset",
+                "oc48",
+                "--scale",
+                "tiny",
+                "--shards",
+                "2",
+                "--workers",
+                "2",
+                "--chaos-drop",
+                "0.1",
+            ]
+        )
+        assert code == 2
+        assert "asynchronous transport" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("retired", ["process", "thread"])
+    def test_demo_rejects_retired_executors(self, retired, capsys):
+        # Only serial and shm remain; the old names are usage errors.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["demo", "--shards", "2", "--executor", retired])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{retired}'" in capsys.readouterr().err
 
     def test_demo_workers_alone_wrap_into_sharded(self, capsys):
         # --workers without --shards still runs the sharded wrapper
-        # (shards=1) so the process backend has groups to fan out.
+        # (shards=1) so the shm backend has groups to fan out.
         code = main(
             [
                 "demo",

@@ -187,6 +187,46 @@ class TestRPR006ExecutorSharedState:
             "good_worker" in v.message for v in report.violations
         )
 
+    def test_fires_on_process_target_worker(self):
+        # Persistent workers start as Process(target=...), never through
+        # pool dispatch; the rule must still find and check them.
+        report = lint_fixture("rpr006_process_target.py", "RPR006")
+        assert codes(report) == ["RPR006"]
+        assert [v.line for v in report.violations] == [9]
+        assert "'leaky_worker_main' mutates module global 'SEEN'" in (
+            report.violations[0].message
+        )
+
+    def test_clean_process_target_worker_is_clean(self):
+        report = lint_fixture("rpr006_process_target.py", "RPR006")
+        assert not any(
+            "clean_worker_main" in v.message for v in report.violations
+        )
+
+    def test_fires_on_thread_target_worker(self, tmp_path):
+        # Thread(target=...) is collected like Process(target=...): on a
+        # thread the global write is a data race, not a private copy.
+        module = tmp_path / "thread_target.py"
+        module.write_text(
+            "import threading\n"
+            "\n"
+            "HITS = {\"n\": 0}\n"
+            "\n"
+            "\n"
+            "def pump():\n"
+            "    HITS[\"n\"] += 1\n"
+            "\n"
+            "\n"
+            "def start():\n"
+            "    threading.Thread(target=pump, daemon=True).start()\n"
+        )
+        report = run_lint([module], rules=["RPR006"])
+        assert codes(report) == ["RPR006"]
+        assert [v.line for v in report.violations] == [7]
+        assert "'pump' mutates module global 'HITS'" in (
+            report.violations[0].message
+        )
+
 
 class TestRPR007ShmUnlinkPairing:
     def test_fires_on_unguarded_and_module_level_creation(self):

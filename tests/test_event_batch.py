@@ -120,9 +120,9 @@ class TestHashColumns:
         assert batch.first_occurrence_indices().tolist() == [0, 2, 3]
 
     def test_pickle_ships_columns_but_drops_hash_caches(self):
-        # The ProcessExecutor ships sub-batches to workers via pickle;
-        # the defining columns must round-trip exactly while derived
-        # hash caches are recomputed on the receiving side.
+        # A pickled batch (deepcopy, snapshot tooling) must round-trip
+        # its defining columns exactly while derived hash caches are
+        # recomputed on the receiving side.
         import pickle
 
         batch = EventBatch([1, 2, 3], sites=[0, 1, 0], slots=[1, 1, 2])

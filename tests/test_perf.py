@@ -48,9 +48,7 @@ class TestScenarioRegistry:
             "sharded-reshard",
             "sharded-uniform",
             "sharded-uniform-columnar",
-            "sharded-uniform-parallel",
             "sharded-uniform-shm",
-            "sharded-uniform-thread",
             "sliding-churn",
             "uniform",
             "uniform-columnar",
@@ -153,9 +151,7 @@ class TestSuite:
         [
             "sharded-uniform",
             "sharded-uniform-columnar",
-            "sharded-uniform-parallel",
             "sharded-uniform-shm",
-            "sharded-uniform-thread",
         ],
     )
     def test_sharded_uniform_runs_only_sharded_variants(
@@ -192,21 +188,13 @@ class TestSuite:
                 assert cell.memory_total == twin.memory_total
                 assert cell.sample_len == twin.sample_len
 
-    @pytest.mark.parametrize(
-        "scenario",
-        [
-            "sharded-uniform-parallel",
-            "sharded-uniform-shm",
-            "sharded-uniform-thread",
-        ],
-    )
-    def test_parallel_cells_match_serial_counters(self, small_report, scenario):
-        """The executor scenarios are execution changes only: their
+    def test_parallel_cells_match_serial_counters(self, small_report):
+        """The shm scenario is an execution change only: its
         deterministic counters must equal the serial columnar twin's —
         the suite-level face of the bit-identical acceptance criterion."""
         parallel = {
             r.variant: r for r in small_report.records
-            if r.scenario == scenario
+            if r.scenario == "sharded-uniform-shm"
         }
         serial = {
             r.variant: r for r in small_report.records
@@ -221,10 +209,9 @@ class TestSuite:
             assert cell.sample_len == twin.sample_len
 
     def test_serialization_counters_by_backend(self, small_report):
-        """Executor identity and the pickle/ipc split: serial and thread
-        cells move no bytes at all, shm cells move framing but zero
-        pickled event payload, and process cells pay the pickle tax the
-        shm backend exists to kill."""
+        """Executor identity and the pickle/ipc split: serial cells move
+        no bytes at all, and shm cells move framing but zero pickled
+        event payload."""
         by_scenario: dict = {}
         for record in small_report.records:
             by_scenario.setdefault(record.scenario, []).append(record)
@@ -232,17 +219,9 @@ class TestSuite:
             assert record.executor == "serial"
             assert record.pickle_bytes_per_event == 0.0
             assert record.ipc_bytes_per_event == 0.0
-        for record in by_scenario["sharded-uniform-thread"]:
-            assert record.executor == "thread"
-            assert record.pickle_bytes_per_event == 0.0
-            assert record.ipc_bytes_per_event == 0.0
         for record in by_scenario["sharded-uniform-shm"]:
             assert record.executor == "shm"
             assert record.pickle_bytes_per_event == 0.0
-            assert record.ipc_bytes_per_event > 0.0
-        for record in by_scenario["sharded-uniform-parallel"]:
-            assert record.executor == "process"
-            assert record.pickle_bytes_per_event > 0.0
             assert record.ipc_bytes_per_event > 0.0
 
     def test_record_metrics_are_sane(self, small_report):
@@ -425,12 +404,6 @@ class TestRegressionGate:
         assert len(offenders) == 1
         assert offenders[0].scenario == "sharded-uniform-shm"
         assert "pickle_bytes_per_event" in comparison.render()
-        # The process backend is allowed its pickle tax.
-        index = next(
-            i for i, r in enumerate(small_report.records)
-            if r.scenario == "sharded-uniform-parallel"
-        )
-        assert small_report.records[index].pickle_bytes_per_event > 0
         assert compare_reports(small_report, small_report).ok
 
     def test_query_metrics_are_recorded(self, small_report):
@@ -597,6 +570,17 @@ class TestPerfCli:
         # sorted(registry)[0] applicable to the uniform scenario
         assert "variant=broadcast" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("retired", ["process", "thread"])
+    def test_profile_rejects_retired_executors(self, retired, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "perf", "profile", "sharded-uniform", "--executor", retired,
+            ])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{retired}'" in capsys.readouterr().err
+
     def test_profile_errors_are_cli_errors(self, capsys):
         from repro.cli import main
 
@@ -723,84 +707,12 @@ class TestBatchSpeedup:
         (os.cpu_count() or 1) < 4,
         reason="measured multi-core speedup needs >= 4 cores",
     )
-    def test_process_executor_is_1_5x_at_w4_on_sharded_uniform_parallel(self):
-        """The scale-out acceptance floor: real multi-core ingest through
-        the ProcessExecutor (W=4) must beat the serial backend by >= 1.5x
-        wall-clock on the sharded-uniform-parallel workload — the point
-        where the simulated critical path becomes a measured one.  The
-        columnar batch is rebuilt per run (hash-column caches must not
-        carry over) and the pool is warmed before timing so start-up cost
-        stays out of the measured window."""
-        import gc
-        import time
-
-        from repro import make_sampler
-        from repro.perf import ScenarioParams, get_scenario
-        from repro.runtime.engine import Engine
-
-        params = ScenarioParams(n_events=500_000, num_sites=8, seed=7)
-        scenario = get_scenario("sharded-uniform-parallel")
-
-        def build(executor):
-            sampler = make_sampler(
-                "sharded:infinite",
-                num_sites=8,
-                sample_size=16,
-                shards=4,
-                seed=5,
-                algorithm="mix64",
-                executor=executor,
-                workers=4,
-            )
-            return sampler, Engine(sampler, policy="hash", seed=params.seed)
-
-        def timed(executor):
-            sampler, engine = build(executor)
-            if executor == "process":
-                sampler.executor.warmup()
-            batch = scenario.build(params)
-            started = time.perf_counter()
-            engine.observe_batch(batch)
-            elapsed = time.perf_counter() - started
-            return elapsed, sampler
-
-        gc.collect()
-        gc.disable()
-        try:
-            serial_s, serial = min(
-                (timed("serial") for _ in range(3)), key=lambda pair: pair[0]
-            )
-            parallel_s, parallel = min(
-                (timed("process") for _ in range(3)), key=lambda pair: pair[0]
-            )
-        finally:
-            gc.enable()
-        try:
-            assert parallel.sample() == serial.sample()
-            assert parallel.stats() == serial.stats()
-            # The measured critical path is the workers' own clock and can
-            # never exceed the wall the parent observed around them.
-            assert parallel.critical_path_seconds <= parallel_s
-            speedup = serial_s / parallel_s
-            assert speedup >= 1.5, (
-                f"ProcessExecutor only {speedup:.2f}x over serial "
-                f"({serial_s * 1e3:.1f} ms vs {parallel_s * 1e3:.1f} ms at W=4)"
-            )
-        finally:
-            parallel.close()
-
-
-    @pytest.mark.speedup
-    @pytest.mark.skipif(
-        (os.cpu_count() or 1) < 4,
-        reason="measured multi-core speedup needs >= 4 cores",
-    )
     def test_shm_executor_is_2x_at_w4_on_sharded_uniform_shm(self):
         """The zero-copy acceptance floor: persistent workers over
         shared-memory columns (W=4) must beat the serial backend by
-        >= 2.0x wall-clock at n=500k — a higher bar than the process
-        backend's 1.5x, because the per-batch pickle tax is gone.  The
-        columnar batch is rebuilt per run (hash-column caches must not
+        >= 2.0x wall-clock at n=500k: no per-batch pickle tax, no state
+        round-trip, only plan metadata crosses the pipe.  The columnar
+        batch is rebuilt per run (hash-column caches must not
         carry over) and the workers are spawned before timing so
         start-up cost stays out of the measured window."""
         import gc

@@ -13,14 +13,13 @@ configurations:
 * **Columnar == tuple-batch == single-observe.**  The three ingest
   representations are one semantics; random streams (slot stamps
   included) must leave identical full ``state_dict``\\ s.
-* **Every parallel executor == SerialExecutor, bit-identically.**  The
-  process backend ships state through snapshot-v2 dicts and replays
-  per-group plans in worker processes; the shm backend ships columns
-  through zero-copy shared memory to persistent workers; the thread
-  backend replays in-process.  Sample, message stats, and state must be
-  indistinguishable from the serial run for every ``sharded:*``
-  variant, and a worker crash mid-batch must leak no ``/dev/shm``
-  segment while falling back to the last synchronized state.
+* **The shm executor == SerialExecutor, bit-identically.**  The shm
+  backend ships group state through snapshot-v2 dicts and batch columns
+  through zero-copy shared memory to persistent worker processes.
+  Sample, message stats, and state must be indistinguishable from the
+  serial run for every ``sharded:*`` variant, and a worker crash
+  mid-batch must lose no acknowledged data and leak no ``/dev/shm``
+  segment.
 * **Snapshot round-trip == continued run.**  A stateful
   :class:`~hypothesis.stateful.RuleBasedStateMachine` interleaves
   observe/advance/query/snapshot/restore and checks, after every step,
@@ -50,9 +49,7 @@ from repro import (
     CentralizedWindowSampler,
     DistinctSamplerSystem,
     EventBatch,
-    ProcessExecutor,
     SharedMemoryExecutor,
-    ThreadExecutor,
     UnitHasher,
     make_sampler,
     restore,
@@ -220,35 +217,24 @@ class TestIngestEquivalence:
 
 
 @pytest.fixture(scope="module")
-def shared_executors():
-    """One executor of each parallel backend, shared by every example
-    (pool/worker start-up would otherwise dominate the property run)."""
-    executors = {
-        "process": ProcessExecutor(workers=2),
-        "shm": SharedMemoryExecutor(workers=2),
-        "thread": ThreadExecutor(workers=2),
-    }
-    yield executors
-    for executor in executors.values():
-        executor.close()
-
-
-PARALLEL_EXECUTORS = ("process", "shm", "thread")
+def shared_shm():
+    """One shm executor shared by every example (worker start-up would
+    otherwise dominate the property run)."""
+    executor = SharedMemoryExecutor(workers=2)
+    yield executor
+    executor.close()
 
 
 class TestExecutorEquivalence:
-    """The acceptance pin: every parallel backend (process, shm, thread)
-    is byte-identical to SerialExecutor for every ``sharded:*`` variant."""
+    """The acceptance pin: the shm backend is byte-identical to
+    SerialExecutor for every ``sharded:*`` variant."""
 
+    @pytest.mark.parametrize("variant", SHARDED_ALL)
     @given(data=st.data())
-    @settings(max_examples=24, deadline=None)
+    @settings(max_examples=4, deadline=None)
     def test_parallel_executor_is_bit_identical_to_serial(
-        self, shared_executors, data
+        self, shared_shm, variant, data
     ):
-        backend = data.draw(
-            st.sampled_from(PARALLEL_EXECUTORS), label="executor"
-        )
-        variant = data.draw(st.sampled_from(SHARDED_ALL), label="variant")
         windowed = variant in SHARDED_WINDOWED
         shards = data.draw(st.integers(1, 3), label="shards")
         s = data.draw(st.integers(1, 6), label="sample_size")
@@ -272,9 +258,9 @@ class TestExecutorEquivalence:
             )
 
         serial = build("serial", 0)
-        parallel = build(backend, 2)
-        # Reuse one long-lived executor per backend across examples.
-        parallel.executor = shared_executors[backend]
+        parallel = build("shm", 2)
+        # Reuse one long-lived executor across examples.
+        parallel.executor = shared_shm
         cut = len(events) // 2
         for chunk in (events[:cut], events[cut:]):
             serial.observe_batch(list(chunk))
@@ -283,14 +269,10 @@ class TestExecutorEquivalence:
         assert parallel.message_stats() == serial.message_stats()
         assert parallel.current_slot == serial.current_slot
 
-    @given(
-        backend=st.sampled_from(PARALLEL_EXECUTORS),
-        stream=flat_streams(),
-        seed=st.integers(0, 3),
-    )
+    @given(stream=flat_streams(), seed=st.integers(0, 3))
     @settings(max_examples=15, deadline=None)
     def test_parallel_executor_columnar_matches_serial(
-        self, shared_executors, backend, stream, seed
+        self, shared_shm, stream, seed
     ):
         k, events = stream
         batch = EventBatch.from_events(events)
@@ -307,8 +289,8 @@ class TestExecutorEquivalence:
                 workers=2,
             )
 
-        serial, parallel = build("serial"), build(backend)
-        parallel.executor = shared_executors[backend]
+        serial, parallel = build("serial"), build("shm")
+        parallel.executor = shared_shm
         serial.observe_batch(batch)
         parallel.observe_batch(EventBatch.from_events(events))
         assert_indistinguishable(parallel, serial)
@@ -323,12 +305,9 @@ class TestQueryCacheCoherence:
 
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
-    def test_cached_sample_equals_fresh_recompute(
-        self, shared_executors, data
-    ):
+    def test_cached_sample_equals_fresh_recompute(self, shared_shm, data):
         backend = data.draw(
-            st.sampled_from(("serial",) + PARALLEL_EXECUTORS),
-            label="executor",
+            st.sampled_from(("serial", "shm")), label="executor"
         )
         variant = data.draw(st.sampled_from(SHARDED_ALL), label="variant")
         windowed = variant in SHARDED_WINDOWED
@@ -346,9 +325,9 @@ class TestQueryCacheCoherence:
                 workers=2 if backend != "serial" else 0,
             )
             if backend != "serial":
-                # Pools are lazy; swapping before any ingest means the
-                # per-example executor never spawns its own workers.
-                sampler.executor = shared_executors[backend]
+                # Workers are lazy; swapping before any ingest means the
+                # per-example executor never spawns its own.
+                sampler.executor = shared_shm
             return sampler
 
         sampler = build()
@@ -399,40 +378,34 @@ class TestQueryCacheCoherence:
                 blob = json.loads(json.dumps(snapshot(sampler)))
                 sampler = restore(blob)
                 if backend != "serial":
-                    sampler.executor = shared_executors[backend]
+                    sampler.executor = shared_shm
         check_coherence()
 
 
-def _kill_executor_workers(executor) -> bool:
-    """SIGKILL every live worker process of a parallel backend; returns
-    whether anything was actually killed (pools are lazy)."""
-    if isinstance(executor, SharedMemoryExecutor):
-        workers = executor._workers
-        if not workers:
-            return False
-        for worker in workers:
-            worker.process.kill()
-        for worker in workers:
-            worker.process.join()
-        return True
-    pool = executor._pool
-    if pool is None:
+def _kill_executor_workers(
+    executor: SharedMemoryExecutor, count: int | None = None
+) -> bool:
+    """SIGKILL every live shm worker process (or only the first
+    ``count``); returns whether anything was actually killed (workers
+    are spawned lazily)."""
+    workers = executor._workers
+    if not workers:
         return False
-    processes = list(pool._processes.values())
-    for process in processes:
-        process.kill()
-    for process in processes:
-        process.join()
+    doomed = workers[:count]
+    for worker in doomed:
+        worker.process.kill()
+    for worker in doomed:
+        worker.process.join()
     return True
 
 
 class TestCrashReplayRecovery:
     """Crash-replay: killing workers mid-stream must lose NO acked data.
 
-    Both parallel process backends retain every in-flight batch plan
-    until its worker acknowledges it; on a crash the executor rebuilds
-    the lost groups from the parent's last-synchronized state by
-    replaying the pending plans in-process.  The recovered sampler must
+    The shm backend retains every batch plan shipped since a group's
+    last sync; on a crash the executor rebuilds the worker-held groups
+    from the parent's last-synchronized state by replaying the pending
+    plans in-process.  The recovered sampler must
     be *bit-identical* (sample, stats, full state_dict, message
     counters) to a never-crashed serial twin — and the shm backend must
     still leak no /dev/shm segment."""
@@ -450,8 +423,10 @@ class TestCrashReplayRecovery:
         except FileNotFoundError:  # non-Linux: nothing to leak-check
             return set()
 
-    @pytest.mark.parametrize("backend", ["shm", "process"])
-    def test_worker_crash_mid_stream_loses_nothing(self, backend):
+    # A lone dead worker must also bring the survivors down: their share
+    # of the batch is replayed in-process along with the dead one's.
+    @pytest.mark.parametrize("killed", [None, 1], ids=["all", "one"])
+    def test_worker_crash_mid_stream_loses_nothing(self, killed):
         events = [(i % 3, (i * 17) % 211) for i in range(300)]
 
         def build(executor):
@@ -467,7 +442,7 @@ class TestCrashReplayRecovery:
             )
 
         before = self._segments()
-        serial, crashy = build("serial"), build(backend)
+        serial, crashy = build("serial"), build("shm")
         try:
             serial.observe_batch(EventBatch.from_events(events[:150]))
             crashy.observe_batch(EventBatch.from_events(events[:150]))
@@ -477,7 +452,7 @@ class TestCrashReplayRecovery:
             # lossy recovery would visibly rewind it.
             serial.observe_batch(EventBatch.from_events(events[150:200]))
             crashy.observe_batch(EventBatch.from_events(events[150:200]))
-            assert _kill_executor_workers(crashy.executor)
+            assert _kill_executor_workers(crashy.executor, killed)
             # The next batch hits dead workers; recovery must replay —
             # not raise, not rewind.
             serial.observe_batch(EventBatch.from_events(events[200:]))
@@ -497,7 +472,6 @@ class TestCrashReplayRecovery:
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
     def test_crash_replay_is_bit_identical_property(self, data):
-        backend = data.draw(st.sampled_from(("process", "shm")), label="backend")
         variant = data.draw(st.sampled_from(SHARDED_ALL), label="variant")
         windowed = variant in SHARDED_WINDOWED
         shards = data.draw(st.integers(1, 3), label="shards")
@@ -523,7 +497,7 @@ class TestCrashReplayRecovery:
                 workers=workers,
             )
 
-        serial, crashy = build("serial", 0), build(backend, 2)
+        serial, crashy = build("serial", 0), build("shm", 2)
         try:
             serial.observe_batch(list(events[:cut]))
             crashy.observe_batch(list(events[:cut]))

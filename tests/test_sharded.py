@@ -17,12 +17,10 @@ from repro import (
     CentralizedDistinctSampler,
     CentralizedWindowSampler,
     EventBatch,
-    ProcessExecutor,
     SamplerConfig,
     SerialExecutor,
     ShardedSampler,
     SharedMemoryExecutor,
-    ThreadExecutor,
     UnitHasher,
     make_sampler,
     restore,
@@ -470,8 +468,8 @@ class TestShardedCostModel:
 
 
 class TestExecutionBackends:
-    """The pluggable executor surface: default wiring, process-backend
-    equivalence, config validation, lifecycle."""
+    """The executor surface: default wiring, shm-backend equivalence,
+    config validation, snapshot round-trips."""
 
     def test_serial_is_the_default_backend(self):
         sampler = make_sampler(
@@ -480,7 +478,6 @@ class TestExecutionBackends:
         assert isinstance(sampler.executor, SerialExecutor)
         assert sampler.config.executor == "serial"
 
-    @pytest.mark.parametrize("executor", ["process", "shm", "thread"])
     @pytest.mark.parametrize(
         "variant,window",
         [
@@ -492,9 +489,12 @@ class TestExecutionBackends:
             ("sharded:sliding-local-push", 10),
         ],
     )
-    def test_parallel_backend_is_bit_identical_to_serial(
-        self, variant, window, executor
+    @pytest.mark.parametrize("workers", [1, 2, 3], ids=["w1", "w2", "w3"])
+    def test_shm_backend_is_bit_identical_to_serial(
+        self, variant, window, workers
     ):
+        # Group g lives on worker g % W: with two groups, W=1 holds both
+        # on one worker, W=2 gives each its own and W=3 leaves one idle.
         def build(executor):
             return make_sampler(
                 variant,
@@ -504,16 +504,11 @@ class TestExecutionBackends:
                 shards=2,
                 seed=SEED,
                 executor=executor,
-                workers=2,
+                workers=workers,
             )
 
-        backend_types = {
-            "process": ProcessExecutor,
-            "shm": SharedMemoryExecutor,
-            "thread": ThreadExecutor,
-        }
-        serial, parallel = build("serial"), build(executor)
-        assert isinstance(parallel.executor, backend_types[executor])
+        serial, parallel = build("serial"), build("shm")
+        assert isinstance(parallel.executor, SharedMemoryExecutor)
         if window:
             events = [
                 (site, item, slot)
@@ -534,8 +529,8 @@ class TestExecutionBackends:
         assert parallel.state_dict() == serial.state_dict()
         parallel.close()
 
-    def test_process_backend_measures_per_group_time(self):
-        sampler = _timed_ingest_sampler(executor="process", workers=2)
+    def test_shm_backend_measures_per_group_time(self):
+        sampler = _timed_ingest_sampler(executor="shm", workers=2)
         # Worker-measured timers carry the same semantics as the serial
         # simulation; strict positivity again belongs to the speedup tier.
         assert all(elapsed >= 0 for elapsed in sampler.group_ingest_seconds)
@@ -551,60 +546,98 @@ class TestExecutionBackends:
             sample_size=4,
             shards=2,
             seed=SEED,
-            executor="process",
+            executor="shm",
             workers=2,
         )
         sampler.observe_batch(uniform_events(500, sites=2, universe=80))
         revived = restore(json.loads(json.dumps(snapshot(sampler))))
-        assert revived.config.executor == "process"
+        assert revived.config.executor == "shm"
         assert revived.config.workers == 2
-        assert isinstance(revived.executor, ProcessExecutor)
+        assert isinstance(revived.executor, SharedMemoryExecutor)
         assert revived.sample() == sampler.sample()
         sampler.close()
         revived.close()
 
-    def test_close_is_idempotent_and_pool_recreates(self):
+    @pytest.mark.parametrize(
+        "retired,survivor", [("process", "shm"), ("thread", "serial")]
+    )
+    def test_snapshots_naming_retired_executors_still_restore(
+        self, retired, survivor
+    ):
+        # A v2 snapshot written while "process"/"thread" existed.  The
+        # backend never changes sampler state, so the snapshot restores
+        # onto the surviving backend exactly.
+        events = uniform_events(800, sites=2, universe=120)
+        source = make_sampler(
+            "sharded:infinite", num_sites=2, sample_size=4, shards=2, seed=SEED
+        )
+        source.observe_batch(events[:500])
+        blob = json.loads(json.dumps(snapshot(source)))
+        blob["config"].update(executor=retired, workers=2)
+        revived = restore(blob)
+        assert revived.config.executor == survivor
+        assert revived.sample() == source.sample()
+        assert revived.stats() == source.stats()
+        # ... and keeps ingesting through the survivor bit-identically.
+        source.observe_batch(events[500:])
+        revived.observe_batch(events[500:])
+        assert revived.state_dict() == source.state_dict()
+        revived.close()
+
+    @pytest.mark.parametrize("transport", ["DelayedNetwork", "ChaosNetwork"])
+    def test_shm_rejects_groups_on_an_asynchronous_transport(self, transport):
+        # Workers rebuild groups on the default synchronous network, so a
+        # rewired group would silently lose its transport: every shm
+        # batch must refuse up front and leave the sampler untouched.
+        import repro.netsim as netsim
+
         sampler = make_sampler(
             "sharded:infinite",
             num_sites=2,
             sample_size=4,
             shards=2,
             seed=SEED,
-            executor="process",
+            executor="shm",
             workers=2,
         )
         events = uniform_events(600, sites=2, universe=100)
         sampler.observe_batch(events[:300])
+        getattr(netsim, transport).rewire(sampler.groups[1])
+        before = (sampler.sample(), sampler.stats(), sampler.state_dict())
+        for batch in (events[300:], EventBatch.from_events(events[300:])):
+            with pytest.raises(ConfigurationError, match="asynchronous"):
+                sampler.observe_batch(batch)
+        assert sampler.sample() == before[0]
+        assert sampler.stats() == before[1]
+        assert sampler.state_dict() == before[2]
         sampler.close()
-        sampler.close()
-        # The backend stays usable: the pool is re-created on demand.
-        sampler.observe_batch(events[300:])
+
+    def test_single_observe_stays_in_process(self):
+        # Event-at-a-time delivery never ships anything to the workers:
+        # after a batch, the first single observe pulls the groups home
+        # once, and every later one runs in the parent with no IPC.
+        events = uniform_events(400, sites=2, universe=80)
+        sampler = make_sampler(
+            "sharded:infinite",
+            num_sites=2,
+            sample_size=4,
+            shards=2,
+            seed=SEED,
+            executor="shm",
+            workers=2,
+        )
+        sampler.observe_batch(events[:200])
+        sampler.observe(*events[200])
+        ipc_bytes = sampler.executor.ipc_bytes
+        for site, item in events[201:]:
+            sampler.observe(site, item)
+        assert sampler.executor.ipc_bytes == ipc_bytes
         serial = make_sampler(
             "sharded:infinite", num_sites=2, sample_size=4, shards=2, seed=SEED
         )
         serial.observe_batch(events)
         assert sampler.sample() == serial.sample()
         sampler.close()
-
-    def test_single_observe_stays_in_process(self):
-        # Event-at-a-time delivery never pays a pool round-trip.
-        sampler = make_sampler(
-            "sharded:infinite",
-            num_sites=2,
-            sample_size=4,
-            shards=2,
-            seed=SEED,
-            executor="process",
-            workers=2,
-        )
-        for site, item in uniform_events(200, sites=2, universe=50):
-            sampler.observe(site, item)
-        assert sampler.executor._pool is None
-        serial = make_sampler(
-            "sharded:infinite", num_sites=2, sample_size=4, shards=2, seed=SEED
-        )
-        serial.observe_batch(uniform_events(200, sites=2, universe=50))
-        assert sampler.sample() == serial.sample()
 
     def test_non_monotone_slot_raises_before_any_delivery(self):
         from repro.errors import ProtocolError
@@ -615,7 +648,7 @@ class TestExecutionBackends:
             window=5,
             shards=2,
             seed=SEED,
-            executor="process",
+            executor="shm",
             workers=2,
         )
         events = [(0, 1, 3), (1, 2, 2)]  # slot rewinds: plan must refuse
@@ -626,10 +659,10 @@ class TestExecutionBackends:
         assert sampler.sample().items == ()
         sampler.close()
 
-    def test_plain_variants_reject_process_executor(self):
+    def test_plain_variants_reject_shm_executor(self):
         with pytest.raises(ConfigurationError, match="single-coordinator"):
             make_sampler(
-                "infinite", num_sites=2, sample_size=2, executor="process"
+                "infinite", num_sites=2, sample_size=2, executor="shm"
             )
 
     def test_executor_validation(self):
@@ -638,11 +671,11 @@ class TestExecutionBackends:
         with pytest.raises(ConfigurationError, match="workers"):
             SamplerConfig(variant="sharded:infinite", workers=-1).validate()
         with pytest.raises(ConfigurationError, match="workers"):
-            ProcessExecutor(workers=-2)
-        with pytest.raises(ConfigurationError, match="workers"):
             SharedMemoryExecutor(workers=-2)
-        with pytest.raises(ConfigurationError, match="workers"):
-            ThreadExecutor(workers=-1)
+        with pytest.raises(ConfigurationError, match="executor"):
+            SamplerConfig(
+                variant="sharded:infinite", executor="process"
+            ).validate()
         with pytest.raises(ConfigurationError, match="unknown executor"):
             from repro.runtime import make_executor
 
@@ -652,9 +685,9 @@ class TestExecutionBackends:
 
 
 class TestSharedMemoryBackendLifecycle:
-    """shm/thread backend lifecycle: context managers, idempotent close
-    with respawn-on-demand, in-process single observes, mixed ingest
-    paths, and the no-leaked-segments guarantee."""
+    """shm backend lifecycle: context managers, idempotent close with
+    respawn-on-demand, in-process single observes, mixed ingest paths,
+    and the no-leaked-segments guarantee."""
 
     @staticmethod
     def _segments():
@@ -713,8 +746,7 @@ class TestSharedMemoryBackendLifecycle:
             assert sampler.sample() == serial.sample()
         sampler.close()
 
-    @pytest.mark.parametrize("executor", ["shm", "thread"])
-    def test_mixed_ingest_paths_match_serial(self, executor):
+    def test_mixed_ingest_paths_match_serial(self):
         events = uniform_events(900, sites=3, universe=150)
         batch = EventBatch.from_events(events[:300])
 
@@ -726,7 +758,7 @@ class TestSharedMemoryBackendLifecycle:
             sampler.observe_batch(events[350:600])  # tuple list
             sampler.observe_batch(EventBatch.from_events(events[600:]))
 
-        serial, parallel = self._build("serial"), self._build(executor)
+        serial, parallel = self._build("serial"), self._build("shm")
         drive(serial)
         drive(parallel)
         assert parallel.sample() == serial.sample()
@@ -777,8 +809,10 @@ class TestQueryPathCache:
     """The incremental query path: merge caching, shared syncs,
     deterministic tie-breaking, bit-identity to the reference merge."""
 
-    def build(self, variant="sharded:infinite", window=0, executor="serial"):
-        kwargs = {} if executor == "serial" else {"workers": 2}
+    def build(
+        self, variant="sharded:infinite", window=0, executor="serial", workers=2
+    ):
+        kwargs = {} if executor == "serial" else {"workers": workers}
         return make_sampler(
             variant,
             num_sites=3,
@@ -871,7 +905,17 @@ class TestQueryPathCache:
             (tied, "tied-2"),
         )
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process", "shm"])
+    @pytest.mark.parametrize(
+        "executor,workers",
+        [
+            pytest.param("serial", 0, id="serial"),
+            pytest.param("shm", 2, id="shm"),
+            # Three groups on one worker, and on four workers (one idle):
+            # the collected states must still merge in group order.
+            pytest.param("shm", 1, id="shm-w1"),
+            pytest.param("shm", 4, id="shm-w4"),
+        ],
+    )
     @pytest.mark.parametrize(
         "variant,window",
         [
@@ -884,12 +928,12 @@ class TestQueryPathCache:
         ],
     )
     def test_vectorized_merge_is_bit_identical_to_reference(
-        self, variant, window, executor
+        self, variant, window, executor, workers
     ):
         """Acceptance gate: the cached/vectorized merge reproduces the
         Python-sort reference merge bit-for-bit on every sharded variant
-        under every execution backend."""
-        sampler = self.build(variant, window, executor)
+        under every execution backend and worker count."""
+        sampler = self.build(variant, window, executor, workers)
         if window:
             events = [
                 (site, item, slot)

@@ -16,7 +16,7 @@ import pytest
 
 from repro import (
     DistinctSamplerSystem,
-    ProcessExecutor,
+    SharedMemoryExecutor,
     SlidingWindowBottomS,
     SlidingWindowSystem,
     make_sampler,
@@ -95,16 +95,17 @@ class TestInfiniteWindowUniformity:
 
 class TestParallelShardedUniformity:
     """The defining distinct-sample property must survive the parallel
-    path: merged sharded samples ingested through the ProcessExecutor
-    are uniform over the distinct elements, regardless of frequency —
-    the multi-core mirror of the serial chi-square test above."""
+    path: merged sharded samples ingested through the
+    SharedMemoryExecutor are uniform over the distinct elements,
+    regardless of frequency — the multi-core mirror of the serial
+    chi-square test above."""
 
-    def test_merged_sample_inclusion_uniform_under_process_executor(self):
+    def test_merged_sample_inclusion_uniform_under_shm_executor(self):
         universe, s, trials = 24, 3, 150
         counts: Counter = Counter()
-        # One shared pool across the seed sweep; each trial's sampler is
-        # fresh (new hash seed) but rides the same two worker processes.
-        executor = ProcessExecutor(workers=2)
+        # One shared executor across the seed sweep; each trial's sampler
+        # is fresh (new hash seed) but rides the same two worker processes.
+        executor = SharedMemoryExecutor(workers=2)
         try:
             for seed in range(trials):
                 sampler = make_sampler(
@@ -113,7 +114,7 @@ class TestParallelShardedUniformity:
                     sample_size=s,
                     shards=2,
                     seed=seed,
-                    executor="process",
+                    executor="shm",
                     workers=2,
                 )
                 sampler.executor = executor
