@@ -204,16 +204,6 @@ def _make_sliding(config: SamplerConfig) -> Sampler:
     )
 
 
-def _make_sliding_feedback(config: SamplerConfig) -> Sampler:
-    return SlidingWindowBottomSFeedback(
-        num_sites=config.num_sites,
-        window=config.window,
-        sample_size=config.sample_size,
-        seed=config.seed,
-        algorithm=config.algorithm,
-    )
-
-
 def _make_sliding_local_push(config: SamplerConfig) -> Sampler:
     return SlidingWindowBottomS(
         num_sites=config.num_sites,
@@ -285,14 +275,6 @@ register_variant(
 )
 register_variant(
     SamplerVariant(
-        name="sliding-feedback",
-        factory=_make_sliding_feedback,
-        summary="sliding window, bottom-s with expiring-threshold feedback",
-        windowed=True,
-    )
-)
-register_variant(
-    SamplerVariant(
         name="sliding-local-push",
         factory=_make_sliding_local_push,
         summary="sliding window, one-way local bottom-s push (no feedback)",
@@ -337,7 +319,6 @@ register_variant(
 SHARDABLE_VARIANTS = (
     "infinite",
     "sliding",
-    "sliding-feedback",
     "sliding-local-push",
     "broadcast",
     "caching",

@@ -179,9 +179,13 @@ class SamplerConfig:
 
     Attributes:
         variant: Registry key (see ``repro.core.api.sampler_variants()``):
-            ``"infinite"``, ``"sliding"``, ``"sliding-feedback"``,
+            ``"infinite"``, ``"sliding"`` (Algorithms 3–4 at ``s = 1``,
+            their lazy-feedback generalization at ``s > 1``),
             ``"sliding-local-push"``, ``"with-replacement"``,
-            ``"broadcast"``, or ``"caching"``.
+            ``"broadcast"``, or ``"caching"``, plus the ``"sharded:*"``
+            wrappers.  Snapshots naming the retired
+            ``"sliding-feedback"`` restore as ``"sliding"`` (see
+            :mod:`repro.core.snapshot`).
         num_sites: Number of distributed sites k (>= 1).
         sample_size: Sample size s (>= 1).
         window: Window size w in slots; 0 means infinite window.

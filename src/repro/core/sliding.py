@@ -2,9 +2,11 @@
 
 Maintains, over a time-based window of ``w`` slots, the live distinct
 element with the *smallest hash* (the paper presents sample size ``s = 1``;
-see :mod:`repro.core.sliding_general` for the ``s >= 1`` generalization and
+see :mod:`repro.core.sliding_feedback` for the ``s >= 1`` generalization,
+:mod:`repro.core.sliding_general` for its one-way local-push ablation, and
 :mod:`repro.core.with_replacement` for with-replacement samples of any
-size).
+size).  :class:`SlidingFacadeBase` holds the facade plumbing all three
+sliding systems share.
 
 Protocol sketch (paper Section 4.1):
 
@@ -59,7 +61,9 @@ Message costs of the two modes are nearly identical (see the
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from abc import abstractmethod
+from dataclasses import replace
+from typing import Any, Callable, Optional, Sequence
 
 from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher, unit_hash_batch
@@ -67,7 +71,11 @@ from ..netsim.clock import SlotClock
 from ..netsim.message import COORDINATOR, Message, MessageKind
 from ..netsim.network import Network
 from ..runtime.topology import Topology
-from ..structures.dominance import SortedDominanceSet, TreapDominanceSet
+from ..structures.dominance import (
+    DominanceEntry,
+    SortedDominanceSet,
+    TreapDominanceSet,
+)
 from .events import EventBatch
 from .protocol import (
     Sampler,
@@ -82,6 +90,7 @@ from .protocol import (
 # SortedDominanceSet doubles as the exact coordinator's candidate store.
 
 __all__ = [
+    "SlidingFacadeBase",
     "SlidingWindowSite",
     "SlidingWindowCoordinator",
     "SlidingWindowSystem",
@@ -100,12 +109,357 @@ def _make_structure(kind: str):
     )
 
 
+def require_positive(**values: int) -> None:
+    """Raise :class:`ConfigurationError` unless every value is >= 1."""
+    for name, value in values.items():
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
+
+
+def _rows(candidates) -> Optional[list[list[Any]]]:
+    """A candidate set as JSON-safe ``[element, expiry, hash]`` rows."""
+    if candidates is None:
+        return None
+    return [[e.element, e.expiry, e.hash] for e in candidates.entries()]
+
+
+def _rebuilt(candidates, rows: Optional[list[list[Any]]]):
+    """An empty twin of the ``candidates`` set holding snapshot ``rows``
+    (the inverse of :func:`_rows`)."""
+    if candidates is None:
+        if rows is not None:
+            raise ValueError("entries given for a node without a candidate set")
+        return None
+    fresh = type(candidates)(candidates.s)
+    for element, expiry, h in rows:
+        fresh.observe(revive_element(element), int(expiry), float(h))
+    return fresh
+
+
+class SlidingFacadeBase(Sampler):
+    """Shared facade plumbing for the sliding-window systems.
+
+    The ``s = 1`` system (:class:`SlidingWindowSystem`), its general-``s``
+    generalization (:mod:`repro.core.sliding_feedback`) and the one-way
+    local-push ablation (:mod:`repro.core.sliding_general`) differ only in
+    their protocol nodes.  Validation, the slot clock, delivery with its
+    batch and columnar fast paths, the bottom-``s`` query, the snapshot
+    layout and the resharding hook are identical and live here.
+
+    Subclasses implement :meth:`_make_coordinator` and :meth:`_make_site`
+    and persist their own node fields through :meth:`_site_state` /
+    :meth:`_load_site` (plus :meth:`_coordinator_state` /
+    :meth:`_load_coordinator` where the coordinator has any).  Nodes
+    expose ``candidates`` (a dominance set; None for a coordinator that
+    keeps none), ``reports_received`` / :attr:`SITE_COUNTERS`, site
+    ``observe_hashed(element, h, now, network)`` and ``tick(now,
+    network)``, and coordinator ``absorb(element, h, expiry)`` and
+    ``sample_entries(now)``.
+
+    Args:
+        num_sites: Number of sites k.
+        window: Window size w in slots (>= 1).
+        sample_size: Sample size s (>= 1).
+        seed: Hash seed (ignored if ``hasher`` given).
+        algorithm: Hash algorithm name.
+        hasher: Optional shared pre-built hasher.
+    """
+
+    #: Registry name recorded in :attr:`config`.
+    VARIANT = "sliding"
+    #: State-dict key holding the current slot.
+    CLOCK_KEY = "clock"
+    #: Site attributes counting protocol events: persisted with the site,
+    #: and kept as totals by a reshard.
+    SITE_COUNTERS: tuple[str, ...] = ("reports_sent", "fallbacks")
+    #: When a same-slot repeat of a ``(site, element)`` pair is dropped
+    #: before delivery: ``"always"``, ``"never"``, or ``"synchronous"``
+    #: (only while every reply lands before the next delivery, i.e. on a
+    #: synchronous network).  Each subclass documents why its rule is
+    #: exact; the batch-equivalence tests check it against the event loop.
+    SAME_SLOT_REPEATS = "never"
+
+    def __init__(
+        self,
+        num_sites: int,
+        window: int,
+        sample_size: int = 1,
+        seed: int = 0,
+        algorithm: str = "murmur2",
+        hasher: Optional[UnitHasher] = None,
+    ) -> None:
+        require_positive(window=window, sample_size=sample_size)
+        self.hasher = hasher if hasher is not None else UnitHasher(seed, algorithm)
+        self.window = window
+        self.sample_size = sample_size
+        self.clock = SlotClock(0)
+        self._init_runtime(
+            Topology.build(
+                coordinator=self._make_coordinator(),
+                site_factory=self._make_site,
+                num_sites=num_sites,
+            )
+        )
+
+    @abstractmethod
+    def _make_coordinator(self) -> Any:
+        """Build the coordinator node (``self.clock`` already exists)."""
+
+    @abstractmethod
+    def _make_site(self, site_id: int) -> Any:
+        """Build the site node at address ``site_id``."""
+
+    # -- protocol hooks ----------------------------------------------------
+
+    def _advance_to(self, slot: int) -> None:
+        """Slot boundary: advance the clock and run site maintenance."""
+        self.clock.advance_to(slot)
+        network = self.network
+        for site in self.sites:
+            site.tick(slot, network)
+
+    def _deliver(self, site_id: int, element: Any) -> None:
+        """Deliver an arrival at the current slot."""
+        self.sites[site_id].observe_hashed(
+            element, self.hasher.unit(element), self.clock.now, self.network
+        )
+
+    def _drops_repeats(self) -> bool:
+        """Whether :attr:`SAME_SLOT_REPEATS` applies on this network."""
+        rule = self.SAME_SLOT_REPEATS
+        return rule == "always" or (
+            rule == "synchronous" and self.network.synchronous
+        )
+
+    def observe_batch(self, events) -> int:
+        """Vectorized batch ingestion (semantics of the generic loop).
+
+        Splits the batch into same-slot runs, bulk-hashes each run
+        (:func:`~repro.hashing.unit.unit_hash_batch`) and drops exact
+        ``(site, element)`` repeats within a run where
+        :attr:`SAME_SLOT_REPEATS` allows.
+        """
+        if isinstance(events, EventBatch):
+            return self.observe_columns(events)
+        events = events if isinstance(events, list) else list(events)
+        if not events:
+            return 0
+        for slot, batch in iter_event_runs(events):
+            if slot is not None:
+                self.advance(slot)
+            self._deliver_batch(batch)
+        return len(events)
+
+    def observe_columns(self, batch: EventBatch) -> int:
+        """Columnar fast path: cached hash column + vectorized dedup."""
+        batch.require_sites()
+        for slot, run in batch.slot_runs():
+            if slot is not None:
+                self.advance(slot)
+            self._deliver_columns(run)
+        return len(batch)
+
+    def _deliver_columns(self, run: EventBatch) -> None:
+        """Columnar twin of :meth:`_deliver_batch` (same repeat rule)."""
+        if not len(run):
+            return
+        hashes = run.hash_column(self.hasher).tolist()
+        site_ids = run.sites_list()
+        items = run.items_list()
+        if self._drops_repeats():
+            first = run.first_occurrence_indices().tolist()
+            site_ids = [site_ids[j] for j in first]
+            items = [items[j] for j in first]
+            hashes = [hashes[j] for j in first]
+        now = self.clock.now
+        network = self.network
+        sites = self.sites
+        for site_id, item, h in zip(site_ids, items, hashes):
+            sites[site_id].observe_hashed(item, h, now, network)
+
+    def _deliver_batch(self, batch: list) -> None:
+        """Deliver one same-slot run with precomputed hashes."""
+        if not batch:
+            return
+        if self._drops_repeats():
+            batch = list(dict.fromkeys(batch))
+        hashes = unit_hash_batch(self.hasher, [item for _, item in batch])
+        now = self.clock.now
+        network = self.network
+        sites = self.sites
+        for (site_id, item), h in zip(batch, hashes):
+            sites[site_id].observe_hashed(item, h, now, network)
+
+    def sample(self) -> SampleResult:
+        """The current window's bottom-s distinct sample."""
+        entries = self.coordinator.sample_entries(self.clock.now)
+        threshold = (
+            entries[-1].hash if len(entries) == self.sample_size else 1.0
+        )
+        return SampleResult(
+            items=tuple(entry.element for entry in entries),
+            pairs=tuple((entry.hash, entry.element) for entry in entries),
+            threshold=threshold,
+            sample_size=self.sample_size,
+            window=self.window,
+            slot=self.current_slot,
+        )
+
+    def per_site_memory(self) -> list[int]:
+        """Current candidate-set sizes, one per site (Fig 5.7/5.9 metric)."""
+        return self._per_site_memory()
+
+    # -- protocol: construction recipe + persistence -----------------------
+
+    @property
+    def config(self) -> SamplerConfig:
+        """The :class:`SamplerConfig` reconstructing this system."""
+        return SamplerConfig(
+            variant=self.VARIANT,
+            num_sites=self.num_sites,
+            sample_size=self.sample_size,
+            window=self.window,
+            seed=self.hasher.seed,
+            algorithm=self.hasher.algorithm,
+        )
+
+    def _state(self) -> dict[str, Any]:
+        coordinator = self.coordinator
+        return {
+            self.CLOCK_KEY: self.clock.now,
+            "coordinator": {
+                "reports_received": coordinator.reports_received,
+                **self._coordinator_state(),
+                "entries": _rows(coordinator.candidates),
+            },
+            "sites": [
+                {
+                    "entries": _rows(site.candidates),
+                    **self._site_state(site),
+                    **{name: getattr(site, name) for name in self.SITE_COUNTERS},
+                }
+                for site in self.sites
+            ],
+        }
+
+    def _load(self, state: dict[str, Any]) -> None:
+        """Restore :meth:`_state` output.  The clock is *set*, so an
+        earlier checkpoint rewinds a live system.
+
+        Raises:
+            ConfigurationError: For missing keys, wrong types, or a site
+                list of the wrong length.
+        """
+        coordinator = self.coordinator
+        sites = self.sites
+        try:
+            now = int(state[self.CLOCK_KEY])
+            coord_state = state["coordinator"]
+            reports_received = int(coord_state["reports_received"])
+            coord_candidates = _rebuilt(
+                coordinator.candidates, coord_state["entries"]
+            )
+            site_states = list(state["sites"])
+            if len(site_states) != len(sites):
+                raise ValueError(
+                    f"expected {len(sites)} sites, got {len(site_states)}"
+                )
+            site_candidates = [
+                _rebuilt(site.candidates, site_state["entries"])
+                for site, site_state in zip(sites, site_states)
+            ]
+            self._load_coordinator(coord_state)
+            for site, site_state in zip(sites, site_states):
+                self._load_site(site, site_state)
+                for name in self.SITE_COUNTERS:
+                    setattr(site, name, int(site_state[name]))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigurationError(
+                f"malformed {self.VARIANT} state: {exc!r}"
+            ) from exc
+        self.clock.reset_to(now)
+        coordinator.reports_received = reports_received
+        coordinator.candidates = coord_candidates
+        for site, candidates in zip(sites, site_candidates):
+            site.candidates = candidates
+
+    def _coordinator_state(self) -> dict[str, Any]:
+        """Coordinator fields beyond its counter and candidates."""
+        return {}
+
+    def _load_coordinator(self, state: dict[str, Any]) -> None:
+        """Restore :meth:`_coordinator_state` output."""
+
+    @abstractmethod
+    def _site_state(self, site: Any) -> dict[str, Any]:
+        """A site's protocol fields beyond its candidates and counters."""
+
+    @abstractmethod
+    def _load_site(self, site: Any, state: dict[str, Any]) -> None:
+        """Restore :meth:`_site_state` output into ``site``."""
+
+    # -- elastic resharding ------------------------------------------------
+
+    @staticmethod
+    def repartition(
+        groups: Sequence["SlidingFacadeBase"],
+        targets: Sequence["SlidingFacadeBase"],
+        route: Callable[[Any], int],
+    ) -> None:
+        """Seed freshly built ``targets`` with the live state of ``groups``.
+
+        The hook behind :mod:`repro.runtime.reshard`.  Every entry still
+        live at the groups' latest slot goes to ``targets[route(element)]``:
+        its coordinator absorbs coordinator and site entries alike (knowing
+        more live entries than a from-scratch run is safe: queries take
+        the bottom-s of the live set either way), and a site entry also
+        lands at the same-index target site, keeping physical locality.
+        Target sites keep their fresh report-everything state, and the
+        groups' event counters land, summed, on ``targets[0]``.
+        """
+        now = max(group.clock.now for group in groups)
+        for target in targets:
+            target.clock.reset_to(now)
+        for group in groups:
+            coordinator = group.coordinator
+            retained = (
+                coordinator.sample_entries(now)
+                if coordinator.candidates is None
+                else coordinator.candidates.entries()
+            )
+            for entry in retained:
+                if entry.expiry > now:
+                    targets[route(entry.element)].coordinator.absorb(
+                        entry.element, entry.hash, entry.expiry
+                    )
+        first = targets[0]
+        for i, site in enumerate(first.sites):
+            for group in groups:
+                for entry in group.sites[i].candidates.entries():
+                    if entry.expiry > now:
+                        target = targets[route(entry.element)]
+                        target.coordinator.absorb(
+                            entry.element, entry.hash, entry.expiry
+                        )
+                        target.sites[i].candidates.observe(
+                            entry.element, entry.expiry, entry.hash
+                        )
+            for name in first.SITE_COUNTERS:
+                setattr(
+                    site,
+                    name,
+                    sum(getattr(group.sites[i], name) for group in groups),
+                )
+        first.coordinator.reports_received = sum(
+            group.coordinator.reports_received for group in groups
+        )
+
+
 class SlidingWindowSite:
     """Algorithm 3: the per-site sliding-window protocol.
 
     Args:
         site_id: Network address.
-        hasher: Shared hash function.
         window: Window size w in slots (>= 1).
         structure: ``"treap"`` (paper-faithful) or ``"sorted"`` backing
             store for the candidate set ``T_i``.
@@ -113,7 +467,6 @@ class SlidingWindowSite:
 
     __slots__ = (
         "site_id",
-        "hasher",
         "window",
         "candidates",
         "sample_element",
@@ -123,17 +476,9 @@ class SlidingWindowSite:
         "fallbacks",
     )
 
-    def __init__(
-        self,
-        site_id: int,
-        hasher: UnitHasher,
-        window: int,
-        structure: str = "treap",
-    ) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
+    def __init__(self, site_id: int, window: int, structure: str = "treap") -> None:
+        require_positive(window=window)
         self.site_id = site_id
-        self.hasher = hasher
         self.window = window
         self.candidates = _make_structure(structure)
         self.sample_element: Optional[Any] = None
@@ -177,15 +522,11 @@ class SlidingWindowSite:
             (entry.element, entry.hash, entry.expiry, self.site_id),
         )
 
-    def observe(self, element: Any, now: int, network: Network) -> None:
-        """Process an arrival in slot ``now`` (Algorithm 3 lines 3-15)."""
-        h = self.hasher.unit(element)
-        self.observe_hashed(element, h, now, network)
-
     def observe_hashed(
         self, element: Any, h: float, now: int, network: Network
     ) -> None:
-        """Fast path: arrival with a precomputed hash."""
+        """Process an arrival in slot ``now`` with its precomputed hash
+        (Algorithm 3 lines 3-15)."""
         expiry = now + self.window
         self.candidates.expire(now)
         self.candidates.observe(element, expiry, h)
@@ -265,21 +606,25 @@ class SlidingWindowCoordinator:
             self.u_star = entry.hash
             self.sample_expiry = entry.expiry
 
+    def absorb(self, element: Any, h: float, expiry: int) -> None:
+        """Merge one entry: into the dominance set (exact), or by Algorithm
+        4's rule — replace iff it hashes lower or the tuple expired (paper)."""
+        if self.candidates is not None:
+            self.candidates.observe(element, expiry, h)
+        elif self.sample_expiry <= self.clock.now or h < self.u_star:
+            self.sample_element = element
+            self.u_star = h
+            self.sample_expiry = expiry
+
     def handle_message(self, message: Message, network: Network) -> None:
         """Absorb a site report; always reply with the global sample."""
         if message.kind is not MessageKind.SW_REPORT:
             raise ProtocolError(f"coordinator cannot handle {message.kind!r}")
         element, h, expiry, site_id = message.payload
         self.reports_received += 1
-        now = self.clock.now
-        if self.mode == "exact":
-            self.candidates.observe(element, expiry, h)
-            self._refresh_exact(now)
-        else:
-            if self.sample_expiry <= now or h < self.u_star:
-                self.sample_element = element
-                self.u_star = h
-                self.sample_expiry = expiry
+        self.absorb(element, h, expiry)
+        if self.candidates is not None:
+            self._refresh_exact(self.clock.now)
         network.send(
             COORDINATOR,
             site_id,
@@ -287,26 +632,19 @@ class SlidingWindowCoordinator:
             (self.sample_element, self.u_star, self.sample_expiry),
         )
 
-    def query(self) -> Optional[Any]:
-        """The current window's distinct sample, or None if the window is
-        empty (or, in paper mode, the tuple expired with no replacement)."""
-        now = self.clock.now
-        if self.mode == "exact":
+    def sample_entries(self, now: int) -> list[DominanceEntry]:
+        """The window's distinct sample at slot ``now``: one entry, or none
+        if the window is empty (or, in paper mode, the tuple expired with
+        no replacement)."""
+        if self.candidates is not None:
             self._refresh_exact(now)
         if self.sample_expiry <= now:
-            return None
-        return self.sample_element
-
-    @property
-    def memory_size(self) -> int:
-        """Coordinator candidate-set size (1 in paper mode)."""
-        if self.candidates is None:
-            return 1
-        return len(self.candidates)
+            return []
+        return [DominanceEntry(self.sample_element, self.sample_expiry, self.u_star)]
 
 
-class SlidingWindowSystem(Sampler):
-    """Facade: k sliding-window sites + coordinator on one network.
+class SlidingWindowSystem(SlidingFacadeBase):
+    """Facade: k sliding-window sites + coordinator on one network (s = 1).
 
     Drive it slot by slot::
 
@@ -327,6 +665,13 @@ class SlidingWindowSystem(Sampler):
         hasher: Optional shared pre-built hasher.
     """
 
+    #: For ``s = 1`` the site threshold ``u_i`` is non-increasing within a
+    #: slot (every reply carries a hash no larger than the reported one),
+    #: so a same-slot repeat can never report and its candidate refresh is
+    #: a no-op.  That needs the reply to land *before* the repeat, so a
+    #: delay-tolerant network keeps repeats: there the loop re-reports.
+    SAME_SLOT_REPEATS = "synchronous"
+
     def __init__(
         self,
         num_sites: int,
@@ -337,208 +682,50 @@ class SlidingWindowSystem(Sampler):
         coordinator_mode: str = "exact",
         hasher: Optional[UnitHasher] = None,
     ) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        self.hasher = hasher if hasher is not None else UnitHasher(seed, algorithm)
-        self.window = window
-        self.sample_size = 1
         self.structure = structure
         self.coordinator_mode = coordinator_mode
-        self.clock = SlotClock(0)
-        self._init_runtime(
-            Topology.build(
-                coordinator=SlidingWindowCoordinator(
-                    self.clock, coordinator_mode
-                ),
-                site_factory=lambda i: SlidingWindowSite(
-                    i, self.hasher, window, structure
-                ),
-                num_sites=num_sites,
-            )
-        )
+        super().__init__(num_sites, window, 1, seed, algorithm, hasher)
 
-    # -- protocol hooks ----------------------------------------------------
+    def _make_coordinator(self) -> SlidingWindowCoordinator:
+        return SlidingWindowCoordinator(self.clock, self.coordinator_mode)
 
-    def _advance_to(self, slot: int) -> None:
-        """Slot boundary: advance the clock and run site maintenance."""
-        self.clock.advance_to(slot)
-        network = self.network
-        for site in self.sites:
-            site.tick(slot, network)
-
-    def _deliver(self, site_id: int, element: Any) -> None:
-        """Deliver an arrival at the current slot."""
-        self.sites[site_id].observe(element, self.clock.now, self.network)
-
-    def observe_batch(self, events) -> int:
-        """Vectorized batch ingestion (semantics of the generic loop).
-
-        Splits the batch into same-slot runs, bulk-hashes each run
-        (:func:`~repro.hashing.unit.unit_hash_batch`), and — on a
-        synchronous network — drops exact ``(site, element)`` repeats
-        within a run: for ``s = 1`` the site threshold ``u_i`` is
-        non-increasing within a slot (every coordinator reply carries a
-        hash no larger than the reported one), so a same-slot repeat can
-        never report and its candidate refresh is a no-op.  That proof
-        needs the reply to land *before* the repeat, so the dedup is
-        skipped on delay-tolerant networks (``network.synchronous`` is
-        False), where the generic loop really does re-report.
-        Equivalence with looping :meth:`observe` is covered by the
-        batch-equivalence tests for both network flavours.
-        """
-        if isinstance(events, EventBatch):
-            return self.observe_columns(events)
-        events = events if isinstance(events, list) else list(events)
-        if not events:
-            return 0
-        for slot, batch in iter_event_runs(events):
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_batch(batch)
-        return len(events)
-
-    def observe_columns(self, batch: EventBatch) -> int:
-        """Columnar fast path: cached hash column + vectorized dedup."""
-        batch.require_sites()
-        for slot, run in batch.slot_runs():
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_columns(run)
-        return len(batch)
-
-    def _deliver_columns(self, run: EventBatch) -> None:
-        """Columnar twin of :meth:`_deliver_batch` (same dedup proof)."""
-        if not len(run):
-            return
-        hashes = run.hash_column(self.hasher).tolist()
-        site_ids = run.sites_list()
-        items = run.items_list()
-        now = self.clock.now
-        network = self.network
-        sites = self.sites
-        if not network.synchronous:
-            for site_id, item, h in zip(site_ids, items, hashes):
-                sites[site_id].observe_hashed(item, h, now, network)
-            return
-        for j in run.first_occurrence_indices().tolist():
-            sites[site_ids[j]].observe_hashed(items[j], hashes[j], now, network)
-
-    def _deliver_batch(self, batch: list) -> None:
-        """Deliver one same-slot run with precomputed hashes (+ dedup)."""
-        if not batch:
-            return
-        items = [item for _, item in batch]
-        hashes = unit_hash_batch(self.hasher, items)
-        now = self.clock.now
-        network = self.network
-        sites = self.sites
-        if not network.synchronous:
-            for (site_id, item), h in zip(batch, hashes):
-                sites[site_id].observe_hashed(item, h, now, network)
-            return
-        seen: set = set()
-        for (site_id, item), h in zip(batch, hashes):
-            key = (site_id, item)
-            if key in seen:
-                continue
-            seen.add(key)
-            sites[site_id].observe_hashed(item, h, now, network)
-
-    def sample(self) -> SampleResult:
-        """The window's distinct sample (at most one item for s = 1)."""
-        element = self.coordinator.query()
-        if element is None:
-            items: tuple = ()
-            pairs: tuple = ()
-            threshold = 1.0
-        else:
-            threshold = self.coordinator.u_star
-            items = (element,)
-            pairs = ((threshold, element),)
-        return SampleResult(
-            items=items,
-            pairs=pairs,
-            threshold=threshold,
-            sample_size=1,
-            window=self.window,
-            slot=self.current_slot,
-        )
-
-    def per_site_memory(self) -> list[int]:
-        """Current candidate-set sizes, one per site (Fig 5.7/5.9 metric)."""
-        return [site.memory_size for site in self.sites]
-
-    # -- protocol: construction recipe + persistence -----------------------
+    def _make_site(self, site_id: int) -> SlidingWindowSite:
+        return SlidingWindowSite(site_id, self.window, self.structure)
 
     @property
     def config(self) -> SamplerConfig:
-        """The :class:`SamplerConfig` reconstructing this system."""
-        return SamplerConfig(
-            variant="sliding",
-            num_sites=self.num_sites,
-            sample_size=1,
-            window=self.window,
-            seed=self.hasher.seed,
-            algorithm=self.hasher.algorithm,
+        """The base recipe plus the structure and coordinator mode."""
+        return replace(
+            super().config,
             structure=self.structure,
             coordinator_mode=self.coordinator_mode,
         )
 
-    def _state(self) -> dict[str, Any]:
+    def _coordinator_state(self) -> dict[str, Any]:
         coord = self.coordinator
         return {
-            "clock": self.clock.now,
-            "coordinator": {
-                "reports_received": coord.reports_received,
-                "sample": [
-                    coord.sample_element,
-                    coord.u_star,
-                    encode_expiry(coord.sample_expiry),
-                ],
-                "entries": (
-                    None
-                    if coord.candidates is None
-                    else [
-                        [e.element, e.expiry, e.hash]
-                        for e in coord.candidates.entries()
-                    ]
-                ),
-            },
-            "sites": [
-                {
-                    "entries": [
-                        [e.element, e.expiry, e.hash]
-                        for e in site.candidates.entries()
-                    ],
-                    "sample_element": site.sample_element,
-                    "u_local": site.u_local,
-                    "sample_expiry": encode_expiry(site.sample_expiry),
-                    "reports_sent": site.reports_sent,
-                    "fallbacks": site.fallbacks,
-                }
-                for site in self.sites
-            ],
+            "sample": [
+                coord.sample_element,
+                coord.u_star,
+                encode_expiry(coord.sample_expiry),
+            ]
         }
 
-    def _load(self, state: dict[str, Any]) -> None:
-        self.clock.advance_to(int(state["clock"]))
-        coord_state = state["coordinator"]
+    def _load_coordinator(self, state: dict[str, Any]) -> None:
+        element, u_star, expiry = state["sample"]
         coord = self.coordinator
-        coord.reports_received = int(coord_state["reports_received"])
-        element, u_star, expiry = coord_state["sample"]
         coord.sample_element = revive_element(element)
         coord.u_star = float(u_star)
         coord.sample_expiry = decode_expiry(expiry)
-        if coord.candidates is not None:
-            coord.candidates = SortedDominanceSet(1)
-            for e, exp, h in coord_state["entries"]:
-                coord.candidates.observe(revive_element(e), int(exp), float(h))
-        for site, site_state in zip(self.sites, state["sites"]):
-            site.candidates = _make_structure(self.structure)
-            for e, exp, h in site_state["entries"]:
-                site.candidates.observe(revive_element(e), int(exp), float(h))
-            site.sample_element = revive_element(site_state["sample_element"])
-            site.u_local = float(site_state["u_local"])
-            site.sample_expiry = decode_expiry(site_state["sample_expiry"])
-            site.reports_sent = int(site_state["reports_sent"])
-            site.fallbacks = int(site_state["fallbacks"])
+
+    def _site_state(self, site: SlidingWindowSite) -> dict[str, Any]:
+        return {
+            "sample_element": site.sample_element,
+            "u_local": site.u_local,
+            "sample_expiry": encode_expiry(site.sample_expiry),
+        }
+
+    def _load_site(self, site: SlidingWindowSite, state: dict[str, Any]) -> None:
+        site.sample_element = revive_element(state["sample_element"])
+        site.u_local = float(state["u_local"])
+        site.sample_expiry = decode_expiry(state["sample_expiry"])

@@ -1,6 +1,8 @@
 """General-s sliding-window sampling with lazy feedback.
 
-The full generalization of Algorithms 3–4 to sample size ``s >= 1``,
+The full generalization of Algorithms 3–4 to sample size ``s >= 2`` —
+what the ``"sliding"`` registry name builds for ``s > 1`` (``s = 1`` is
+the paper's own :class:`~repro.core.sliding.SlidingWindowSystem`) —
 combining the two devices this package already has:
 
 * every node (sites *and* the coordinator) maintains an **s-dominance
@@ -40,22 +42,13 @@ import math
 from typing import Any, Optional
 
 from ..errors import ConfigurationError, ProtocolError
-from ..hashing.unit import UnitHasher, unit_hash_batch
+from ..hashing.unit import UnitHasher
 from ..netsim.clock import SlotClock
 from ..netsim.message import COORDINATOR, Message, MessageKind
 from ..netsim.network import Network
-from ..runtime.topology import Topology
 from ..structures.dominance import DominanceEntry, SortedDominanceSet
-from .events import EventBatch
-from .protocol import (
-    Sampler,
-    SampleResult,
-    SamplerConfig,
-    decode_expiry,
-    encode_expiry,
-    iter_event_runs,
-    revive_element,
-)
+from .protocol import decode_expiry, encode_expiry
+from .sliding import SlidingFacadeBase, require_positive
 
 __all__ = [
     "FeedbackBottomSSite",
@@ -71,7 +64,6 @@ class FeedbackBottomSSite:
 
     __slots__ = (
         "site_id",
-        "hasher",
         "window",
         "sample_size",
         "candidates",
@@ -81,17 +73,9 @@ class FeedbackBottomSSite:
         "fallbacks",
     )
 
-    def __init__(
-        self, site_id: int, hasher: UnitHasher, window: int, sample_size: int
-    ) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        if sample_size < 1:
-            raise ConfigurationError(
-                f"sample_size must be >= 1, got {sample_size}"
-            )
+    def __init__(self, site_id: int, window: int, sample_size: int) -> None:
+        require_positive(window=window, sample_size=sample_size)
         self.site_id = site_id
-        self.hasher = hasher
         self.window = window
         self.sample_size = sample_size
         self.candidates = SortedDominanceSet(sample_size)
@@ -130,14 +114,10 @@ class FeedbackBottomSSite:
                 (entry.element, entry.hash, entry.expiry, self.site_id),
             )
 
-    def observe(self, element: Any, now: int, network: Network) -> None:
-        """Process an arrival in slot ``now``."""
-        self.observe_hashed(element, self.hasher.unit(element), now, network)
-
     def observe_hashed(
         self, element: Any, h: float, now: int, network: Network
     ) -> None:
-        """Fast path: arrival with a precomputed hash."""
+        """Process an arrival in slot ``now`` with its precomputed hash."""
         expiry = now + self.window
         self.candidates.expire(now)
         self.candidates.observe(element, expiry, h)
@@ -167,10 +147,7 @@ class FeedbackBottomSCoordinator:
     __slots__ = ("clock", "sample_size", "candidates", "reports_received")
 
     def __init__(self, clock: SlotClock, sample_size: int) -> None:
-        if sample_size < 1:
-            raise ConfigurationError(
-                f"sample_size must be >= 1, got {sample_size}"
-            )
+        require_positive(sample_size=sample_size)
         self.clock = clock
         self.sample_size = sample_size
         self.candidates = SortedDominanceSet(sample_size)
@@ -178,13 +155,16 @@ class FeedbackBottomSCoordinator:
 
     def _threshold(self, now: int) -> tuple[float, float]:
         """Current ``(u, valid_until)`` over live candidates."""
-        self.candidates.expire(now)
-        bottom = self.candidates.bottom(self.sample_size)
+        bottom = self.sample_entries(now)
         if len(bottom) < self.sample_size:
             return 1.0, _INF
         u = bottom[-1].hash
         valid_until = min(entry.expiry for entry in bottom)
         return u, valid_until
+
+    def absorb(self, element: Any, h: float, expiry: int) -> None:
+        """Merge one entry into the candidate set."""
+        self.candidates.observe(element, expiry, h)
 
     def handle_message(self, message: Message, network: Network) -> None:
         """Merge a report; reply with the fresh (u, t_u)."""
@@ -192,16 +172,11 @@ class FeedbackBottomSCoordinator:
             raise ProtocolError(f"coordinator cannot handle {message.kind!r}")
         element, h, expiry, site_id = message.payload
         self.reports_received += 1
-        now = self.clock.now
-        self.candidates.observe(element, expiry, h)
-        u, valid_until = self._threshold(now)
+        self.absorb(element, h, expiry)
+        u, valid_until = self._threshold(self.clock.now)
         network.send(
             COORDINATOR, site_id, MessageKind.SW_SAMPLE, (u, valid_until)
         )
-
-    def query(self, now: int) -> list[Any]:
-        """The window's bottom-s distinct sample, ascending by hash."""
-        return [entry.element for entry in self.sample_entries(now)]
 
     def sample_entries(self, now: int) -> list[DominanceEntry]:
         """The live bottom-s entries at slot ``now``, ascending by hash."""
@@ -209,184 +184,61 @@ class FeedbackBottomSCoordinator:
         return self.candidates.bottom(self.sample_size)
 
 
-class SlidingWindowBottomSFeedback(Sampler):
+class SlidingWindowBottomSFeedback(SlidingFacadeBase):
     """Facade: general-s sliding-window sampling with lazy feedback.
+
+    Built by the ``"sliding"`` registry name whenever ``s > 1``; ``s = 1``
+    is the paper's own :class:`~repro.core.sliding.SlidingWindowSystem`.
 
     Args:
         num_sites: Number of sites k.
         window: Window size w in slots.
-        sample_size: Sample size s (>= 1).
+        sample_size: Sample size s (>= 2).
         seed: Hash seed (ignored if ``hasher`` given).
         algorithm: Hash algorithm name.
         hasher: Optional shared pre-built hasher.
+
+    Raises:
+        ConfigurationError: For ``sample_size == 1`` (use ``"sliding"``)
+            and the usual out-of-range parameters.
     """
+
+    #: Repeats are kept: the expiring threshold ``u_i`` can *rise* within
+    #: a slot (a reply is 1.0 while the coordinator knows fewer than ``s``
+    #: candidates), so a same-slot repeat may legitimately report where
+    #: its first occurrence did not.
+    SAME_SLOT_REPEATS = "never"
 
     def __init__(
         self,
         num_sites: int,
         window: int,
-        sample_size: int = 1,
+        sample_size: int = 2,
         seed: int = 0,
         algorithm: str = "murmur2",
         hasher: Optional[UnitHasher] = None,
     ) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        if sample_size < 1:
+        if sample_size == 1:
             raise ConfigurationError(
-                f"sample_size must be >= 1, got {sample_size}"
+                "the general-s feedback system needs sample_size >= 2; "
+                "for s = 1 use the 'sliding' variant (SlidingWindowSystem)"
             )
-        self.hasher = hasher if hasher is not None else UnitHasher(seed, algorithm)
-        self.window = window
-        self.sample_size = sample_size
-        self.clock = SlotClock(0)
-        self._init_runtime(
-            Topology.build(
-                coordinator=FeedbackBottomSCoordinator(self.clock, sample_size),
-                site_factory=lambda i: FeedbackBottomSSite(
-                    i, self.hasher, window, sample_size
-                ),
-                num_sites=num_sites,
-            )
-        )
+        super().__init__(num_sites, window, sample_size, seed, algorithm, hasher)
 
-    # -- protocol hooks ----------------------------------------------------
+    def _make_coordinator(self) -> FeedbackBottomSCoordinator:
+        return FeedbackBottomSCoordinator(self.clock, self.sample_size)
 
-    def _advance_to(self, slot: int) -> None:
-        """Slot boundary: lapse-triggered fallback pushes at every site."""
-        self.clock.advance_to(slot)
-        network = self.network
-        for site in self.sites:
-            site.tick(slot, network)
+    def _make_site(self, site_id: int) -> FeedbackBottomSSite:
+        return FeedbackBottomSSite(site_id, self.window, self.sample_size)
 
-    def _deliver(self, site_id: int, element: Any) -> None:
-        """Deliver an arrival at the current slot."""
-        self.sites[site_id].observe(element, self.clock.now, self.network)
-
-    def observe_batch(self, events) -> int:
-        """Vectorized batch ingestion (semantics of the generic loop).
-
-        Same-slot runs are bulk-hashed and delivered through the
-        precomputed-hash fast path.  Unlike the ``s = 1`` system, repeats
-        are *not* dropped: the expiring threshold ``u_i`` can rise within
-        a slot (a reply is 1.0 while the coordinator knows fewer than
-        ``s`` candidates), so a same-slot repeat may legitimately report
-        where its first occurrence did not.
-        """
-        if isinstance(events, EventBatch):
-            return self.observe_columns(events)
-        events = events if isinstance(events, list) else list(events)
-        if not events:
-            return 0
-        for slot, batch in iter_event_runs(events):
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_batch(batch)
-        return len(events)
-
-    def observe_columns(self, batch: EventBatch) -> int:
-        """Columnar fast path: cached hash column, no dedup (see above)."""
-        batch.require_sites()
-        for slot, run in batch.slot_runs():
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_columns(run)
-        return len(batch)
-
-    def _deliver_columns(self, run: EventBatch) -> None:
-        """Columnar twin of :meth:`_deliver_batch` (repeats kept)."""
-        if not len(run):
-            return
-        hashes = run.hash_column(self.hasher).tolist()
-        now = self.clock.now
-        network = self.network
-        sites = self.sites
-        for site_id, item, h in zip(run.sites_list(), run.items_list(), hashes):
-            sites[site_id].observe_hashed(item, h, now, network)
-
-    def _deliver_batch(self, batch: list) -> None:
-        """Deliver one same-slot run with precomputed hashes."""
-        if not batch:
-            return
-        items = [item for _, item in batch]
-        hashes = unit_hash_batch(self.hasher, items)
-        now = self.clock.now
-        network = self.network
-        sites = self.sites
-        for (site_id, item), h in zip(batch, hashes):
-            sites[site_id].observe_hashed(item, h, now, network)
-
-    def sample(self) -> SampleResult:
-        """The current window's bottom-s distinct sample."""
-        now = self.clock.now
-        entries = self.coordinator.sample_entries(now)
-        threshold, _valid_until = self.coordinator._threshold(now)
-        return SampleResult(
-            items=tuple(entry.element for entry in entries),
-            pairs=tuple((entry.hash, entry.element) for entry in entries),
-            threshold=threshold,
-            sample_size=self.sample_size,
-            window=self.window,
-            slot=self.current_slot,
-        )
-
-    def per_site_memory(self) -> list[int]:
-        """Current candidate-set sizes, one per site."""
-        return [site.memory_size for site in self.sites]
-
-    # -- protocol: construction recipe + persistence -----------------------
-
-    @property
-    def config(self) -> SamplerConfig:
-        """The :class:`SamplerConfig` reconstructing this system."""
-        return SamplerConfig(
-            variant="sliding-feedback",
-            num_sites=self.num_sites,
-            sample_size=self.sample_size,
-            window=self.window,
-            seed=self.hasher.seed,
-            algorithm=self.hasher.algorithm,
-        )
-
-    def _state(self) -> dict[str, Any]:
+    def _site_state(self, site: FeedbackBottomSSite) -> dict[str, Any]:
         return {
-            "clock": self.clock.now,
-            "coordinator": {
-                "reports_received": self.coordinator.reports_received,
-                "entries": [
-                    [e.element, e.expiry, e.hash]
-                    for e in self.coordinator.candidates.entries()
-                ],
-            },
-            "sites": [
-                {
-                    "entries": [
-                        [e.element, e.expiry, e.hash]
-                        for e in site.candidates.entries()
-                    ],
-                    "u_local": site.u_local,
-                    "valid_until": encode_expiry(site.valid_until),
-                    "reports_sent": site.reports_sent,
-                    "fallbacks": site.fallbacks,
-                }
-                for site in self.sites
-            ],
+            "u_local": site.u_local,
+            "valid_until": encode_expiry(site.valid_until),
         }
 
-    def _load(self, state: dict[str, Any]) -> None:
-        self.clock.advance_to(int(state["clock"]))
-        coord_state = state["coordinator"]
-        self.coordinator.reports_received = int(coord_state["reports_received"])
-        self.coordinator.candidates = SortedDominanceSet(self.sample_size)
-        for e, exp, h in coord_state["entries"]:
-            self.coordinator.candidates.observe(
-                revive_element(e), int(exp), float(h)
-            )
-        for site, site_state in zip(self.sites, state["sites"]):
-            site.candidates = SortedDominanceSet(self.sample_size)
-            for e, exp, h in site_state["entries"]:
-                site.candidates.observe(revive_element(e), int(exp), float(h))
-            site.u_local = float(site_state["u_local"])
-            site.valid_until = decode_expiry(site_state["valid_until"])
-            site.reports_sent = int(site_state["reports_sent"])
-            site.fallbacks = int(site_state["fallbacks"])
+    def _load_site(
+        self, site: FeedbackBottomSSite, state: dict[str, Any]
+    ) -> None:
+        site.u_local = float(state["u_local"])
+        site.valid_until = decode_expiry(state["valid_until"])

@@ -29,22 +29,14 @@ future bottom-s member.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from ..errors import ConfigurationError, ProtocolError
-from ..hashing.unit import UnitHasher, unit_hash_batch
+from ..errors import ProtocolError
 from ..netsim.message import COORDINATOR, Message, MessageKind
 from ..netsim.network import Network
-from ..runtime.topology import Topology
 from ..structures.dominance import DominanceEntry, SortedDominanceSet
-from .events import EventBatch
-from .protocol import (
-    Sampler,
-    SampleResult,
-    SamplerConfig,
-    iter_event_runs,
-    revive_element,
-)
+from .protocol import revive_element
+from .sliding import SlidingFacadeBase, require_positive
 
 __all__ = [
     "LocalPushSite",
@@ -58,14 +50,12 @@ class LocalPushSite:
 
     Args:
         site_id: Network address.
-        hasher: Shared hash function.
         window: Window size w in slots.
         sample_size: Sample size s (>= 1).
     """
 
     __slots__ = (
         "site_id",
-        "hasher",
         "window",
         "sample_size",
         "candidates",
@@ -73,17 +63,9 @@ class LocalPushSite:
         "reports_sent",
     )
 
-    def __init__(
-        self, site_id: int, hasher: UnitHasher, window: int, sample_size: int
-    ) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        if sample_size < 1:
-            raise ConfigurationError(
-                f"sample_size must be >= 1, got {sample_size}"
-            )
+    def __init__(self, site_id: int, window: int, sample_size: int) -> None:
+        require_positive(window=window, sample_size=sample_size)
         self.site_id = site_id
-        self.hasher = hasher
         self.window = window
         self.sample_size = sample_size
         self.candidates = SortedDominanceSet(sample_size)
@@ -123,14 +105,10 @@ class LocalPushSite:
         if len(self.candidates) != before or self._reported:
             self._sync_bottom(now, network)
 
-    def observe(self, element: Any, now: int, network: Network) -> None:
-        """Process an arrival in slot ``now``."""
-        self.observe_hashed(element, self.hasher.unit(element), now, network)
-
     def observe_hashed(
         self, element: Any, h: float, now: int, network: Network
     ) -> None:
-        """Fast path: arrival with a precomputed hash."""
+        """Process an arrival in slot ``now`` with its precomputed hash."""
         self.candidates.expire(now)
         self.candidates.observe(element, now + self.window, h)
         self._sync_bottom(now, network)
@@ -152,24 +130,21 @@ class LocalPushCoordinator:
     __slots__ = ("sample_size", "candidates", "reports_received")
 
     def __init__(self, sample_size: int) -> None:
-        if sample_size < 1:
-            raise ConfigurationError(
-                f"sample_size must be >= 1, got {sample_size}"
-            )
+        require_positive(sample_size=sample_size)
         self.sample_size = sample_size
         self.candidates = SortedDominanceSet(sample_size)
         self.reports_received = 0
+
+    def absorb(self, element: Any, h: float, expiry: int) -> None:
+        """Merge one entry into the candidate set."""
+        self.candidates.observe(element, expiry, h)
 
     def handle_message(self, message: Message, network: Network) -> None:
         if message.kind is not MessageKind.SW_REPORT:
             raise ProtocolError(f"coordinator cannot handle {message.kind!r}")
         element, h, expiry, _site_id = message.payload
         self.reports_received += 1
-        self.candidates.observe(element, expiry, h)
-
-    def query(self, now: int) -> list[Any]:
-        """The window's distinct sample (size min(s, |D_w|)) at slot ``now``."""
-        return [entry.element for entry in self.sample_entries(now)]
+        self.absorb(element, h, expiry)
 
     def sample_entries(self, now: int) -> list[DominanceEntry]:
         """The live bottom-s entries at slot ``now``, ascending by hash."""
@@ -177,7 +152,7 @@ class LocalPushCoordinator:
         return self.candidates.bottom(self.sample_size)
 
 
-class SlidingWindowBottomS(Sampler):
+class SlidingWindowBottomS(SlidingFacadeBase):
     """Facade: general-s sliding-window distinct sampling (local push).
 
     Args:
@@ -189,183 +164,32 @@ class SlidingWindowBottomS(Sampler):
         hasher: Optional shared pre-built hasher.
     """
 
-    def __init__(
-        self,
-        num_sites: int,
-        window: int,
-        sample_size: int = 1,
-        seed: int = 0,
-        algorithm: str = "murmur2",
-        hasher: Optional[UnitHasher] = None,
-    ) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        if sample_size < 1:
-            raise ConfigurationError(
-                f"sample_size must be >= 1, got {sample_size}"
-            )
-        self.hasher = hasher if hasher is not None else UnitHasher(seed, algorithm)
-        self.window = window
-        self.sample_size = sample_size
-        self._now = 0
-        self._init_runtime(
-            Topology.build(
-                coordinator=LocalPushCoordinator(sample_size),
-                site_factory=lambda i: LocalPushSite(
-                    i, self.hasher, window, sample_size
-                ),
-                num_sites=num_sites,
-            )
-        )
+    VARIANT = "sliding-local-push"
+    #: This core's checkpoints store the slot under ``"now"``.
+    CLOCK_KEY = "now"
+    #: Local-push sites never fall back, so they count reports only.
+    SITE_COUNTERS = ("reports_sent",)
+    #: A same-slot repeat's candidate refresh is a no-op (equal expiry), so
+    #: the follow-up bottom-s sync finds ``_reported`` already consistent:
+    #: messages flow one way, so nothing else can have invalidated it, on
+    #: any network.
+    SAME_SLOT_REPEATS = "always"
 
-    # -- protocol hooks ----------------------------------------------------
+    def _make_coordinator(self) -> LocalPushCoordinator:
+        return LocalPushCoordinator(self.sample_size)
 
-    def _advance_to(self, slot: int) -> None:
-        """Slot boundary: run per-site expiry + bottom-s re-sync."""
-        self._now = slot
-        network = self.network
-        for site in self.sites:
-            site.tick(slot, network)
+    def _make_site(self, site_id: int) -> LocalPushSite:
+        return LocalPushSite(site_id, self.window, self.sample_size)
 
-    def _deliver(self, site_id: int, element: Any) -> None:
-        """Deliver an arrival at the current slot."""
-        self.sites[site_id].observe(element, self._now, self.network)
-
-    def observe_batch(self, events) -> int:
-        """Vectorized batch ingestion (semantics of the generic loop).
-
-        Same-slot runs are bulk-hashed, and exact ``(site, element)``
-        repeats within a run are dropped: a repeat's candidate refresh is
-        a no-op (equal expiry) and the follow-up bottom-s sync therefore
-        finds ``_reported`` already consistent — messages flow one way
-        here, so nothing else can have invalidated it.  Covered by the
-        batch-equivalence tests.
-        """
-        if isinstance(events, EventBatch):
-            return self.observe_columns(events)
-        events = events if isinstance(events, list) else list(events)
-        if not events:
-            return 0
-        for slot, batch in iter_event_runs(events):
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_batch(batch)
-        return len(events)
-
-    def observe_columns(self, batch: EventBatch) -> int:
-        """Columnar fast path: cached hash column + vectorized dedup."""
-        batch.require_sites()
-        for slot, run in batch.slot_runs():
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_columns(run)
-        return len(batch)
-
-    def _deliver_columns(self, run: EventBatch) -> None:
-        """Columnar twin of :meth:`_deliver_batch` (dedup always valid
-        here — messages flow one way, see :meth:`observe_batch`)."""
-        if not len(run):
-            return
-        hashes = run.hash_column(self.hasher).tolist()
-        site_ids = run.sites_list()
-        items = run.items_list()
-        now = self._now
-        network = self.network
-        sites = self.sites
-        for j in run.first_occurrence_indices().tolist():
-            sites[site_ids[j]].observe_hashed(items[j], hashes[j], now, network)
-
-    def _deliver_batch(self, batch: list) -> None:
-        """Deliver one same-slot run with precomputed hashes + dedup."""
-        if not batch:
-            return
-        items = [item for _, item in batch]
-        hashes = unit_hash_batch(self.hasher, items)
-        now = self._now
-        network = self.network
-        sites = self.sites
-        seen: set = set()
-        for (site_id, item), h in zip(batch, hashes):
-            key = (site_id, item)
-            if key in seen:
-                continue
-            seen.add(key)
-            sites[site_id].observe_hashed(item, h, now, network)
-
-    def sample(self) -> SampleResult:
-        """The current window's bottom-s distinct sample."""
-        entries = self.coordinator.sample_entries(self._now)
-        threshold = (
-            entries[-1].hash if len(entries) == self.sample_size else 1.0
-        )
-        return SampleResult(
-            items=tuple(entry.element for entry in entries),
-            pairs=tuple((entry.hash, entry.element) for entry in entries),
-            threshold=threshold,
-            sample_size=self.sample_size,
-            window=self.window,
-            slot=self.current_slot,
-        )
-
-    def per_site_memory(self) -> list[int]:
-        """Current candidate-set sizes, one per site."""
-        return [site.memory_size for site in self.sites]
-
-    # -- protocol: construction recipe + persistence -----------------------
-
-    @property
-    def config(self) -> SamplerConfig:
-        """The :class:`SamplerConfig` reconstructing this system."""
-        return SamplerConfig(
-            variant="sliding-local-push",
-            num_sites=self.num_sites,
-            sample_size=self.sample_size,
-            window=self.window,
-            seed=self.hasher.seed,
-            algorithm=self.hasher.algorithm,
-        )
-
-    def _state(self) -> dict[str, Any]:
+    def _site_state(self, site: LocalPushSite) -> dict[str, Any]:
         return {
-            "now": self._now,
-            "coordinator": {
-                "reports_received": self.coordinator.reports_received,
-                "entries": [
-                    [e.element, e.expiry, e.hash]
-                    for e in self.coordinator.candidates.entries()
-                ],
-            },
-            "sites": [
-                {
-                    "entries": [
-                        [e.element, e.expiry, e.hash]
-                        for e in site.candidates.entries()
-                    ],
-                    "reported": [
-                        [element, expiry]
-                        for element, expiry in site._reported.items()
-                    ],
-                    "reports_sent": site.reports_sent,
-                }
-                for site in self.sites
-            ],
+            "reported": [
+                [element, expiry] for element, expiry in site._reported.items()
+            ]
         }
 
-    def _load(self, state: dict[str, Any]) -> None:
-        self._now = int(state["now"])
-        coord_state = state["coordinator"]
-        self.coordinator.reports_received = int(coord_state["reports_received"])
-        self.coordinator.candidates = SortedDominanceSet(self.sample_size)
-        for e, exp, h in coord_state["entries"]:
-            self.coordinator.candidates.observe(
-                revive_element(e), int(exp), float(h)
-            )
-        for site, site_state in zip(self.sites, state["sites"]):
-            site.candidates = SortedDominanceSet(self.sample_size)
-            for e, exp, h in site_state["entries"]:
-                site.candidates.observe(revive_element(e), int(exp), float(h))
-            site._reported = {
-                revive_element(element): int(expiry)
-                for element, expiry in site_state["reported"]
-            }
-            site.reports_sent = int(site_state["reports_sent"])
+    def _load_site(self, site: LocalPushSite, state: dict[str, Any]) -> None:
+        site._reported = {
+            revive_element(element): int(expiry)
+            for element, expiry in state["reported"]
+        }

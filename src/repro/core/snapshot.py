@@ -19,7 +19,11 @@ The snapshot is a plain JSON-serializable dict: no pickle, safe to store.
 Version-1 snapshots (infinite-window only, written by earlier releases)
 are still read, and so are version-2 snapshots that name a retired
 execution backend (``"process"`` restores as ``"shm"``, ``"thread"`` as
-``"serial"``).
+``"serial"``) or a retired variant name: ``"sliding-feedback"`` and
+``"sharded:sliding-feedback"`` restore as ``"sliding"`` and
+``"sharded:sliding"``, which build the same class for ``s >= 2``; their
+``s = 1`` snapshots hold a state ``"sliding"`` cannot read and raise
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -40,6 +44,13 @@ SNAPSHOT_VERSION = 2
 #: to their surviving equivalent.  The backend never changes sampler
 #: state (every backend is bit-identical), so the substitution is exact.
 _RETIRED_EXECUTORS = {"process": "shm", "thread": "serial"}
+
+#: Variant names earlier releases could record in ``config.variant``,
+#: mapped to the name that builds the same class at ``s >= 2``.
+_RETIRED_VARIANTS = {
+    "sliding-feedback": "sliding",
+    "sharded:sliding-feedback": "sharded:sliding",
+}
 
 
 def snapshot(sampler: Sampler) -> dict[str, Any]:
@@ -98,6 +109,15 @@ def restore(state: dict[str, Any]) -> Sampler:
     executor = config_dict.get("executor")
     if isinstance(executor, str) and executor in _RETIRED_EXECUTORS:
         config_dict["executor"] = _RETIRED_EXECUTORS[executor]
+    variant = config_dict.get("variant")
+    if isinstance(variant, str) and variant in _RETIRED_VARIANTS:
+        if config_dict.get("sample_size", 1) == 1:
+            raise ConfigurationError(
+                f"cannot restore a {variant!r} snapshot at sample_size=1: "
+                "the variant is retired and 'sliding' keeps a different "
+                "s = 1 state"
+            )
+        config_dict["variant"] = _RETIRED_VARIANTS[variant]
     try:
         config = SamplerConfig(**config_dict)
     except TypeError as exc:

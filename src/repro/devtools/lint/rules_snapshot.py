@@ -8,8 +8,11 @@ reader of a state dict are two hand-maintained methods: add a field to
 a restored sampler silently diverges from its twin.
 
 For every class that defines both halves of a persistence pair —
-``_state``/``_load``, ``state_dict``/``load_state``, or
-``__getstate__``/``__setstate__`` — this rule compares:
+``_state``/``_load``, ``state_dict``/``load_state``,
+``__getstate__``/``__setstate__``, or the per-node hooks a facade base
+delegates to (``_site_state``/``_load_site``,
+``_coordinator_state``/``_load_coordinator``; see
+:class:`~repro.core.sliding.SlidingFacadeBase`) — this rule compares:
 
 * **written keys**: every string key of a dict literal (or ``dict(...)``
   keyword) inside the writer, and
@@ -36,6 +39,8 @@ PERSISTENCE_PAIRS = (
     ("_state", "_load"),
     ("state_dict", "load_state"),
     ("__getstate__", "__setstate__"),
+    ("_site_state", "_load_site"),
+    ("_coordinator_state", "_load_coordinator"),
 )
 
 

@@ -37,6 +37,10 @@ class SlotClock:
             )
         self._now = slot
 
+    def reset_to(self, slot: int) -> None:
+        """Set the clock to ``slot``, backwards included (checkpoint restore)."""
+        self._now = int(slot)
+
     def tick(self) -> int:
         """Advance one slot; returns the new slot number."""
         self._now += 1

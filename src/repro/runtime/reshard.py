@@ -20,18 +20,19 @@ continued ingest):
   of the union — is unchanged.  New site thresholds are set to their new
   group's store threshold, the same "any value >= the true u is safe"
   rule the soft snapshot-restore path uses.
-* **Windowed family** (``sliding*``): an entry pruned by s-dominance had
-  s smaller-hash, later-expiry entries in its old group, so while it is
-  live it is never in the *global* bottom-s — re-partitioning the
-  surviving entries therefore preserves the facade-level merge at every
-  future slot, even though a single group's restricted sample may differ
-  from a from-scratch run's.  Survivor sets are insertion-order
-  independent (``SortedDominanceSet.observe`` keeps the maximal expiry
-  per element and prunes to the unique minimal survivor set), so the new
-  coordinator simply observes every routed live entry.  Site protocol
-  fields reset to their safe report-everything states (``u_local = 1``,
-  no suppressed feedback), which costs a transient burst of extra
-  reports and loses nothing.
+* **Windowed family** (every
+  :class:`~repro.core.sliding.SlidingFacadeBase` core): an entry pruned
+  by s-dominance had s smaller-hash, later-expiry entries in its old
+  group, so while it is live it is never in the *global* bottom-s —
+  re-partitioning the surviving entries therefore preserves the
+  facade-level merge at every future slot, even though a single group's
+  restricted sample may differ from a from-scratch run's.  Survivor sets
+  are insertion-order independent, so each new group is built fresh and
+  seeded through :meth:`~repro.core.sliding.SlidingFacadeBase.repartition`:
+  its coordinator absorbs every routed live entry, and its sites keep
+  their fresh report-everything state, which costs a transient burst of
+  extra reports and loses nothing.  The new group's own ``state_dict``
+  is the re-partitioned state, so the layout lives in one module.
 
 Aggregate observability counters (message stats, ``reports_received``,
 ``reports_sent``, ...) are preserved as *totals*: the sums land on new
@@ -42,19 +43,20 @@ by a reshard.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from dataclasses import replace
+from typing import Any
 
-from ..core.protocol import SamplerConfig, decode_expiry, revive_element
+from ..core.protocol import SamplerConfig, revive_element
+from ..core.sliding import SlidingFacadeBase
 from ..errors import ConfigurationError
 from ..streams.partition import HashDistributor
 
 __all__ = ["repartition_group_states"]
 
-#: Variants whose group state this module knows how to re-partition
-#: (the shardable registry, spelled locally to avoid an import cycle
-#: with :mod:`repro.core.api`).
+#: Infinite-window variants whose group state this module re-partitions
+#: row by row (spelled locally to avoid an import cycle with
+#: :mod:`repro.core.api`); windowed cores re-partition themselves.
 _INFINITE_FAMILY = ("infinite", "broadcast", "caching")
-_WINDOWED_FAMILY = ("sliding", "sliding-feedback", "sliding-local-push")
 
 
 def _base_variant(config: SamplerConfig) -> str:
@@ -150,18 +152,17 @@ def repartition_group_states(
         algorithm=config.algorithm,
         salt=_SHARD_SALT,
     )
-    systems = [state["system"] for state in group_states]
     if base in _INFINITE_FAMILY:
         new_systems = _repartition_infinite_family(
-            base, systems, config, router, new_shards
-        )
-    elif base in _WINDOWED_FAMILY:
-        new_systems = _repartition_windowed_family(
-            base, systems, config, router, new_shards
+            base,
+            [state["system"] for state in group_states],
+            config,
+            router,
+            new_shards,
         )
     else:
-        raise ConfigurationError(
-            f"variant {config.variant!r} does not support re-partitioning"
+        new_systems = _repartition_windowed_family(
+            group_states, config, router, new_shards
         )
     protocol = dict(group_states[0]["protocol"])
     return [
@@ -247,208 +248,37 @@ def _repartition_infinite_family(
 
 
 # ---------------------------------------------------------------------------
-# Windowed family: route live dominance entries, reset site protocol state
+# Windowed family: rebuild the old groups, let fresh groups absorb them
 # ---------------------------------------------------------------------------
 
 
-def _route_live_entries(
-    rows: list[list[Any]],
-    clock: int,
-    router: HashDistributor,
-    buckets: list[list[list[Any]]],
-) -> None:
-    """Route every still-live ``[element, expiry, hash]`` row."""
-    for element, expiry, h in rows:
-        expiry = int(expiry)
-        if expiry <= clock:
-            continue
-        g = router.assign_one(revive_element(element))
-        buckets[g].append([element, expiry, float(h)])
-
-
 def _repartition_windowed_family(
-    base: str,
-    systems: list[dict[str, Any]],
+    group_states: list[dict[str, Any]],
     config: SamplerConfig,
     router: HashDistributor,
     new_shards: int,
 ) -> list[dict[str, Any]]:
-    k = config.num_sites
-    clock_key = "now" if base == "sliding-local-push" else "clock"
-    try:
-        clock = max(int(system[clock_key]) for system in systems)
-        site_lists = [system["sites"] for system in systems]
-        coord_states = [system["coordinator"] for system in systems]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"malformed {base} group state: missing {exc}"
-        ) from exc
-    # Everything live lands at the new coordinators (survivor sets are
-    # order-independent, and a coordinator knowing *more* live entries
-    # than a from-scratch run is always safe — queries take the bottom-s
-    # of the live set either way).  Site candidate sets keep physical
-    # locality: new group g's site i receives only entries that lived at
-    # some old group's site i.
-    coord_entries: list[list[list[Any]]] = [[] for _ in range(new_shards)]
-    site_entries: list[list[list[list[Any]]]] = [
-        [[] for _ in range(k)] for _ in range(new_shards)
-    ]
-    reports_received = 0
-    reports_sent = [0] * k
-    fallbacks = [0] * k
-    paper_mode = base == "sliding" and coord_states[0].get("entries") is None
-    for coord_state, sites in zip(coord_states, site_lists):
-        reports_received += int(coord_state.get("reports_received", 0))
-        rows = coord_state.get("entries")
-        if rows is not None:
-            _route_live_entries(rows, clock, router, coord_entries)
-        elif base == "sliding":
-            # Paper-mode coordinator: the single retained (e*, u*, t*)
-            # tuple is its whole candidate state.
-            element, u_star, expiry = coord_state["sample"]
-            stamp = decode_expiry(expiry)
-            if element is not None and stamp > clock:
-                g = router.assign_one(revive_element(element))
-                coord_entries[g].append([element, int(stamp), float(u_star)])
-        if len(sites) != k:
+    from ..core.api import get_variant
+
+    base = _base_variant(config)
+    factory = get_variant(base).factory
+    inner = replace(
+        config, variant=base, shards=1, executor="serial", workers=0
+    )
+
+    def build() -> SlidingFacadeBase:
+        group = factory(inner)
+        if not isinstance(group, SlidingFacadeBase):
             raise ConfigurationError(
-                f"malformed {base} group state: expected {k} sites, "
-                f"got {len(sites)}"
+                f"variant {config.variant!r} does not support re-partitioning"
             )
-        for i, site_state in enumerate(sites):
-            _route_live_entries(
-                site_state.get("entries", []),
-                clock,
-                router,
-                [bucket[i] for bucket in site_entries],
-            )
-            reports_sent[i] += int(site_state.get("reports_sent", 0))
-            fallbacks[i] += int(site_state.get("fallbacks", 0))
-    out: list[dict[str, Any]] = []
-    for g in range(new_shards):
-        # The new coordinator observes every live entry routed to its key
-        # space — its own plus the sites' — so its candidate structure is
-        # a superset of what any report schedule could have built.
-        all_entries = list(coord_entries[g])
-        for i in range(k):
-            all_entries.extend(site_entries[g][i])
-        first = g == 0
-        if base == "sliding":
-            out.append(
-                _sliding_group_state(
-                    all_entries,
-                    site_entries[g],
-                    paper_mode,
-                    clock,
-                    reports_received if first else 0,
-                    reports_sent if first else [0] * k,
-                    fallbacks if first else [0] * k,
-                )
-            )
-        elif base == "sliding-feedback":
-            out.append(
-                {
-                    "clock": clock,
-                    "coordinator": {
-                        "reports_received": reports_received if first else 0,
-                        "entries": all_entries,
-                    },
-                    "sites": [
-                        {
-                            "entries": site_entries[g][i],
-                            # Report-everything reset: the first reply
-                            # re-establishes the genuine (u, valid_until).
-                            "u_local": 1.0,
-                            "valid_until": None,  # encode_expiry(inf)
-                            "reports_sent": reports_sent[i] if first else 0,
-                            "fallbacks": fallbacks[i] if first else 0,
-                        }
-                        for i in range(k)
-                    ],
-                }
-            )
-        else:  # sliding-local-push
-            out.append(
-                {
-                    "now": clock,
-                    "coordinator": {
-                        "reports_received": reports_received if first else 0,
-                        "entries": all_entries,
-                    },
-                    "sites": [
-                        {
-                            "entries": site_entries[g][i],
-                            # Empty push memory: the next local observe
-                            # re-pushes its bottom-s (idempotent at the
-                            # coordinator, which already has the entries).
-                            "reported": [],
-                            "reports_sent": reports_sent[i] if first else 0,
-                        }
-                        for i in range(k)
-                    ],
-                }
-            )
-    return out
+        return group
 
-
-def _min_hash_entry(entries: list[list[Any]]) -> Optional[list[Any]]:
-    best: Optional[list[Any]] = None
-    for entry in entries:
-        if best is None or entry[2] < best[2]:
-            best = entry
-    return best
-
-
-def _sliding_group_state(
-    all_entries: list[list[Any]],
-    site_entries: list[list[list[Any]]],
-    paper_mode: bool,
-    clock: int,
-    reports_received: int,
-    reports_sent: list[int],
-    fallbacks: list[int],
-) -> dict[str, Any]:
-    """One new s = 1 sliding group: exact mode keeps the full candidate
-    staircase (the query refreshes the cached tuple from it); paper mode
-    keeps only the minimum-hash live entry, the best its single-tuple
-    coordinator can represent."""
-    if paper_mode:
-        best = _min_hash_entry(all_entries)
-        sample = (
-            [None, 1.0, -1.0]
-            if best is None
-            else [best[0], best[2], float(best[1])]
-        )
-        coordinator = {
-            "reports_received": reports_received,
-            "sample": sample,
-            "entries": None,
-        }
-    else:
-        coordinator = {
-            "reports_received": reports_received,
-            # Stale-expired cache tuple: the next query recomputes it
-            # from the candidate entries.
-            "sample": [None, 1.0, -1.0],
-            "entries": all_entries,
-        }
-    return {
-        "clock": clock,
-        "coordinator": coordinator,
-        "sites": [
-            {
-                "entries": entries,
-                # Report-everything, never-fallback reset: u = 1 accepts
-                # every arrival, an infinite local expiry never triggers
-                # the fallback path.
-                "sample_element": None,
-                "u_local": 1.0,
-                "sample_expiry": None,  # encode_expiry(inf)
-                "reports_sent": sent,
-                "fallbacks": fell,
-            }
-            for entries, sent, fell in zip(
-                site_entries, reports_sent, fallbacks
-            )
-        ],
-    }
+    groups: list[SlidingFacadeBase] = []
+    for state in group_states:
+        group = build()
+        group.load_state(state)
+        groups.append(group)
+    targets = [build() for _ in range(new_shards)]
+    SlidingFacadeBase.repartition(groups, targets, router.assign_one)
+    return [target.state_dict()["system"] for target in targets]

@@ -64,7 +64,7 @@ class TestMakeSampler:
             (dict(variant="caching", num_sites=2, sample_size=2), CachingSamplerSystem),
             (dict(variant="sliding", num_sites=2, window=5), SlidingWindowSystem),
             (dict(variant="sliding", num_sites=2, window=5, sample_size=3), SlidingWindowBottomSFeedback),
-            (dict(variant="sliding-feedback", num_sites=2, window=5, sample_size=3), SlidingWindowBottomSFeedback),
+            (dict(variant="sliding", num_sites=2, window=5, sample_size=2), SlidingWindowBottomSFeedback),
             (dict(variant="sliding-local-push", num_sites=2, window=5, sample_size=3), SlidingWindowBottomS),
             (dict(variant="with-replacement", num_sites=2, sample_size=3), WithReplacementSampler),
             (dict(variant="with-replacement", num_sites=2, sample_size=3, window=5), SlidingWindowWithReplacement),

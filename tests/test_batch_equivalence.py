@@ -32,8 +32,8 @@ CONFIGS = {
     "sliding-s3": SamplerConfig(
         variant="sliding", num_sites=3, window=12, sample_size=3
     ),
-    "sliding-feedback": SamplerConfig(
-        variant="sliding-feedback", num_sites=3, window=12, sample_size=3
+    "sliding-s2": SamplerConfig(
+        variant="sliding", num_sites=3, window=12, sample_size=2
     ),
     "sliding-local-push": SamplerConfig(
         variant="sliding-local-push", num_sites=3, window=12, sample_size=3
@@ -58,8 +58,8 @@ CONFIGS = {
     "sharded-sliding-s1": SamplerConfig(
         variant="sharded:sliding", num_sites=3, window=12, shards=2
     ),
-    "sharded-sliding-feedback": SamplerConfig(
-        variant="sharded:sliding-feedback",
+    "sharded-sliding-s3": SamplerConfig(
+        variant="sharded:sliding",
         num_sites=3,
         window=12,
         sample_size=3,

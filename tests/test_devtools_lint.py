@@ -154,6 +154,22 @@ class TestRPR004SnapshotSymmetry:
             "SymmetricSampler" in v.message for v in report.violations
         )
 
+    def test_fires_on_node_hook_pairs(self):
+        # A facade base persists the shared layout; subclasses persist
+        # their own node fields through hook pairs checked the same way.
+        report = lint_fixture("rpr004_node_hooks.py", "RPR004")
+        assert codes(report) == ["RPR004"] * 2
+        assert [v.line for v in report.violations] == [11, 22]
+        messages = " ".join(v.message for v in report.violations)
+        assert "_site_state writes state key 'valid_until'" in messages
+        assert "_load_coordinator consumes state key 'mode'" in messages
+
+    def test_symmetric_node_hooks_are_clean(self):
+        report = lint_fixture("rpr004_node_hooks.py", "RPR004")
+        assert not any(
+            "SymmetricFacade" in v.message for v in report.violations
+        )
+
 
 class TestRPR005Determinism:
     def test_fires_on_each_nondeterminism_shape(self):

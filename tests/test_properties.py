@@ -58,9 +58,12 @@ from repro import (
 from repro.netsim import ChaosNetwork
 
 SHARDED_INFINITE = ("sharded:infinite", "sharded:broadcast", "sharded:caching")
+#: ``sliding`` builds its general-s lazy-feedback core only for s >= 2;
+#: a ``+s2`` label pins that branch wherever a property draws its own s
+#: (see :func:`resolve`).
 SHARDED_WINDOWED = (
     "sharded:sliding",
-    "sharded:sliding-feedback",
+    "sharded:sliding+s2",
     "sharded:sliding-local-push",
 )
 SHARDED_ALL = SHARDED_INFINITE + SHARDED_WINDOWED
@@ -74,14 +77,22 @@ INGEST_VARIANTS = (
     "caching",
     "with-replacement",
     "sliding",
-    "sliding-feedback",
+    "sliding+s2",
     "sliding-local-push",
     "sharded:infinite",
-    "sharded:sliding-feedback",
+    "sharded:sliding+s2",
 )
 WINDOWED_VARIANTS = frozenset(
-    ("sliding", "sliding-feedback", "sliding-local-push") + SHARDED_WINDOWED
+    ("sliding", "sliding-local-push") + SHARDED_WINDOWED
 )
+
+
+def resolve(label: str, s: int) -> tuple[str, int]:
+    """The registry name and sample size a variant label stands for:
+    ``<name>+s2`` runs ``<name>`` with s raised to at least 2."""
+    name, pinned, _ = label.partition("+s2")
+    return name, max(s, 2) if pinned else s
+
 
 _items = st.integers(0, 60)
 
@@ -163,6 +174,7 @@ class TestShardedMergeOracle:
         self, variant, shards, s, seed, stream
     ):
         k, window, events = stream
+        variant, s = resolve(variant, s)
         sampler = make_sampler(
             variant,
             num_sites=k,
@@ -185,8 +197,9 @@ class TestIngestEquivalence:
     @settings(max_examples=40)
     def test_columnar_equals_tuple_equals_single(self, data):
         variant = data.draw(st.sampled_from(INGEST_VARIANTS), label="variant")
-        windowed = variant in WINDOWED_VARIANTS
         s = data.draw(st.integers(1, 5), label="sample_size")
+        variant, s = resolve(variant, s)
+        windowed = variant in WINDOWED_VARIANTS
         seed = data.draw(st.integers(0, 3), label="seed")
         if windowed:
             k, window, events = data.draw(slotted_streams(), label="stream")
@@ -235,9 +248,10 @@ class TestExecutorEquivalence:
     def test_parallel_executor_is_bit_identical_to_serial(
         self, shared_shm, variant, data
     ):
-        windowed = variant in SHARDED_WINDOWED
         shards = data.draw(st.integers(1, 3), label="shards")
         s = data.draw(st.integers(1, 6), label="sample_size")
+        variant, s = resolve(variant, s)
+        windowed = variant in SHARDED_WINDOWED
         seed = data.draw(st.integers(0, 3), label="seed")
         if windowed:
             k, window, events = data.draw(slotted_streams(), label="stream")
@@ -309,7 +323,10 @@ class TestQueryCacheCoherence:
         backend = data.draw(
             st.sampled_from(("serial", "shm")), label="executor"
         )
-        variant = data.draw(st.sampled_from(SHARDED_ALL), label="variant")
+        variant, s = resolve(
+            data.draw(st.sampled_from(SHARDED_ALL), label="variant"),
+            data.draw(st.integers(1, 6), label="s"),
+        )
         windowed = variant in SHARDED_WINDOWED
         window = 6 if windowed else 0
 
@@ -317,7 +334,7 @@ class TestQueryCacheCoherence:
             sampler = make_sampler(
                 variant,
                 num_sites=3,
-                sample_size=data.draw(st.integers(1, 6), label="s"),
+                sample_size=s,
                 window=window,
                 shards=data.draw(st.integers(1, 3), label="shards"),
                 seed=data.draw(st.integers(0, 3), label="seed"),
@@ -472,7 +489,9 @@ class TestCrashReplayRecovery:
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
     def test_crash_replay_is_bit_identical_property(self, data):
-        variant = data.draw(st.sampled_from(SHARDED_ALL), label="variant")
+        variant, s = resolve(
+            data.draw(st.sampled_from(SHARDED_ALL), label="variant"), 3
+        )
         windowed = variant in SHARDED_WINDOWED
         shards = data.draw(st.integers(1, 3), label="shards")
         seed = data.draw(st.integers(0, 3), label="seed")
@@ -489,7 +508,7 @@ class TestCrashReplayRecovery:
             return make_sampler(
                 variant,
                 num_sites=k,
-                sample_size=3,
+                sample_size=s,
                 window=window,
                 shards=shards,
                 seed=seed,
@@ -523,7 +542,7 @@ class SnapshotContinuationMachine(RuleBasedStateMachine):
     VARIANTS = (
         "infinite",
         "caching",
-        "sliding-feedback",
+        "sliding+s2",
         "with-replacement",
         "sharded:infinite",
         "sharded:sliding",
@@ -535,6 +554,7 @@ class SnapshotContinuationMachine(RuleBasedStateMachine):
         seed=st.integers(0, 3),
     )
     def setup(self, variant, s, seed):
+        variant, s = resolve(variant, s)
         windowed = variant in WINDOWED_VARIANTS
         self.window = 6 if windowed else 0
         self.slot = 1 if windowed else 0

@@ -46,8 +46,8 @@ CONFIGS = {
     "sliding-s3": SamplerConfig(
         variant="sliding", num_sites=3, window=20, sample_size=3, seed=9
     ),
-    "sliding-feedback": SamplerConfig(
-        variant="sliding-feedback", num_sites=3, window=20, sample_size=3, seed=9
+    "sliding-s2": SamplerConfig(
+        variant="sliding", num_sites=3, window=20, sample_size=2, seed=9
     ),
     "sliding-local-push": SamplerConfig(
         variant="sliding-local-push", num_sites=3, window=20, sample_size=3, seed=9
@@ -72,8 +72,8 @@ CONFIGS = {
     "sharded-sliding-s1": SamplerConfig(
         variant="sharded:sliding", num_sites=3, window=20, shards=2, seed=9
     ),
-    "sharded-sliding-feedback": SamplerConfig(
-        variant="sharded:sliding-feedback",
+    "sharded-sliding-s3": SamplerConfig(
+        variant="sharded:sliding",
         num_sites=3,
         window=20,
         sample_size=3,

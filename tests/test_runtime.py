@@ -25,8 +25,8 @@ VARIANT_CONFIGS = {
     "broadcast": SamplerConfig(variant="broadcast", num_sites=3, sample_size=4),
     "caching": SamplerConfig(variant="caching", num_sites=3, sample_size=4),
     "sliding": SamplerConfig(variant="sliding", num_sites=3, window=10),
-    "sliding-feedback": SamplerConfig(
-        variant="sliding-feedback", num_sites=3, window=10, sample_size=2
+    "sliding-s2": SamplerConfig(
+        variant="sliding", num_sites=3, window=10, sample_size=2
     ),
     "sliding-local-push": SamplerConfig(
         variant="sliding-local-push", num_sites=3, window=10, sample_size=2
@@ -46,8 +46,8 @@ VARIANT_CONFIGS = {
     "sharded:sliding": SamplerConfig(
         variant="sharded:sliding", num_sites=3, window=10, shards=2
     ),
-    "sharded:sliding-feedback": SamplerConfig(
-        variant="sharded:sliding-feedback",
+    "sharded:sliding-s2": SamplerConfig(
+        variant="sharded:sliding",
         num_sites=3,
         window=10,
         sample_size=2,

@@ -32,6 +32,15 @@ from repro.errors import ConfigurationError
 SEED = 20150525
 
 
+def cell(name: str, s: int) -> tuple[str, int]:
+    """A parametrized cell's variant and sample size: ``<variant>+s<N>``
+    runs ``<variant>`` at s = N, anything else at the test's default s.
+    (``sharded:sliding`` runs s = 1 groups at s = 1 and its general-s
+    lazy-feedback groups above.)"""
+    variant, _, pinned = name.partition("+s")
+    return variant, int(pinned) if pinned else s
+
+
 def uniform_events(n: int, sites: int, universe: int, seed: int = SEED) -> list:
     rng = np.random.default_rng(seed)
     site_ids = rng.integers(0, sites, n).tolist()
@@ -96,7 +105,7 @@ class TestSlidingOracleMerge:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_feedback_bottom_s_tracks_window_oracle(self, shards):
         sampler = make_sampler(
-            "sharded:sliding-feedback",
+            "sharded:sliding",
             num_sites=3,
             window=15,
             sample_size=4,
@@ -130,7 +139,7 @@ class TestSlidingOracleMerge:
 
     def test_sliding_groups_match_restricted_window_oracles(self):
         sampler = make_sampler(
-            "sharded:sliding-feedback",
+            "sharded:sliding",
             num_sites=3,
             window=10,
             sample_size=3,
@@ -215,6 +224,35 @@ class TestShardedPersistence:
         # Still fully usable after the rejected restore.
         sampler.observe_batch(uniform_events(100, sites=3, universe=120))
 
+    @pytest.mark.parametrize("donor_shards", [2, 3])
+    @pytest.mark.parametrize("variant", ["sharded:sliding", "sharded:sliding+s4"])
+    def test_malformed_later_group_rolls_back_exactly(self, variant, donor_shards):
+        # A *later* snapshot whose group 1 is malformed.  At the same
+        # shard count group 0 loads first and moves its clock forward, so
+        # the rollback must rewind it; across counts the re-partition
+        # fails first.  Either way the original error surfaces and the
+        # sampler keeps its pre-call state.
+        name, s = cell(variant, 1)
+
+        def build(shards):
+            return make_sampler(
+                name, num_sites=3, window=12, sample_size=s, shards=shards,
+                seed=SEED,
+            )
+
+        sampler, donor = build(2), build(donor_shards)
+        schedule = list(slotted_schedule(60, 5, sites=3, universe=70))
+        for i, (slot, arrivals) in enumerate(schedule):
+            for system in (sampler, donor) if i < 30 else (donor,):
+                system.advance(slot)
+                system.observe_batch(arrivals)
+        before = copy.deepcopy(sampler.state_dict())
+        later = donor.state_dict()
+        del later["groups"][1]["system"]["sites"]
+        with pytest.raises(ConfigurationError, match="malformed"):
+            sampler.load_state(later)
+        assert sampler.state_dict() == before
+
 
 class TestElasticResharding:
     """``reshard(S→S')`` and cross-count ``load_state`` must be *exact*:
@@ -227,20 +265,18 @@ class TestElasticResharding:
     INFINITE = ["sharded:infinite", "sharded:broadcast", "sharded:caching"]
     WINDOWED = [
         "sharded:sliding",
-        "sharded:sliding-feedback",
+        "sharded:sliding+s4",
         "sharded:sliding-local-push",
     ]
 
     @classmethod
-    def _make(cls, variant, shards):
+    def _make(cls, name, shards):
+        windowed = name in cls.WINDOWED
+        variant, s = cell(name, 1 if windowed else 6)
         kwargs = {"num_sites": 3, "shards": shards, "seed": SEED}
-        if variant in cls.WINDOWED:
+        if windowed:
             kwargs["window"] = 12
-            if variant == "sharded:sliding-feedback":
-                kwargs["sample_size"] = 4
-        else:
-            kwargs["sample_size"] = 6
-        return make_sampler(variant, **kwargs)
+        return make_sampler(variant, sample_size=s, **kwargs)
 
     @pytest.mark.parametrize("new_shards", [8, 2])
     @pytest.mark.parametrize("variant", INFINITE + WINDOWED)
@@ -298,7 +334,7 @@ class TestElasticResharding:
     @pytest.mark.parametrize("variant", WINDOWED)
     def test_reshard_oracle_pinned_windowed(self, variant):
         sampler = self._make(variant, 4)
-        s = 4 if variant == "sharded:sliding-feedback" else 1
+        s = cell(variant, 1)[1]
         oracle = CentralizedWindowSampler(12, s, UnitHasher(SEED, "murmur2"))
         for slot, arrivals in slotted_schedule(100, 5, sites=3, universe=80):
             if slot == 50:
@@ -336,17 +372,18 @@ class TestElasticResharding:
         twin.observe_batch(events[1400:])
         assert target.sample() == twin.sample()
 
-    def test_windowed_snapshot_restores_into_other_shard_count(self):
-        donor = self._make("sharded:sliding-feedback", 3)
+    @pytest.mark.parametrize("variant", WINDOWED)
+    def test_windowed_snapshot_restores_into_other_shard_count(self, variant):
+        donor = self._make(variant, 3)
         schedule = list(slotted_schedule(60, 5, sites=3, universe=50))
         for slot, arrivals in schedule[:30]:
             donor.advance(slot)
             for site, item in arrivals:
                 donor.observe(site, item)
-        target = self._make("sharded:sliding-feedback", 2)
+        target = self._make(variant, 2)
         target.load_state(donor.state_dict())
         assert target.sample() == donor.sample()
-        twin = self._make("sharded:sliding-feedback", 2)
+        twin = self._make(variant, 2)
         for slot, arrivals in schedule[:30]:
             twin.advance(slot)
             for site, item in arrivals:
@@ -363,7 +400,7 @@ class TestElasticResharding:
 class TestShardedConfigSurface:
     def test_config_roundtrips_through_the_front_door(self):
         config = SamplerConfig(
-            variant="sharded:sliding-feedback",
+            variant="sharded:sliding",
             num_sites=4,
             window=9,
             sample_size=3,
@@ -485,7 +522,7 @@ class TestExecutionBackends:
             ("sharded:broadcast", 0),
             ("sharded:caching", 0),
             ("sharded:sliding", 10),
-            ("sharded:sliding-feedback", 10),
+            ("sharded:sliding+s1", 10),
             ("sharded:sliding-local-push", 10),
         ],
     )
@@ -496,10 +533,11 @@ class TestExecutionBackends:
         # Group g lives on worker g % W: with two groups, W=1 holds both
         # on one worker, W=2 gives each its own and W=3 leaves one idle.
         def build(executor):
+            name, s = cell(variant, 3)
             return make_sampler(
-                variant,
+                name,
                 num_sites=3,
-                sample_size=3,
+                sample_size=s,
                 window=window,
                 shards=2,
                 seed=SEED,
@@ -813,10 +851,11 @@ class TestQueryPathCache:
         self, variant="sharded:infinite", window=0, executor="serial", workers=2
     ):
         kwargs = {} if executor == "serial" else {"workers": workers}
+        variant, s = cell(variant, 8)
         return make_sampler(
             variant,
             num_sites=3,
-            sample_size=8,
+            sample_size=s,
             window=window,
             shards=3,
             seed=SEED,
@@ -923,7 +962,7 @@ class TestQueryPathCache:
             ("sharded:broadcast", 0),
             ("sharded:caching", 0),
             ("sharded:sliding", 10),
-            ("sharded:sliding-feedback", 10),
+            ("sharded:sliding+s1", 10),
             ("sharded:sliding-local-push", 10),
         ],
     )

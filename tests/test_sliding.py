@@ -7,10 +7,13 @@ live-element property plus high agreement.
 
 from __future__ import annotations
 
+import copy
+import json
+
 import numpy as np
 import pytest
 
-from repro import CentralizedWindowSampler, SlidingWindowSystem
+from repro import CentralizedWindowSampler, SlidingWindowSystem, make_sampler
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hashing import UnitHasher
 from repro.netsim import COORDINATOR, Message, MessageKind
@@ -254,3 +257,109 @@ class TestErrors:
         bad = Message(0, COORDINATOR, MessageKind.REPORT, None)
         with pytest.raises(ProtocolError):
             system.coordinator.handle_message(bad, system.network)
+
+
+#: One config per sliding core whose state layout the facade base writes:
+#: s = 1 (both coordinator modes), the general-s feedback core behind
+#: ``sliding`` at s > 1, and the local-push ablation.
+SLIDING_CORES = {
+    "s1-exact": dict(variant="sliding"),
+    "s1-paper": dict(variant="sliding", coordinator_mode="paper"),
+    "s3": dict(variant="sliding", sample_size=3),
+    "local-push-s3": dict(variant="sliding-local-push", sample_size=3),
+}
+
+
+def driven_core(name, slots=40):
+    sampler = make_sampler(num_sites=3, window=8, seed=5, **SLIDING_CORES[name])
+    rng = np.random.default_rng(3)
+    for slot, arrivals in random_schedule(rng, 3, 30, slots, max_per_slot=6):
+        sampler.advance(slot)
+        sampler.observe_batch(arrivals)
+    return sampler
+
+
+class TestCheckpointRewind:
+    @pytest.mark.parametrize("core", ["s1-exact", "s1-paper", "s3"])
+    def test_earlier_checkpoint_restores_into_a_live_sampler(self, core):
+        sampler = driven_core(core, slots=30)
+        checkpoint = json.loads(json.dumps(sampler.state_dict()))
+        sample, stats = sampler.sample(), sampler.stats()
+        threshold = sample.threshold
+        rng = np.random.default_rng(11)
+        for slot, arrivals in random_schedule(rng, 3, 30, 20, max_per_slot=6):
+            sampler.advance(30 + slot)
+            sampler.observe_batch(arrivals)
+        assert sampler.current_slot == 50
+        sampler.load_state(checkpoint)
+        assert sampler.sample() == sample
+        assert sampler.sample().threshold == threshold
+        assert sampler.stats() == stats
+        assert sampler.state_dict() == checkpoint
+        # Time runs forward again from the checkpoint's slot.
+        sampler.advance(31)
+        assert sampler.current_slot == 31
+
+
+class TestTypedRestoreErrors:
+    """Malformed sliding state raises ConfigurationError, never a bare
+    KeyError/TypeError from deep inside the restore."""
+
+    @pytest.mark.parametrize("part", ["system", "coordinator", "site"])
+    @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
+    def test_every_dropped_key_is_a_configuration_error(self, core, part):
+        state = driven_core(core).state_dict()
+        keys = {
+            "system": state["system"],
+            "coordinator": state["system"]["coordinator"],
+            "site": state["system"]["sites"][1],
+        }[part]
+        assert keys
+        for key in list(keys):
+            broken = copy.deepcopy(state)
+            {
+                "system": broken["system"],
+                "coordinator": broken["system"]["coordinator"],
+                "site": broken["system"]["sites"][1],
+            }[part].pop(key)
+            fresh = make_sampler(num_sites=3, window=8, seed=5, **SLIDING_CORES[core])
+            with pytest.raises(ConfigurationError, match="malformed"):
+                fresh.load_state(broken)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda system: system.update(sites=system["sites"][:-1]),
+            lambda system: system.update(sites=system["sites"] * 2),
+            lambda system: system.update(sites=None),
+            lambda system: system.update(coordinator=[]),
+            lambda system: system["coordinator"].update(entries=7),
+            lambda system: system["sites"][0].update(entries=[[1, 2]]),
+            lambda system: system["sites"][0].update(entries=[["a", "b", "c"]]),
+        ],
+        ids=[
+            "short-site-list",
+            "long-site-list",
+            "sites-none",
+            "coordinator-list",
+            "coordinator-entries-int",
+            "short-row",
+            "non-numeric-row",
+        ],
+    )
+    @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
+    def test_wrong_shapes_are_configuration_errors(self, core, corrupt):
+        state = driven_core(core).state_dict()
+        corrupt(state["system"])
+        fresh = make_sampler(num_sites=3, window=8, seed=5, **SLIDING_CORES[core])
+        with pytest.raises(ConfigurationError, match="malformed"):
+            fresh.load_state(state)
+
+    def test_wrong_clock_type_is_a_configuration_error(self):
+        sampler = driven_core("s3")
+        state = sampler.state_dict()
+        state["system"]["clock"] = "soon"
+        with pytest.raises(ConfigurationError, match="malformed"):
+            make_sampler(
+                num_sites=3, window=8, seed=5, **SLIDING_CORES["s3"]
+            ).load_state(state)

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro import CentralizedWindowSampler
+from repro import (
+    CentralizedWindowSampler,
+    SamplerConfig,
+    make_sampler,
+    restore,
+    snapshot,
+)
 from repro.core.sliding_feedback import SlidingWindowBottomSFeedback
 from repro.core.sliding_general import SlidingWindowBottomS
 from repro.errors import ConfigurationError, ProtocolError
@@ -23,7 +31,7 @@ def random_schedule(rng, num_sites, universe, slots, max_per_slot=5):
 
 
 class TestExactness:
-    @pytest.mark.parametrize("sample_size", [1, 2, 4, 8])
+    @pytest.mark.parametrize("sample_size", [2, 4, 8])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_equals_oracle_every_slot(self, sample_size, seed):
         hasher = UnitHasher(seed * 31 + sample_size)
@@ -135,9 +143,17 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             SlidingWindowBottomSFeedback(num_sites=2, window=5, sample_size=0)
 
+    def test_s1_points_at_the_sliding_variant(self):
+        # s = 1 is the paper's own system; the general-s core refuses it.
+        with pytest.raises(ConfigurationError, match="'sliding'"):
+            SlidingWindowBottomSFeedback(num_sites=2, window=5, sample_size=1)
+        system = SlidingWindowBottomSFeedback(num_sites=2, window=5, sample_size=2)
+        assert system.config.variant == "sliding"
+        assert type(make_sampler(system.config)) is SlidingWindowBottomSFeedback
+
     def test_foreign_messages_rejected(self):
         system = SlidingWindowBottomSFeedback(
-            num_sites=1, window=5, sample_size=1, seed=6
+            num_sites=1, window=5, sample_size=2, seed=6
         )
         with pytest.raises(ProtocolError):
             system.sites[0].handle_message(
@@ -153,7 +169,6 @@ class TestErrors:
 
 class TestFactoryIntegration:
     def test_registry_dispatch(self):
-        from repro import make_sampler
         from repro.core.sliding import SlidingWindowSystem
 
         assert isinstance(
@@ -169,3 +184,52 @@ class TestFactoryIntegration:
             ),
             SlidingWindowBottomS,
         )
+
+
+class TestRetiredVariantName:
+    """``sliding-feedback`` built the same class as ``sliding`` at s >= 2
+    and is no longer registered; its snapshots still restore there."""
+
+    def test_name_is_gone_from_the_registry(self):
+        with pytest.raises(ConfigurationError, match="unknown sampler variant"):
+            make_sampler("sliding-feedback", num_sites=2, window=5, sample_size=3)
+
+    @pytest.mark.parametrize(
+        "retired,survivor,shards",
+        [
+            ("sliding-feedback", "sliding", 1),
+            ("sharded:sliding-feedback", "sharded:sliding", 2),
+        ],
+    )
+    def test_s2_plus_snapshots_restore_onto_sliding(
+        self, retired, survivor, shards
+    ):
+        source = make_sampler(
+            survivor, num_sites=3, window=9, sample_size=3, shards=shards, seed=4
+        )
+        schedule = list(random_schedule(np.random.default_rng(2), 3, 40, 60))
+        for slot, arrivals in schedule[:30]:
+            source.advance(slot)
+            source.observe_batch(arrivals)
+        blob = json.loads(json.dumps(snapshot(source)))
+        blob["config"]["variant"] = retired
+        revived = restore(blob)
+        assert revived.config.variant == survivor
+        assert revived.sample() == source.sample()
+        assert revived.stats() == source.stats()
+        for slot, arrivals in schedule[30:]:
+            for system in (source, revived):
+                system.advance(slot)
+                system.observe_batch(arrivals)
+        assert revived.state_dict() == source.state_dict()
+
+    @pytest.mark.parametrize(
+        "retired", ["sliding-feedback", "sharded:sliding-feedback"]
+    )
+    def test_s1_snapshots_are_a_typed_error(self, retired):
+        config = SamplerConfig(
+            variant=retired, num_sites=2, window=5, sample_size=1
+        )
+        blob = {"version": 2, "config": config.to_dict(), "state": {}}
+        with pytest.raises(ConfigurationError, match="sample_size=1"):
+            restore(blob)

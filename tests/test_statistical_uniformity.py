@@ -177,7 +177,7 @@ class TestSlidingWindowUniformity:
         assert chi2 < dof + 3.3 * (2 * dof) ** 0.5 + 10, f"chi2={chi2:.1f}, dof={dof}"
 
     @pytest.mark.parametrize(
-        "variant", ["sliding-feedback", "sliding-local-push"]
+        "variant", ["sliding", "sliding-local-push"]
     )
     def test_general_s_inclusion_uniform_over_live_window(self, variant):
         # The bottom-s window sample must include every live distinct
