@@ -125,14 +125,23 @@ def _rows(candidates) -> Optional[list[list[Any]]]:
 
 def _rebuilt(candidates, rows: Optional[list[list[Any]]]):
     """An empty twin of the ``candidates`` set holding snapshot ``rows``
-    (the inverse of :func:`_rows`)."""
+    (the inverse of :func:`_rows`).
+
+    Raises:
+        ValueError: For a row whose hash is not a float in ``[0, 1)``
+            (NaN and infinities included), or rows for a node without a
+            candidate set.
+    """
     if candidates is None:
         if rows is not None:
             raise ValueError("entries given for a node without a candidate set")
         return None
     fresh = type(candidates)(candidates.s)
     for element, expiry, h in rows:
-        fresh.observe(revive_element(element), int(expiry), float(h))
+        h = float(h)
+        if not 0.0 <= h < 1.0:
+            raise ValueError(f"entry hash {h!r} is not in [0, 1)")
+        fresh.observe(revive_element(element), int(expiry), h)
     return fresh
 
 
@@ -145,6 +154,11 @@ class SlidingFacadeBase(Sampler):
     their protocol nodes.  Validation, the slot clock, delivery with its
     batch and columnar fast paths, the bottom-``s`` query, the snapshot
     layout and the resharding hook are identical and live here.
+
+    Candidate sets prune lazily (:mod:`repro.structures.dominance`).  The
+    batch and columnar paths settle every site and coordinator set once
+    at the end of each delivered same-slot run, so the deferred sweeps are
+    paid inside ingest and a checkpoint reads clean sets.
 
     Subclasses implement :meth:`_make_coordinator` and :meth:`_make_site`
     and persist their own node fields through :meth:`_site_state` /
@@ -276,6 +290,7 @@ class SlidingFacadeBase(Sampler):
         sites = self.sites
         for site_id, item, h in zip(site_ids, items, hashes):
             sites[site_id].observe_hashed(item, h, now, network)
+        self._settle()
 
     def _deliver_batch(self, batch: list) -> None:
         """Deliver one same-slot run with precomputed hashes."""
@@ -289,6 +304,15 @@ class SlidingFacadeBase(Sampler):
         sites = self.sites
         for (site_id, item), h in zip(batch, hashes):
             sites[site_id].observe_hashed(item, h, now, network)
+        self._settle()
+
+    def _settle(self) -> None:
+        """Run every candidate set's pending dominance sweep (one per set)."""
+        candidates = self.coordinator.candidates
+        if candidates is not None:
+            candidates.settle()
+        for site in self.sites:
+            site.candidates.settle()
 
     def sample(self) -> SampleResult:
         """The current window's bottom-s distinct sample."""

@@ -15,18 +15,41 @@ hash; the survivors always contain the ``s`` smallest-hash live elements.
 Two interchangeable implementations (differentially tested):
 
 * :class:`SortedDominanceSet` — a list sorted by ``(expiry, hash)`` plus an
-  element index; pruning is an O(n log s) right-to-left sweep.  Supports any
+  element index, pruned *lazily*: an insert only places the entry, and one
+  O(n log s) right-to-left sweep restores the invariant in a batch, in the
+  amortized manner of the Datar et al. exponential histogram.  The sweep
+  runs when the set is read (``len``, ``in``, ``entries()``,
+  ``check_invariants()``, ``bottom(count > s)``), when :meth:`settle` is
+  called (the sliding facades do so once per delivered same-slot run), and
+  when an insert takes the raw list past ``2 * n + s`` entries, ``n`` being
+  its size after the last sweep; so the list never outgrows its settled
+  size by more than that constant factor.  Batching is exact: an entry
+  dominated by anything is dominated by survivors (whatever dominates its
+  dominators dominates it too), an expiry never removes a live entry's
+  dominator (dominators expire later), and a refresh keeps the element's
+  hash, so the refreshed entry dominates all the old one did (a refresh
+  that changes the hash settles first).  So one sweep after a batch of
+  inserts leaves what a sweep after every insert leaves.  Supports any
   ``s >= 1``.
 * :class:`TreapDominanceSet` — the paper's treap (s = 1 only): key
   ``(expiry, hash)``, priority ``hash``; min-hash is the root, expiry is an
   O(log n) split, and dominance pruning exploits the *staircase invariant*
   (surviving hashes increase with expiry), removing only a contiguous run
-  of predecessors.
+  of predecessors.  It prunes eagerly, so its :meth:`settle` is a no-op.
+
+:class:`SortedDominanceSet` also keeps its bottom-s (by hash, then expiry)
+incrementally: an insert bisects into it, and only the expiry of a member
+or a refresh that may lose its rank forces a recount on the next read.
+``bottom(count <= s)`` and ``min_entry()`` read it without sweeping, which
+is exact because a dominated entry has ``s`` live entries of smaller hash,
+so it never ranks among the ``s`` smallest, and expiry and pruning commute.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 from typing import Any, Optional, Protocol
 
 from .treap import Treap
@@ -38,6 +61,13 @@ __all__ = [
     "TreapDominanceSet",
     "brute_force_survivors",
 ]
+
+_INF = math.inf
+#: Sort keys: the raw list's order, the bottom-s order, expiry and hash.
+_ORDER = attrgetter("expiry", "hash")
+_RANK = attrgetter("hash", "expiry")
+_EXPIRY = attrgetter("expiry")
+_HASH = attrgetter("hash")
 
 
 class DominanceEntry:
@@ -65,7 +95,14 @@ class DominanceSet(Protocol):
     """Protocol implemented by both dominance-set variants."""
 
     def observe(self, element: Any, expiry: int, hash_value: float) -> None:
-        """Insert ``element`` or refresh its expiry to ``expiry``, then prune."""
+        """Insert ``element`` or refresh its expiry to ``expiry``.
+
+        The entries it dominates, or the entry itself if dominated, leave
+        the set before its next read (see :meth:`settle`)."""
+        ...
+
+    def settle(self) -> None:
+        """Run any pending dominance sweep now rather than on a later read."""
         ...
 
     def expire(self, now: int) -> None:
@@ -115,7 +152,12 @@ def brute_force_survivors(
 
 
 class SortedDominanceSet:
-    """s-dominance set backed by a sorted list.
+    """s-dominance set backed by a sorted list, pruned lazily.
+
+    :meth:`observe` only places the entry; the sweep runs on :meth:`settle`,
+    on a read, or past the growth bound (see the module docstring).
+    :meth:`bottom` up to ``s`` and :meth:`min_entry` never sweep: they read
+    the cached bottom-s.
 
     Args:
         s: Dominance order (sample size the survivors must be able to
@@ -125,14 +167,19 @@ class SortedDominanceSet:
         ValueError: If ``s < 1``.
     """
 
-    __slots__ = ("_s", "_entries", "_index")
+    __slots__ = ("_s", "_entries", "_index", "_bottom", "_dirty", "_limit")
 
     def __init__(self, s: int = 1) -> None:
         if s < 1:
             raise ValueError(f"dominance order s must be >= 1, got {s}")
         self._s = s
-        self._entries: list[DominanceEntry] = []  # sorted by (expiry, hash)
+        # Sorted by (expiry, hash); may hold dominated entries until a sweep.
+        self._entries: list[DominanceEntry] = []
         self._index: dict[Any, DominanceEntry] = {}
+        # The raw list's bottom-s by (hash, expiry), or None to recount.
+        self._bottom: Optional[list[DominanceEntry]] = []
+        self._dirty = False  # inserts since the last sweep
+        self._limit = s  # raw size that forces a sweep
 
     @property
     def s(self) -> int:
@@ -140,105 +187,179 @@ class SortedDominanceSet:
         return self._s
 
     def __len__(self) -> int:
+        self.settle()
         return len(self._entries)
 
     def __contains__(self, element: Any) -> bool:
+        self.settle()
         return element in self._index
 
     def entries(self) -> list[DominanceEntry]:
+        self.settle()
         return list(self._entries)
 
     def observe(self, element: Any, expiry: int, hash_value: float) -> None:
-        old = self._index.get(element)
+        index = self._index
+        old = index.get(element)
         if old is not None:
             if expiry <= old.expiry:
                 return  # refresh can only extend life
-            self._entries.remove(old)
+            if hash_value != old.hash:
+                # A re-hashed entry need not dominate what the old one did,
+                # which could revive entries a sweep would have dropped.
+                self.settle()
+                old = index.get(element)
+            if old is not None:
+                self._unlink(old, hash_value)
         entry = DominanceEntry(element, expiry, hash_value)
-        self._index[element] = entry
-        self._insert_sorted(entry)
-        self._prune()
-
-    def _insert_sorted(self, entry: DominanceEntry) -> None:
+        index[element] = entry
+        entries = self._entries
         # Most arrivals carry the largest expiry so far; test the tail first
         # to keep the common case O(1) before falling back to binary search.
-        entries = self._entries
-        key = (entry.expiry, entry.hash)
-        if not entries or (entries[-1].expiry, entries[-1].hash) <= key:
+        if entries and (
+            expiry < entries[-1].expiry
+            or (expiry == entries[-1].expiry and hash_value < entries[-1].hash)
+        ):
+            entries.insert(
+                bisect_left(entries, (expiry, hash_value), key=_ORDER), entry
+            )
+        else:
             entries.append(entry)
-            return
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (entries[mid].expiry, entries[mid].hash) < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        entries.insert(lo, entry)
+        best = self._bottom
+        if best is not None and (
+            len(best) < self._s or hash_value <= best[-1].hash
+        ):
+            self._offer(entry)
+        self._dirty = True
+        if len(entries) > self._limit:
+            self._sweep()
 
-    def _prune(self) -> None:
+    def _unlink(self, old: DominanceEntry, hash_value: float) -> None:
+        """Remove ``old`` ahead of its refresh to a later expiry with hash
+        ``hash_value``, keeping the cached bottom-s exact."""
+        entries = self._entries
+        size = len(entries)
+        i = bisect_left(entries, (old.expiry, old.hash), key=_ORDER)
+        while entries[i] is not old:
+            i += 1
+        del entries[i]
+        best = self._bottom
+        if best is None or old.hash > best[-1].hash or old not in best:
+            return
+        # Every uncached entry hashes at least best[-1].hash, so a refresh
+        # hashing below it stays in the bottom-s; otherwise the uncached
+        # runner-up may overtake it, so recount on the next read.
+        if size <= self._s or (old is not best[-1] and hash_value < best[-1].hash):
+            best.remove(old)
+        else:
+            self._bottom = None
+
+    def _offer(self, entry: DominanceEntry) -> None:
+        """Insert a new raw entry into the cached bottom-s if it belongs."""
+        best = self._bottom
+        key = (entry.hash, entry.expiry)
+        i = bisect_left(best, key, key=_RANK)
+        if i < len(best) and _RANK(best[i]) == key:
+            # An exact tie ranks by list position; leave it to a recount.
+            self._bottom = None
+        elif len(best) < self._s:
+            best.insert(i, entry)
+        elif i < len(best):
+            best.insert(i, entry)
+            best.pop()
+
+    def _recount(self) -> list[DominanceEntry]:
+        """Rebuild the cached bottom-s from the raw list."""
+        best = self._bottom = sorted(self._entries, key=_HASH)[: self._s]
+        return best
+
+    def settle(self) -> None:
+        """Drop every s-dominated entry if any insert awaits the sweep."""
+        if self._dirty:
+            self._sweep()
+
+    def _sweep(self) -> None:
         """Right-to-left sweep dropping s-dominated entries.
 
-        Maintains a max-heap of the ``s`` smallest hashes among entries with
-        *strictly later* expiry; entries in the same expiry slot are judged
-        as a group before joining the heap (equal expiry never dominates).
+        Keeps the ``s`` smallest hashes among entries with *strictly later*
+        expiry in an ascending list; entries in the same expiry slot are
+        judged as a group before joining it (equal expiry never dominates).
         """
         entries = self._entries
-        if len(entries) <= self._s:
-            return
         s = self._s
-        worst: list[float] = []  # negated hashes: max-heap of s smallest
-        kept_rev: list[DominanceEntry] = []
-        removed = False
-        i = len(entries) - 1
-        while i >= 0:
-            # Identify the group of equal expiry ending at i.
-            j = i
-            expiry = entries[i].expiry
-            while j >= 0 and entries[j].expiry == expiry:
-                j -= 1
-            group = entries[j + 1 : i + 1]
-            threshold = -worst[0] if len(worst) == s else None
-            for entry in reversed(group):
-                if threshold is not None and entry.hash > threshold:
-                    del self._index[entry.element]
-                    removed = True
+        if len(entries) > s:
+            index = self._index
+            smallest: list[float] = []
+            cut = _INF  # the s-th smallest hash so far, once there are s
+            kept: list[DominanceEntry] = []
+            group: list[float] = []
+            expiry = None
+            for entry in reversed(entries):
+                if entry.expiry != expiry:
+                    if group:
+                        for h in group:
+                            insort(smallest, h)
+                        del smallest[s:]
+                        if len(smallest) == s:
+                            cut = smallest[-1]
+                        group = []
+                    expiry = entry.expiry
+                h = entry.hash
+                if h > cut:
+                    del index[entry.element]
                 else:
-                    kept_rev.append(entry)
-            # Survivors of this group now count as "later" for earlier slots.
-            for entry in group:
-                if self._index.get(entry.element) is entry:
-                    if len(worst) < s:
-                        heapq.heappush(worst, -entry.hash)
-                    elif entry.hash < -worst[0]:
-                        heapq.heapreplace(worst, -entry.hash)
-            i = j
-        if removed:
-            kept_rev.reverse()
-            self._entries = kept_rev
+                    kept.append(entry)
+                    if h < cut:
+                        group.append(h)
+            if len(kept) < len(entries):
+                kept.reverse()
+                self._entries = entries = kept
+        self._dirty = False
+        self._limit = 2 * len(entries) + s
 
     def expire(self, now: int) -> None:
         entries = self._entries
-        cut = 0
-        while cut < len(entries) and entries[cut].expiry <= now:
-            del self._index[entries[cut].element]
-            cut += 1
-        if cut:
-            del entries[:cut]
+        if not entries or entries[0].expiry > now:
+            return
+        cut = bisect_right(entries, now, key=_EXPIRY)
+        index = self._index
+        for entry in entries[:cut]:
+            del index[entry.element]
+        best = self._bottom
+        if best is not None:
+            if len(entries) <= self._s:  # the cache holds every entry
+                self._bottom = [entry for entry in best if entry.expiry > now]
+            elif any(entry.expiry <= now for entry in best):
+                self._bottom = None
+        del entries[:cut]
 
     def min_entry(self) -> Optional[DominanceEntry]:
-        if not self._entries:
-            return None
-        return min(self._entries, key=lambda e: e.hash)
+        best = self._bottom
+        if best is None:
+            best = self._recount()
+        return best[0] if best else None
 
     def bottom(self, count: int) -> list[DominanceEntry]:
-        return sorted(self._entries, key=lambda e: e.hash)[:count]
+        if count > self._s:
+            self.settle()
+            return sorted(self._entries, key=_HASH)[:count]
+        best = self._bottom
+        if best is None:
+            best = self._recount()
+        return best[:count]
 
     def check_invariants(self) -> None:
-        """Assert sortedness, index consistency, and s-dominance minimality."""
+        """Assert sortedness, index consistency, the growth bound, the
+        cached bottom-s, and (after settling) s-dominance minimality."""
         assert len(self._entries) == len(self._index)
+        assert len(self._entries) <= self._limit, "growth bound broken"
         for a, b in zip(self._entries, self._entries[1:]):
             assert (a.expiry, a.hash) <= (b.expiry, b.hash), "sort order broken"
+        if self._bottom is not None:
+            want = sorted(self._entries, key=_HASH)[: self._s]
+            assert self._bottom == want, "cached bottom-s is stale"
+        self.settle()
+        assert len(self._entries) == len(self._index)
         raw = [(e.element, e.expiry, e.hash) for e in self._entries]
         expected = brute_force_survivors(raw, self._s)
         assert raw == expected, "set contains a dominated entry"
@@ -271,6 +392,9 @@ class TreapDominanceSet:
 
     def __len__(self) -> int:
         return len(self._treap)
+
+    def settle(self) -> None:
+        """No-op: every :meth:`observe` prunes at once."""
 
     def __contains__(self, element: Any) -> bool:
         return element in self._index

@@ -219,3 +219,77 @@ class TestExpectedSize:
         mean_size = sum(sizes) / len(sizes)
         # H_500 ≈ 6.79; allow generous slack.
         assert 3.0 <= mean_size <= 12.0, mean_size
+
+
+class TestLazyPruning:
+    """SortedDominanceSet defers its sweep; reads must not be able to tell."""
+
+    def test_raw_list_stays_within_growth_bound(self):
+        # 10,000 unread observes: the raw list never exceeds twice the
+        # survivor count of its last sweep plus s, however long the run.
+        s = 16
+        lazy = SortedDominanceSet(s)
+        settled = SortedDominanceSet(s)  # read after every observe
+        rng = np.random.default_rng(11)
+        peak_survivors = peak_raw = 0
+        for i in range(10_000):
+            h = float(rng.random())
+            lazy.observe(i, 1_000 + i // 8, h)
+            settled.observe(i, 1_000 + i // 8, h)
+            peak_survivors = max(peak_survivors, len(settled))
+            raw = len(lazy._entries)  # len(lazy) would sweep
+            peak_raw = max(peak_raw, raw)
+            assert raw <= 2 * peak_survivors + s
+        assert peak_raw < 10 * peak_survivors < 10_000
+        assert _raw(lazy) == _raw(settled)
+
+    def test_rehashed_refresh_revives_nothing(self):
+        # b's old entry dominates a, its re-hashed refresh would not: an
+        # eager set dropped a at once, so the lazy one must not revive it.
+        ds = SortedDominanceSet(1)
+        ds.observe("x", 30, 0.99)
+        assert len(ds) == 1  # settled: room for two unswept inserts
+        ds.observe("a", 5, 0.9)
+        ds.observe("b", 10, 0.1)
+        assert ds._dirty  # a's sweep is still pending
+        ds.observe("b", 20, 0.95)
+        assert _raw(ds) == [("b", 20, 0.95), ("x", 30, 0.99)]
+
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 12), st.integers(1, 12)),
+            max_size=80,
+        ),
+        s=st.sampled_from([1, 2, 3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reads_match_eager_pruning_with_tied_hashes(self, ops, s):
+        # Coarse hashes make exact (hash, expiry) ties common; the lazy set
+        # must still answer exactly as one swept after every observe.
+        def h(element):
+            return (element % 4) / 4
+
+        def rows(entries):
+            return [(e.element, e.expiry, e.hash) for e in entries]
+
+        lazy, eager = SortedDominanceSet(s), SortedDominanceSet(s)
+        now = 0
+        for is_observe, a, b in ops:
+            if is_observe:
+                lazy.observe(a, now + b, h(a))
+                eager.observe(a, now + b, h(a))
+                eager.settle()
+            else:
+                now += b
+                lazy.expire(now)
+                eager.expire(now)
+            # Reads of at most s entries leave the sweep pending.
+            by_hash = sorted(eager.entries(), key=lambda e: e.hash)
+            for count in range(s + 1):
+                assert rows(lazy.bottom(count)) == rows(by_hash[:count])
+            top = lazy.min_entry()
+            assert rows([top] if top else []) == rows(by_hash[:1])
+        by_hash = sorted(eager.entries(), key=lambda e: e.hash)
+        assert rows(lazy.bottom(s + 1)) == rows(by_hash[: s + 1])
+        assert rows(lazy.entries()) == rows(eager.entries())
+        lazy.check_invariants()

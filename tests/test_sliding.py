@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -270,6 +271,25 @@ SLIDING_CORES = {
 }
 
 
+#: Row hashes outside [0, 1) that a restore must refuse, by test id.
+BAD_HASHES = {
+    "nan": math.nan,
+    "inf": math.inf,
+    "neg-inf": -math.inf,
+    "7.5": 7.5,
+    "neg-0.1": -0.1,
+}
+
+
+def with_row_hash(node, value):
+    """Give ``node``'s first candidate row the hash ``value`` (adding a row
+    for element 8 to a node that holds none)."""
+    if node["entries"]:
+        node["entries"][0][2] = value
+    else:
+        node["entries"] = [[8, 100, value]]
+
+
 def driven_core(name, slots=40):
     sampler = make_sampler(num_sites=3, window=8, seed=5, **SLIDING_CORES[name])
     rng = np.random.default_rng(3)
@@ -336,6 +356,14 @@ class TestTypedRestoreErrors:
             lambda system: system["coordinator"].update(entries=7),
             lambda system: system["sites"][0].update(entries=[[1, 2]]),
             lambda system: system["sites"][0].update(entries=[["a", "b", "c"]]),
+            *[
+                lambda system, h=h: with_row_hash(system["sites"][0], h)
+                for h in BAD_HASHES.values()
+            ],
+            *[
+                lambda system, h=h: with_row_hash(system["coordinator"], h)
+                for h in BAD_HASHES.values()
+            ],
         ],
         ids=[
             "short-site-list",
@@ -345,6 +373,8 @@ class TestTypedRestoreErrors:
             "coordinator-entries-int",
             "short-row",
             "non-numeric-row",
+            *[f"site-hash-{name}" for name in BAD_HASHES],
+            *[f"coordinator-hash-{name}" for name in BAD_HASHES],
         ],
     )
     @pytest.mark.parametrize("core", sorted(SLIDING_CORES))

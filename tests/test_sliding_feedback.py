@@ -3,22 +3,27 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import (
     CentralizedWindowSampler,
+    Engine,
+    EventBatch,
     SamplerConfig,
     make_sampler,
     restore,
     snapshot,
 )
+from repro.core.sliding import SlidingFacadeBase
 from repro.core.sliding_feedback import SlidingWindowBottomSFeedback
 from repro.core.sliding_general import SlidingWindowBottomS
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hashing import UnitHasher
 from repro.netsim import COORDINATOR, Message, MessageKind
+from repro.structures.dominance import SortedDominanceSet
 
 
 def random_schedule(rng, num_sites, universe, slots, max_per_slot=5):
@@ -233,3 +238,72 @@ class TestRetiredVariantName:
         blob = {"version": 2, "config": config.to_dict(), "state": {}}
         with pytest.raises(ConfigurationError, match="sample_size=1"):
             restore(blob)
+
+
+#: Sites, shards, sample size and window of the churn stream below.
+CHURN = dict(num_sites=8, shards=4, sample_size=16, window=32)
+
+
+def churn_slots(slots, per_slot=512, seed=3):
+    """Slots of Zipf(1.2) keys over 200,000 ids: heavy keys refresh every
+    slot while the tail keeps arriving fresh, as sliding traffic does."""
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(np.arange(1, 200_001, dtype=np.float64) ** -1.2)
+    cdf /= cdf[-1]
+    for slot in range(slots):
+        yield slot, np.searchsorted(cdf, rng.random(per_slot), side="right")
+
+
+def churn_sampler():
+    sampler = make_sampler(
+        "sharded:sliding", seed=2015, algorithm="mix64", **CHURN
+    )
+    return sampler, Engine(sampler, policy="hash", seed=2015)
+
+
+def candidate_sets(sampler):
+    return [
+        node.candidates
+        for group in sampler.groups
+        for node in (*group.sites, group.coordinator)
+    ]
+
+
+class TestDeferredPruning:
+    """Candidate sets prune lazily; delivery settles them once per run."""
+
+    def test_delivery_leaves_no_pending_inserts(self):
+        sampler, engine = churn_sampler()
+        for slot, keys in churn_slots(48):
+            engine.observe_batch(EventBatch(keys), slot=slot)
+            # No set leaves the run with inserts awaiting their sweep.
+            assert not [ds for ds in candidate_sets(sampler) if ds._dirty]
+
+    def test_sweeps_and_recounts_stay_batched(self, monkeypatch):
+        # A deterministic work count, not a timing: pruning after every
+        # insert, or recounting the bottom-s on every reply, fails it on
+        # any machine.
+        calls = Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(SortedDominanceSet, "_sweep")
+        counted(SortedDominanceSet, "_recount")
+        counted(SlidingFacadeBase, "_deliver_columns")
+        sampler, engine = churn_sampler()
+        for slot, keys in churn_slots(64):
+            engine.observe_batch(EventBatch(keys), slot=slot)
+            sampler.sample()
+        replies = sampler.message_stats().by_kind[MessageKind.SW_SAMPLE]
+        sets_per_group = CHURN["num_sites"] + 1
+        # Both counted paths are the ones in use.
+        assert calls["_sweep"] > 0 and calls["_recount"] > 0
+        assert calls["_sweep"] <= 2 * sets_per_group * calls["_deliver_columns"]
+        assert calls["_recount"] <= replies / 10

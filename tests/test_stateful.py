@@ -62,17 +62,33 @@ class BottomKMachine(RuleBasedStateMachine):
 
 
 class DominanceMachine(RuleBasedStateMachine):
-    """SortedDominanceSet vs brute force under observes and expiries."""
+    """SortedDominanceSet vs brute force under observes and expiries.
+
+    Every read is a rule of its own, checked against the brute-force model
+    at that moment: the set prunes lazily, so reads must also land while
+    inserts await their sweep and the cached bottom-s is stale.
+    """
+
+    s = 2
 
     def __init__(self):
         super().__init__()
-        self.ds = SortedDominanceSet(2)
+        self.ds = SortedDominanceSet(self.s)
         self.live: dict[int, int] = {}  # element -> expiry
         self.now = 0
 
     def _hash(self, element: int) -> float:
         return ((element * 0x45D9F3B) % (2**32)) / 2**32
 
+    def _want(self) -> list[tuple[int, int, float]]:
+        return brute_force_survivors(
+            [(e, t, self._hash(e)) for e, t in self.live.items()], self.s
+        )
+
+    def _by_hash(self) -> list[tuple[int, int, float]]:
+        return sorted(self._want(), key=lambda entry: entry[2])
+
+    # Earlier-expiry observes model a coordinator absorbing fallback pushes.
     @rule(element=st.integers(0, 25), life=st.integers(1, 30))
     def observe(self, element, life):
         expiry = self.now + life
@@ -86,13 +102,46 @@ class DominanceMachine(RuleBasedStateMachine):
         self.ds.expire(self.now)
         self.live = {e: t for e, t in self.live.items() if t > self.now}
 
-    @invariant()
-    def matches_brute_force(self):
+    @rule()
+    def read_entries(self):
         raw = [(e.element, e.expiry, e.hash) for e in self.ds.entries()]
-        want = brute_force_survivors(
-            [(e, t, self._hash(e)) for e, t in self.live.items()], 2
-        )
-        assert raw == want
+        assert raw == self._want()
+
+    @rule()
+    def read_len(self):
+        assert len(self.ds) == len(self._want())
+
+    @rule(data=st.data())
+    def read_bottom(self, data):
+        count = data.draw(st.integers(1, self.s + 1), label="count")
+        got = [(e.element, e.expiry, e.hash) for e in self.ds.bottom(count)]
+        assert got == self._by_hash()[:count]
+
+    @rule()
+    def read_min_entry(self):
+        entry = self.ds.min_entry()
+        want = self._by_hash()
+        if not want:
+            assert entry is None
+        else:
+            assert (entry.element, entry.expiry, entry.hash) == want[0]
+
+    @rule()
+    def read_contains(self):
+        held = {e for e, _, _ in self._want()}
+        assert [e in self.ds for e in range(26)] == [e in held for e in range(26)]
+
+    @rule()
+    def structure_holds(self):
+        self.ds.check_invariants()
+
+
+class DominanceMachineS1(DominanceMachine):
+    s = 1
+
+
+class DominanceMachineS16(DominanceMachine):
+    s = 16
 
 
 class TreapMachine(RuleBasedStateMachine):
@@ -164,6 +213,10 @@ TestBottomKMachine = BottomKMachine.TestCase
 TestBottomKMachine.settings = _settings
 TestDominanceMachine = DominanceMachine.TestCase
 TestDominanceMachine.settings = _settings
+TestDominanceMachineS1 = DominanceMachineS1.TestCase
+TestDominanceMachineS1.settings = _settings
+TestDominanceMachineS16 = DominanceMachineS16.TestCase
+TestDominanceMachineS16.settings = _settings
 TestTreapMachine = TreapMachine.TestCase
 TestTreapMachine.settings = _settings
 TestProtocolMachine = ProtocolMachine.TestCase
