@@ -294,16 +294,17 @@ def stats_state(network: Network) -> dict[str, Any]:
     }
 
 
-def load_stats_state(network: Network, state: dict[str, Any]) -> None:
-    """Restore counters captured by :func:`stats_state` into ``network``."""
-    stats = network.stats
-    stats.total_messages = int(state["total_messages"])
-    stats.total_bytes = int(state["total_bytes"])
-    stats.site_to_coordinator = int(state["site_to_coordinator"])
-    stats.coordinator_to_site = int(state["coordinator_to_site"])
-    stats.by_kind.clear()
+def parse_stats_state(state: dict[str, Any]) -> MessageStats:
+    """The counters captured by :func:`stats_state`, as fresh stats."""
+    stats = MessageStats(
+        total_messages=int(state["total_messages"]),
+        total_bytes=int(state["total_bytes"]),
+        site_to_coordinator=int(state["site_to_coordinator"]),
+        coordinator_to_site=int(state["coordinator_to_site"]),
+    )
     for name, count in state.get("by_kind", {}).items():
         stats.by_kind[MessageKind[name]] = int(count)
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -571,20 +572,26 @@ class Sampler(ABC):
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore state captured by :meth:`state_dict`.
 
+        The lifecycle fields and message counters are parsed first and
+        assigned only after :meth:`_load` succeeds, so a malformed state
+        leaves them as they were.
+
         Raises:
             ConfigurationError: If the state dict is malformed.
         """
         try:
             protocol = state["protocol"]
-            network = state["network"]
             system = state["system"]
-        except (KeyError, TypeError) as exc:
+            last_slot = protocol.get("last_slot")
+            last_slot = None if last_slot is None else int(last_slot)
+            slots_processed = int(protocol.get("slots_processed", 0))
+            stats = parse_stats_state(state["network"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigurationError(f"malformed sampler state: {exc}") from exc
-        last_slot = protocol.get("last_slot")
-        self._last_slot = None if last_slot is None else int(last_slot)
-        self._slots_processed = int(protocol.get("slots_processed", 0))
-        load_stats_state(self.network, network)
         self._load(system)
+        self._last_slot = last_slot
+        self._slots_processed = slots_processed
+        self.network.stats = stats
 
     @abstractmethod
     def _state(self) -> dict[str, Any]:

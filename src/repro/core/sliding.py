@@ -123,26 +123,45 @@ def _rows(candidates) -> Optional[list[list[Any]]]:
     return [[e.element, e.expiry, e.hash] for e in candidates.entries()]
 
 
-def _rebuilt(candidates, rows: Optional[list[list[Any]]]):
-    """An empty twin of the ``candidates`` set holding snapshot ``rows``
-    (the inverse of :func:`_rows`).
+def _load_rows(candidates, rows: Optional[list[list[Any]]]) -> None:
+    """Fill a fresh node's ``candidates`` set with snapshot ``rows`` (the
+    inverse of :func:`_rows`), validating every row before one batch
+    :meth:`~repro.structures.dominance.DominanceSet.load`.
 
     Raises:
         ValueError: For a row whose hash is not a float in ``[0, 1)``
-            (NaN and infinities included), or rows for a node without a
-            candidate set.
+            (NaN and infinities included), rows that repeat an element,
+            or rows for a node without a candidate set.
     """
     if candidates is None:
         if rows is not None:
             raise ValueError("entries given for a node without a candidate set")
-        return None
-    fresh = type(candidates)(candidates.s)
+        return
+    parsed = []
     for element, expiry, h in rows:
         h = float(h)
         if not 0.0 <= h < 1.0:
             raise ValueError(f"entry hash {h!r} is not in [0, 1)")
-        fresh.observe(revive_element(element), int(expiry), h)
-    return fresh
+        parsed.append((revive_element(element), int(expiry), h))
+    candidates.load(parsed)
+
+
+def expiry_rows(record: dict[Any, int]) -> list[list[Any]]:
+    """An ``element -> expiry`` record as JSON-safe ``[element, expiry]``
+    rows, in the record's insertion order."""
+    return [[element, expiry] for element, expiry in record.items()]
+
+
+def expiry_record(rows) -> dict[Any, int]:
+    """The inverse of :func:`expiry_rows`."""
+    return {revive_element(element): int(expiry) for element, expiry in rows}
+
+
+def _adopt(node: Any, parsed: Any) -> None:
+    """Move every field of ``parsed``, a fresh twin built by the same
+    factory, onto the live ``node``."""
+    for name in type(node).__slots__:
+        setattr(node, name, getattr(parsed, name))
 
 
 class SlidingFacadeBase(Sampler):
@@ -163,7 +182,9 @@ class SlidingFacadeBase(Sampler):
     Subclasses implement :meth:`_make_coordinator` and :meth:`_make_site`
     and persist their own node fields through :meth:`_site_state` /
     :meth:`_load_site` (plus :meth:`_coordinator_state` /
-    :meth:`_load_coordinator` where the coordinator has any).  Nodes
+    :meth:`_load_coordinator` where the coordinator has any); a restore
+    loads into fresh nodes from the two factories, so node fields live
+    in ``__slots__``.  Nodes
     expose ``candidates`` (a dominance set; None for a coordinator that
     keeps none), ``reports_received`` / :attr:`SITE_COUNTERS`, site
     ``observe_hashed(element, h, now, network)`` and ``tick(now,
@@ -353,7 +374,7 @@ class SlidingFacadeBase(Sampler):
             self.CLOCK_KEY: self.clock.now,
             "coordinator": {
                 "reports_received": coordinator.reports_received,
-                **self._coordinator_state(),
+                **self._coordinator_state(coordinator),
                 "entries": _rows(coordinator.candidates),
             },
             "sites": [
@@ -370,49 +391,50 @@ class SlidingFacadeBase(Sampler):
         """Restore :meth:`_state` output.  The clock is *set*, so an
         earlier checkpoint rewinds a live system.
 
+        Every node is parsed into a fresh twin from :meth:`_make_site` /
+        :meth:`_make_coordinator` first, and the live nodes take the
+        parsed fields only once all of them have parsed, so a malformed
+        state leaves the system untouched.
+
         Raises:
             ConfigurationError: For missing keys, wrong types, or a site
                 list of the wrong length.
         """
-        coordinator = self.coordinator
-        sites = self.sites
         try:
             now = int(state[self.CLOCK_KEY])
             coord_state = state["coordinator"]
-            reports_received = int(coord_state["reports_received"])
-            coord_candidates = _rebuilt(
-                coordinator.candidates, coord_state["entries"]
-            )
+            coordinator = self._make_coordinator()
+            coordinator.reports_received = int(coord_state["reports_received"])
+            _load_rows(coordinator.candidates, coord_state["entries"])
+            self._load_coordinator(coordinator, coord_state)
             site_states = list(state["sites"])
-            if len(site_states) != len(sites):
+            if len(site_states) != self.num_sites:
                 raise ValueError(
-                    f"expected {len(sites)} sites, got {len(site_states)}"
+                    f"expected {self.num_sites} sites, got {len(site_states)}"
                 )
-            site_candidates = [
-                _rebuilt(site.candidates, site_state["entries"])
-                for site, site_state in zip(sites, site_states)
-            ]
-            self._load_coordinator(coord_state)
-            for site, site_state in zip(sites, site_states):
+            sites = []
+            for live, site_state in zip(self.sites, site_states):
+                site = self._make_site(live.site_id)
+                _load_rows(site.candidates, site_state["entries"])
                 self._load_site(site, site_state)
                 for name in self.SITE_COUNTERS:
                     setattr(site, name, int(site_state[name]))
+                sites.append(site)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigurationError(
                 f"malformed {self.VARIANT} state: {exc!r}"
             ) from exc
         self.clock.reset_to(now)
-        coordinator.reports_received = reports_received
-        coordinator.candidates = coord_candidates
-        for site, candidates in zip(sites, site_candidates):
-            site.candidates = candidates
+        _adopt(self.coordinator, coordinator)
+        for live, site in zip(self.sites, sites):
+            _adopt(live, site)
 
-    def _coordinator_state(self) -> dict[str, Any]:
+    def _coordinator_state(self, coordinator: Any) -> dict[str, Any]:
         """Coordinator fields beyond its counter and candidates."""
         return {}
 
-    def _load_coordinator(self, state: dict[str, Any]) -> None:
-        """Restore :meth:`_coordinator_state` output."""
+    def _load_coordinator(self, coordinator: Any, state: dict[str, Any]) -> None:
+        """Restore :meth:`_coordinator_state` output into ``coordinator``."""
 
     @abstractmethod
     def _site_state(self, site: Any) -> dict[str, Any]:
@@ -725,22 +747,24 @@ class SlidingWindowSystem(SlidingFacadeBase):
             coordinator_mode=self.coordinator_mode,
         )
 
-    def _coordinator_state(self) -> dict[str, Any]:
-        coord = self.coordinator
+    def _coordinator_state(
+        self, coordinator: SlidingWindowCoordinator
+    ) -> dict[str, Any]:
         return {
             "sample": [
-                coord.sample_element,
-                coord.u_star,
-                encode_expiry(coord.sample_expiry),
+                coordinator.sample_element,
+                coordinator.u_star,
+                encode_expiry(coordinator.sample_expiry),
             ]
         }
 
-    def _load_coordinator(self, state: dict[str, Any]) -> None:
+    def _load_coordinator(
+        self, coordinator: SlidingWindowCoordinator, state: dict[str, Any]
+    ) -> None:
         element, u_star, expiry = state["sample"]
-        coord = self.coordinator
-        coord.sample_element = revive_element(element)
-        coord.u_star = float(u_star)
-        coord.sample_expiry = decode_expiry(expiry)
+        coordinator.sample_element = revive_element(element)
+        coordinator.u_star = float(u_star)
+        coordinator.sample_expiry = decode_expiry(expiry)
 
     def _site_state(self, site: SlidingWindowSite) -> dict[str, Any]:
         return {

@@ -17,11 +17,18 @@ Protocol:
 * **Site, arrival ``e`` at slot ``t``:** refresh ``(e, t+w)`` in ``T_i``;
   report ``(e, h(e), t+w)`` iff ``h(e) < u_i``.
 * **Coordinator, report:** merge into its candidate set, then reply
-  ``(u, t_u)``.
-* **Site, slot boundary:** if ``t_i <= now`` (threshold validity
-  expired), push its **entire local bottom-s** (up to ``s`` reports —
-  each a constant-size message, counted individually) and adopt the last
-  reply.
+  ``(u, t_u)``, echoing the reported element and expiry.
+* **Site, reply:** record the echoed element as *known* (acknowledged) at
+  the echoed expiry; adopt ``(u, t_u)`` unless it would raise ``u_i``.
+* **Site, slot boundary:** the site *lapses* if ``t_i <= now`` (threshold
+  validity expired) or a push of its previous lapse is still
+  unacknowledged.  A lapse resets ``u_i`` to 1.0 and pushes the entries
+  of its local bottom-s that are not known at their current expiry (one
+  entry if all are, so a fresh ``(u, t_u)`` still comes back), each a
+  constant-size message counted individually.  The known record then
+  holds just the acknowledged bottom-s.  Between lapses, a record grown
+  past ``2s`` drops its expired entries, since a site whose replies stay
+  valid until infinity never lapses.
 
 Correctness (checked against a brute-force oracle every slot): suppose
 ``g`` is in the true global bottom-s at slot ``t`` and lives at site
@@ -31,9 +38,31 @@ with hash ``<= u_j <= h(g)`` and expiry ``>= t_j > t`` — i.e. ``s`` live
 elements all hashing below ``g``, contradicting ``g``'s membership.  So
 either ``g`` cleared the threshold when it (last) arrived and was
 reported fresh, or site ``j``'s validity lapsed by ``t`` and its
-fallback pushed its local bottom-s, which provably contains ``g``
+fallback covered its local bottom-s, which provably contains ``g``
 (s-dominance cannot evict a global bottom-s member).  Either way the
 coordinator knows ``g`` with a current expiry.
+
+A lapse skips only entries acknowledged at their current expiry, and
+such an entry needs no re-push: the coordinator absorbed ``(g, x)``
+before echoing it, so it holds ``g`` at expiry ``x`` or later, or dropped
+it as s-dominated — by ``s`` entries of smaller hash that outlive ``x``,
+hence live and below ``g`` for as long as ``g`` is, so ``g`` cannot be a
+bottom-s member.  The coordinator loses entries only to expiry or to such
+domination, so an acknowledgement stays true.  Every skipped push would
+have been a no-op absorb, so on the synchronous network each threshold,
+lapse and sample is what pushing the whole bottom-s gives; only the
+message count falls.
+
+Two rules keep the sample exact on a delaying network
+(:mod:`repro.netsim.delayed`, :mod:`repro.netsim.chaos` without drops)
+once it has drained and a slot boundary has passed, and neither fires on
+the synchronous network, where every reply lands before the next event.
+A lapse repeats until its pushes are acknowledged, so a push lost to a
+dead site is resent.  And a reply that would raise ``u_i`` is not
+adopted, so between lapses ``u_i`` only falls and every element it
+filtered stays covered: while the held threshold is valid the
+coordinator's cannot rise, so such a reply is stale, and once the held
+one has expired the next boundary lapses anyway.
 """
 
 from __future__ import annotations
@@ -48,7 +77,12 @@ from ..netsim.message import COORDINATOR, Message, MessageKind
 from ..netsim.network import Network
 from ..structures.dominance import DominanceEntry, SortedDominanceSet
 from .protocol import decode_expiry, encode_expiry
-from .sliding import SlidingFacadeBase, require_positive
+from .sliding import (
+    SlidingFacadeBase,
+    expiry_record,
+    expiry_rows,
+    require_positive,
+)
 
 __all__ = [
     "FeedbackBottomSSite",
@@ -71,6 +105,8 @@ class FeedbackBottomSSite:
         "valid_until",
         "reports_sent",
         "fallbacks",
+        "known",
+        "pending",
     )
 
     def __init__(self, site_id: int, window: int, sample_size: int) -> None:
@@ -83,6 +119,10 @@ class FeedbackBottomSSite:
         self.valid_until: float = _INF
         self.reports_sent = 0
         self.fallbacks = 0
+        # element -> expiry at which the coordinator acknowledged it
+        self.known: dict[Any, int] = {}
+        # element -> expiry of the last lapse's unacknowledged pushes
+        self.pending: dict[Any, int] = {}
 
     @property
     def memory_size(self) -> int:
@@ -90,22 +130,35 @@ class FeedbackBottomSSite:
         return len(self.candidates)
 
     def tick(self, now: int, network: Network) -> None:
-        """Slot boundary: on threshold lapse, push the local bottom-s."""
-        if self.valid_until > now:
+        """Slot boundary: on a lapse, push the local bottom-s entries the
+        coordinator has not acknowledged at their current expiry."""
+        known = self.known
+        if len(known) > 2 * self.sample_size:
+            known = self.known = {
+                element: expiry
+                for element, expiry in known.items()
+                if expiry > now
+            }
+        if self.valid_until > now and not self.pending:
             return
         self.fallbacks += 1
         self.candidates.expire(now)
         bottom = self.candidates.bottom(self.sample_size)
-        if not bottom:
-            self.u_local = 1.0
-            self.valid_until = _INF
-            return
+        acknowledged: dict[Any, int] = {}
+        fresh = []
+        for entry in bottom:
+            if known.get(entry.element) == entry.expiry:
+                acknowledged[entry.element] = entry.expiry
+            else:
+                fresh.append(entry)
+        self.known = acknowledged
         # Each push is answered; the last reply leaves the freshest
-        # (u, t_u).  Conservatively reset the threshold first so replies
-        # rule.
+        # (u, t_u).  Reset the threshold first so the replies rule.
         self.u_local = 1.0
         self.valid_until = _INF
-        for entry in bottom:
+        pushes = fresh or bottom[:1]
+        self.pending = {entry.element: entry.expiry for entry in pushes}
+        for entry in pushes:
             self.reports_sent += 1
             network.send(
                 self.site_id,
@@ -131,14 +184,20 @@ class FeedbackBottomSSite:
             )
 
     def handle_message(self, message: Message, network: Network) -> None:
-        """Adopt the coordinator's (threshold, validity) reply."""
+        """Record the echoed entry as acknowledged, and adopt the reply's
+        (threshold, validity) unless it would raise the threshold, which
+        only a reply delayed past a slot boundary can."""
         if message.kind is not MessageKind.SW_SAMPLE:
             raise ProtocolError(
                 f"feedback site {self.site_id} cannot handle {message.kind!r}"
             )
-        u, valid_until = message.payload
-        self.u_local = u
-        self.valid_until = valid_until
+        u, valid_until, element, expiry = message.payload
+        if u <= self.u_local:
+            self.u_local = u
+            self.valid_until = valid_until
+        self.known[element] = expiry
+        if self.pending.get(element) == expiry:
+            del self.pending[element]
 
 
 class FeedbackBottomSCoordinator:
@@ -167,7 +226,8 @@ class FeedbackBottomSCoordinator:
         self.candidates.observe(element, expiry, h)
 
     def handle_message(self, message: Message, network: Network) -> None:
-        """Merge a report; reply with the fresh (u, t_u)."""
+        """Merge a report; reply with the fresh (u, t_u), echoing the
+        reported element and expiry as its acknowledgement."""
         if message.kind is not MessageKind.SW_REPORT:
             raise ProtocolError(f"coordinator cannot handle {message.kind!r}")
         element, h, expiry, site_id = message.payload
@@ -175,7 +235,10 @@ class FeedbackBottomSCoordinator:
         self.absorb(element, h, expiry)
         u, valid_until = self._threshold(self.clock.now)
         network.send(
-            COORDINATOR, site_id, MessageKind.SW_SAMPLE, (u, valid_until)
+            COORDINATOR,
+            site_id,
+            MessageKind.SW_SAMPLE,
+            (u, valid_until, element, expiry),
         )
 
     def sample_entries(self, now: int) -> list[DominanceEntry]:
@@ -235,6 +298,8 @@ class SlidingWindowBottomSFeedback(SlidingFacadeBase):
         return {
             "u_local": site.u_local,
             "valid_until": encode_expiry(site.valid_until),
+            "known": expiry_rows(site.known),
+            "pending": expiry_rows(site.pending),
         }
 
     def _load_site(
@@ -242,3 +307,7 @@ class SlidingWindowBottomSFeedback(SlidingFacadeBase):
     ) -> None:
         site.u_local = float(state["u_local"])
         site.valid_until = decode_expiry(state["valid_until"])
+        # A snapshot without the records restores as nothing known: the
+        # next lapse pushes the whole local bottom-s, which is still exact.
+        site.known = expiry_record(state.get("known", ()))
+        site.pending = expiry_record(state.get("pending", ()))

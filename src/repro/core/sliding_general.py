@@ -35,8 +35,12 @@ from ..errors import ProtocolError
 from ..netsim.message import COORDINATOR, Message, MessageKind
 from ..netsim.network import Network
 from ..structures.dominance import DominanceEntry, SortedDominanceSet
-from .protocol import revive_element
-from .sliding import SlidingFacadeBase, require_positive
+from .sliding import (
+    SlidingFacadeBase,
+    expiry_record,
+    expiry_rows,
+    require_positive,
+)
 
 __all__ = [
     "LocalPushSite",
@@ -182,14 +186,7 @@ class SlidingWindowBottomS(SlidingFacadeBase):
         return LocalPushSite(site_id, self.window, self.sample_size)
 
     def _site_state(self, site: LocalPushSite) -> dict[str, Any]:
-        return {
-            "reported": [
-                [element, expiry] for element, expiry in site._reported.items()
-            ]
-        }
+        return {"reported": expiry_rows(site._reported)}
 
     def _load_site(self, site: LocalPushSite, state: dict[str, Any]) -> None:
-        site._reported = {
-            revive_element(element): int(expiry)
-            for element, expiry in state["reported"]
-        }
+        site._reported = expiry_record(state["reported"])

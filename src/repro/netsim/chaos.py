@@ -20,6 +20,12 @@ in ``tests/test_properties.py``):
   misses only threshold refreshes — stale-high, hence safe — so with
   ``drop == 0`` the merged sample after quiescence is indistinguishable
   from a no-fault twin fed the same arrivals.
+* **Sliding windows converge at the next slot boundary.**  A sliding
+  threshold legitimately rises as sample members expire, so the general-s
+  core adopts no reply that would raise its threshold and repeats a lapse
+  until its pushes are acknowledged (:mod:`repro.core.sliding_feedback`).
+  With ``drop == 0``, reviving every site, draining, and passing one slot
+  boundary leaves its sample equal to the window oracle's.
 * **With ``drop > 0`` exactness is forfeited** (a lost REPORT is lost
   data), but safety is not: the coordinator's threshold never falls below
   the oracle's, and every sample member remains a genuine observed

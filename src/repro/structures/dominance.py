@@ -29,8 +29,9 @@ Two interchangeable implementations (differentially tested):
   dominator (dominators expire later), and a refresh keeps the element's
   hash, so the refreshed entry dominates all the old one did (a refresh
   that changes the hash settles first).  So one sweep after a batch of
-  inserts leaves what a sweep after every insert leaves.  Supports any
-  ``s >= 1``.
+  inserts leaves what a sweep after every insert leaves, and
+  :meth:`~SortedDominanceSet.load` fills a set from snapshot rows the same
+  way: one sort, one sweep.  Supports any ``s >= 1``.
 * :class:`TreapDominanceSet` — the paper's treap (s = 1 only): key
   ``(expiry, hash)``, priority ``hash``; min-hash is the root, expiry is an
   O(log n) split, and dominance pruning exploits the *staircase invariant*
@@ -50,7 +51,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter
-from typing import Any, Optional, Protocol
+from typing import Any, Iterable, Optional, Protocol
 
 from .treap import Treap
 
@@ -103,6 +104,17 @@ class DominanceSet(Protocol):
 
     def settle(self) -> None:
         """Run any pending dominance sweep now rather than on a later read."""
+        ...
+
+    def load(self, rows: Iterable[tuple[Any, int, float]]) -> None:
+        """Replace the contents with ``(element, expiry, hash)`` rows.
+
+        Keeps the survivors that observing each row in turn into an empty
+        set keeps, ordered by ``(expiry, hash)``, ties in the given order.
+
+        Raises:
+            ValueError: If two rows carry the same element.
+        """
         ...
 
     def expire(self, now: int) -> None:
@@ -233,6 +245,23 @@ class SortedDominanceSet:
         self._dirty = True
         if len(entries) > self._limit:
             self._sweep()
+
+    def load(self, rows: Iterable[tuple[Any, int, float]]) -> None:
+        """Replace the contents in one batch: a stable sort by ``(expiry,
+        hash)``, one sweep, and a recount on the next bottom-s read.
+
+        Raises:
+            ValueError: If two rows carry the same element (the set is
+                then left as it was).
+        """
+        entries = sorted((DominanceEntry(*row) for row in rows), key=_ORDER)
+        index = {entry.element: entry for entry in entries}
+        if len(index) < len(entries):
+            raise ValueError("rows repeat an element")
+        self._entries = entries
+        self._index = index
+        self._bottom = None
+        self._sweep()
 
     def _unlink(self, old: DominanceEntry, hash_value: float) -> None:
         """Remove ``old`` ahead of its refresh to a later expiry with hash
@@ -404,6 +433,21 @@ class TreapDominanceSet:
             DominanceEntry(node.value, node.key[0], node.key[1])
             for node in self._treap
         ]
+
+    def load(self, rows: Iterable[tuple[Any, int, float]]) -> None:
+        """Replace the contents by observing each row into an empty treap.
+
+        Raises:
+            ValueError: If two rows carry the same element (the set is
+                then left as it was).
+        """
+        rows = list(rows)
+        if len({row[0] for row in rows}) < len(rows):
+            raise ValueError("rows repeat an element")
+        self._treap = Treap()
+        self._index = {}
+        for row in rows:
+            self.observe(*row)
 
     def observe(self, element: Any, expiry: int, hash_value: float) -> None:
         old_key = self._index.get(element)

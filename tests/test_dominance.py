@@ -293,3 +293,44 @@ class TestLazyPruning:
         assert rows(lazy.bottom(s + 1)) == rows(by_hash[: s + 1])
         assert rows(lazy.entries()) == rows(eager.entries())
         lazy.check_invariants()
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 10),
+                st.floats(0.0, 1.0, exclude_max=True, allow_nan=False),
+            ),
+            unique=True,
+            max_size=60,
+        ),
+        s=st.sampled_from([1, 2, 3, 16]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_load_equals_observing_each_row(self, rows, s, data):
+        # Distinct elements with distinct (expiry, hash) keys, in a random
+        # order: one batch load leaves what per-row observes leave.
+        def rows_of(entries):
+            return [(e.element, e.expiry, e.hash) for e in entries]
+
+        table = [(i, expiry, h) for i, (expiry, h) in enumerate(rows)]
+        table = data.draw(st.permutations(table))
+        loaded, observed = SortedDominanceSet(s), SortedDominanceSet(s)
+        loaded.observe("stale", 99, 0.0)  # load replaces what was there
+        loaded.load(table)
+        for row in table:
+            observed.observe(*row)
+        for count in range(s + 2):
+            assert rows_of(loaded.bottom(count)) == rows_of(observed.bottom(count))
+        top, want = loaded.min_entry(), observed.min_entry()
+        assert rows_of([top] if top else []) == rows_of([want] if want else [])
+        assert rows_of(loaded.entries()) == rows_of(observed.entries())
+        loaded.check_invariants()
+
+    @pytest.mark.parametrize("impl", IMPLS)
+    def test_load_rejects_a_repeated_element(self, impl):
+        ds = impl(1)
+        ds.observe("x", 5, 0.5)
+        with pytest.raises(ValueError, match="repeat"):
+            ds.load([("a", 3, 0.2), ("b", 4, 0.1), ("a", 6, 0.05)])
+        assert _raw(ds) == [("x", 5, 0.5)]

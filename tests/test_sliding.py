@@ -290,13 +290,41 @@ def with_row_hash(node, value):
         node["entries"] = [[8, 100, value]]
 
 
-def driven_core(name, slots=40):
+def with_repeated_element(node):
+    """Append a second row for ``node``'s first candidate element (adding
+    element 8 to a node that holds none)."""
+    rows = node["entries"] or [[8, 100, 0.5]]
+    element, expiry, h = rows[0]
+    node["entries"] = rows + [[element, expiry + 1, h]]
+
+
+def core_schedule(slots, seed=3):
+    """The (slot, arrivals) stream :func:`driven_core` feeds; a longer
+    stream extends a shorter one with the same seed."""
+    rng = np.random.default_rng(seed)
+    return list(random_schedule(rng, 3, 30, slots, max_per_slot=6))
+
+
+def driven_core(name, slots=40, seed=3):
     sampler = make_sampler(num_sites=3, window=8, seed=5, **SLIDING_CORES[name])
-    rng = np.random.default_rng(3)
-    for slot, arrivals in random_schedule(rng, 3, 30, slots, max_per_slot=6):
+    for slot, arrivals in core_schedule(slots, seed):
         sampler.advance(slot)
         sampler.observe_batch(arrivals)
     return sampler
+
+
+def bystander(name):
+    """A driven sampler whose state differs from ``driven_core(name)``'s:
+    the target of the failed restores below."""
+    return driven_core(name, slots=30, seed=4)
+
+
+def assert_load_fails_untouched(sampler, state):
+    """Loading ``state`` raises ConfigurationError and changes nothing."""
+    before = sampler.state_dict()
+    with pytest.raises(ConfigurationError, match="malformed"):
+        sampler.load_state(state)
+    assert sampler.state_dict() == before
 
 
 class TestCheckpointRewind:
@@ -321,14 +349,21 @@ class TestCheckpointRewind:
         assert sampler.current_slot == 31
 
 
+#: Site keys a snapshot may lack, by core: the general-s core's
+#: acknowledgement records, absent from snapshots taken before it kept them.
+OPTIONAL_SITE_KEYS = {"s3": {"known", "pending"}}
+
+
 class TestTypedRestoreErrors:
     """Malformed sliding state raises ConfigurationError, never a bare
-    KeyError/TypeError from deep inside the restore."""
+    KeyError/TypeError from deep inside the restore, and leaves the
+    sampler it was loaded into exactly as it was."""
 
     @pytest.mark.parametrize("part", ["system", "coordinator", "site"])
     @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
     def test_every_dropped_key_is_a_configuration_error(self, core, part):
-        state = driven_core(core).state_dict()
+        source = driven_core(core)
+        state = source.state_dict()
         keys = {
             "system": state["system"],
             "coordinator": state["system"]["coordinator"],
@@ -342,9 +377,30 @@ class TestTypedRestoreErrors:
                 "coordinator": broken["system"]["coordinator"],
                 "site": broken["system"]["sites"][1],
             }[part].pop(key)
-            fresh = make_sampler(num_sites=3, window=8, seed=5, **SLIDING_CORES[core])
-            with pytest.raises(ConfigurationError, match="malformed"):
-                fresh.load_state(broken)
+            target = bystander(core)
+            if part == "site" and key in OPTIONAL_SITE_KEYS.get(core, ()):
+                self._assert_restores_exactly(target, broken, source)
+            else:
+                assert_load_fails_untouched(target, broken)
+
+    @staticmethod
+    def _assert_restores_exactly(target, state, source):
+        # Restores as nothing known (or nothing pending): the next lapse
+        # pushes the whole local bottom-s, which is still exact.
+        target.load_state(state)
+        assert target.sample() == source.sample()
+        oracle = CentralizedWindowSampler(8, target.sample_size, target.hasher)
+        schedule = core_schedule(80)
+        for slot, arrivals in schedule[:40]:
+            for _site, element in arrivals:
+                oracle.observe(element, slot)
+        for slot, arrivals in schedule[40:]:
+            target.advance(slot)
+            target.observe_batch(arrivals)
+            for _site, element in arrivals:
+                oracle.observe(element, slot)
+            oracle.advance(slot)
+            assert target.sample() == oracle.sample(), f"slot {slot}"
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -364,6 +420,7 @@ class TestTypedRestoreErrors:
                 lambda system, h=h: with_row_hash(system["coordinator"], h)
                 for h in BAD_HASHES.values()
             ],
+            lambda system: with_repeated_element(system["sites"][2]),
         ],
         ids=[
             "short-site-list",
@@ -375,21 +432,36 @@ class TestTypedRestoreErrors:
             "non-numeric-row",
             *[f"site-hash-{name}" for name in BAD_HASHES],
             *[f"coordinator-hash-{name}" for name in BAD_HASHES],
+            "duplicate-element",
         ],
     )
     @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
     def test_wrong_shapes_are_configuration_errors(self, core, corrupt):
         state = driven_core(core).state_dict()
         corrupt(state["system"])
-        fresh = make_sampler(num_sites=3, window=8, seed=5, **SLIDING_CORES[core])
-        with pytest.raises(ConfigurationError, match="malformed"):
-            fresh.load_state(state)
+        assert_load_fails_untouched(bystander(core), state)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [7, None, [[1]], [[1, 2, 3]], [["a", "b"]], [[{"x": 1}, 3]]],
+        ids=[
+            "int",
+            "none",
+            "short-row",
+            "long-row",
+            "non-numeric-expiry",
+            "unhashable-element",
+        ],
+    )
+    @pytest.mark.parametrize("key", ["known", "pending"])
+    def test_malformed_acknowledgement_rows_are_configuration_errors(
+        self, key, rows
+    ):
+        state = driven_core("s3").state_dict()
+        state["system"]["sites"][2][key] = rows
+        assert_load_fails_untouched(bystander("s3"), state)
 
     def test_wrong_clock_type_is_a_configuration_error(self):
-        sampler = driven_core("s3")
-        state = sampler.state_dict()
+        state = driven_core("s3").state_dict()
         state["system"]["clock"] = "soon"
-        with pytest.raises(ConfigurationError, match="malformed"):
-            make_sampler(
-                num_sites=3, window=8, seed=5, **SLIDING_CORES["s3"]
-            ).load_state(state)
+        assert_load_fails_untouched(bystander("s3"), state)

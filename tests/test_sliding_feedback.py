@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,10 @@ from repro import (
     snapshot,
 )
 from repro.core.sliding import SlidingFacadeBase
-from repro.core.sliding_feedback import SlidingWindowBottomSFeedback
+from repro.core.sliding_feedback import (
+    FeedbackBottomSSite,
+    SlidingWindowBottomSFeedback,
+)
 from repro.core.sliding_general import SlidingWindowBottomS
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hashing import UnitHasher
@@ -115,6 +119,118 @@ class TestThresholdInvariants:
         stats = system.network.stats
         assert stats.total_messages == 2 * stats.site_to_coordinator
         assert stats.by_kind[MessageKind.SW_REPORT] == stats.site_to_coordinator
+
+
+class Outbox:
+    """A network stand-in that keeps what a site sends, undelivered."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, src, dst, kind, payload, size_bytes=16):
+        self.sent.append(payload[:3])
+
+    def take(self):
+        sent, self.sent = self.sent, []
+        return sent
+
+
+def reply(site, element, expiry, u, valid_until):
+    """Deliver the coordinator's answer to ``site``'s report of
+    ``(element, expiry)``."""
+    site.handle_message(
+        Message(
+            COORDINATOR,
+            site.site_id,
+            MessageKind.SW_SAMPLE,
+            (u, valid_until, element, expiry),
+        ),
+        None,
+    )
+
+
+class TestDeltaFallback:
+    """A lapse re-pushes only what the coordinator has not acknowledged,
+    and repeats until its pushes are acknowledged."""
+
+    def acknowledged_site(self):
+        # a and b reported at slot 1 and acknowledged; c reported at slot
+        # 2, its reply lost.  The held threshold lapses at slot 5.
+        site = FeedbackBottomSSite(0, window=10, sample_size=2)
+        outbox = Outbox()
+        site.observe_hashed("a", 0.1, 1, outbox)
+        site.observe_hashed("b", 0.2, 1, outbox)
+        reply(site, "a", 11, 1.0, math.inf)
+        reply(site, "b", 11, 0.2, 5)
+        site.observe_hashed("c", 0.05, 2, outbox)
+        assert outbox.take() == [("a", 0.1, 11), ("b", 0.2, 11), ("c", 0.05, 12)]
+        assert site.known == {"a": 11, "b": 11}
+        return site, outbox
+
+    def test_lapse_pushes_only_unacknowledged_entries(self):
+        site, outbox = self.acknowledged_site()
+        site.tick(4, outbox)
+        assert outbox.take() == []  # still valid, nothing pending
+        site.tick(5, outbox)
+        # Local bottom-2 is c, a; a is acknowledged at its expiry.
+        assert outbox.take() == [("c", 0.05, 12)]
+        assert site.known == {"a": 11}
+        assert site.pending == {"c": 12}
+        assert (site.u_local, site.valid_until) == (1.0, math.inf)
+
+    def test_unacknowledged_lapse_repeats(self):
+        site, outbox = self.acknowledged_site()
+        site.tick(5, outbox)
+        outbox.take()
+        # The push was lost: the next boundary lapses again, though the
+        # reset threshold never expires.
+        site.tick(6, outbox)
+        assert outbox.take() == [("c", 0.05, 12)]
+        assert site.fallbacks == 2
+        reply(site, "c", 12, 0.1, 11)
+        assert site.pending == {}
+        assert site.known == {"a": 11, "c": 12}
+        site.tick(7, outbox)
+        assert outbox.take() == []
+        assert site.fallbacks == 2
+
+    def test_fully_acknowledged_lapse_pushes_one_entry(self):
+        site, outbox = self.acknowledged_site()
+        site.tick(5, outbox)
+        reply(site, "c", 12, 0.1, 8)
+        outbox.take()
+        site.tick(8, outbox)
+        # Both bottom-2 entries are known; one push still fetches a fresh
+        # threshold.
+        assert outbox.take() == [("c", 0.05, 12)]
+        assert site.known == {"c": 12, "a": 11}
+
+    def test_stale_reply_never_raises_the_threshold(self):
+        site, outbox = self.acknowledged_site()
+        # Overtaken on a reordering link: a reply computed while the
+        # coordinator knew less would raise u_i.
+        reply(site, "c", 12, 1.0, math.inf)
+        assert (site.u_local, site.valid_until) == (0.2, 5)
+        assert site.known["c"] == 12  # the acknowledgement still counts
+        reply(site, "c", 12, 0.1, 9)
+        assert (site.u_local, site.valid_until) == (0.1, 9)
+
+    def test_known_record_stays_bounded(self):
+        # With fewer than s live elements every reply is valid until
+        # infinity, so the site never lapses; the record still forgets
+        # expired entries once it outgrows 2s.
+        s = 16
+        system = SlidingWindowBottomSFeedback(
+            num_sites=1, window=2, sample_size=s, seed=1
+        )
+        site = system.sites[0]
+        peak = 0
+        for slot in range(1, 10_001):
+            system.observe(0, slot, slot=slot)
+            peak = max(peak, len(site.known))
+        assert site.fallbacks == 0
+        assert len(site.candidates) == 2
+        assert peak <= 2 * s + 1
 
 
 class TestVsLocalPush:
@@ -261,6 +377,10 @@ def churn_sampler():
     return sampler, Engine(sampler, policy="hash", seed=2015)
 
 
+def sites_of(sampler):
+    return [site for group in sampler.groups for site in group.sites]
+
+
 def candidate_sets(sampler):
     return [
         node.candidates
@@ -281,8 +401,8 @@ class TestDeferredPruning:
 
     def test_sweeps_and_recounts_stay_batched(self, monkeypatch):
         # A deterministic work count, not a timing: pruning after every
-        # insert, or recounting the bottom-s on every reply, fails it on
-        # any machine.
+        # insert, or recounting the bottom-s on every reply (2,063 of
+        # them), fails it on any machine.
         calls = Counter()
 
         def counted(owner, name):
@@ -301,9 +421,21 @@ class TestDeferredPruning:
         for slot, keys in churn_slots(64):
             engine.observe_batch(EventBatch(keys), slot=slot)
             sampler.sample()
-        replies = sampler.message_stats().by_kind[MessageKind.SW_SAMPLE]
         sets_per_group = CHURN["num_sites"] + 1
+        fallbacks = sum(site.fallbacks for site in sites_of(sampler))
         # Both counted paths are the ones in use.
         assert calls["_sweep"] > 0 and calls["_recount"] > 0
         assert calls["_sweep"] <= 2 * sets_per_group * calls["_deliver_columns"]
-        assert calls["_recount"] <= replies / 10
+        # Bounded by counts the delta fallback leaves alone (366 lapses +
+        # 256 delivered runs here), which per-reply recounting exceeds.
+        assert calls["_recount"] <= fallbacks + calls["_deliver_columns"]
+
+    def test_lapses_push_only_what_the_coordinator_lacks(self):
+        # Pushing the whole local bottom-s at every lapse sent 13,430
+        # messages on this stream; re-pushing only unacknowledged entries
+        # sends under a third of that from the very same 366 lapses.
+        sampler, engine = churn_sampler()
+        for slot, keys in churn_slots(64):
+            engine.observe_batch(EventBatch(keys), slot=slot)
+        assert sum(site.fallbacks for site in sites_of(sampler)) == 366
+        assert sampler.total_messages <= 13_430 / 3
