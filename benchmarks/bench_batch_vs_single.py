@@ -3,12 +3,13 @@
 Quantifies the ingestion-path ladder on one stream:
 
 * a loop of per-item ``observe`` calls (the slow floor);
-* tuple-batch ``observe_batch`` (NumPy bulk hashing + chunked threshold
-  pre-filtering; the >= 3x acceptance floor in ``tests/test_perf.py``);
-* columnar ``observe_batch`` over an
-  :class:`~repro.core.events.EventBatch` — the same workload with the
-  tuple churn removed entirely (cached hash columns, array routing; the
-  sharded-workload twin of this gap is gated >= 2x in
+* event-list ``observe_batch``: the list becomes one
+  :class:`~repro.core.events.EventBatch` per call, then NumPy bulk
+  hashing + chunked threshold pre-filtering (the >= 3x acceptance floor
+  in ``tests/test_perf.py``);
+* columnar ``observe_batch`` over a prebuilt ``EventBatch`` — the same
+  path without the list-to-column conversion (the sharded-workload
+  columnar pipeline is gated >= 10x a single-observe loop in
   ``tests/test_perf.py``).
 
 All three paths produce byte-identical coordinator state (asserted in

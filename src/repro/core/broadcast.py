@@ -161,7 +161,7 @@ class BroadcastSamplerSystem(BottomSFacadeBase):
         }
 
     def _load(self, state: dict[str, Any]) -> None:
-        self._load_sample_rows(state["sample"])
+        self._load_sample_rows(state.get("sample"))
         for site, u in zip(self.sites, state["site_thresholds"]):
             site.u_local = float(u)
         self.coordinator.reports_received = int(state["reports_received"])

@@ -172,7 +172,7 @@ class CachingSamplerSystem(BottomSFacadeBase):
         }
 
     def _load(self, state: dict[str, Any]) -> None:
-        self._load_sample_rows(state["sample"])
+        self._load_sample_rows(state.get("sample"))
         self.coordinator.reports_received = int(state["reports_received"])
         self.coordinator.reports_accepted = int(state["reports_accepted"])
         for site, site_state in zip(self.sites, state["sites"]):

@@ -1,33 +1,34 @@
-"""Columnar event batches: the zero-tuple ingest representation.
+"""Columnar event batches: the one ingest representation.
 
-High-rate ingestion used to cross every layer boundary as a Python list
-of ``(site, item)`` tuples: the engine zipped routing output back into
-tuples, the sharded facade split shards with a per-item append loop, and
-each sampler core re-extracted the item column just to hash it again.
-:class:`EventBatch` replaces that with NumPy columns that flow from the
-stream generators to the sampler cores untouched:
+Every batch of arrivals reaches the sampler cores as an
+:class:`EventBatch` of NumPy columns.  Stream emitters build one
+directly; a Python event list goes through :meth:`EventBatch.from_events`
+(what every ``observe_batch`` does).  The columns flow to the cores
+untouched:
 
-* ``items`` — the element ids (``int64``; exotic element types take the
-  tuple path instead).
+* ``items`` — the elements.  ``int64`` when every element is a plain
+  ``int`` in int64 range, otherwise a 1-D ``object`` column holding the
+  elements as given (strings, tuples, bools, out-of-range ints).
 * ``sites`` — optional per-event site ids.  A site-less batch is a *raw*
   key stream whose routing decision is still pending; the
   :class:`~repro.runtime.engine.Engine` attaches the column.
-* ``slots`` — optional per-event slot stamps (all events stamped, or
-  none; a mixed stream keeps the tuple representation).
+* ``slots`` — optional per-event slot stamps (all events or none).
+  :data:`CURRENT_SLOT` marks an event delivered at the sampler's current
+  slot, the unstamped prefix of an event list.
 
 Each layer that hashes — engine routing, shard partitioning, the
 sampling hash itself — asks :meth:`EventBatch.hash_column` for its
 :class:`~repro.hashing.unit.UnitHasher`'s column.  Columns are computed
-in one vectorized pass (``mix64``) or one scalar sweep (other
-algorithms) and cached on the batch, so row subsets created by
-:meth:`EventBatch.select` *slice* the already-computed hashes instead of
-rehashing: the sharded facade warms the shared sampling-hash column once
-per run and every coordinator group reuses its slice.
+in one vectorized pass (``mix64`` over ``int64`` items) or one scalar
+sweep (object items, other algorithms) and cached on the batch, so row
+subsets created by :meth:`EventBatch.select` *slice* the
+already-computed hashes instead of rehashing: the sharded facade warms
+the shared sampling-hash column once per run and every coordinator
+group reuses its slice.
 
-Equivalence with the tuple path is structural: :meth:`from_events` /
-:meth:`to_events` are exact inverses, and every consumer's
-``observe_columns`` fast path is pinned against the tuple-batch and
-single-``observe`` paths by ``tests/test_batch_equivalence.py``.
+Every consumer's ``observe_columns`` is pinned against the
+single-``observe`` path, for int and object items alike, by
+``tests/test_batch_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -40,13 +41,20 @@ import numpy.typing as npt
 from ..errors import ConfigurationError
 from ..hashing.unit import UnitHasher, unit_hash_array
 
-__all__ = ["EventBatch"]
+__all__ = ["EventBatch", "CURRENT_SLOT"]
 
 #: One int64 column (items, sites, or slots).
 IntColumn = npt.NDArray[np.int64]
 
+#: The items column: ``int64``, or ``object`` for any other elements.
+ItemColumn = npt.NDArray[Any]
+
 #: One float64 unit-hash column.
 HashColumn = npt.NDArray[np.float64]
+
+#: The slot stamp of an event delivered at the sampler's current slot
+#: without advancing (never a real slot).
+CURRENT_SLOT = int(np.iinfo(np.int64).min)
 
 
 def _as_int64(values: npt.ArrayLike, name: str) -> IntColumn:
@@ -61,7 +69,7 @@ def _as_int64(values: npt.ArrayLike, name: str) -> IntColumn:
     if arr.dtype == np.bool_ or not np.issubdtype(arr.dtype, np.integer):
         raise ConfigurationError(
             f"{name} column must be an integer array, got dtype {arr.dtype} "
-            "(non-integer elements take the tuple-event path)"
+            "(pass other elements as a Python sequence)"
         )
     if (
         np.issubdtype(arr.dtype, np.unsignedinteger)
@@ -70,23 +78,54 @@ def _as_int64(values: npt.ArrayLike, name: str) -> IntColumn:
     ):
         raise ConfigurationError(
             f"{name} column has values outside the int64 range "
-            "(out-of-range integers take the tuple-event path)"
+            "(pass them as a Python sequence)"
         )
     return arr.astype(np.int64)
+
+
+def _item_column(items: Any) -> ItemColumn:
+    """The items column for ``items``.
+
+    Arrays keep their type (``object``) or are coerced to ``int64``, so
+    derived batches never rescan.  A Python sequence is scanned once: it
+    becomes ``int64`` iff every element is a plain ``int`` in int64
+    range.  The type test is exact (``type(e) is int``): it keeps
+    ``bool`` (NumPy would turn ``True`` into ``1``) and ``np.integer``
+    (the scalar ``mix64`` hasher rejects it) in the object column.  The
+    object column comes from ``np.fromiter``, which stays 1-D even for
+    equal-length tuple elements.
+    """
+    if isinstance(items, np.ndarray):
+        if items.dtype != object:
+            return _as_int64(items, "items")
+        if items.ndim != 1:
+            raise ConfigurationError(
+                f"items column must be one-dimensional, got shape {items.shape}"
+            )
+        return items
+    items = items if isinstance(items, (list, tuple)) else list(items)
+    if set(map(type, items)) <= {int}:
+        try:
+            return np.array(items, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 class EventBatch:
     """A batch of ingestion events in columnar (structure-of-arrays) form.
 
     Args:
-        items: Element ids (integer array-like; coerced to ``int64``).
+        items: The elements: an array (integer or ``object`` dtype) or a
+            Python sequence of any elements (see :func:`_item_column`).
         sites: Optional per-event site ids (same length).  ``None``
             means routing has not happened yet.
         slots: Optional per-event slot stamps (same length).  ``None``
             means every event is delivered at the current slot.
 
     Raises:
-        ConfigurationError: For non-integer columns or length mismatches.
+        ConfigurationError: For non-integer site/slot columns, non-integer
+            item arrays, or length mismatches.
 
     ``len(batch)`` is the event count and two batches compare equal iff
     their columns match element-for-element (cached hash columns are
@@ -98,11 +137,11 @@ class EventBatch:
 
     def __init__(
         self,
-        items: npt.ArrayLike,
+        items: Any,
         sites: Optional[npt.ArrayLike] = None,
         slots: Optional[npt.ArrayLike] = None,
     ) -> None:
-        self.items = _as_int64(items, "items")
+        self.items = _item_column(items)
         n = self.items.size
         self.sites = None if sites is None else _as_int64(sites, "sites")
         self.slots = None if slots is None else _as_int64(slots, "slots")
@@ -113,68 +152,76 @@ class EventBatch:
                 )
         #: hasher -> float64 unit-hash column, computed at most once.
         self._hash_columns: dict[UnitHasher, HashColumn] = {}
-        self._items_list: Optional[list[int]] = None
+        self._items_list: Optional[list[Any]] = None
         self._sites_list: Optional[list[int]] = None
 
     # -- converters ----------------------------------------------------------
 
     @classmethod
-    def from_events(cls, events: Iterable[Sequence[int]]) -> "EventBatch":
-        """Build a batch from tuple events (the exact tuple-path inverse).
+    def from_events(cls, events: Iterable[Sequence[Any]]) -> "EventBatch":
+        """Build a batch from tuple events (the ``observe_batch`` adapter).
 
-        Accepts a uniform sequence of ``(site, item)`` or
-        ``(site, item, slot)`` events over plain int64-range integer
-        items — the same gate as the ``mix64`` vectorizer, so anything
-        this refuses must take the tuple path anyway.
+        Accepts what the single-event loop accepts: ``(site, item)`` is
+        delivered at the current slot and ``(site, item, slot, ...)``
+        advances to ``slot`` first (later fields are ignored).  A 2-tuple
+        after a stamped event joins that event's slot; a leading
+        unstamped prefix is stamped :data:`CURRENT_SLOT`.  Items may be
+        of any type.
 
         Raises:
-            ConfigurationError: For mixed arities or non-``int`` items.
+            ConfigurationError: For an event with fewer than two fields,
+                or sites and slots that are not int64-range integers.
         """
         events = events if isinstance(events, list) else list(events)
         if not events:
             return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        arities = set(map(len, events))
-        if arities == {2}:
-            sites, items = zip(*events)
-            slots = None
-        elif arities == {3}:
-            sites, items, slots = zip(*events)
+        lengths = set(map(len, events))
+        if min(lengths) < 2:
+            raise ConfigurationError(
+                "events must be (site, item) or (site, item, slot)"
+            )
+        slots: Optional[Sequence[Any]] = None
+        if len(lengths) == 1:
+            sites, items, *stamps = zip(*events)
+            if stamps:
+                slots = stamps[0]
         else:
-            raise ConfigurationError(
-                "EventBatch.from_events needs uniform (site, item) or "
-                "(site, item, slot) events; mixed shapes keep the tuple path"
-            )
-        if set(map(type, items)) != {int}:
-            raise ConfigurationError(
-                "EventBatch holds int64 element ids; other element types "
-                "keep the tuple path"
-            )
+            sites = tuple(event[0] for event in events)
+            items = tuple(event[1] for event in events)
+            stamp: Any = CURRENT_SLOT
+            filled = []
+            for event in events:
+                if len(event) != 2:
+                    stamp = event[2]
+                filled.append(stamp)
+            slots = filled
         try:
-            item_column = np.array(items, dtype=np.int64)
-        except OverflowError:
+            site_column = np.array(sites, dtype=np.int64)
+            slot_column = (
+                None if slots is None else np.array(slots, dtype=np.int64)
+            )
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigurationError(
-                "EventBatch holds int64 element ids; out-of-range integers "
-                "keep the tuple path"
+                f"event sites and slots must be int64-range integers: {exc}"
             ) from None
-        return cls(
-            item_column,
-            np.array(sites, dtype=np.int64),
-            None if slots is None else np.array(slots, dtype=np.int64),
-        )
+        return cls(items, site_column, slot_column)
 
-    def to_events(self) -> list[tuple[int, ...]]:
-        """The equivalent tuple-event list (the generic-loop fallback).
+    def to_events(self) -> list[tuple[Any, ...]]:
+        """The equivalent tuple-event list; a :data:`CURRENT_SLOT` row
+        becomes a 2-tuple, so uniform event lists round-trip exactly.
 
         Raises:
             ConfigurationError: If the batch carries no site column (a
                 raw key stream must be routed through an Engine first).
         """
         self.require_sites()
+        pairs = zip(self.sites_list(), self.items_list())
         if self.slots is None:
-            return list(zip(self.sites_list(), self.items_list()))
-        return list(
-            zip(self.sites_list(), self.items_list(), self.slots.tolist())
-        )
+            return list(pairs)
+        return [
+            (site, item) if slot == CURRENT_SLOT else (site, item, slot)
+            for (site, item), slot in zip(pairs, self.slots.tolist())
+        ]
 
     # -- derived batches (columns shared, hashes never recomputed) -----------
 
@@ -207,12 +254,12 @@ class EventBatch:
         return batch
 
     def slot_runs(self) -> Iterator[tuple[Optional[int], "EventBatch"]]:
-        """Group the batch into same-slot runs, mirroring
-        :func:`~repro.core.protocol.iter_event_runs`.
+        """Group the batch into runs of consecutive equal slot stamps.
 
         Yields ``(slot, run)`` pairs where ``run`` carries no slot column
         (its events are all delivered after one ``advance(slot)``); a
-        slot-less batch yields itself once under ``slot=None``.
+        :data:`CURRENT_SLOT` run and a slot-less batch (yielded once,
+        itself) come under ``slot=None``: delivered without advancing.
         """
         if self.slots is None:
             yield None, self
@@ -232,7 +279,8 @@ class EventBatch:
                 hasher: column[start:stop]
                 for hasher, column in self._hash_columns.items()
             }
-            yield int(slots[start]), run
+            slot = int(slots[start])
+            yield (None if slot == CURRENT_SLOT else slot), run
             start = stop
 
     # -- hash columns --------------------------------------------------------
@@ -240,15 +288,17 @@ class EventBatch:
     def hash_column(self, hasher: UnitHasher) -> HashColumn:
         """The unit-hash column under ``hasher``, computed at most once.
 
-        Element-for-element equal to ``[hasher.unit(e) for e in items]``:
-        ``mix64`` vectorizes through
-        :func:`~repro.hashing.unit.unit_hash_array`, every other
-        algorithm takes one scalar sweep.  Each layer's hasher (engine
-        routing, shard routing, sampling) gets its own cached column.
+        Element-for-element equal to ``[hasher.unit(e) for e in items]``,
+        errors included (``mix64`` raises the scalar path's TypeError on
+        a non-integer element): ``mix64`` over ``int64`` items vectorizes
+        through :func:`~repro.hashing.unit.unit_hash_array`; object items
+        and every other algorithm take one scalar sweep.  Each layer's
+        hasher (engine routing, shard routing, sampling) gets its own
+        cached column.
         """
         column = self._hash_columns.get(hasher)
         if column is None:
-            if hasher.algorithm == "mix64":
+            if hasher.algorithm == "mix64" and self.items.dtype == np.int64:
                 column = unit_hash_array(self.items, hasher.seed)
             else:
                 column = np.array(
@@ -281,12 +331,15 @@ class EventBatch:
 
     def first_occurrence_indices(self) -> IntColumn:
         """Indices of the first occurrence of each ``(site, item)`` pair,
-        ascending — the vectorized form of the same-slot dedup loop the
-        sliding cores run on synchronous networks."""
-        pairs = np.stack((self.require_sites(), self.items), axis=1)
-        _, first = np.unique(pairs, axis=0, return_index=True)
-        first.sort()
-        return first
+        ascending — the same-slot dedup the sliding cores run on
+        synchronous networks.  Pairs compare under Python equality (so
+        an object column's ``True`` repeats ``1``), as ``dict.fromkeys``
+        does."""
+        first: dict[tuple[int, Any], int] = {}
+        pairs = zip(self.sites_list(), self.items_list())
+        for index, pair in enumerate(pairs):
+            first.setdefault(pair, index)
+        return np.fromiter(first.values(), dtype=np.int64, count=len(first))
 
     # -- row views -----------------------------------------------------------
 
@@ -299,8 +352,8 @@ class EventBatch:
             )
         return self.sites
 
-    def items_list(self) -> list[int]:
-        """The item column as plain Python ints (cached)."""
+    def items_list(self) -> list[Any]:
+        """The item column as Python objects (cached)."""
         if self._items_list is None:
             self._items_list = self.items.tolist()
         return self._items_list
@@ -327,7 +380,9 @@ class EventBatch:
         if not isinstance(other, EventBatch):
             return NotImplemented
 
-        def column_eq(a: Optional[IntColumn], b: Optional[IntColumn]) -> bool:
+        def column_eq(
+            a: Optional[npt.NDArray[Any]], b: Optional[npt.NDArray[Any]]
+        ) -> bool:
             if a is None or b is None:
                 return a is None and b is None
             return bool(np.array_equal(a, b))

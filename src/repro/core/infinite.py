@@ -43,19 +43,13 @@ from typing import Any, Optional
 import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError
-from ..hashing.unit import UnitHasher, unit_hash_vector
+from ..hashing.unit import UnitHasher
 from ..netsim.message import COORDINATOR, Message, MessageKind
 from ..netsim.network import Network
 from ..runtime.topology import Topology
 from ..structures.bottomk import BottomK
 from .events import EventBatch
-from .protocol import (
-    Sampler,
-    SampleResult,
-    SamplerConfig,
-    iter_event_runs,
-    revive_element,
-)
+from .protocol import Sampler, SampleResult, SamplerConfig, revive_element
 
 __all__ = [
     "BottomSFacadeBase",
@@ -63,6 +57,11 @@ __all__ = [
     "InfiniteWindowCoordinator",
     "DistinctSamplerSystem",
 ]
+
+#: Elements per threshold refresh in
+#: :meth:`DistinctSamplerSystem.process_batch` (any value yields
+#: identical protocol behaviour).
+PROCESS_CHUNK = 1024
 
 
 class InfiniteWindowSite:
@@ -189,24 +188,9 @@ class BottomSFacadeBase(Sampler):
         for site in self.sites:
             site.observe_hashed(element, h, network)
 
-    # -- columnar ingestion --------------------------------------------------
-
-    def observe_columns(self, batch: EventBatch) -> int:
-        """Columnar fast path: one cached hash column per same-slot run.
-
-        Semantics of the generic loop (slots here are bookkeeping only);
-        delivery goes through :meth:`_deliver_columns`, which subclasses
-        override to add protocol-specific pre-filtering.
-        """
-        batch.require_sites()
-        for slot, run in batch.slot_runs():
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_columns(run)
-        return len(batch)
-
     def _deliver_columns(self, run: EventBatch) -> None:
-        """Deliver one routed run through the precomputed-hash site entry."""
+        """Deliver one routed run through the precomputed-hash site entry
+        (subclasses override it to add protocol-specific pre-filtering)."""
         if not len(run):
             return
         hashes = run.hash_column(self.hasher).tolist()
@@ -255,16 +239,38 @@ class BottomSFacadeBase(Sampler):
         """The sample as JSON-safe ``[hash, element]`` snapshot rows."""
         return [[h, element] for h, element in self.sample_pairs()]
 
-    def _load_sample_rows(self, rows: list) -> None:
-        """Rebuild the coordinator's sample store from snapshot rows."""
-        store = self.coordinator.sample_store
-        store.clear()
-        for h, element in rows:
-            accepted, _ = store.offer(float(h), revive_element(element))
-            if not accepted:
-                raise ConfigurationError(
-                    "snapshot sample contains duplicates or unsorted entries"
+    def _load_sample_rows(self, rows: Any) -> None:
+        """Rebuild the coordinator's sample store from snapshot rows
+        (``state.get("sample")``; None when the key is missing).
+
+        Every row is parsed into a fresh store first; the live store is
+        replaced only once all of them parse, so a malformed sample
+        leaves the sampler untouched.
+
+        Raises:
+            ConfigurationError: For a missing or non-list sample, a row
+                that is not ``[hash, element]``, a hash that is not a
+                float in ``[0, 1)`` (NaN included), or rows that repeat
+                an element or overflow the sample.
+        """
+        store = BottomK(self.sample_size)
+        try:
+            if not isinstance(rows, list):
+                raise TypeError(
+                    f"sample must be a list of rows, got {type(rows).__name__}"
                 )
+            for h, element in rows:
+                h = float(h)
+                if not 0.0 <= h < 1.0:
+                    raise ValueError(f"sample hash {h!r} is not in [0, 1)")
+                accepted, _ = store.offer(h, revive_element(element))
+                if not accepted:
+                    raise ValueError(
+                        "sample contains duplicates or unsorted entries"
+                    )
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed snapshot sample: {exc}") from exc
+        self.coordinator.sample_store = store
 
 
 class DistinctSamplerSystem(BottomSFacadeBase):
@@ -312,60 +318,17 @@ class DistinctSamplerSystem(BottomSFacadeBase):
 
     # -- ingestion -------------------------------------------------------
 
-    def observe_batch(self, events) -> int:
-        """Vectorized batch ingestion (semantics of the generic loop).
-
-        The batch is split into same-slot runs (:func:`iter_event_runs`),
-        each run is bulk-hashed (:func:`~repro.hashing.unit.unit_hash_batch`
-        — one NumPy pass under ``mix64``) and pushed through
-        :meth:`process_batch`, which pre-filters elements that provably
-        cannot be reported.  Equivalence with looping :meth:`observe` is
-        covered by the conformance and batch-equivalence tests.
-        """
-        if isinstance(events, EventBatch):
-            return self.observe_columns(events)
-        events = events if isinstance(events, list) else list(events)
-        if not events:
-            return 0
-        if len(events[0]) == 2 and set(map(len, events)) == {2}:
-            self._deliver_batch(events)
-        else:
-            for slot, batch in iter_event_runs(events):
-                if slot is not None:
-                    self.advance(slot)
-                self._deliver_batch(batch)
-        return len(events)
-
-    def _deliver_batch(self, batch: list) -> None:
-        """Bulk-hash one same-slot run and pre-filter silent elements.
-
-        Uses :func:`~repro.hashing.unit.unit_hash_vector` directly (not
-        ``unit_hash_batch``) to keep the hash array in NumPy form — no
-        list round-trip before the filter.
-        """
-        if not batch:
-            return
-        site_ids, items = zip(*batch)
-        hashes = unit_hash_vector(self.hasher, items)
-        if hashes is None:
-            hashes = self.hasher.unit_many(items)
-        self.process_batch(site_ids, items, hashes)
-
     def _deliver_columns(self, run: EventBatch) -> None:
-        """Columnar delivery: cached hash column + threshold pre-filter."""
+        """Columnar delivery: the run's cached hash column (one NumPy
+        pass under ``mix64``) through the :meth:`process_batch`
+        threshold pre-filter."""
         if not len(run):
             return
         self.process_batch(
             run.sites, run.items_list(), run.hash_column(self.hasher)
         )
 
-    def process_batch(
-        self,
-        site_ids,
-        elements,
-        hashes,
-        chunk: int = 1024,
-    ) -> int:
+    def process_batch(self, site_ids, elements, hashes) -> int:
         """Vectorized bulk ingestion (semantically identical to a loop of
         :meth:`observe_hashed`, verified by the equivalence tests).
 
@@ -376,15 +339,14 @@ class DistinctSamplerSystem(BottomSFacadeBase):
         NumPy filters out the provably silent elements wholesale, so only
         the surviving candidates walk the slow path (which still
         re-checks against the live threshold — it may have dropped
-        further mid-chunk).  Once the sample stabilizes, whole chunks are
-        skipped with a single vector compare.
+        further mid-chunk).  Once the sample stabilizes, whole chunks of
+        :data:`PROCESS_CHUNK` elements are skipped with a single vector
+        compare.
 
         Args:
             site_ids: Per-element site assignment (array-like of int).
             elements: The elements themselves (any type; delivered as-is).
             hashes: Matching unit hashes (array-like of float).
-            chunk: Elements per threshold refresh (tuning knob only —
-                any value yields identical protocol behaviour).
 
         Returns:
             The number of elements that took the slow path.
@@ -396,16 +358,14 @@ class DistinctSamplerSystem(BottomSFacadeBase):
             raise ConfigurationError(
                 "site_ids, elements, and hashes must have equal lengths"
             )
-        if chunk < 1:
-            raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
         network = self.network
         sites = self.sites
         slow = 0
         element_list = (
             elements if isinstance(elements, list) else list(elements)
         )
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
+        for start in range(0, n, PROCESS_CHUNK):
+            stop = min(start + PROCESS_CHUNK, n)
             # Thresholds as of chunk start; u_i never increases, so
             # elements filtered out here are silent for the whole chunk.
             thresholds = np.array([site.u_local for site in sites])
@@ -446,7 +406,7 @@ class DistinctSamplerSystem(BottomSFacadeBase):
         }
 
     def _load(self, state: dict[str, Any]) -> None:
-        self._load_sample_rows(state["sample"])
+        self._load_sample_rows(state.get("sample"))
         thresholds = state.get("site_thresholds")
         if thresholds is None:
             # Soft site state: any value >= the true u is safe.

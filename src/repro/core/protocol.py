@@ -55,7 +55,6 @@ __all__ = [
     "SamplerConfig",
     "Sampler",
     "EXECUTORS",
-    "iter_event_runs",
 ]
 
 _INF = float("inf")
@@ -316,41 +315,6 @@ def parse_stats_state(state: dict[str, Any]) -> MessageStats:
 Event = Union[tuple[Any, ...], Sequence[Any]]
 
 
-def iter_event_runs(
-    events: Iterable[Event],
-) -> Iterator[tuple[Optional[int], list[tuple[Any, Any]]]]:
-    """Group an event sequence into ``(slot, [(site, item), ...])`` runs.
-
-    A run collects consecutive events delivered at the same protocol time:
-    slot-stamped events open a new run whenever their slot differs from the
-    run's slot; unstamped 2-tuples always join the current run.  Replaying
-    ``advance(slot)`` (when ``slot`` is not None) followed by the run's
-    deliveries reproduces, event for event, what the generic
-    :meth:`Sampler.observe_batch` loop does — including *where* a
-    non-monotone slot stamp raises, since earlier runs have already been
-    delivered by then.  The vectorized ``observe_batch`` overrides use this
-    to get whole same-slot batches they can bulk-hash and pre-filter.
-
-    Yields:
-        ``(slot, batch)`` pairs where ``slot`` is None for a run delivered
-        at the current slot without advancing, and ``batch`` is a list of
-        ``(site_id, item)`` pairs in arrival order.
-    """
-    pending_slot: Optional[int] = None
-    run: list[tuple[Any, Any]] = []
-    for event in events:
-        # Mirror the generic loop's branch exactly: anything that is not
-        # a 2-tuple is treated as slot-stamped via event[2].
-        if len(event) != 2 and event[2] != pending_slot:
-            if run or pending_slot is not None:
-                yield pending_slot, run
-                run = []
-            pending_slot = event[2]
-        run.append((event[0], event[1]))
-    if run or pending_slot is not None:
-        yield pending_slot, run
-
-
 class Sampler(ABC):
     """Abstract base class for every distributed sampler facade.
 
@@ -360,8 +324,9 @@ class Sampler(ABC):
     topology of their own and call :meth:`_init_protocol` directly,
     overriding :meth:`message_stats`.  Subclasses implement the small
     hook surface (:meth:`_deliver`, :meth:`_advance_to`, :meth:`sample`,
-    :meth:`config`, :meth:`_state`, :meth:`_load`); the base class
-    provides the uniform lifecycle and accounting on top.
+    :meth:`config`, :meth:`_state`, :meth:`_load`, and optionally
+    :meth:`_deliver_columns`); the base class provides the uniform
+    lifecycle and accounting on top.
     """
 
     # -- construction ------------------------------------------------------
@@ -423,36 +388,32 @@ class Sampler(ABC):
         """Deliver a batch of events; returns the number delivered.
 
         Each event is ``(site_id, item)`` — delivered at the current
-        slot — or ``(site_id, item, slot)``.  An
-        :class:`~repro.core.events.EventBatch` is dispatched to
-        :meth:`observe_columns` instead.  Subclasses may override with a
-        vectorized fast path; semantics must match this loop (the
-        equivalence is covered by the conformance tests).
+        slot — or ``(site_id, item, slot)``, as for :meth:`observe`.
+        The list becomes one :class:`~repro.core.events.EventBatch`
+        (:meth:`~repro.core.events.EventBatch.from_events`) and takes
+        :meth:`observe_columns`; a batch passes straight through.
         """
-        if isinstance(events, EventBatch):
-            return self.observe_columns(events)
-        count = 0
-        for event in events:
-            if len(event) == 2:
-                self._deliver(event[0], event[1])
-            else:
-                self.advance(event[2])
-                self._deliver(event[0], event[1])
-            count += 1
-        return count
+        batch = (
+            events
+            if isinstance(events, EventBatch)
+            else EventBatch.from_events(events)
+        )
+        return self.observe_columns(batch)
 
     def observe_columns(self, batch: EventBatch) -> int:
         """Deliver a columnar batch; returns the number delivered.
 
-        The base implementation replays the batch as tuple events, so
-        every variant accepts :class:`~repro.core.events.EventBatch`
-        input and equivalence with the tuple path holds by construction.
-        Cores with a true columnar fast path (precomputed hash columns,
-        no tuple materialization) override this.
+        Replays the batch run by run: each same-slot run advances to its
+        slot (when stamped), then :meth:`_deliver_columns` delivers it.
+        A non-monotone stamp raises once the earlier runs are delivered,
+        exactly as a loop of :meth:`observe` calls would.
         """
-        # The one sanctioned tuple fallback: correctness-by-construction
-        # for variants that have no columnar override yet.
-        return self.observe_batch(batch.to_events())  # repro-lint: disable=RPR001
+        batch.require_sites()
+        for slot, run in batch.slot_runs():
+            if slot is not None:
+                self.advance(slot)
+            self._deliver_columns(run)
+        return len(batch)
 
     def advance(self, slot: int) -> None:
         """Advance slotted time to ``slot`` and run boundary maintenance.
@@ -526,6 +487,15 @@ class Sampler(ABC):
     @abstractmethod
     def _deliver(self, site_id: int, item: Any) -> None:
         """Deliver one item to a site at the current slot."""
+
+    def _deliver_columns(self, run: EventBatch) -> None:
+        """Deliver one routed same-slot run at the current slot.
+
+        The default delivers row by row through :meth:`_deliver`; cores
+        override it to hash the run once (a cached column) and filter.
+        """
+        for site_id, item in zip(run.sites_list(), run.items_list()):
+            self._deliver(site_id, item)
 
     def _advance_to(self, slot: int) -> None:
         """Move protocol time to ``slot`` (infinite window: nothing to do)."""

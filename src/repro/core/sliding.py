@@ -66,7 +66,7 @@ from dataclasses import replace
 from typing import Any, Callable, Optional, Sequence
 
 from ..errors import ConfigurationError, ProtocolError
-from ..hashing.unit import UnitHasher, unit_hash_batch
+from ..hashing.unit import UnitHasher
 from ..netsim.clock import SlotClock
 from ..netsim.message import COORDINATOR, Message, MessageKind
 from ..netsim.network import Network
@@ -83,7 +83,6 @@ from .protocol import (
     SamplerConfig,
     decode_expiry,
     encode_expiry,
-    iter_event_runs,
     revive_element,
 )
 
@@ -171,13 +170,13 @@ class SlidingFacadeBase(Sampler):
     generalization (:mod:`repro.core.sliding_feedback`) and the one-way
     local-push ablation (:mod:`repro.core.sliding_general`) differ only in
     their protocol nodes.  Validation, the slot clock, delivery with its
-    batch and columnar fast paths, the bottom-``s`` query, the snapshot
-    layout and the resharding hook are identical and live here.
+    columnar fast path, the bottom-``s`` query, the snapshot layout and
+    the resharding hook are identical and live here.
 
     Candidate sets prune lazily (:mod:`repro.structures.dominance`).  The
-    batch and columnar paths settle every site and coordinator set once
-    at the end of each delivered same-slot run, so the deferred sweeps are
-    paid inside ingest and a checkpoint reads clean sets.
+    columnar path settles every site and coordinator set once at the end
+    of each delivered same-slot run, so the deferred sweeps are paid
+    inside ingest and a checkpoint reads clean sets.
 
     Subclasses implement :meth:`_make_coordinator` and :meth:`_make_site`
     and persist their own node fields through :meth:`_site_state` /
@@ -266,36 +265,10 @@ class SlidingFacadeBase(Sampler):
             rule == "synchronous" and self.network.synchronous
         )
 
-    def observe_batch(self, events) -> int:
-        """Vectorized batch ingestion (semantics of the generic loop).
-
-        Splits the batch into same-slot runs, bulk-hashes each run
-        (:func:`~repro.hashing.unit.unit_hash_batch`) and drops exact
-        ``(site, element)`` repeats within a run where
-        :attr:`SAME_SLOT_REPEATS` allows.
-        """
-        if isinstance(events, EventBatch):
-            return self.observe_columns(events)
-        events = events if isinstance(events, list) else list(events)
-        if not events:
-            return 0
-        for slot, batch in iter_event_runs(events):
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_batch(batch)
-        return len(events)
-
-    def observe_columns(self, batch: EventBatch) -> int:
-        """Columnar fast path: cached hash column + vectorized dedup."""
-        batch.require_sites()
-        for slot, run in batch.slot_runs():
-            if slot is not None:
-                self.advance(slot)
-            self._deliver_columns(run)
-        return len(batch)
-
     def _deliver_columns(self, run: EventBatch) -> None:
-        """Columnar twin of :meth:`_deliver_batch` (same repeat rule)."""
+        """Deliver one same-slot run with its cached hash column, first
+        dropping exact ``(site, element)`` repeats where
+        :attr:`SAME_SLOT_REPEATS` allows."""
         if not len(run):
             return
         hashes = run.hash_column(self.hasher).tolist()
@@ -310,20 +283,6 @@ class SlidingFacadeBase(Sampler):
         network = self.network
         sites = self.sites
         for site_id, item, h in zip(site_ids, items, hashes):
-            sites[site_id].observe_hashed(item, h, now, network)
-        self._settle()
-
-    def _deliver_batch(self, batch: list) -> None:
-        """Deliver one same-slot run with precomputed hashes."""
-        if not batch:
-            return
-        if self._drops_repeats():
-            batch = list(dict.fromkeys(batch))
-        hashes = unit_hash_batch(self.hasher, [item for _, item in batch])
-        now = self.clock.now
-        network = self.network
-        sites = self.sites
-        for (site_id, item), h in zip(batch, hashes):
             sites[site_id].observe_hashed(item, h, now, network)
         self._settle()
 

@@ -23,13 +23,7 @@ from ..hashing.unit import SeededHashFamily
 from ..runtime.topology import aggregate_sampler_stats, merge_message_stats
 from .events import EventBatch
 from .infinite import DistinctSamplerSystem
-from .protocol import (
-    Sampler,
-    SampleResult,
-    SamplerConfig,
-    SamplerStats,
-    iter_event_runs,
-)
+from .protocol import Sampler, SampleResult, SamplerConfig, SamplerStats
 from .sliding import SlidingWindowSystem
 
 __all__ = ["WithReplacementSampler", "SlidingWindowWithReplacement"]
@@ -51,42 +45,18 @@ class _WithReplacementBase(Sampler):
         for copy in self.copies:
             copy._deliver(site_id, item)
 
-    def observe_batch(self, events) -> int:
-        """Vectorized batch ingestion: one bulk call per copy per run.
+    def _deliver_columns(self, run: EventBatch) -> None:
+        """Hand the whole same-slot run to every copy.
 
         The copies are fully independent (separate hashers and networks),
-        so handing each copy a whole same-slot run at once — letting it
-        bulk-hash with *its* seed — produces exactly the state the
-        event-by-event loop would.  The facade advances first, which (for
-        the sliding flavour) moves every copy's clock to the run's slot
-        before delivery.
+        so each copy's columnar delivery — hashing with *its own* family
+        member, one cached column per copy — produces exactly the state
+        the event-by-event loop would.  The facade has already advanced,
+        which (for the sliding flavour) moved every copy's clock to the
+        run's slot.
         """
-        if isinstance(events, EventBatch):
-            return self.observe_columns(events)
-        events = events if isinstance(events, list) else list(events)
-        if not events:
-            return 0
-        for slot, batch in iter_event_runs(events):
-            if slot is not None:
-                self.advance(slot)
-            for copy in self.copies:
-                copy.observe_batch(batch)
-        return len(events)
-
-    def observe_columns(self, batch: EventBatch) -> int:
-        """Columnar ingestion: each copy takes the run's columnar path.
-
-        Every copy hashes with *its own* family member, so each same-slot
-        run accumulates one cached hash column per copy and the copies'
-        vectorized ``observe_columns`` fast paths do the rest.
-        """
-        batch.require_sites()
-        for slot, run in batch.slot_runs():
-            if slot is not None:
-                self.advance(slot)
-            for copy in self.copies:
-                copy.observe_columns(run)
-        return len(batch)
+        for copy in self.copies:
+            copy._deliver_columns(run)
 
     def sample(self) -> SampleResult:
         """One independent uniform distinct draw per copy.

@@ -6,11 +6,12 @@ emitter to the sampler core: hash columns are computed once and sliced,
 never recomputed, and no layer re-expands the batch into per-event
 tuples.  The slow ways to break that are all one innocuous call away:
 
-* ``batch.to_events()`` — rebuilds the full tuple list (the generic
-  fallback in :meth:`repro.core.protocol.Sampler.observe_columns` is the
-  single sanctioned use and carries a suppression comment);
+* ``batch.to_events()`` — rebuilds the full tuple list (no ingest path
+  needs it: every ``observe_batch`` builds a batch and every core
+  delivers from its columns);
 * ``zip(*batch)`` / ``zip(*run)`` — transposes rows back into tuples;
-* ``EventBatch.from_events(...)`` — round-trips through tuples.
+* ``EventBatch.from_events(...)`` — round-trips through tuples (the
+  ``observe_batch`` adapters call it once, where an event list enters).
 
 This rule flags those constructs inside the functions that make up the
 columnar hot path (``observe_columns``, ``_deliver_columns``,

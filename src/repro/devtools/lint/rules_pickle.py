@@ -1,7 +1,7 @@
 """RPR002 — pickle safety for state that crosses the executor boundary.
 
 The :class:`~repro.runtime.executor.SharedMemoryExecutor` ships group
-state, plan metadata, and tuple-event sub-batches to its worker
+state, plan metadata, and object item columns to its worker
 processes by pickle, and snapshot/deepcopy reach the same
 ``__reduce__``/``__getstate__`` machinery.  Two classes of bug get
 in by default and only explode at runtime, in a worker:

@@ -20,8 +20,6 @@ from .unit import (
     SeededHashFamily,
     UnitHasher,
     unit_hash_array,
-    unit_hash_batch,
-    unit_hash_vector,
 )
 
 __all__ = [
@@ -37,6 +35,4 @@ __all__ = [
     "SeededHashFamily",
     "HASH_ALGORITHMS",
     "unit_hash_array",
-    "unit_hash_batch",
-    "unit_hash_vector",
 ]

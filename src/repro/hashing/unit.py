@@ -13,8 +13,7 @@ uses one family member per parallel copy.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import Optional
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 import numpy.typing as npt
@@ -27,8 +26,6 @@ __all__ = [
     "SeededHashFamily",
     "HASH_ALGORITHMS",
     "unit_hash_array",
-    "unit_hash_batch",
-    "unit_hash_vector",
 ]
 
 _TWO_53 = float(1 << 53)
@@ -159,56 +156,6 @@ def unit_hash_array(ids: npt.ArrayLike, seed: int = 0) -> npt.NDArray[np.float64
         )
     mixed = fmix64_array(keys)
     return (mixed >> np.uint64(11)).astype(np.float64) / _TWO_53
-
-
-def unit_hash_vector(
-    hasher: UnitHasher, items: Sequence[Element]
-) -> Optional[npt.NDArray[np.float64]]:
-    """Vectorized unit hashes for a batch, or None when ineligible.
-
-    THE single definition of the mix64 vectorization gate: a batch is
-    NumPy-hashable iff the hasher is ``mix64`` and every item is a plain
-    int64-range Python int.  The type gate is deliberately exact
-    (``type(e) is int``) and runs at C speed via ``set(map(type, items))``
-    — it must exclude ``bool`` (NumPy would coerce ``True`` to ``1`` and
-    lose element identity downstream) and ``np.integer`` (the scalar
-    ``mix64`` path rejects those, and the batch must fail identically).
-    Out-of-int64 ints return None too; the scalar hasher handles them.
-
-    Args:
-        hasher: The shared :class:`UnitHasher`.
-        items: A sequence of elements (materialized, not a generator).
-
-    Returns:
-        A float64 array matching ``[hasher.unit(e) for e in items]``
-        element-for-element, or None when the batch must take the scalar
-        loop.
-    """
-    if (
-        hasher.algorithm != "mix64"
-        or not items
-        or set(map(type, items)) != {int}
-    ):
-        return None
-    try:
-        ids = np.array(items, dtype=np.int64)
-    except OverflowError:
-        return None
-    return unit_hash_array(ids, hasher.seed)
-
-
-def unit_hash_batch(hasher: UnitHasher, items: Sequence[Element]) -> list[float]:
-    """Unit hashes for a whole batch, vectorized when the hasher allows.
-
-    Element-for-element equal to ``[hasher.unit(e) for e in items]``,
-    including the scalar path's error behaviour (e.g. ``mix64``
-    rejecting non-integers with TypeError).  See
-    :func:`unit_hash_vector` for the vectorization gate.
-    """
-    hashes = unit_hash_vector(hasher, items)
-    if hashes is not None:
-        return hashes.tolist()
-    return hasher.unit_many(items)
 
 
 class SeededHashFamily:

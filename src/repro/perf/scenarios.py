@@ -25,10 +25,9 @@ Built-in scenarios:
   measuring ingestion with queued (rather than synchronous) coordinator
   round-trips.
 * ``uniform-columnar`` / ``sharded-uniform-columnar`` — the *same*
-  workloads as their tuple twins (same seeds, same columns), emitted as
-  :class:`~repro.core.events.EventBatch` so the whole pipeline stays
-  columnar; the gap between twin cells is the tuple-churn tax the
-  columnar ingest path removes.
+  workloads as their list twins (same seeds, same columns), emitted as
+  a prebuilt :class:`~repro.core.events.EventBatch`; the gap between
+  twin cells is the cost of building the batch from a Python list.
 * ``sharded-uniform-shm`` — the columnar sharded workload again, but
   ingested through the :class:`~repro.runtime.executor.SharedMemoryExecutor`
   (``SuiteConfig.workers`` workers): deterministic counters identical to

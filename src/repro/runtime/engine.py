@@ -137,52 +137,37 @@ class Engine:
 
         Equivalent to ``sampler.advance(slot)`` (when ``slot`` is given —
         it applies once, before any delivery, even for an empty batch)
-        followed by looping :meth:`observe` without ``slot`` — the batch
-        path computes the same site assignments, then hands the addressed
-        events to the sampler's (vectorized) ``observe_batch``.
-
-        A columnar :class:`~repro.core.events.EventBatch` (items column;
-        sites optional under ``explicit``) dispatches to
-        :meth:`observe_columns`, which keeps the routing output as an
-        array end to end.
+        followed by looping :meth:`observe` without ``slot``.  The items
+        become one :class:`~repro.core.events.EventBatch` (tuple events
+        under ``explicit``, via
+        :meth:`~repro.core.events.EventBatch.from_events`) and take
+        :meth:`observe_columns`; a batch passes straight through.
         """
+        batch: EventBatch
         if isinstance(items, EventBatch):
-            return self.observe_columns(items, slot=slot)
-        if slot is not None:
-            self.sampler.advance(slot)
-        if self.policy == "explicit":
-            # Pass-through: the events already carry site ids, so no copy
-            # is needed here (the sampler materializes if it must).
-            return self.sampler.observe_batch(items)
-        items = items if isinstance(items, list) else list(items)
-        if not items:
-            return 0
-        if self.policy == "hash":
-            sites = self._hash_distributor().assignments_for(items).tolist()
+            batch = items
+        elif self.policy == "explicit":
+            batch = EventBatch.from_events(items)
         else:
-            k = self.num_sites
-            start = self._position
-            sites = [(start + j) % k for j in range(len(items))]
-        self._position += len(items)
-        return self.sampler.observe_batch(list(zip(sites, items)))
+            batch = EventBatch(items)
+        return self.observe_columns(batch, slot=slot)
 
     def observe_columns(
         self, batch: EventBatch, *, slot: Optional[int] = None
     ) -> int:
         """Route a columnar batch; site assignments stay NumPy arrays.
 
-        Semantics of :meth:`observe_batch` over ``batch.to_events()``:
-        the same distributor computes the same site ids, but the column
-        is attached with :meth:`~repro.core.events.EventBatch.with_sites`
-        (sharing the cached hash columns) instead of being zipped back
-        into tuples.
+        The distributor computes the site ids :meth:`observe` would, and
+        :meth:`~repro.core.events.EventBatch.with_sites` attaches them
+        (sharing the cached hash columns) for the sampler's
+        ``observe_columns``; under ``explicit`` the batch's own site
+        column is used.
         """
         if slot is not None:
             self.sampler.advance(slot)
         n = len(batch)
         if self.policy == "explicit":
-            batch.require_sites()
-            return self.sampler.observe_batch(batch)
+            return self.sampler.observe_columns(batch)
         if not n:
             return 0
         if self.policy == "hash":
@@ -191,4 +176,4 @@ class Engine:
             k = self.num_sites
             sites = (self._position + np.arange(n, dtype=np.int64)) % k
         self._position += n
-        return self.sampler.observe_batch(batch.with_sites(sites))
+        return self.sampler.observe_columns(batch.with_sites(sites))

@@ -23,17 +23,20 @@ where the canonical group state lives:
   mutation), the parent ships each group's ``(config, state_dict)`` to
   its worker once; the worker rebuilds the group and keeps it alive
   across batches.  State crosses the pipe here and nowhere else.
-* ``ingest_columns`` — the steady-state hot path.  The parent routes the
+* ``ingest_columns`` — the one ingest command.  The parent routes the
   batch (one vectorized pass), warms the shared sampling-hash column,
-  concatenates the per-group sub-runs into three ``/dev/shm`` blocks
-  (items, sites, hashes — written once), and sends only *plan metadata*:
-  block names plus per-group ``(slot, None) | (None, (offset, length))``
-  tasks.  Workers attach, build :class:`~repro.core.events.EventBatch`
-  views over the mapped columns (zero copies, the parent-warmed hash
-  slice adopted via ``adopt_hash_column``), replay, and reply with their
-  measured per-group ingest seconds.  The parent unlinks the blocks as
-  soon as every worker has replied — a batch's blocks never outlive the
-  call, even on error.
+  concatenates the per-group sub-runs into ``/dev/shm`` blocks (sites,
+  hashes and ``int64`` items — written once), and sends only *plan
+  metadata*: block names plus per-group ``(slot, None) | (None,
+  (offset, length))`` tasks.  An ``object`` item column has no
+  fixed-width layout, so it travels pickled in the metadata instead of
+  a block (counted in ``pickle_bytes``).  Workers attach, build
+  :class:`~repro.core.events.EventBatch` views over the mapped columns
+  (zero copies, the parent-warmed hash slice adopted via
+  ``adopt_hash_column``), replay, and reply with their measured
+  per-group ingest seconds.  The parent unlinks the blocks as soon as
+  every worker has replied — a batch's blocks never outlive the call,
+  even on error.
 * ``collect`` — on ``sample()``/``stats()``/``state_dict()``/``close()``
   the parent pulls the groups' ``state_dict`` back and re-synchronizes
   its own copies (queries always run against parent-side groups).
@@ -115,8 +118,8 @@ __all__ = [
     "make_executor",
 ]
 
-#: One group's replay plan: ``(slot, None)`` advances, ``(None, batch)``
-#: delivers (a tuple sub-batch or a columnar sub-run).
+#: One group's replay plan: ``(slot, None)`` advances, ``(None, run)``
+#: delivers a columnar sub-run.
 GroupPlan = list[tuple[Optional[int], Any]]
 
 #: A shm worker's task: ``(slot, None)`` advances, ``(None, (offset,
@@ -130,16 +133,16 @@ WorkerPlans = list[tuple[int, Any]]
 def _replay_group(group: Sampler, tasks: GroupPlan) -> float:
     """Replay one group's plan in place; returns the measured seconds.
 
-    Shared by the shm workers (tuple-event batches) and the parent's
-    crash-replay — the replay order is exactly the serial per-group
-    delivery order, which is what makes the backends bit-identical.
+    The parent's crash-replay — the replay order is exactly the serial
+    per-group delivery order, which is what makes the recovered groups
+    bit-identical to a never-crashed run.
     """
     started = time.perf_counter()
-    for slot, batch in tasks:
+    for slot, run in tasks:
         if slot is not None:
             group.advance(slot)
         else:
-            group.observe_batch(batch)
+            group.observe_columns(run)
     return time.perf_counter() - started
 
 
@@ -218,10 +221,11 @@ def _shm_replay_ranges(
     """Replay range plans against zero-copy column views (worker side).
 
     Every delivery builds an :class:`EventBatch` whose columns are
-    *slices of the mapped shm blocks* and adopts the parent-warmed
-    sampling-hash slice; the cores convert to Python lists before
-    retaining anything, so no view outlives this frame and the caller
-    can close the mappings immediately after.
+    *slices of the mapped shm blocks* (or of the pickled object item
+    column) and adopts the parent-warmed sampling-hash slice; the cores
+    convert to Python lists before retaining anything, so no view
+    outlives this frame and the caller can close the mappings
+    immediately after.
     """
     timings: dict[int, float] = {}
     for g, tasks in plans:
@@ -253,16 +257,15 @@ def _shm_ingest_columns(
     columns: Optional[tuple[npt.NDArray[Any], ...]] = None
     try:
         if meta is not None:
-            items_name, sites_name, hash_name, rows = meta
-            handles = [
-                _shm_attach(items_name),
-                _shm_attach(sites_name),
-                _shm_attach(hash_name),
-            ]
+            items, sites_name, hash_name, rows = meta
+            handles = [_shm_attach(sites_name), _shm_attach(hash_name)]
+            if isinstance(items, str):
+                handles.append(_shm_attach(items))
+                items = np.ndarray((rows,), dtype=np.int64, buffer=handles[2].buf)
             columns = (
+                items,
                 np.ndarray((rows,), dtype=np.int64, buffer=handles[0].buf),
-                np.ndarray((rows,), dtype=np.int64, buffer=handles[1].buf),
-                np.ndarray((rows,), dtype=np.float64, buffer=handles[2].buf),
+                np.ndarray((rows,), dtype=np.float64, buffer=handles[1].buf),
             )
         hasher = UnitHasher(seed=hasher_key[0], algorithm=hasher_key[1])
         return _shm_replay_ranges(groups, session, columns, hasher, plans)
@@ -289,11 +292,6 @@ def _shm_dispatch(
         return None
     if command == "ingest_columns":
         return _shm_ingest_columns(groups, args)
-    if command == "ingest_events":
-        session, plans = args
-        return {
-            g: _replay_group(groups[(session, g)], tasks) for g, tasks in plans
-        }
     if command == "collect":
         session, group_ids = args
         return {g: groups[(session, g)].state_dict() for g in group_ids}
@@ -408,13 +406,13 @@ class ExecutionBackend(ABC):
     (the shm backend keys its per-sampler sessions weakly, so sharing is
     safe).
 
-    Serialization accounting: ``pickle_bytes`` counts bytes of pickled
-    *per-batch event payloads* (tuple sub-batches) and ``ipc_bytes``
-    counts every byte that crosses a process boundary for any reason
-    (payloads, plan metadata, session state exchanges).  The zero-copy
-    claim of the shm backend is therefore falsifiable:
-    ``pickle_bytes == 0`` for columnar ingest, enforced by the perf
-    regression gate.
+    Serialization accounting: ``pickle_bytes`` counts bytes of requests
+    that carry pickled *per-batch event payloads* (``object`` item
+    columns) and ``ipc_bytes`` counts every byte that crosses a process
+    boundary for any reason (payloads, plan metadata, session state
+    exchanges).  The zero-copy claim of the shm backend is therefore
+    falsifiable: ``pickle_bytes == 0`` for ``int64`` items, enforced by
+    the perf regression gate.
     """
 
     #: Registry-style name (``config.executor``).
@@ -427,10 +425,6 @@ class ExecutionBackend(ABC):
     #: Crash-replay recoveries performed (see the module docstring's
     #: failure-semantics section).  Always zero for the serial backend.
     recoveries: int = 0
-
-    @abstractmethod
-    def ingest_events(self, sharded: "ShardedSampler", events: list[Any]) -> int:
-        """Deliver a tuple-event batch to the groups; returns the count."""
 
     @abstractmethod
     def ingest_columns(self, sharded: "ShardedSampler", batch: EventBatch) -> int:
@@ -486,21 +480,9 @@ class SerialExecutor(ExecutionBackend):
 
     name = "serial"
 
-    def ingest_events(self, sharded: "ShardedSampler", events: list[Any]) -> int:
-        from ..core.protocol import iter_event_runs
-
-        for slot, run in iter_event_runs(events):
-            if slot is not None:
-                sharded.advance(slot)
-            sharded._deliver_batch(run)
-        return len(events)
-
     def ingest_columns(self, sharded: "ShardedSampler", batch: EventBatch) -> int:
-        for slot, run in batch.slot_runs():
-            if slot is not None:
-                sharded.advance(slot)
-            sharded._deliver_columns(run)
-        return len(batch)
+        # The generic run-by-run replay over the facade's run delivery.
+        return Sampler.observe_columns(sharded, batch)
 
 
 class SharedMemoryExecutor(ExecutionBackend):
@@ -515,8 +497,8 @@ class SharedMemoryExecutor(ExecutionBackend):
     per-batch traffic is plan metadata only — column bytes are written
     once into ``/dev/shm`` and mapped by the workers, and group state
     crosses the pipe only at session boundaries (adopt/collect), never
-    per batch.  ``pickle_bytes`` therefore stays 0 for columnar ingest
-    (the tuple-event fallback honestly counts its pickled sub-batches).
+    per batch.  ``pickle_bytes`` therefore stays 0 for ``int64`` items
+    (``object`` item columns honestly count their pickled requests).
 
     Raises:
         ConfigurationError: For a negative ``workers``.
@@ -840,17 +822,10 @@ class SharedMemoryExecutor(ExecutionBackend):
 
     # -- ingest --------------------------------------------------------------
 
-    def ingest_events(self, sharded: "ShardedSampler", events: list[Any]) -> int:
-        self._require_synchronous(sharded)
-        plans, last_slot, advances = sharded._plan_events(events)
-        self._execute_batch(sharded, plans, hasher=None)
-        sharded._commit_slots(last_slot, advances)
-        return len(events)
-
     def ingest_columns(self, sharded: "ShardedSampler", batch: EventBatch) -> int:
         self._require_synchronous(sharded)
         plans, last_slot, advances = sharded._plan_columns(batch)
-        self._execute_batch(sharded, plans, hasher=sharded.sampling_hasher)
+        self._execute_batch(sharded, plans, sharded.sampling_hasher)
         sharded._commit_slots(last_slot, advances)
         return len(batch)
 
@@ -880,7 +855,7 @@ class SharedMemoryExecutor(ExecutionBackend):
         self,
         sharded: "ShardedSampler",
         plans: list[GroupPlan],
-        hasher: Optional[UnitHasher],
+        hasher: UnitHasher,
     ) -> None:
         """Ship one batch to the workers, surviving worker crashes.
 
@@ -904,45 +879,34 @@ class SharedMemoryExecutor(ExecutionBackend):
                 if tasks:
                     session.pending.setdefault(g, []).extend(tasks)
             logged = True
-            if hasher is None:
-                per_worker = self._plans_by_worker(plans, len(workers))
+            blocks, meta, range_plans = self._build_blocks(plans, hasher)
+            # Object items really do travel pickled in the metadata.
+            boxed = meta is not None and not isinstance(meta[0], str)
+            try:
+                per_worker = self._plans_by_worker_ranged(
+                    range_plans, len(workers)
+                )
                 posted = []
                 for w, worker_plans in per_worker:
-                    # The tuple fallback really does pickle event
-                    # payloads across the pipe — count it honestly.
-                    self.pickle_bytes += self._post(
+                    sent = self._post(
                         workers[w],
-                        "ingest_events",
-                        (session.session_id, worker_plans),
+                        "ingest_columns",
+                        (
+                            session.session_id,
+                            meta,
+                            (hasher.seed, hasher.algorithm),
+                            worker_plans,
+                        ),
                     )
+                    if boxed:
+                        self.pickle_bytes += sent
                     posted.append(w)
                 self._collect_timings(sharded, session, workers, posted)
-            else:
-                blocks, meta, range_plans = self._build_blocks(plans, hasher)
-                try:
-                    per_worker = self._plans_by_worker_ranged(
-                        range_plans, len(workers)
-                    )
-                    posted = []
-                    for w, worker_plans in per_worker:
-                        self._post(
-                            workers[w],
-                            "ingest_columns",
-                            (
-                                session.session_id,
-                                meta,
-                                (hasher.seed, hasher.algorithm),
-                                worker_plans,
-                            ),
-                        )
-                        posted.append(w)
-                    self._collect_timings(sharded, session, workers, posted)
-                finally:
-                    # The blocks never outlive the batch call: every
-                    # worker has replied (or the executor is already
-                    # torn down), so the segments can be unlinked
-                    # unconditionally.
-                    _release_blocks(blocks)
+            finally:
+                # The blocks never outlive the batch call: every worker
+                # has replied (or the executor is already torn down), so
+                # the segments can be unlinked unconditionally.
+                _release_blocks(blocks)
             session.batches_since_checkpoint += 1
             if session.batches_since_checkpoint >= self.checkpoint_batches:
                 self.sync(sharded)
@@ -971,16 +935,6 @@ class SharedMemoryExecutor(ExecutionBackend):
                 session.dirty.add(g)
 
     @staticmethod
-    def _plans_by_worker(
-        plans: list[GroupPlan], worker_count: int
-    ) -> list[tuple[int, WorkerPlans]]:
-        per_worker: dict[int, WorkerPlans] = {}
-        for g, tasks in enumerate(plans):
-            if tasks:
-                per_worker.setdefault(g % worker_count, []).append((g, tasks))
-        return sorted(per_worker.items())
-
-    @staticmethod
     def _plans_by_worker_ranged(
         range_plans: list[tuple[int, RangePlan]], worker_count: int
     ) -> list[tuple[int, WorkerPlans]]:
@@ -994,17 +948,20 @@ class SharedMemoryExecutor(ExecutionBackend):
         plans: list[GroupPlan], hasher: UnitHasher
     ) -> tuple[
         list[shared_memory.SharedMemory],
-        Optional[tuple[str, str, str, int]],
+        Optional[tuple[Any, str, str, int]],
         list[tuple[int, RangePlan]],
     ]:
         """Lay the batch's columns out once and index them by ranges.
 
         Concatenates every group's sub-run columns (items, sites, and
         the parent-warmed sampling-hash slice — a cache hit, computed
-        once for the whole batch) into three contiguous shm blocks and
+        once for the whole batch) into contiguous shm blocks and
         rewrites the plans as ``(offset, length)`` ranges into them.
-        Returns ``(blocks, meta, range_plans)``; ``meta`` is ``None``
-        for an advance-only batch (no blocks created).
+        Returns ``(blocks, meta, range_plans)``; ``meta`` is ``(items,
+        sites, hashes, rows)``, block names except for an ``object``
+        item column, which it carries itself (it has no fixed-width
+        layout), and ``None`` for an advance-only batch (no blocks
+        created).
         """
         chunks_items: list[npt.NDArray[Any]] = []
         chunks_sites: list[npt.NDArray[Any]] = []
@@ -1028,18 +985,24 @@ class SharedMemoryExecutor(ExecutionBackend):
             range_plans.append((g, ranged))
         if offset == 0:
             return [], None, range_plans
+        items = np.concatenate(chunks_items)
+        boxed = items.dtype == object
+        columns = [np.concatenate(chunks_sites), np.concatenate(chunks_hash)]
+        if not boxed:
+            columns.append(items)
         blocks: list[shared_memory.SharedMemory] = []
         try:
-            for column in (
-                np.concatenate(chunks_items),
-                np.concatenate(chunks_sites),
-                np.concatenate(chunks_hash),
-            ):
+            for column in columns:
                 blocks.append(_create_block(column))
         except BaseException:
             _release_blocks(blocks)
             raise
-        meta = (blocks[0].name, blocks[1].name, blocks[2].name, offset)
+        meta = (
+            items if boxed else blocks[2].name,
+            blocks[0].name,
+            blocks[1].name,
+            offset,
+        )
         return blocks, meta, range_plans
 
 

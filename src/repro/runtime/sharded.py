@@ -52,20 +52,13 @@ the other way around if needed (``s`` parallel sharded ``s=1`` groups).
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 import numpy as np
 import numpy.typing as npt
 
 from ..core.events import EventBatch
-from ..core.protocol import (
-    Event,
-    Sampler,
-    SampleResult,
-    SamplerConfig,
-    SamplerStats,
-    iter_event_runs,
-)
+from ..core.protocol import Sampler, SampleResult, SamplerConfig, SamplerStats
 from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher
 from ..netsim.network import MessageStats
@@ -205,32 +198,20 @@ class ShardedSampler(Sampler):
         for group in self.groups:
             group.advance(slot)
 
-    def observe_batch(self, events: Iterable[Event]) -> int:
-        """Partitioned batch ingestion (semantics of the generic loop).
-
-        Each same-slot run is split by owning group in one vectorized
-        routing pass, then every group bulk-ingests its sub-run through
-        its own fast path — in-process under the serial executor, in the
-        group's persistent worker process under the shm executor.  Groups
-        share no state, so per-group order (which both backends
-        preserve) is all that matters — equivalence with the event loop
-        is pinned by the batch-equivalence and property tests.
-        Per-group wall-clock accumulates in :attr:`group_ingest_seconds`.
-        """
-        if isinstance(events, EventBatch):
-            return self.observe_columns(events)
-        events = events if isinstance(events, list) else list(events)
-        if not events:
-            return 0
-        return self.executor.ingest_events(self, events)
-
     def observe_columns(self, batch: EventBatch) -> int:
-        """Columnar ingestion: array-sliced shard split, zero tuples.
+        """Partitioned ingestion: array-sliced shard split, zero tuples.
 
         Each same-slot run is routed with one vectorized shard-hash pass
         and :meth:`~repro.core.events.EventBatch.select` slices it into
-        per-group sub-batches.  Both backends warm the shared
-        *sampling*-hash column once per run, so no group ever rehashes.
+        per-group sub-runs, which every group ingests through its own
+        ``observe_columns`` — in-process under the serial executor, in
+        the group's persistent worker process under the shm executor.
+        Both backends warm the shared *sampling*-hash column once per
+        run, so no group ever rehashes.  Groups share no state, so
+        per-group order (which both backends preserve) is all that
+        matters — equivalence with the event loop is pinned by the
+        batch-equivalence and property tests.  Per-group wall-clock
+        accumulates in :attr:`group_ingest_seconds`.
         """
         batch.require_sites()
         if not len(batch):
@@ -260,41 +241,14 @@ class ShardedSampler(Sampler):
         state[0] = slot
         state[1] += 1
 
-    def _plan_events(
-        self, events: list[Any]
-    ) -> tuple[list[GroupPlan], Optional[int], int]:
-        """Per-group ``(slot, None) | (None, batch)`` plans for a whole
-        tuple-event call, plus the facade's pending slot bookkeeping.
-
-        Slot stamps are validated up front (a non-monotone stamp raises
-        *before* any delivery), so a plan that builds is safe to ship.
-        """
-        plans: list[GroupPlan] = [[] for _ in self.groups]
-        state: list[Any] = [self._last_slot, 0]
-        for slot, run in iter_event_runs(events):
-            if slot is not None:
-                self._plan_advance(plans, slot, state)
-            if not run:
-                continue
-            if len(self.groups) == 1:
-                plans[0].append((None, run))
-                continue
-            _, items = zip(*run)
-            shard_ids = self._router.assignments_for(items)
-            for shard in range(len(self.groups)):
-                index = np.flatnonzero(shard_ids == shard)
-                if index.size:
-                    plans[shard].append(
-                        (None, [run[i] for i in index.tolist()])
-                    )
-        self._bump_planned(plans)
-        return plans, state[0], state[1]
-
     def _plan_columns(
         self, batch: EventBatch
     ) -> tuple[list[GroupPlan], Optional[int], int]:
-        """Columnar twin of :meth:`_plan_events`: per-group column slices.
+        """Per-group ``(slot, None) | (None, run)`` plans for a whole
+        batch, plus the facade's pending slot bookkeeping.
 
+        Slot stamps are validated up front (a non-monotone stamp raises
+        *before* any delivery), so a plan that builds is safe to ship.
         The shared sampling-hash column is warmed once per run in the
         parent, before routing, and the per-group ``select`` *slices* it,
         so shm workers adopt views of one warmed column rather than
@@ -365,28 +319,6 @@ class ShardedSampler(Sampler):
             self._group_generation[shard] += 1
             started = time.perf_counter()
             groups[shard].observe_columns(sub_run)
-            timings[shard] += time.perf_counter() - started
-
-    def _deliver_batch(self, batch: list[tuple[int, Any]]) -> None:
-        if not batch:
-            return
-        timings = self.group_ingest_seconds
-        if len(self.groups) == 1:
-            self._group_generation[0] += 1
-            started = time.perf_counter()
-            self.groups[0].observe_batch(batch)
-            timings[0] += time.perf_counter() - started
-            return
-        _, items = zip(*batch)  # one C-level transpose, no per-item listcomp
-        shard_ids = self._router.assignments_for(items)
-        for shard in range(len(self.groups)):
-            index = np.flatnonzero(shard_ids == shard)
-            if not index.size:
-                continue
-            sub_batch = [batch[i] for i in index.tolist()]
-            self._group_generation[shard] += 1
-            started = time.perf_counter()
-            self.groups[shard].observe_batch(sub_batch)
             timings[shard] += time.perf_counter() - started
 
     # -- queries -------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..hashing.murmur import fmix64
-from ..hashing.unit import UnitHasher, unit_hash_vector
+from ..hashing.unit import UnitHasher
 
 __all__ = [
     "Distributor",
@@ -154,8 +154,8 @@ class HashDistributor:
     sampling hash (same master seed, salted), so routing never correlates
     with sample membership.  Unlike the positional strategies the
     assignment is a function of the element, not the stream position —
-    use :meth:`assignments_for` (or :meth:`assign_one`); the positional
-    :meth:`assignments` is rejected by construction.
+    use :meth:`assignments_for_batch` (or :meth:`assign_one`); the
+    positional :meth:`assignments` is rejected by construction.
 
     Args:
         num_sites: Number of partitions (sites or shard groups).
@@ -190,17 +190,9 @@ class HashDistributor:
         self, n: int, rng: Optional[np.random.Generator] = None
     ) -> Optional[np.ndarray]:
         raise ConfigurationError(
-            "HashDistributor is content-addressed; use assignments_for(items)"
+            "HashDistributor is content-addressed; use "
+            "assignments_for_batch(EventBatch(items))"
         )
-
-    def assignments_for(self, items) -> np.ndarray:
-        """Per-element partition ids (``int64`` array, len(items))."""
-        if not isinstance(items, (list, tuple)):
-            items = list(items)
-        hashes = unit_hash_vector(self._hasher, items)
-        if hashes is None:
-            hashes = np.asarray(self._hasher.unit_many(items))
-        return self._partition_ids(hashes)
 
     def assignments_for_batch(self, batch) -> np.ndarray:
         """Partition ids for a columnar :class:`~repro.core.events.EventBatch`.

@@ -73,17 +73,10 @@ class SlottedArrivals:
         Feeding the result to ``observe_batch`` is equivalent to driving
         :meth:`slots` with ``advance(slot)`` + per-slot deliveries — the
         batch's slot column replays the same (1-based) slot boundaries.
-        Requires integer element ids (exotic elements keep the tuple
-        schedule of :meth:`slots`).
         """
-        n = len(self.elements)
-        if not n:
-            # np.asarray([]) would infer float64; mirror slots(): nothing.
-            empty = np.empty(0, dtype=np.int64)
-            return EventBatch(empty, sites=empty, slots=empty)
-        slots = np.arange(n, dtype=np.int64) // self.per_slot + 1
+        slots = np.arange(len(self.elements), dtype=np.int64) // self.per_slot
         return EventBatch(
-            np.asarray(self.elements),
-            sites=np.asarray(self.sites),
-            slots=slots,
+            self.elements,
+            sites=np.asarray(self.sites, dtype=np.int64),
+            slots=slots + 1,
         )

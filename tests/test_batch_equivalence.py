@@ -1,16 +1,17 @@
 """Batch/single/columnar ingestion equivalence, for every registered variant.
 
-The vectorized ``observe_batch`` overrides (bulk hashing, threshold
-pre-filtering, same-slot dedup, per-copy delegation) must be *invisible*:
-feeding N events through one ``observe_batch`` call has to leave the
-sampler in exactly the state N single ``observe`` calls would — same
-:class:`SampleResult`, same :class:`SamplerStats` (message counts
-included), same full ``state_dict``.  The columnar
-:class:`~repro.core.events.EventBatch` fast paths (cached hash columns,
-array shard splits, vectorized dedup) carry the same contract: columnar
-== tuple-batch == single-observe.  These tests pin all three legs for
-every variant in the registry, under both the NumPy-vectorizable
-``mix64`` hash and the scalar ``murmur2`` path.
+The columnar ingest path (bulk hashing, threshold pre-filtering,
+same-slot dedup, per-copy delegation, array shard splits) must be
+*invisible*: feeding N events through one ``observe_batch`` call has to
+leave the sampler in exactly the state N single ``observe`` calls would
+— same :class:`SampleResult`, same :class:`SamplerStats` (message counts
+included), same full ``state_dict``.  An event list and an
+:class:`~repro.core.events.EventBatch` take the same path, so the
+contract is event list == ``EventBatch`` == single-observe.  These tests
+pin all three legs for every variant in the registry, under both the
+NumPy-vectorizable ``mix64`` hash and the scalar ``murmur2`` path, with
+int64 and object item columns, and for the ``sharded:*`` variants on the
+shm backend too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from __future__ import annotations
 import pytest
 
 from repro import EventBatch, SamplerConfig, make_sampler, sampler_variants
+from repro.core.events import CURRENT_SLOT
 from repro.errors import ConfigurationError, ProtocolError
+from repro.runtime import SharedMemoryExecutor
 
 #: One config per registered variant and per concrete facade flavour.
 CONFIGS = {
@@ -99,9 +102,51 @@ def flat_workload(n: int = 200, sites: int = 3) -> list:
     return [((i * 5) % sites, (i * 17) % 37) for i in range(n)]
 
 
+#: Elements an EventBatch boxes into an object column.  ``mix64`` hashes
+#: integers only but takes bools (``True`` beside ``1``) and ints beyond
+#: int64; ``murmur2`` takes strings and tuples but refuses bools.
+EXOTIC_ELEMENTS = {
+    "mix64": [2**80, True, 1, -(2**70), False, 0, 2**63, 11, 2**64 + 5],
+    "murmur2": [
+        "alice",
+        ("10.0.0.1", "10.0.0.2"),
+        2**80,
+        "bob",
+        ("10.0.0.3", "10.0.0.4"),
+        -(2**70),
+        "carol",
+        ("10.0.0.1", "10.0.0.5"),
+        7,
+    ],
+}
+
+
+def exotic_workload(algorithm: str, n_slots: int = 30, sites: int = 3) -> list:
+    """Slot-stamped events over object-column elements, with same-slot
+    repeats (``True`` after ``1`` under ``mix64``) and cross-slot ones."""
+    pool = EXOTIC_ELEMENTS[algorithm]
+    events = []
+    for slot in range(1, n_slots + 1):
+        first = pool[(slot * 5) % len(pool)]
+        events.append(((slot * 7) % sites, first, slot))
+        events.append(((slot + 1) % sites, pool[(slot * 2) % len(pool)], slot))
+        events.append(((slot * 7) % sites, first, slot))
+        events.append(((slot + 2) % sites, pool[slot % len(pool)], slot))
+    return events
+
+
 @pytest.fixture(params=sorted(CONFIGS), ids=sorted(CONFIGS))
 def config(request) -> SamplerConfig:
     return CONFIGS[request.param]
+
+
+@pytest.fixture(scope="module")
+def shared_shm():
+    """One shm executor shared by every shm leg (worker start-up would
+    otherwise dominate)."""
+    executor = SharedMemoryExecutor(workers=2)
+    yield executor
+    executor.close()
 
 
 @pytest.mark.parametrize("algorithm", ["mix64", "murmur2"])
@@ -169,6 +214,18 @@ class TestBatchSingleEquivalence:
         assert single.stats() == batched.stats()
         assert single.state_dict() == batched.state_dict()
 
+    def test_exotic_elements(self, config, algorithm):
+        """Object item columns: list == EventBatch == single observe."""
+        single, batched, columnar = self._trio(config, algorithm)
+        events = exotic_workload(algorithm)
+        for site, item, slot in events:
+            single.observe(site, item, slot=slot)
+        assert batched.observe_batch(events) == len(events)
+        batch = EventBatch.from_events(events)
+        assert batch.items.dtype == object
+        assert columnar.observe_batch(batch) == len(events)
+        self._assert_all_equal(single, batched, columnar)
+
     def test_incremental_batches_match_one_batch(self, config, algorithm):
         """Chunked observe_batch calls compose to the same state."""
         one, chunked = self._pair(config, algorithm)
@@ -206,6 +263,27 @@ class TestBatchSingleEquivalence:
         assert direct.sample() == routed.sample()
         assert direct.stats() == routed.stats()
         assert direct.state_dict() == routed.state_dict()
+
+
+@pytest.mark.parametrize("algorithm", ["mix64", "murmur2"])
+@pytest.mark.parametrize(
+    "name", sorted(n for n, c in CONFIGS.items() if c.variant.startswith("sharded:"))
+)
+def test_exotic_elements_on_shm(name, algorithm, shared_shm):
+    """The shm backend ships object items pickled with the batch metadata
+    and matches a single-observe loop on the serial backend bit for bit."""
+    config = SamplerConfig(**{**CONFIGS[name].to_dict(), "algorithm": algorithm})
+    single, batched, columnar = (make_sampler(config) for _ in range(3))
+    batched.executor = shared_shm
+    columnar.executor = shared_shm
+    events = exotic_workload(algorithm)
+    for site, item, slot in events:
+        single.observe(site, item, slot=slot)
+    before = shared_shm.pickle_bytes
+    assert batched.observe_batch(events) == len(events)
+    assert columnar.observe_batch(EventBatch.from_events(events)) == len(events)
+    assert shared_shm.pickle_bytes > before
+    TestBatchSingleEquivalence._assert_all_equal(single, batched, columnar)
 
 
 class TestBatchEdgeCases:
@@ -281,17 +359,32 @@ class TestBatchEdgeCases:
         assert sampler.observe_batch(EventBatch.from_events([])) == 0
         assert sampler.stats().messages_total == 0
 
-    def test_mixed_arity_events_keep_the_tuple_path(self):
-        with pytest.raises(ConfigurationError):
-            EventBatch.from_events([(0, 1, 3), (1, 9)])
+    def test_mixed_arity_events_build_one_batch(self):
+        """A later 2-tuple joins the preceding stamp; a leading
+        unstamped prefix is delivered at the current slot; fields after
+        the slot are ignored."""
+        batch = EventBatch.from_events([(0, 1, 3), (1, 9)])
+        assert batch.slots.tolist() == [3, 3]
+        assert [slot for slot, _ in batch.slot_runs()] == [3]
+        batch = EventBatch.from_events([(0, 1), (1, 2), (0, 3, 5, "x"), (1, 4)])
+        assert batch.slots.tolist() == [CURRENT_SLOT, CURRENT_SLOT, 5, 5]
+        runs = [(slot, run.items.tolist()) for slot, run in batch.slot_runs()]
+        assert runs == [(None, [1, 2]), (5, [3, 4])]
+        with pytest.raises(ConfigurationError, match="site, item"):
+            EventBatch.from_events([(0, 1), (2,)])
 
-    def test_exotic_elements_keep_the_tuple_path(self):
-        with pytest.raises(ConfigurationError):
-            EventBatch.from_events([(0, "alice")])
-        with pytest.raises(ConfigurationError):
-            EventBatch.from_events([(0, True), (1, 1)])
-        with pytest.raises(ConfigurationError):
-            EventBatch.from_events([(0, 2**80)])
+    def test_exotic_elements_build_object_columns(self):
+        for events in (
+            [(0, "alice")],
+            [(0, True), (1, 1)],
+            [(0, 2**80)],
+            [(0, ("a", "b")), (1, ("c", "d"))],
+        ):
+            batch = EventBatch.from_events(events)
+            assert batch.items.dtype == object
+            assert batch.items.shape == (len(events),)
+            assert batch.to_events() == events
+        assert EventBatch.from_events([(0, True)]).items_list()[0] is True
 
     def test_siteless_batch_needs_an_engine(self):
         sampler = make_sampler("infinite", num_sites=2, sample_size=2)

@@ -4,6 +4,8 @@ Engine columnar routing, and the columnar stream emitters."""
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -38,14 +40,16 @@ class TestConstruction:
             EventBatch(np.array([True, False]))
 
     def test_out_of_int64_values_are_rejected_never_wrapped(self):
-        # np.asarray([2**63]) infers uint64; a silent astype would wrap
-        # it negative and diverge from the tuple path's scalar hashing.
-        with pytest.raises(ConfigurationError, match="int64 range"):
-            EventBatch([2**63])
+        # A Python list of out-of-int64 ints becomes an object column
+        # holding the exact ints (np.asarray([2**63]) would infer uint64
+        # and a silent astype would wrap it negative).
+        for huge in (2**63, 2**70, -(2**63) - 1):
+            batch = EventBatch([huge, 5])
+            assert batch.items.dtype == object
+            assert batch.items_list() == [huge, 5]
+        # NumPy arrays are never boxed: uint64 overflow is rejected.
         with pytest.raises(ConfigurationError, match="int64 range"):
             EventBatch(np.array([2**64 - 1], dtype=np.uint64))
-        with pytest.raises(ConfigurationError, match="integer"):
-            EventBatch([2**70])  # object dtype
         # In-range unsigned values widen losslessly.
         assert EventBatch(
             np.array([1, 2], dtype=np.uint32)
@@ -78,6 +82,83 @@ class TestConstruction:
         batch = EventBatch.from_events([])
         assert len(batch) == 0
         assert list(batch.slot_runs()) == [(None, batch)]
+
+
+class TestObjectColumns:
+    """Items that are not all plain int64-range ints become a 1-D object
+    column holding the elements exactly as given."""
+
+    def test_equal_length_tuples_stay_one_dimensional(self):
+        pairs = [("10.0.0.1", "10.0.0.2"), ("10.0.0.3", "10.0.0.4")]
+        # The trap: np.array(..., dtype=object) builds a (2, 2) array.
+        assert np.array(pairs, dtype=object).shape == (2, 2)
+        batch = EventBatch(pairs, sites=[0, 1])
+        assert batch.items.dtype == object
+        assert batch.items.shape == (2,)
+        assert batch.items_list() == pairs
+        assert EventBatch.from_events([(0, (1, 2)), (1, (3, 4))]).items.shape == (2,)
+
+    def test_bools_stay_distinct_from_ints(self):
+        batch = EventBatch([True, 1, False, 0], sites=[0, 0, 1, 1])
+        assert batch.items.dtype == object
+        assert [type(item) for item in batch.items_list()] == [bool, int, bool, int]
+        hasher = UnitHasher(3, "mix64")
+        assert batch.hash_column(hasher).tolist() == [
+            hasher.unit(item) for item in [True, 1, False, 0]
+        ]
+        # The same-slot dedup keeps first occurrences under Python
+        # equality, as dict.fromkeys does: True repeats 1.
+        assert batch.first_occurrence_indices().tolist() == [0, 2]
+        # Derived and revived batches keep the bools as bools.
+        for derived in (
+            batch.select(np.array([0, 2])),
+            batch.with_sites([1, 1, 1, 1]),
+            next(EventBatch([True, 1], [0, 0], [5, 5]).slot_runs())[1],
+            pickle.loads(pickle.dumps(batch)),
+        ):
+            assert derived.items_list()[0] is True
+
+    def test_plain_int_sequences_stay_int64(self):
+        assert EventBatch([1, -5, 2**63 - 1]).items.dtype == np.int64
+        assert EventBatch(iter([3, 4])).items.dtype == np.int64
+        assert EventBatch([]).items.dtype == np.int64
+        # np.integer scalars are not plain ints (mix64 rejects them).
+        assert EventBatch([np.int64(3)]).items.dtype == object
+
+    def test_mix64_rejects_non_integers_like_the_scalar_path(self):
+        batch = EventBatch(["alice", 5], sites=[0, 1])
+        with pytest.raises(TypeError, match="integer elements only"):
+            batch.hash_column(UnitHasher(0, "mix64"))
+        hasher = UnitHasher(0, "murmur2")
+        assert batch.hash_column(hasher).tolist() == [
+            hasher.unit("alice"),
+            hasher.unit(5),
+        ]
+
+    def test_derived_batches_keep_the_column_without_a_rescan(self):
+        items = ["alice", 2**80, (1, 2), "bob", 7, 8]
+        batch = EventBatch(items, sites=[0, 1, 0, 1, 0, 1], slots=[1, 1, 2, 2, 3, 3])
+        hasher = UnitHasher(4, "murmur2")
+        column = batch.hash_column(hasher)
+        # Rows 4 and 5 are plain ints, but a derived batch never rescans:
+        # it stays an object column and slices the cached hashes.
+        sub = batch.select(np.array([4, 5]))
+        assert sub.items.dtype == object
+        assert sub.items_list() == [7, 8]
+        assert sub.hash_column(hasher).tolist() == column[[4, 5]].tolist()
+        runs = list(batch.slot_runs())
+        assert [slot for slot, _ in runs] == [1, 2, 3]
+        assert [run.items_list() for _, run in runs] == [
+            ["alice", 2**80], [(1, 2), "bob"], [7, 8]
+        ]
+        assert all(run.items.dtype == object for _, run in runs)
+        raw = EventBatch(items)
+        routed = raw.with_sites([0] * 6)
+        assert routed.items is raw.items
+        revived = pickle.loads(pickle.dumps(batch))
+        assert revived == batch
+        assert revived.items.dtype == object
+        assert revived.items_list() == items
 
 
 class TestHashColumns:
@@ -200,19 +281,17 @@ class TestEngineColumnar:
     def test_distributor_batch_assignments_match_scalar(self):
         distributor = HashDistributor(4, seed=11, algorithm="mix64")
         items = list(range(100))
-        batch = EventBatch(items)
-        assert distributor.assignments_for_batch(batch).tolist() == [
-            distributor.assign_one(item) for item in items
-        ]
-        assert (
-            distributor.assignments_for_batch(batch).tolist()
-            == distributor.assignments_for(items).tolist()
-        )
+        for batch in (EventBatch(items), EventBatch(np.array(items))):
+            assert distributor.assignments_for_batch(batch).tolist() == [
+                distributor.assign_one(item) for item in items
+            ]
 
-    def test_distributor_accepts_tuple_columns(self):
+    def test_distributor_accepts_object_columns(self):
         distributor = HashDistributor(3, seed=2)
-        items = tuple(range(20))
-        assert distributor.assignments_for(items).tolist() == [
+        items = ("alice", ("bob", 1), 2**80, *range(20))
+        batch = EventBatch(items)
+        assert batch.items.dtype == object
+        assert distributor.assignments_for_batch(batch).tolist() == [
             distributor.assign_one(item) for item in items
         ]
 
@@ -277,4 +356,18 @@ class TestStreamEmitters:
         sampler_batch.observe_batch(batch)
         assert sampler_loop.sample() == sampler_batch.sample()
         assert sampler_loop.stats() == sampler_batch.stats()
+        assert sampler_loop.state_dict() == sampler_batch.state_dict()
+
+    def test_slotted_event_batch_carries_exotic_elements(self):
+        elements = [f"user-{i % 9}" for i in range(23)]
+        schedule = SlottedArrivals(elements, 4, 5, np.random.default_rng(3))
+        batch = schedule.event_batch()
+        assert batch.items.dtype == object
+        sampler_loop = make_sampler("sliding", num_sites=4, window=6)
+        sampler_batch = make_sampler("sliding", num_sites=4, window=6)
+        for slot, arrivals in schedule.slots():
+            sampler_loop.advance(slot)
+            for site, element in arrivals:
+                sampler_loop.observe(site, element)
+        sampler_batch.observe_batch(batch)
         assert sampler_loop.state_dict() == sampler_batch.state_dict()

@@ -16,6 +16,7 @@ from repro import (
     CentralizedDistinctSampler,
     ConfigurationError,
     DistinctSamplerSystem,
+    make_sampler,
 )
 from repro.errors import ProtocolError
 from repro.hashing import UnitHasher
@@ -230,6 +231,60 @@ class TestErrorsAndValidation:
         system = DistinctSamplerSystem(3, 7, seed=10)
         assert system.num_sites == 3
         assert system.sample_size == 7
+
+
+def _set_first_hash(value):
+    def mutate(system_state):
+        system_state["sample"][0][0] = value
+
+    return mutate
+
+
+def _drop_sample(system_state):
+    del system_state["sample"]
+
+
+def _shorten_first_row(system_state):
+    system_state["sample"][0] = system_state["sample"][0][:1]
+
+
+def _sample_as_mapping(system_state):
+    system_state["sample"] = {str(h): e for h, e in system_state["sample"]}
+
+
+#: Snapshot ``system`` mutations every infinite-family restore must reject.
+MALFORMED_SAMPLES = {
+    "dropped-sample": _drop_sample,
+    "hash-x": _set_first_hash("x"),
+    "hash-7.5": _set_first_hash(7.5),
+    "hash-nan": _set_first_hash(float("nan")),
+    "short-row": _shorten_first_row,
+    "non-list-sample": _sample_as_mapping,
+}
+
+
+class TestMalformedRestore:
+    """A malformed sample raises ConfigurationError and leaves the
+    sampler exactly as it was (rows are parsed before the store is
+    touched)."""
+
+    @staticmethod
+    def _driven(variant, seed):
+        sampler = make_sampler(variant, num_sites=3, sample_size=4, seed=2)
+        items = np.random.default_rng(seed).integers(0, 40, 60).tolist()
+        sampler.observe_batch([(i % 3, item) for i, item in enumerate(items)])
+        return sampler
+
+    @pytest.mark.parametrize("mutation", sorted(MALFORMED_SAMPLES))
+    @pytest.mark.parametrize("variant", ["infinite", "broadcast", "caching"])
+    def test_typed_error_and_untouched_sampler(self, variant, mutation):
+        state = self._driven(variant, seed=1).state_dict()
+        MALFORMED_SAMPLES[mutation](state["system"])
+        target = self._driven(variant, seed=2)
+        before = target.state_dict()
+        with pytest.raises(ConfigurationError, match="malformed"):
+            target.load_state(state)
+        assert target.state_dict() == before
 
 
 class TestElementTypes:

@@ -642,13 +642,15 @@ class TestBatchSpeedup:
         assert speedup >= 3.0, f"batch only {speedup:.2f}x faster"
 
     @pytest.mark.speedup
-    def test_columnar_ingest_is_2x_on_sharded_uniform_100k(self):
+    def test_columnar_ingest_is_10x_single_observe_on_sharded_uniform_100k(self):
         """The columnar acceptance floor: an EventBatch through the
-        Engine → ShardedSampler → core pipeline must be >= 2x the
-        tuple-batch path on the sharded-uniform workload at n=100k
-        (measured ~5x locally; best-of-3 with GC off to damp noise).
-        The columnar batch is rebuilt per run so the hash-column cache
-        never carries over between timings."""
+        Engine → ShardedSampler → core pipeline must be >= 10x a loop of
+        single ``Engine.observe`` calls on the sharded-uniform workload
+        at n=100k (measured 23-31x on 2 vCPUs; best-of-3 with GC off to
+        damp noise).  A key list takes the same pipeline as the batch,
+        so the per-event path is the reference.  The columnar batch is
+        rebuilt per run so the hash-column cache never carries over
+        between timings."""
         import gc
         import time
 
@@ -657,7 +659,7 @@ class TestBatchSpeedup:
         from repro.runtime.engine import Engine
 
         params = ScenarioParams(n_events=100_000, num_sites=8, seed=7)
-        tuple_events = get_scenario("sharded-uniform").build(params)
+        keys = get_scenario("sharded-uniform").build(params)
         columnar_scenario = get_scenario("sharded-uniform-columnar")
 
         def build():
@@ -671,10 +673,12 @@ class TestBatchSpeedup:
             )
             return sampler, Engine(sampler, policy="hash", seed=params.seed)
 
-        def time_tuple():
+        def time_single():
             sampler, engine = build()
+            observe = engine.observe
             started = time.perf_counter()
-            engine.observe_batch(tuple_events)
+            for key in keys:
+                observe(key)
             return time.perf_counter() - started, sampler
 
         def time_columnar():
@@ -687,19 +691,19 @@ class TestBatchSpeedup:
         gc.collect()
         gc.disable()
         try:
-            tuple_s, tupled = min(
-                (time_tuple() for _ in range(3)), key=lambda pair: pair[0]
+            single_s, single = min(
+                (time_single() for _ in range(3)), key=lambda pair: pair[0]
             )
             columnar_s, columnar = min(
                 (time_columnar() for _ in range(3)), key=lambda pair: pair[0]
             )
         finally:
             gc.enable()
-        assert tupled.sample() == columnar.sample()
-        assert tupled.stats() == columnar.stats()
-        assert tupled.state_dict() == columnar.state_dict()
-        speedup = tuple_s / columnar_s
-        assert speedup >= 2.0, f"columnar only {speedup:.2f}x faster"
+        assert single.sample() == columnar.sample()
+        assert single.stats() == columnar.stats()
+        assert single.state_dict() == columnar.state_dict()
+        speedup = single_s / columnar_s
+        assert speedup >= 10.0, f"columnar only {speedup:.2f}x faster"
 
 
     @pytest.mark.speedup

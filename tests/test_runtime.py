@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import SamplerConfig, make_sampler, sampler_variants
+from repro import EventBatch, SamplerConfig, make_sampler, sampler_variants
 from repro.core.api import get_variant
 from repro.errors import ConfigurationError, ProtocolError
 from repro.netsim.delayed import DelayedNetwork
@@ -238,7 +238,9 @@ class TestEngine:
         for _ in range(3):
             engine.observe("alice")
             assert engine.site_for("alice") == site
-        assignments = engine._distributor.assignments_for(["alice"] * 5)
+        assignments = engine._distributor.assignments_for_batch(
+            EventBatch(["alice"] * 5)
+        )
         assert set(assignments.tolist()) == {site}
 
     def test_explicit_policy_passes_events_through(self):

@@ -740,14 +740,14 @@ class TestSharedMemoryBackendLifecycle:
         except FileNotFoundError:
             return set()
 
-    def _build(self, executor, workers=2):
+    def _build(self, executor, workers=2, algorithm="mix64"):
         return make_sampler(
             "sharded:infinite",
             num_sites=3,
             sample_size=4,
             shards=3,
             seed=SEED,
-            algorithm="mix64",
+            algorithm=algorithm,
             executor=executor,
             workers=workers,
         )
@@ -823,10 +823,23 @@ class TestSharedMemoryBackendLifecycle:
         # nonzero request/reply framing.
         assert sampler.executor.pickle_bytes == 0
         assert sampler.executor.ipc_bytes > 0
+        # An int tuple list becomes an int64 batch: still zero pickle.
         sampler.observe_batch(uniform_events(100, sites=3, universe=90))
-        # The tuple fallback is honest: it counts its pickled payloads.
-        assert sampler.executor.pickle_bytes > 0
+        assert sampler.executor.pickle_bytes == 0
         sampler.close()
+        # Object items travel pickled with the batch metadata, and the
+        # count is honest; the result matches serial bit for bit.
+        events = [
+            (site, f"user-{item}")
+            for site, item in uniform_events(300, sites=3, universe=90)
+        ]
+        with self._build("shm", algorithm="murmur2") as parallel:
+            parallel.observe_batch(events)
+            assert parallel.executor.pickle_bytes > 0
+            with self._build("serial", algorithm="murmur2") as serial:
+                serial.observe_batch(events)
+                assert parallel.state_dict() == serial.state_dict()
+                assert parallel.stats() == serial.stats()
 
 
 def python_sort_merge(sampler: ShardedSampler):
