@@ -41,6 +41,7 @@ __all__ = [
     "register_sharded_variant",
     "sampler_variants",
     "get_variant",
+    "make_groups",
 ]
 
 
@@ -325,23 +326,26 @@ SHARDABLE_VARIANTS = (
 )
 
 
-def _sharded_factory(base_name: str) -> Callable[[SamplerConfig], Sampler]:
-    def factory(config: SamplerConfig) -> Sampler:
-        # Lazy import: repro.runtime imports this module's protocol layer.
-        from ..runtime.sharded import ShardedSampler
+def make_groups(config: SamplerConfig, count: int) -> list[Sampler]:
+    """``count`` fresh coordinator groups of a ``sharded:<base>`` config.
 
-        base = get_variant(base_name)
-        # Every group is a full base-variant sampler sharing the same
-        # sampling hash (same seed/algorithm); only the key space differs.
-        # Groups always carry the serial executor: the facade owns the
-        # execution backend, and workers rebuild groups from this config.
-        inner = replace(
-            config, variant=base_name, shards=1, executor="serial", workers=0
-        )
-        groups = [base.factory(inner) for _ in range(config.shards)]
-        return ShardedSampler(groups, config)
+    Every group is a full base-variant sampler sharing the config's
+    sampling hash (same seed and algorithm); only the key space differs.
+    Groups always carry the serial executor: the sharded facade owns the
+    execution backend, and workers rebuild groups from their own config.
+    A bare base-variant ``config`` builds the same groups.
+    """
+    base = config.variant.removeprefix("sharded:")
+    factory = get_variant(base).factory
+    inner = replace(config, variant=base, shards=1, executor="serial", workers=0)
+    return [factory(inner) for _ in range(count)]
 
-    return factory
+
+def _make_sharded(config: SamplerConfig) -> Sampler:
+    # Lazy import: repro.runtime imports this module's protocol layer.
+    from ..runtime.sharded import ShardedSampler
+
+    return ShardedSampler(make_groups(config, config.shards), config)
 
 
 def register_sharded_variant(base_name: str) -> SamplerVariant:
@@ -362,7 +366,7 @@ def register_sharded_variant(base_name: str) -> SamplerVariant:
     return register_variant(
         SamplerVariant(
             name=f"sharded:{base_name}",
-            factory=_sharded_factory(base_name),
+            factory=_make_sharded,
             summary=f"S hash-partitioned coordinator groups of {base_name!r} "
             "cores, merged at query time",
             windowed=base.windowed,

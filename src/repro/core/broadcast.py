@@ -12,16 +12,13 @@ keeping the different sites synchronized with respect to the value of u").
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..errors import ConfigurationError, ProtocolError
-from ..hashing.unit import UnitHasher
 from ..netsim.message import COORDINATOR, Message, MessageKind
 from ..netsim.network import Network
-from ..runtime.topology import Topology
 from ..structures.bottomk import BottomK
-from .infinite import BottomSFacadeBase
-from .protocol import SamplerConfig
+from .infinite import BottomSFacadeBase, InfiniteWindowSite
 
 __all__ = [
     "BroadcastSite",
@@ -30,42 +27,16 @@ __all__ = [
 ]
 
 
-class BroadcastSite:
+class BroadcastSite(InfiniteWindowSite):
     """Site protocol under eager synchronization.
 
     Identical trigger to Algorithm 1 (report iff ``h(e) < u_i``) but the
     threshold is updated by coordinator broadcasts rather than replies.
     """
 
-    __slots__ = ("site_id", "hasher", "u_local")
+    __slots__ = ()
 
-    def __init__(self, site_id: int, hasher: UnitHasher) -> None:
-        self.site_id = site_id
-        self.hasher = hasher
-        self.u_local = 1.0
-
-    def observe(self, element: Any, network: Network) -> None:
-        """Process one local stream element (hashes internally)."""
-        h = self.hasher.unit(element)
-        if h < self.u_local:
-            network.send(
-                self.site_id, COORDINATOR, MessageKind.REPORT, (element, h, self.site_id)
-            )
-
-    def observe_hashed(self, element: Any, h: float, network: Network) -> None:
-        """Fast path with a precomputed hash."""
-        if h < self.u_local:
-            network.send(
-                self.site_id, COORDINATOR, MessageKind.REPORT, (element, h, self.site_id)
-            )
-
-    def handle_message(self, message: Message, network: Network) -> None:
-        """Adopt a broadcast threshold."""
-        if message.kind is not MessageKind.BROADCAST:
-            raise ProtocolError(
-                f"broadcast site {self.site_id} cannot handle {message.kind!r}"
-            )
-        self.u_local = message.payload
+    FEEDBACK = MessageKind.BROADCAST
 
 
 class BroadcastCoordinator:
@@ -110,59 +81,14 @@ class BroadcastCoordinator:
 
 class BroadcastSamplerSystem(BottomSFacadeBase):
     """Facade for Algorithm Broadcast, mirroring
-    :class:`~repro.core.infinite.DistinctSamplerSystem`.
-
-    Args:
-        num_sites: Number of sites k.
-        sample_size: Sample size s.
-        seed: Hash seed (ignored if ``hasher`` given).
-        algorithm: Hash algorithm name.
-        hasher: Optional shared pre-built hasher.
+    :class:`~repro.core.infinite.DistinctSamplerSystem` (same arguments).
     """
 
-    def __init__(
-        self,
-        num_sites: int,
-        sample_size: int,
-        seed: int = 0,
-        algorithm: str = "murmur2",
-        hasher: Optional[UnitHasher] = None,
-    ) -> None:
-        self.hasher = hasher if hasher is not None else UnitHasher(seed, algorithm)
-        self._init_runtime(
-            Topology.build(
-                coordinator=BroadcastCoordinator(
-                    sample_size, list(range(num_sites))
-                ),
-                site_factory=lambda i: BroadcastSite(i, self.hasher),
-                num_sites=num_sites,
-            )
-        )
+    VARIANT = "broadcast"
+    COORDINATOR_COUNTERS = ("reports_received", "broadcasts_sent")
 
-    # -- protocol: construction recipe + persistence -----------------------
+    def _make_coordinator(self, num_sites: int) -> BroadcastCoordinator:
+        return BroadcastCoordinator(self.sample_size, list(range(num_sites)))
 
-    @property
-    def config(self) -> SamplerConfig:
-        """The :class:`SamplerConfig` reconstructing this system."""
-        return SamplerConfig(
-            variant="broadcast",
-            num_sites=self.num_sites,
-            sample_size=self.sample_size,
-            seed=self.hasher.seed,
-            algorithm=self.hasher.algorithm,
-        )
-
-    def _state(self) -> dict[str, Any]:
-        return {
-            "sample": self._sample_rows(),
-            "site_thresholds": [site.u_local for site in self.sites],
-            "reports_received": self.coordinator.reports_received,
-            "broadcasts_sent": self.coordinator.broadcasts_sent,
-        }
-
-    def _load(self, state: dict[str, Any]) -> None:
-        self._load_sample_rows(state.get("sample"))
-        for site, u in zip(self.sites, state["site_thresholds"]):
-            site.u_local = float(u)
-        self.coordinator.reports_received = int(state["reports_received"])
-        self.coordinator.broadcasts_sent = int(state["broadcasts_sent"])
+    def _make_site(self, site_id: int) -> BroadcastSite:
+        return BroadcastSite(site_id)

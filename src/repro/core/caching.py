@@ -26,52 +26,51 @@ Setting ``cache_size = 0`` reproduces the paper's exact behaviour.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Any, Optional
 
-from ..errors import ConfigurationError, ProtocolError
+from ..errors import ConfigurationError
 from ..hashing.unit import UnitHasher
-from ..netsim.message import COORDINATOR, Message, MessageKind
+from ..netsim.message import COORDINATOR, MessageKind
 from ..netsim.network import Network
-from ..runtime.topology import Topology
-from .infinite import BottomSFacadeBase, InfiniteWindowCoordinator
+from .infinite import (
+    BottomSFacadeBase,
+    InfiniteWindowCoordinator,
+    InfiniteWindowSite,
+    parse_counter,
+    parse_site_list,
+    parse_threshold,
+)
 from .protocol import SamplerConfig, revive_element
 
 __all__ = ["CachingSite", "CachingSamplerSystem"]
 
 
-class CachingSite:
+class CachingSite(InfiniteWindowSite):
     """Algorithm 1 plus a bounded LRU of recently reported elements.
 
     Args:
         site_id: Network address.
-        hasher: Shared hash function.
         cache_size: Maximum elements remembered (0 = paper behaviour).
 
     Raises:
         ConfigurationError: If ``cache_size < 0``.
     """
 
-    __slots__ = ("site_id", "hasher", "u_local", "cache_size", "_cache",
-                 "suppressed")
+    __slots__ = ("cache_size", "_cache", "suppressed")
 
-    def __init__(self, site_id: int, hasher: UnitHasher, cache_size: int) -> None:
+    def __init__(self, site_id: int, cache_size: int) -> None:
         if cache_size < 0:
             raise ConfigurationError(
                 f"cache_size must be >= 0, got {cache_size}"
             )
-        self.site_id = site_id
-        self.hasher = hasher
-        self.u_local = 1.0
+        super().__init__(site_id)
         self.cache_size = cache_size
         self._cache: OrderedDict[Any, None] = OrderedDict()
         self.suppressed = 0
 
-    def observe(self, element: Any, network: Network) -> None:
-        """Process one local stream element."""
-        self.observe_hashed(element, self.hasher.unit(element), network)
-
     def observe_hashed(self, element: Any, h: float, network: Network) -> None:
-        """Fast path with a precomputed hash."""
+        """Report ``element`` iff ``h < u_local`` and it is not cached."""
         if h >= self.u_local:
             return
         if self.cache_size:
@@ -86,14 +85,6 @@ class CachingSite:
         network.send(
             self.site_id, COORDINATOR, MessageKind.REPORT, (element, h, self.site_id)
         )
-
-    def handle_message(self, message: Message, network: Network) -> None:
-        """Adopt the refreshed threshold."""
-        if message.kind is not MessageKind.THRESHOLD:
-            raise ProtocolError(
-                f"caching site {self.site_id} cannot handle {message.kind!r}"
-            )
-        self.u_local = message.payload
 
 
 class CachingSamplerSystem(BottomSFacadeBase):
@@ -114,6 +105,9 @@ class CachingSamplerSystem(BottomSFacadeBase):
         hasher: Optional shared pre-built hasher.
     """
 
+    VARIANT = "caching"
+    SITE_COUNTERS = ("suppressed",)
+
     def __init__(
         self,
         num_sites: int,
@@ -123,15 +117,14 @@ class CachingSamplerSystem(BottomSFacadeBase):
         algorithm: str = "murmur2",
         hasher: Optional[UnitHasher] = None,
     ) -> None:
-        self.hasher = hasher if hasher is not None else UnitHasher(seed, algorithm)
         self.cache_size = cache_size
-        self._init_runtime(
-            Topology.build(
-                coordinator=InfiniteWindowCoordinator(sample_size),
-                site_factory=lambda i: CachingSite(i, self.hasher, cache_size),
-                num_sites=num_sites,
-            )
-        )
+        super().__init__(num_sites, sample_size, seed, algorithm, hasher)
+
+    def _make_coordinator(self, num_sites: int) -> InfiniteWindowCoordinator:
+        return InfiniteWindowCoordinator(self.sample_size)
+
+    def _make_site(self, site_id: int) -> CachingSite:
+        return CachingSite(site_id, self.cache_size)
 
     @property
     def total_suppressed(self) -> int:
@@ -142,25 +135,13 @@ class CachingSamplerSystem(BottomSFacadeBase):
         """One threshold float plus the LRU cache contents per site."""
         return [1 + len(site._cache) for site in self.sites]
 
-    # -- protocol: construction recipe + persistence -----------------------
-
     @property
     def config(self) -> SamplerConfig:
-        """The :class:`SamplerConfig` reconstructing this system."""
-        return SamplerConfig(
-            variant="caching",
-            num_sites=self.num_sites,
-            sample_size=self.sample_size,
-            seed=self.hasher.seed,
-            algorithm=self.hasher.algorithm,
-            cache_size=self.cache_size,
-        )
+        """The base recipe plus the cache size."""
+        return replace(super().config, cache_size=self.cache_size)
 
-    def _state(self) -> dict[str, Any]:
+    def _sites_state(self) -> dict[str, Any]:
         return {
-            "sample": self._sample_rows(),
-            "reports_received": self.coordinator.reports_received,
-            "reports_accepted": self.coordinator.reports_accepted,
             "sites": [
                 {
                     "u_local": site.u_local,
@@ -168,16 +149,27 @@ class CachingSamplerSystem(BottomSFacadeBase):
                     "suppressed": site.suppressed,
                 }
                 for site in self.sites
-            ],
+            ]
         }
 
-    def _load(self, state: dict[str, Any]) -> None:
-        self._load_sample_rows(state.get("sample"))
-        self.coordinator.reports_received = int(state["reports_received"])
-        self.coordinator.reports_accepted = int(state["reports_accepted"])
-        for site, site_state in zip(self.sites, state["sites"]):
-            site.u_local = float(site_state["u_local"])
-            site._cache.clear()
-            for element in site_state["cache"]:
-                site._cache[revive_element(element)] = None
-            site.suppressed = int(site_state["suppressed"])
+    def _load_sites(self, state: dict[str, Any]) -> list[dict[str, Any]]:
+        fields = []
+        for site_state in parse_site_list(state["sites"], self.num_sites):
+            rows = site_state["cache"]
+            if not isinstance(rows, list):
+                raise TypeError(f"site cache must be a list, got {type(rows).__name__}")
+            cache: OrderedDict[Any, None] = OrderedDict(
+                (revive_element(element), None) for element in rows
+            )
+            if len(cache) != len(rows) or len(cache) > self.cache_size:
+                raise ValueError(
+                    f"site cache must hold at most {self.cache_size} distinct elements"
+                )
+            fields.append(
+                {
+                    "u_local": parse_threshold(site_state["u_local"]),
+                    "_cache": cache,
+                    "suppressed": parse_counter(site_state["suppressed"]),
+                }
+            )
+        return fields

@@ -34,11 +34,20 @@ Implementation notes:
   an inherent cost of Algorithms 1–2 as written, visible on duplicate-heavy
   streams.  The message-bound analysis (Lemma 2) counts first occurrences
   only; see ``analysis.bounds`` and EXPERIMENTS.md for the discussion.
+
+:class:`BottomSFacadeBase` holds the facade plumbing this system shares
+with the Broadcast baseline (:mod:`repro.core.broadcast`) and the
+duplicate-suppressing core (:mod:`repro.core.caching`): construction,
+hash-once delivery through the threshold pre-filter, the bottom-s
+queries, the snapshot layout and resharding.  The three differ only in
+their nodes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from abc import abstractmethod
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +60,9 @@ from ..structures.bottomk import BottomK
 from .events import EventBatch
 from .protocol import Sampler, SampleResult, SamplerConfig, revive_element
 
+if TYPE_CHECKING:
+    from ..streams.partition import HashDistributor
+
 __all__ = [
     "BottomSFacadeBase",
     "InfiniteWindowSite",
@@ -59,51 +71,79 @@ __all__ = [
 ]
 
 #: Elements per threshold refresh in
-#: :meth:`DistinctSamplerSystem.process_batch` (any value yields
-#: identical protocol behaviour).
+#: :meth:`BottomSFacadeBase.process_batch` (any value yields identical
+#: protocol behaviour).
 PROCESS_CHUNK = 1024
+
+def parse_counter(value: Any) -> int:
+    """A persisted event counter: a non-negative ``int`` (not a bool).
+
+    Raises:
+        TypeError, ValueError: For anything else.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"counter {value!r} is not an int")
+    if value < 0:
+        raise ValueError(f"counter {value} is negative")
+    return value
+
+
+def parse_threshold(value: Any) -> float:
+    """A persisted site threshold: a number in ``[0, 1]`` (NaN rejected).
+
+    Raises:
+        TypeError, ValueError: For anything else.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"threshold {value!r} is not a number")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"threshold {value!r} is not in [0, 1]")
+    return float(value)
+
+
+def parse_site_list(rows: Any, num_sites: int) -> list[Any]:
+    """A persisted per-site list: exactly one entry per site.
+
+    Raises:
+        TypeError, ValueError: For a non-list or a wrong length.
+    """
+    if not isinstance(rows, list):
+        raise TypeError(f"per-site entries must be a list, got {type(rows).__name__}")
+    if len(rows) != num_sites:
+        raise ValueError(f"expected {num_sites} site entries, got {len(rows)}")
+    return rows
 
 
 class InfiniteWindowSite:
     """Algorithm 1: the per-site protocol.
 
     State is exactly one float, ``u_local`` — the site's view of the
-    global threshold (paper: O(1) memory per site).
+    global threshold (paper: O(1) memory per site).  The facade hashes
+    each arrival once and hands the site its hash.
 
     Args:
         site_id: This site's network address (0-based).
-        hasher: The shared hash function h.
     """
 
-    __slots__ = ("site_id", "hasher", "u_local")
+    __slots__ = ("site_id", "u_local")
 
-    def __init__(self, site_id: int, hasher: UnitHasher) -> None:
+    #: The message kind that carries a fresh threshold to the site.
+    FEEDBACK = MessageKind.THRESHOLD
+
+    def __init__(self, site_id: int) -> None:
         self.site_id = site_id
-        self.hasher = hasher
         self.u_local = 1.0  # initialized to 1 (Algorithm 1 line 1)
 
-    def observe(self, element: Any, network: Network) -> None:
-        """Process one local stream element (hashes internally)."""
-        h = self.hasher.unit(element)
-        if h < self.u_local:
-            network.send(
-                self.site_id, COORDINATOR, MessageKind.REPORT, (element, h, self.site_id)
-            )
-
     def observe_hashed(self, element: Any, h: float, network: Network) -> None:
-        """Fast path: process an element whose hash is precomputed.
-
-        The caller guarantees ``h == hasher.unit(element)``; experiment
-        drivers vectorize hashing over whole streams and use this entry.
-        """
+        """Report ``element`` (whose hash is ``h``) iff ``h < u_local``."""
         if h < self.u_local:
             network.send(
                 self.site_id, COORDINATOR, MessageKind.REPORT, (element, h, self.site_id)
             )
 
     def handle_message(self, message: Message, network: Network) -> None:
-        """Receive the refreshed threshold (Algorithm 1 lines 5-6)."""
-        if message.kind is not MessageKind.THRESHOLD:
+        """Adopt the refreshed threshold (Algorithm 1 lines 5-6)."""
+        if message.kind is not self.FEEDBACK:
             raise ProtocolError(
                 f"site {self.site_id} cannot handle {message.kind!r}"
             )
@@ -164,127 +204,21 @@ class InfiniteWindowCoordinator:
 class BottomSFacadeBase(Sampler):
     """Shared facade plumbing for the infinite-window bottom-s systems.
 
-    The infinite-window system and the broadcast/caching baselines differ
-    only in protocol logic (site trigger and feedback policy); everything
-    else — delivery hooks, the :class:`BottomK`-backed sample/threshold
-    queries, and the sample's snapshot rows — is identical and lives here.
-    Subclasses need a coordinator exposing ``sample_store``
-    (a :class:`~repro.structures.bottomk.BottomK`), sites exposing
-    ``observe``/``observe_hashed``, and the standard
-    :meth:`~repro.core.protocol.Sampler` hook surface for the rest.
-    """
+    Algorithms 1–2 (:class:`DistinctSamplerSystem`), the Broadcast
+    baseline and the caching core differ only in their nodes: the site
+    trigger and the coordinator's feedback policy.  Construction,
+    hash-once delivery with its threshold pre-filter, the bottom-s
+    queries, the snapshot layout and the resharding hook are identical
+    and live here.
 
-    def _deliver(self, site_id: int, element: Any) -> None:
-        """Deliver ``element`` to site ``site_id`` (protocol hook)."""
-        self.sites[site_id].observe(element, self.network)
-
-    def observe_hashed(self, site_id: int, element: Any, h: float) -> None:
-        """Fast path with a precomputed hash (see site docs)."""
-        self.sites[site_id].observe_hashed(element, h, self.network)
-
-    def flood_hashed(self, element: Any, h: float) -> None:
-        """Deliver a pre-hashed element to every site ("flooding")."""
-        network = self.network
-        for site in self.sites:
-            site.observe_hashed(element, h, network)
-
-    def _deliver_columns(self, run: EventBatch) -> None:
-        """Deliver one routed run through the precomputed-hash site entry
-        (subclasses override it to add protocol-specific pre-filtering)."""
-        if not len(run):
-            return
-        hashes = run.hash_column(self.hasher).tolist()
-        network = self.network
-        sites = self.sites
-        for site_id, item, h in zip(run.sites_list(), run.items_list(), hashes):
-            sites[site_id].observe_hashed(item, h, network)
-
-    # -- queries -----------------------------------------------------------
-
-    def sample(self) -> SampleResult:
-        """The coordinator's current distinct sample."""
-        pairs = tuple(self.coordinator.sample_store.pairs())
-        return SampleResult(
-            items=tuple(element for _, element in pairs),
-            pairs=pairs,
-            threshold=self.threshold,
-            sample_size=self.sample_size,
-            window=None,
-            slot=self.current_slot,
-        )
-
-    def sample_pairs(self) -> list[tuple[float, Any]]:
-        """The coordinator's ``(hash, element)`` pairs, ascending by hash."""
-        return self.coordinator.sample_store.pairs()
-
-    def sample_columns(self) -> tuple[np.ndarray, list[Any]]:
-        """Merge-side fast path: slice the coordinator's sorted store
-        directly (no :class:`~repro.core.protocol.SampleResult`, no
-        per-pair tuples)."""
-        return self.coordinator.sample_store.columns()
-
-    @property
-    def threshold(self) -> float:
-        """The coordinator's current threshold u."""
-        return self.coordinator.sample_store.threshold()
-
-    @property
-    def sample_size(self) -> int:
-        """Configured sample size s."""
-        return self.coordinator.sample_store.capacity
-
-    # -- persistence helpers -----------------------------------------------
-
-    def _sample_rows(self) -> list:
-        """The sample as JSON-safe ``[hash, element]`` snapshot rows."""
-        return [[h, element] for h, element in self.sample_pairs()]
-
-    def _load_sample_rows(self, rows: Any) -> None:
-        """Rebuild the coordinator's sample store from snapshot rows
-        (``state.get("sample")``; None when the key is missing).
-
-        Every row is parsed into a fresh store first; the live store is
-        replaced only once all of them parse, so a malformed sample
-        leaves the sampler untouched.
-
-        Raises:
-            ConfigurationError: For a missing or non-list sample, a row
-                that is not ``[hash, element]``, a hash that is not a
-                float in ``[0, 1)`` (NaN included), or rows that repeat
-                an element or overflow the sample.
-        """
-        store = BottomK(self.sample_size)
-        try:
-            if not isinstance(rows, list):
-                raise TypeError(
-                    f"sample must be a list of rows, got {type(rows).__name__}"
-                )
-            for h, element in rows:
-                h = float(h)
-                if not 0.0 <= h < 1.0:
-                    raise ValueError(f"sample hash {h!r} is not in [0, 1)")
-                accepted, _ = store.offer(h, revive_element(element))
-                if not accepted:
-                    raise ValueError(
-                        "sample contains duplicates or unsorted entries"
-                    )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed snapshot sample: {exc}") from exc
-        self.coordinator.sample_store = store
-
-
-class DistinctSamplerSystem(BottomSFacadeBase):
-    """Facade wiring ``k`` sites and a coordinator over a simulated network.
-
-    This is the main entry point for infinite-window distributed distinct
-    sampling (prefer constructing it through
-    ``repro.make_sampler("infinite", ...)``)::
-
-        system = DistinctSamplerSystem(num_sites=5, sample_size=10, seed=42)
-        for site, element in my_stream:
-            system.observe(site, element)
-        print(system.sample().items)       # uniform distinct sample
-        print(system.stats().messages_total)  # the paper's cost metric
+    Subclasses implement :meth:`_make_coordinator` and :meth:`_make_site`.
+    Coordinators expose ``sample_store`` (a
+    :class:`~repro.structures.bottomk.BottomK`) and the
+    :attr:`COORDINATOR_COUNTERS`; sites expose ``site_id``, ``u_local``
+    and ``observe_hashed(element, h, network)``, and a synchronous reply
+    may only lower ``u_local`` (what makes :meth:`process_batch` exact).
+    Site fields beyond the threshold persist through :meth:`_sites_state`
+    / :meth:`_load_sites`.
 
     Args:
         num_sites: Number of sites k (>= 1).
@@ -299,6 +233,15 @@ class DistinctSamplerSystem(BottomSFacadeBase):
         ConfigurationError: For non-positive ``num_sites``/``sample_size``.
     """
 
+    #: Registry name recorded in :attr:`config`.
+    VARIANT = "infinite"
+    #: Coordinator attributes counting protocol events: persisted beside
+    #: the sample, and kept as totals by a reshard.
+    COORDINATOR_COUNTERS: tuple[str, ...] = ("reports_received", "reports_accepted")
+    #: Site attributes counting protocol events: persisted by
+    #: :meth:`_sites_state`, and kept as one total by a reshard.
+    SITE_COUNTERS: tuple[str, ...] = ()
+
     def __init__(
         self,
         num_sites: int,
@@ -308,15 +251,45 @@ class DistinctSamplerSystem(BottomSFacadeBase):
         hasher: Optional[UnitHasher] = None,
     ) -> None:
         self.hasher = hasher if hasher is not None else UnitHasher(seed, algorithm)
+        self.sample_size = sample_size
         self._init_runtime(
             Topology.build(
-                coordinator=InfiniteWindowCoordinator(sample_size),
-                site_factory=lambda i: InfiniteWindowSite(i, self.hasher),
+                coordinator=self._make_coordinator(num_sites),
+                site_factory=self._make_site,
                 num_sites=num_sites,
             )
         )
 
-    # -- ingestion -------------------------------------------------------
+    @abstractmethod
+    def _make_coordinator(self, num_sites: int) -> Any:
+        """Build the coordinator node (``self.sample_size`` is set)."""
+
+    @abstractmethod
+    def _make_site(self, site_id: int) -> Any:
+        """Build the site node at address ``site_id``."""
+
+    # -- ingestion ---------------------------------------------------------
+
+    def _deliver(self, site_id: int, element: Any) -> None:
+        """Hash ``element`` once and deliver it to site ``site_id``."""
+        self.sites[site_id].observe_hashed(
+            element, self.hasher.unit(element), self.network
+        )
+
+    def observe_hashed(self, site_id: int, element: Any, h: float) -> None:
+        """Fast path with a precomputed hash (``h == hasher.unit(element)``;
+        experiment drivers vectorize hashing over whole streams)."""
+        self.sites[site_id].observe_hashed(element, h, self.network)
+
+    def flood(self, element: Any) -> None:
+        """Deliver ``element`` to every site (the "flooding" distribution)."""
+        self.flood_hashed(element, self.hasher.unit(element))
+
+    def flood_hashed(self, element: Any, h: float) -> None:
+        """Deliver a pre-hashed element to every site ("flooding")."""
+        network = self.network
+        for site in self.sites:
+            site.observe_hashed(element, h, network)
 
     def _deliver_columns(self, run: EventBatch) -> None:
         """Columnar delivery: the run's cached hash column (one NumPy
@@ -328,13 +301,17 @@ class DistinctSamplerSystem(BottomSFacadeBase):
             run.sites, run.items_list(), run.hash_column(self.hasher)
         )
 
-    def process_batch(self, site_ids, elements, hashes) -> int:
+    def process_batch(self, site_ids: Any, elements: Any, hashes: Any) -> int:
         """Vectorized bulk ingestion (semantically identical to a loop of
         :meth:`observe_hashed`, verified by the equivalence tests).
 
-        Exploits monotonicity: each site's threshold ``u_i`` only ever
-        *decreases*, so any element with ``h >= u_i``-as-of-now can never
-        be reported later in the batch either.  The batch is swept in
+        Exploits monotonicity: within a batch a site's threshold ``u_i``
+        only ever *decreases* — a synchronous reply carries the
+        coordinator's non-increasing ``u``, and a queued one lands only
+        at pump time, outside the batch — so any element with
+        ``h >= u_i``-as-of-now can never be reported later in the batch
+        either (a caching site tests the threshold before its cache, so
+        such an element never touches the cache).  The batch is swept in
         chunks; before each chunk the live thresholds are re-read and
         NumPy filters out the provably silent elements wholesale, so only
         the surviving candidates walk the slow path (which still
@@ -369,20 +346,50 @@ class DistinctSamplerSystem(BottomSFacadeBase):
             # Thresholds as of chunk start; u_i never increases, so
             # elements filtered out here are silent for the whole chunk.
             thresholds = np.array([site.u_local for site in sites])
-            candidate_mask = (
-                hash_arr[start:stop] < thresholds[site_arr[start:stop]]
-            )
-            for i in np.flatnonzero(candidate_mask).tolist():
-                j = start + i
-                sites[site_arr[j]].observe_hashed(
-                    element_list[j], float(hash_arr[j]), network
-                )
-                slow += 1
+            chunk_sites = site_arr[start:stop]
+            chunk_hashes = hash_arr[start:stop]
+            hits = np.flatnonzero(chunk_hashes < thresholds[chunk_sites])
+            if not hits.size:
+                continue
+            slow += hits.size
+            # Rows leave NumPy in one conversion per column, not one
+            # scalar per element.
+            for j, site_id, h in zip(
+                (hits + start).tolist(),
+                chunk_sites[hits].tolist(),
+                chunk_hashes[hits].tolist(),
+            ):
+                sites[site_id].observe_hashed(element_list[j], h, network)
         return slow
 
-    def flood(self, element: Any) -> None:
-        """Deliver ``element`` to every site (the "flooding" distribution)."""
-        self.flood_hashed(element, self.hasher.unit(element))
+    # -- queries -----------------------------------------------------------
+
+    def sample(self) -> SampleResult:
+        """The coordinator's current distinct sample."""
+        pairs = tuple(self.coordinator.sample_store.pairs())
+        return SampleResult(
+            items=tuple(element for _, element in pairs),
+            pairs=pairs,
+            threshold=self.threshold,
+            sample_size=self.sample_size,
+            window=None,
+            slot=self.current_slot,
+        )
+
+    def sample_pairs(self) -> list[tuple[float, Any]]:
+        """The coordinator's ``(hash, element)`` pairs, ascending by hash."""
+        return self.coordinator.sample_store.pairs()
+
+    def sample_columns(self) -> tuple[np.ndarray, list[Any]]:
+        """Merge-side fast path: slice the coordinator's sorted store
+        directly (no :class:`~repro.core.protocol.SampleResult`, no
+        per-pair tuples)."""
+        return self.coordinator.sample_store.columns()
+
+    @property
+    def threshold(self) -> float:
+        """The coordinator's current threshold u."""
+        return self.coordinator.sample_store.threshold()
 
     # -- protocol: construction recipe + persistence -----------------------
 
@@ -390,7 +397,7 @@ class DistinctSamplerSystem(BottomSFacadeBase):
     def config(self) -> SamplerConfig:
         """The :class:`SamplerConfig` reconstructing this system."""
         return SamplerConfig(
-            variant="infinite",
+            variant=self.VARIANT,
             num_sites=self.num_sites,
             sample_size=self.sample_size,
             seed=self.hasher.seed,
@@ -398,23 +405,152 @@ class DistinctSamplerSystem(BottomSFacadeBase):
         )
 
     def _state(self) -> dict[str, Any]:
+        coordinator = self.coordinator
         return {
-            "sample": self._sample_rows(),
-            "site_thresholds": [site.u_local for site in self.sites],
-            "reports_received": self.coordinator.reports_received,
-            "reports_accepted": self.coordinator.reports_accepted,
+            "sample": [[h, element] for h, element in self.sample_pairs()],
+            **self._sites_state(),
+            **{name: getattr(coordinator, name) for name in self.COORDINATOR_COUNTERS},
         }
 
     def _load(self, state: dict[str, Any]) -> None:
-        self._load_sample_rows(state.get("sample"))
-        thresholds = state.get("site_thresholds")
-        if thresholds is None:
-            # Soft site state: any value >= the true u is safe.
-            u = self.coordinator.sample_store.threshold()
-            for site in self.sites:
+        """Restore :meth:`_state` output.
+
+        The sample, the counters and every site's fields are parsed
+        first; the live nodes take them only once all of them have
+        parsed, so a malformed state leaves the system untouched.
+
+        Raises:
+            ConfigurationError: For a missing key, a malformed sample
+                (see :meth:`_load_sample_rows`), a counter that is not a
+                non-negative int, a site threshold that is not a number
+                in ``[0, 1]``, or a site list of the wrong length.
+        """
+        try:
+            store = self._load_sample_rows(state["sample"])
+            counters = {
+                name: parse_counter(state[name])
+                for name in self.COORDINATOR_COUNTERS
+            }
+            site_fields = self._load_sites(state)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"malformed {self.VARIANT} state: {exc!r}"
+            ) from exc
+        coordinator = self.coordinator
+        coordinator.sample_store = store
+        for name, value in counters.items():
+            setattr(coordinator, name, value)
+        for site, fields in zip(self.sites, site_fields):
+            for name, value in fields.items():
+                setattr(site, name, value)
+
+    def _sites_state(self) -> dict[str, Any]:
+        """The sites' persisted fields: one threshold per site."""
+        return {"site_thresholds": [site.u_local for site in self.sites]}
+
+    def _load_sites(self, state: dict[str, Any]) -> list[dict[str, Any]]:
+        """Parse :meth:`_sites_state` output into one ``attribute ->
+        value`` dict per site (the caller assigns them)."""
+        thresholds = parse_site_list(state["site_thresholds"], self.num_sites)
+        return [{"u_local": parse_threshold(u)} for u in thresholds]
+
+    def _load_sample_rows(self, rows: Any) -> BottomK:
+        """Parse snapshot ``[hash, element]`` rows into a fresh sample
+        store (the live store is untouched; the caller installs it).
+
+        Raises:
+            ConfigurationError: For a non-list sample, a row that is not
+                ``[hash, element]``, a hash that is not a float in
+                ``[0, 1)`` (NaN included), or rows that repeat an element
+                or overflow the sample.
+        """
+        store = BottomK(self.sample_size)
+        try:
+            if not isinstance(rows, list):
+                raise TypeError(
+                    f"sample must be a list of rows, got {type(rows).__name__}"
+                )
+            for h, element in rows:
+                h = float(h)
+                if not 0.0 <= h < 1.0:
+                    raise ValueError(f"sample hash {h!r} is not in [0, 1)")
+                accepted, _ = store.offer(h, revive_element(element))
+                if not accepted:
+                    raise ValueError(
+                        "sample contains duplicates or unsorted entries"
+                    )
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed snapshot sample: {exc}") from exc
+        return store
+
+    # -- elastic resharding ------------------------------------------------
+
+    @staticmethod
+    def repartition(
+        groups: Sequence["BottomSFacadeBase"],
+        targets: Sequence["BottomSFacadeBase"],
+        router: "HashDistributor",
+    ) -> None:
+        """Seed freshly built ``targets`` with the samples of ``groups``.
+
+        The hook behind :mod:`repro.runtime.reshard`.  Every group shares
+        the sampling hash and owns a disjoint key set, so the union of the
+        groups' bottom-s stores is a superset of the global bottom-s.  One
+        routing pass sends each retained ``(hash, element)`` pair to its
+        new group, and each target keeps the s smallest pairs it receives:
+        the union of the targets' stores is again a superset of the global
+        bottom-s, so the facade merge — the s smallest of the union — is
+        unchanged at the reshard instant and under continued ingest.
+        Target sites take their new store's threshold (the soft
+        site-state rule: any value >= the true u is safe) and keep their
+        other fresh fields (a caching site starts with an empty cache).
+        The groups' coordinator counters land, summed, on ``targets[0]``,
+        and their site counters on its site 0.
+        """
+        pairs = [pair for group in groups for pair in group.sample_pairs()]
+        routed: list[list[tuple[float, Any]]] = [[] for _ in targets]
+        if pairs:
+            batch = EventBatch([element for _, element in pairs])
+            shard_ids = router.assignments_for_batch(batch).tolist()
+            for g, pair in zip(shard_ids, pairs):
+                routed[g].append(pair)
+        for target, rows in zip(targets, routed):
+            store = target.coordinator.sample_store
+            rows.sort(key=itemgetter(0))
+            for h, element in rows[: store.capacity]:
+                store.offer(h, element)
+            u = store.threshold()
+            for site in target.sites:
                 site.u_local = u
-        else:
-            for site, u in zip(self.sites, thresholds):
-                site.u_local = float(u)
-        self.coordinator.reports_received = int(state.get("reports_received", 0))
-        self.coordinator.reports_accepted = int(state.get("reports_accepted", 0))
+        first = targets[0]
+        for name in first.COORDINATOR_COUNTERS:
+            total = sum(getattr(group.coordinator, name) for group in groups)
+            setattr(first.coordinator, name, total)
+        for name in first.SITE_COUNTERS:
+            total = sum(
+                getattr(site, name) for group in groups for site in group.sites
+            )
+            setattr(first.sites[0], name, total)
+
+
+class DistinctSamplerSystem(BottomSFacadeBase):
+    """Facade wiring ``k`` sites and a coordinator over a simulated network.
+
+    This is the main entry point for infinite-window distributed distinct
+    sampling (prefer constructing it through
+    ``repro.make_sampler("infinite", ...)``)::
+
+        system = DistinctSamplerSystem(num_sites=5, sample_size=10, seed=42)
+        for site, element in my_stream:
+            system.observe(site, element)
+        print(system.sample().items)       # uniform distinct sample
+        print(system.stats().messages_total)  # the paper's cost metric
+
+    Takes the :class:`BottomSFacadeBase` arguments.
+    """
+
+    def _make_coordinator(self, num_sites: int) -> InfiniteWindowCoordinator:
+        return InfiniteWindowCoordinator(self.sample_size)
+
+    def _make_site(self, site_id: int) -> InfiniteWindowSite:
+        return InfiniteWindowSite(site_id)

@@ -301,7 +301,7 @@ def parse_stats_state(state: dict[str, Any]) -> MessageStats:
         site_to_coordinator=int(state["site_to_coordinator"]),
         coordinator_to_site=int(state["coordinator_to_site"]),
     )
-    for name, count in state.get("by_kind", {}).items():
+    for name, count in state["by_kind"].items():
         stats.by_kind[MessageKind[name]] = int(count)
     return stats
 
@@ -552,9 +552,9 @@ class Sampler(ABC):
         try:
             protocol = state["protocol"]
             system = state["system"]
-            last_slot = protocol.get("last_slot")
+            last_slot = protocol["last_slot"]
             last_slot = None if last_slot is None else int(last_slot)
-            slots_processed = int(protocol.get("slots_processed", 0))
+            slots_processed = int(protocol["slots_processed"])
             stats = parse_stats_state(state["network"])
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigurationError(f"malformed sampler state: {exc}") from exc

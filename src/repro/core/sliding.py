@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 from abc import abstractmethod
 from dataclasses import replace
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher
@@ -85,6 +85,9 @@ from .protocol import (
     encode_expiry,
     revive_element,
 )
+
+if TYPE_CHECKING:
+    from ..streams.partition import HashDistributor
 
 # SortedDominanceSet doubles as the exact coordinator's candidate store.
 
@@ -409,19 +412,27 @@ class SlidingFacadeBase(Sampler):
     def repartition(
         groups: Sequence["SlidingFacadeBase"],
         targets: Sequence["SlidingFacadeBase"],
-        route: Callable[[Any], int],
+        router: "HashDistributor",
     ) -> None:
         """Seed freshly built ``targets`` with the live state of ``groups``.
 
-        The hook behind :mod:`repro.runtime.reshard`.  Every entry still
-        live at the groups' latest slot goes to ``targets[route(element)]``:
-        its coordinator absorbs coordinator and site entries alike (knowing
-        more live entries than a from-scratch run is safe: queries take
-        the bottom-s of the live set either way), and a site entry also
-        lands at the same-index target site, keeping physical locality.
-        Target sites keep their fresh report-everything state, and the
-        groups' event counters land, summed, on ``targets[0]``.
+        The hook behind :mod:`repro.runtime.reshard`.  An entry pruned by
+        s-dominance had s smaller-hash, later-expiry entries in its old
+        group, so while it is live it is never in the *global* bottom-s:
+        re-partitioning the surviving entries preserves the facade-level
+        merge at every future slot, even though a single group's
+        restricted sample may differ from a from-scratch run's.  Survivor
+        sets are insertion-order independent, so every entry still live
+        at the groups' latest slot goes to the target ``router`` assigns
+        it: its coordinator absorbs coordinator and site entries alike
+        (knowing more live entries than a from-scratch run is safe:
+        queries take the bottom-s of the live set either way), and a site
+        entry also lands at the same-index target site, keeping physical
+        locality.  Target sites keep their fresh report-everything state,
+        which costs a transient burst of extra reports and loses nothing,
+        and the groups' event counters land, summed, on ``targets[0]``.
         """
+        route = router.assign_one
         now = max(group.clock.now for group in groups)
         for target in targets:
             target.clock.reset_to(now)

@@ -33,7 +33,7 @@ from typing import Any
 from ..errors import ConfigurationError
 from .api import make_sampler
 from .infinite import DistinctSamplerSystem
-from .protocol import Sampler, SamplerConfig, revive_element
+from .protocol import Sampler, SamplerConfig
 
 __all__ = ["snapshot", "restore", "SNAPSHOT_VERSION"]
 
@@ -144,14 +144,8 @@ def _restore_v1(state: dict[str, Any]) -> DistinctSamplerSystem:
         seed=seed,
         algorithm=algorithm,
     )
-    store = system.coordinator.sample_store
-    for h, element in sample:
-        accepted, _ = store.offer(float(h), revive_element(element))
-        if not accepted:
-            raise ConfigurationError(
-                "snapshot sample contains duplicates or unsorted entries"
-            )
-    threshold = store.threshold()
+    store = system._load_sample_rows(sample)
+    system.coordinator.sample_store = store
     for site in system.sites:
-        site.u_local = threshold
+        site.u_local = store.threshold()
     return system

@@ -16,10 +16,11 @@ protocol and aggregate costs across the copies.
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from typing import Any, Optional
 
 from ..errors import ConfigurationError
-from ..hashing.unit import SeededHashFamily
+from ..hashing.unit import SeededHashFamily, UnitHasher
 from ..runtime.topology import aggregate_sampler_stats, merge_message_stats
 from .events import EventBatch
 from .infinite import DistinctSamplerSystem
@@ -32,12 +33,45 @@ __all__ = ["WithReplacementSampler", "SlidingWindowWithReplacement"]
 class _WithReplacementBase(Sampler):
     """Shared protocol plumbing for the two with-replacement facades.
 
-    Subclasses build ``self.copies`` (independent s = 1 systems) before
-    calling :meth:`_init_protocol`.  There is no facade-level network:
-    every cost counter aggregates across the copies' networks.
+    Subclasses build one independent s = 1 copy per family member through
+    :meth:`_make_copy`.  There is no facade-level network: every cost
+    counter aggregates across the copies' networks.
+
+    Args:
+        num_sites: Number of sites k.
+        sample_size: Number of independent samples s.
+        seed: Master seed for the hash family.
+        algorithm: Hash algorithm for every family member.
     """
 
-    copies: list
+    #: Window size in slots (0 = infinite window).
+    window = 0
+
+    def __init__(
+        self,
+        num_sites: int,
+        sample_size: int,
+        seed: int = 0,
+        algorithm: str = "murmur2",
+    ) -> None:
+        if num_sites < 1:
+            raise ConfigurationError(f"num_sites must be >= 1, got {num_sites}")
+        if sample_size < 1:
+            raise ConfigurationError(
+                f"sample_size must be >= 1, got {sample_size}"
+            )
+        self.seed = int(seed)
+        self.algorithm = algorithm
+        self.copies = self._make_copies(num_sites, sample_size)
+        self._init_protocol()
+
+    def _make_copies(self, num_sites: int, count: int) -> list[Any]:
+        family = SeededHashFamily(self.seed, self.algorithm)
+        return [self._make_copy(num_sites, family.member(i)) for i in range(count)]
+
+    @abstractmethod
+    def _make_copy(self, num_sites: int, hasher: UnitHasher) -> Any:
+        """Build one s = 1 copy hashing with ``hasher``."""
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -77,13 +111,10 @@ class _WithReplacementBase(Sampler):
             pairs=tuple(pairs),
             threshold=None,
             sample_size=len(self.copies),
-            window=self._window_meta(),
+            window=self.window or None,
             slot=self.current_slot,
             with_replacement=True,
         )
-
-    def _window_meta(self) -> Optional[int]:
-        return None
 
     def message_stats(self):
         """Aggregate message counters across all s copies' transports."""
@@ -105,6 +136,18 @@ class _WithReplacementBase(Sampler):
         """Number of independent samples s."""
         return len(self.copies)
 
+    @property
+    def config(self) -> SamplerConfig:
+        """The :class:`SamplerConfig` reconstructing this system."""
+        return SamplerConfig(
+            variant="with-replacement",
+            num_sites=self.num_sites,
+            sample_size=self.sample_size,
+            window=self.window,
+            seed=self.seed,
+            algorithm=self.algorithm,
+        )
+
     # -- persistence -------------------------------------------------------
 
     def state_dict(self) -> dict[str, Any]:
@@ -117,21 +160,40 @@ class _WithReplacementBase(Sampler):
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
+        """Restore :meth:`state_dict` output.
+
+        The protocol fields are parsed and every copy is loaded into a
+        fresh twin from :meth:`_make_copy` first; the sampler takes them
+        only once all of them have loaded, so a malformed state leaves it
+        untouched.
+
+        Raises:
+            ConfigurationError: For missing keys, a copy count that
+                differs from the sampler's, or a malformed copy.
+        """
         try:
             protocol = state["protocol"]
-            copies = state["copies"]
-        except (KeyError, TypeError) as exc:
+            copy_states = state["copies"]
+            last_slot = protocol["last_slot"]
+            last_slot = None if last_slot is None else int(last_slot)
+            slots_processed = int(protocol["slots_processed"])
+            if not isinstance(copy_states, list):
+                raise TypeError(
+                    f"copies must be a list, got {type(copy_states).__name__}"
+                )
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed sampler state: {exc}") from exc
-        last_slot = protocol.get("last_slot")
-        self._last_slot = None if last_slot is None else int(last_slot)
-        self._slots_processed = int(protocol.get("slots_processed", 0))
-        if len(copies) != len(self.copies):
+        if len(copy_states) != len(self.copies):
             raise ConfigurationError(
-                f"snapshot has {len(copies)} copies, sampler has "
-                f"{len(self.copies)}"
+                f"malformed sampler state: snapshot has {len(copy_states)} "
+                f"copies, sampler has {len(self.copies)}"
             )
-        for copy, copy_state in zip(self.copies, copies):
+        copies = self._make_copies(self.num_sites, len(self.copies))
+        for copy, copy_state in zip(copies, copy_states):
             copy.load_state(copy_state)
+        self.copies = copies
+        self._last_slot = last_slot
+        self._slots_processed = slots_processed
 
     def _state(self) -> dict[str, Any]:  # pragma: no cover - unused
         raise NotImplementedError
@@ -141,50 +203,11 @@ class _WithReplacementBase(Sampler):
 
 
 class WithReplacementSampler(_WithReplacementBase):
-    """Infinite-window distinct sampling with replacement.
+    """Infinite-window distinct sampling with replacement (the
+    :class:`_WithReplacementBase` arguments)."""
 
-    Args:
-        num_sites: Number of sites k.
-        sample_size: Number of independent samples s.
-        seed: Master seed for the hash family.
-        algorithm: Hash algorithm for every family member.
-    """
-
-    def __init__(
-        self,
-        num_sites: int,
-        sample_size: int,
-        seed: int = 0,
-        algorithm: str = "murmur2",
-    ) -> None:
-        if num_sites < 1:
-            raise ConfigurationError(f"num_sites must be >= 1, got {num_sites}")
-        if sample_size < 1:
-            raise ConfigurationError(
-                f"sample_size must be >= 1, got {sample_size}"
-            )
-        self.seed = int(seed)
-        self.algorithm = algorithm
-        family = SeededHashFamily(seed, algorithm)
-        self.copies = [
-            DistinctSamplerSystem(
-                num_sites=num_sites, sample_size=1, hasher=family.member(i)
-            )
-            for i in range(sample_size)
-        ]
-        self._init_protocol()
-
-    @property
-    def config(self) -> SamplerConfig:
-        """The :class:`SamplerConfig` reconstructing this system."""
-        return SamplerConfig(
-            variant="with-replacement",
-            num_sites=self.num_sites,
-            sample_size=self.sample_size,
-            window=0,
-            seed=self.seed,
-            algorithm=self.algorithm,
-        )
+    def _make_copy(self, num_sites: int, hasher: UnitHasher) -> DistinctSamplerSystem:
+        return DistinctSamplerSystem(num_sites=num_sites, sample_size=1, hasher=hasher)
 
 
 class SlidingWindowWithReplacement(_WithReplacementBase):
@@ -206,41 +229,14 @@ class SlidingWindowWithReplacement(_WithReplacementBase):
         seed: int = 0,
         algorithm: str = "murmur2",
     ) -> None:
-        if num_sites < 1:
-            raise ConfigurationError(f"num_sites must be >= 1, got {num_sites}")
         if window < 1:
             raise ConfigurationError(f"window must be >= 1, got {window}")
-        if sample_size < 1:
-            raise ConfigurationError(
-                f"sample_size must be >= 1, got {sample_size}"
-            )
-        self.seed = int(seed)
-        self.algorithm = algorithm
         self.window = window
-        family = SeededHashFamily(seed, algorithm)
-        self.copies = [
-            SlidingWindowSystem(
-                num_sites=num_sites, window=window, hasher=family.member(i)
-            )
-            for i in range(sample_size)
-        ]
-        self._init_protocol()
+        super().__init__(num_sites, sample_size, seed, algorithm)
+
+    def _make_copy(self, num_sites: int, hasher: UnitHasher) -> SlidingWindowSystem:
+        return SlidingWindowSystem(num_sites=num_sites, window=self.window, hasher=hasher)
 
     def _advance_to(self, slot: int) -> None:
         for copy in self.copies:
             copy.advance(slot)
-
-    def _window_meta(self) -> Optional[int]:
-        return self.window
-
-    @property
-    def config(self) -> SamplerConfig:
-        """The :class:`SamplerConfig` reconstructing this system."""
-        return SamplerConfig(
-            variant="with-replacement",
-            num_sites=self.num_sites,
-            sample_size=self.sample_size,
-            window=self.window,
-            seed=self.seed,
-            algorithm=self.algorithm,
-        )

@@ -10,9 +10,11 @@ a restored sampler silently diverges from its twin.
 For every class that defines both halves of a persistence pair —
 ``_state``/``_load``, ``state_dict``/``load_state``,
 ``__getstate__``/``__setstate__``, or the per-node hooks a facade base
-delegates to (``_site_state``/``_load_site``,
-``_coordinator_state``/``_load_coordinator``; see
-:class:`~repro.core.sliding.SlidingFacadeBase`) — this rule compares:
+delegates to (``_site_state``/``_load_site`` and
+``_coordinator_state``/``_load_coordinator`` for
+:class:`~repro.core.sliding.SlidingFacadeBase`, ``_sites_state``/
+``_load_sites`` for :class:`~repro.core.infinite.BottomSFacadeBase`) —
+this rule compares:
 
 * **written keys**: every string key of a dict literal (or ``dict(...)``
   keyword) inside the writer, and
@@ -41,6 +43,7 @@ PERSISTENCE_PAIRS = (
     ("__getstate__", "__setstate__"),
     ("_site_state", "_load_site"),
     ("_coordinator_state", "_load_coordinator"),
+    ("_sites_state", "_load_sites"),
 )
 
 

@@ -78,7 +78,6 @@ class ChaosNetwork(DelayedNetwork):
             ``"drop"`` / ``"duplicate"`` / ``"reorder"``.
         rng: Optional randomness for link interleaving (see
             :class:`DelayedNetwork`).
-        record_kinds: Same contract as :class:`~repro.netsim.network.Network`.
 
     Raises:
         ConfigurationError: For a probability outside ``[0, 1]`` or an
@@ -107,9 +106,8 @@ class ChaosNetwork(DelayedNetwork):
             Mapping[tuple[int, int], Mapping[str, float]]
         ] = None,
         rng: Optional[np.random.Generator] = None,
-        record_kinds: bool = True,
     ) -> None:
-        super().__init__(rng=rng, record_kinds=record_kinds)
+        super().__init__(rng=rng)
         self.drop = _checked_probability("drop", drop)
         self.duplicate = _checked_probability("duplicate", duplicate)
         self.reorder = _checked_probability("reorder", reorder)

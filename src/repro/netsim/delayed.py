@@ -55,20 +55,14 @@ class DelayedNetwork(Network):
     Args:
         rng: Optional randomness for interleaved delivery; None makes
             :meth:`pump` drain links in address order (deterministic).
-        record_kinds: Same contract as :class:`Network` — False skips the
-            per-kind counters.
     """
 
     __slots__ = ("_queues", "_rng", "delivered_messages")
 
     synchronous = False  # sends queue; replies land only at pump time
 
-    def __init__(
-        self,
-        rng: Optional[np.random.Generator] = None,
-        record_kinds: bool = True,
-    ) -> None:
-        super().__init__(record_kinds=record_kinds)
+    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
+        super().__init__()
         self._queues: dict[tuple[int, int], deque[Message]] = {}
         self._rng = rng
         self.delivered_messages = 0
@@ -86,7 +80,7 @@ class DelayedNetwork(Network):
         """Count and enqueue one message; delivery happens at pump time.
 
         As in :class:`Network`, the counters move only after ``dst``
-        validates, and the per-kind counter honors ``record_kinds``.
+        validates.
         """
         if dst not in self._nodes:
             raise ProtocolError(f"no node registered at address {dst}")
@@ -97,8 +91,7 @@ class DelayedNetwork(Network):
             stats.site_to_coordinator += 1
         elif src == COORDINATOR:
             stats.coordinator_to_site += 1
-        if self._record_kinds:
-            stats.by_kind[kind] += 1
+        stats.by_kind[kind] += 1
         self._queues.setdefault((src, dst), deque()).append(
             Message(src, dst, kind, payload, size_bytes)
         )

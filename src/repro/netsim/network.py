@@ -60,14 +60,9 @@ class MessageStats:
 
 
 class Network:
-    """Routes messages between registered nodes and counts them.
+    """Routes messages between registered nodes and counts them."""
 
-    Args:
-        record_kinds: If True (default), per-kind counters are maintained.
-            Disable only in micro-benchmarks where Counter updates dominate.
-    """
-
-    __slots__ = ("stats", "_nodes", "_depth", "_record_kinds")
+    __slots__ = ("stats", "_nodes", "_depth")
 
     #: Whether ``send`` delivers before returning.  Delay-tolerant
     #: subclasses override this to False; the vectorized ingestion fast
@@ -75,11 +70,10 @@ class Network:
     #: coordinator replies landing synchronously.
     synchronous = True
 
-    def __init__(self, record_kinds: bool = True) -> None:
+    def __init__(self) -> None:
         self.stats = MessageStats()
         self._nodes: dict[int, Node] = {}
         self._depth = 0
-        self._record_kinds = record_kinds
 
     # -- topology -----------------------------------------------------------
 
@@ -139,8 +133,7 @@ class Network:
             stats.site_to_coordinator += 1
         elif src == COORDINATOR:
             stats.coordinator_to_site += 1
-        if self._record_kinds:
-            stats.by_kind[kind] += 1
+        stats.by_kind[kind] += 1
 
         if self._depth >= _MAX_DISPATCH_DEPTH:
             raise ProtocolError(

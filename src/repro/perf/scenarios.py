@@ -499,9 +499,9 @@ def _drive_reshard(
 
     The elastic-resharding shape: ingest a chunk, re-partition the live
     groups (S -> 2S -> S/2 -> S), query to force the post-reshard merge,
-    repeat.  Times the full repartition cost — state capture, hash
-    re-routing, group rebuild, merge-cache rebuild — under a workload
-    that keeps ingesting afterwards.
+    repeat.  Times the full repartition cost — group rebuild, hash
+    re-routing, merge-cache rebuild — under a workload that keeps
+    ingesting afterwards.
     """
     from ..runtime.engine import Engine
 

@@ -807,9 +807,9 @@ class SharedMemoryExecutor(ExecutionBackend):
         """Drop a sampler's session without any state transfer.
 
         The facade calls this when it is about to replace its group
-        objects wholesale (resharding): the worker-held copies describe
-        groups that no longer exist, so they are queued for a ``drop``
-        that the next command flushes.
+        objects wholesale (resharding, restoring): the worker-held
+        copies describe groups that no longer exist, so they are queued
+        for a ``drop`` that the next command flushes.
         """
         session = self._sessions.pop(sharded, None)
         if session is None:

@@ -52,6 +52,7 @@ the other way around if needed (``s`` parallel sharded ``s=1`` groups).
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Any, Optional
 
 import numpy as np
@@ -66,7 +67,7 @@ from ..streams.partition import HashDistributor
 from .executor import GroupPlan, make_executor
 from .topology import aggregate_sampler_stats, merge_message_stats
 
-__all__ = ["ShardedSampler"]
+__all__ = ["ShardedSampler", "shard_router"]
 
 #: Salt for the key→group routing layer.  Distinct from the
 #: :class:`HashDistributor` default so that an Engine hash-routing sites
@@ -76,10 +77,10 @@ __all__ = ["ShardedSampler"]
 _SHARD_SALT = 0x51A2DED0C0FFEE42
 
 
-def _base_name(variant: str) -> str:
-    """The base-variant registry key behind a ``sharded:<base>`` name."""
-    return (
-        variant.split(":", 1)[1] if variant.startswith("sharded:") else variant
+def shard_router(config: SamplerConfig, shards: int) -> HashDistributor:
+    """The key→group router of a ``shards``-group sampler of ``config``."""
+    return HashDistributor(
+        shards, seed=config.seed, algorithm=config.algorithm, salt=_SHARD_SALT
     )
 
 
@@ -114,12 +115,7 @@ class ShardedSampler(Sampler):
             )
         self.groups = groups
         self._config = config
-        self._router = HashDistributor(
-            len(groups),
-            seed=config.seed,
-            algorithm=config.algorithm,
-            salt=_SHARD_SALT,
-        )
+        self._router = shard_router(config, len(groups))
         #: Cumulative batch-ingest wall-clock per group, in seconds —
         #: in-process timers under the serial executor, the workers' own
         #: measurements under the shm executor.
@@ -472,11 +468,12 @@ class ShardedSampler(Sampler):
         """Re-partition the S groups into ``new_shards`` groups, live.
 
         No resampling: every group shares the same sampling hash, so the
-        retained bottom-s stores and window bookkeeping are re-routed
-        under a new-count :class:`HashDistributor` (see
-        :mod:`repro.runtime.reshard` for the exactness argument).  Any
-        query after the reshard — and after arbitrary continued ingest —
-        is bit-identical to a fresh ``new_shards`` sampler fed the same
+        live groups' retained state is re-routed into fresh groups under
+        a new-count :class:`HashDistributor`
+        (:func:`~repro.runtime.reshard.repartition_groups`; each family's
+        ``repartition`` hook states its exactness argument).  Any query
+        after the reshard — and after arbitrary continued ingest — is
+        bit-identical to a fresh ``new_shards`` sampler fed the same
         stream.  Per-group ingest timers restart at zero; aggregate
         message/report counters are preserved as totals.
 
@@ -485,44 +482,24 @@ class ShardedSampler(Sampler):
 
         Raises:
             ConfigurationError: For ``new_shards < 1`` or a variant whose
-                group state cannot be re-partitioned.
+                groups cannot be re-partitioned.
         """
-        from dataclasses import replace
-
-        from ..core.api import get_variant
-        from .reshard import repartition_group_states
+        from .reshard import repartition_groups
 
         new_shards = int(new_shards)
         if new_shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {new_shards}")
         if new_shards == len(self.groups):
             return self
-        # Pull worker-held state home first: the captured group states
-        # must be canonical, and the old worker-side groups must not
-        # survive the shard-count change.
+        # Pull worker-held state home first: the live groups must be
+        # canonical, and the old worker-side groups must not survive the
+        # shard-count change.
         self.executor.invalidate(self)
-        old_states = [group.state_dict() for group in self.groups]
-        self.executor.release(self)
-        new_states = repartition_group_states(
-            old_states, self._config, new_shards
-        )
         config = replace(self._config, shards=new_shards)
-        base = get_variant(_base_name(config.variant))
-        inner = replace(
-            config, variant=_base_name(config.variant), shards=1,
-            executor="serial", workers=0,
-        )
-        new_groups = [base.factory(inner) for _ in range(new_shards)]
-        for group, group_state in zip(new_groups, new_states):
-            group.load_state(group_state)
-        self.groups = new_groups
+        self.groups = repartition_groups(self.groups, config, new_shards)
+        self.executor.release(self)
         self._config = config
-        self._router = HashDistributor(
-            new_shards,
-            seed=config.seed,
-            algorithm=config.algorithm,
-            salt=_SHARD_SALT,
-        )
+        self._router = shard_router(config, new_shards)
         self.group_ingest_seconds = [0.0] * new_shards
         self._group_generation = [0] * new_shards
         self._merge_key = None
@@ -545,55 +522,45 @@ class ShardedSampler(Sampler):
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore a sharded snapshot — taken at *any* shard count.
 
-        A snapshot whose group count differs from this sampler's is
-        re-partitioned first (:mod:`repro.runtime.reshard`), so an S=4
-        snapshot restores into an S=8 or S=2 sampler exactly.  The
-        restore is atomic: every group state is validated up front, and a
-        failure inside the per-group load loop rolls the sampler back to
-        its pre-call state before re-raising.
+        The snapshot's groups load into freshly built groups, which are
+        swapped in only once every one has loaded, so a failure leaves
+        the sampler as it was.  A snapshot whose group count differs from
+        this sampler's is re-partitioned on the way
+        (:func:`~repro.runtime.reshard.repartition_group_states`), so an
+        S=4 snapshot restores into an S=8 or S=2 sampler exactly.  As
+        after :meth:`reshard`, the restored groups run on the default
+        transport.
 
         Raises:
             ConfigurationError: For a malformed snapshot (the sampler is
                 left exactly as it was).
         """
-        self.executor.invalidate(self)
+        from ..core.api import make_groups  # lazy: core.api imports the runtime
+        from .reshard import repartition_group_states
+
         try:
             protocol = state["protocol"]
-            groups = state["groups"]
-        except (KeyError, TypeError) as exc:
+            group_states = state["groups"]
+            last_slot = protocol["last_slot"]
+            last_slot = None if last_slot is None else int(last_slot)
+            slots_processed = int(protocol["slots_processed"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed sampler state: {exc}") from exc
-        if not isinstance(groups, list):
+        if not isinstance(group_states, list):
             raise ConfigurationError(
                 "malformed sampler state: 'groups' must be a list, got "
-                f"{type(groups).__name__}"
+                f"{type(group_states).__name__}"
             )
-        if len(groups) != len(self.groups):
-            from .reshard import repartition_group_states
-
-            groups = repartition_group_states(
-                groups, self._config, len(self.groups)
-            )
-        # Parse the protocol fields before touching anything, then keep a
-        # rollback copy so a failure on group k cannot leave the sampler
-        # half-restored.
-        last_slot = protocol.get("last_slot")
-        last_slot = None if last_slot is None else int(last_slot)
-        slots_processed = int(protocol.get("slots_processed", 0))
-        backup_protocol = (self._last_slot, self._slots_processed)
-        backup_groups = [group.state_dict() for group in self.groups]
-        loaded = 0
-        try:
-            for group, group_state in zip(self.groups, groups):
+        count = len(self.groups)
+        if len(group_states) == count:
+            groups = make_groups(self._config, count)
+            for group, group_state in zip(groups, group_states):
                 group.load_state(group_state)
-                loaded += 1
-        except Exception:
-            # The failing group may itself be half-loaded — roll it back
-            # along with every group already restored.
-            touched = backup_groups[: loaded + 1]
-            for group, group_state in zip(self.groups, touched):
-                group.load_state(group_state)
-            self._bump_all_generations()
-            raise
+        else:
+            groups = repartition_group_states(group_states, self._config, count)
+        # Worker-held copies describe the groups being replaced.
+        self.executor.release(self)
+        self.groups = groups
         self._last_slot = last_slot
         self._slots_processed = slots_processed
         self._bump_all_generations()

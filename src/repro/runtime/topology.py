@@ -87,7 +87,7 @@ class Topology:
 
             topology = Topology.build(
                 coordinator=InfiniteWindowCoordinator(s),
-                site_factory=lambda i: InfiniteWindowSite(i, hasher),
+                site_factory=InfiniteWindowSite,
                 num_sites=k,
             )
 

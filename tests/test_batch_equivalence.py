@@ -408,8 +408,17 @@ class TestDelayedNetworkEquivalence:
             CONFIGS["sliding-s3"],
             CONFIGS["sliding-local-push"],
             CONFIGS["infinite"],
+            CONFIGS["broadcast"],
+            CONFIGS["caching"],
         ],
-        ids=["sliding-s1", "sliding-s3", "sliding-local-push", "infinite"],
+        ids=[
+            "sliding-s1",
+            "sliding-s3",
+            "sliding-local-push",
+            "infinite",
+            "broadcast",
+            "caching",
+        ],
     )
     def test_batch_matches_loop_under_delay(self, variant_config):
         from repro.netsim.delayed import DelayedNetwork

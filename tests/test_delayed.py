@@ -146,23 +146,6 @@ class TestFaultInjection:
         assert net.stats.total_bytes == 4
         assert net.in_flight == 1
 
-    def test_record_kinds_parity_with_synchronous_network(self):
-        # Regression: DelayedNetwork.__init__ silently ignored the
-        # record_kinds knob the base Network exposes.
-        class Sink:
-            def handle_message(self, message, network):
-                pass
-
-        recording = DelayedNetwork(record_kinds=True)
-        silent = DelayedNetwork(record_kinds=False)
-        for net in (recording, silent):
-            net.register(0, Sink())
-            net.send(COORDINATOR, 0, MessageKind.THRESHOLD, 0.5)
-            net.pump()
-        assert recording.kind_count(MessageKind.THRESHOLD) == 1
-        assert silent.kind_count(MessageKind.THRESHOLD) == 0
-        assert silent.stats.total_messages == 1
-
     def test_fifo_per_link(self):
         received = []
 

@@ -154,6 +154,22 @@ class TestSnapshot:
         assert revived.sample() == original.sample()
         assert revived.threshold == original.threshold
 
+    @pytest.mark.parametrize("bad_hash", [7.5, float("nan"), -0.5])
+    def test_v1_rejects_hashes_outside_the_unit_interval(self, bad_hash):
+        original = self._build()
+        sample = [[h, e] for h, e in original.sample_pairs()]
+        sample[0][0] = bad_hash
+        v1 = {
+            "version": 1,
+            "num_sites": original.num_sites,
+            "sample_size": original.sample_size,
+            "hash_seed": original.hasher.seed,
+            "hash_algorithm": original.hasher.algorithm,
+            "sample": sample,
+        }
+        with pytest.raises(ConfigurationError, match="malformed"):
+            restore(v1)
+
 
 class TestBatchIngestion:
     def test_equivalent_to_sequential(self):

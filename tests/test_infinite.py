@@ -205,7 +205,7 @@ class TestSiteInvariants:
         # The site's protocol state is exactly u_local (O(1) memory).
         system = DistinctSamplerSystem(2, 5, seed=8)
         site = system.sites[0]
-        assert set(site.__slots__) == {"site_id", "hasher", "u_local"}
+        assert set(site.__slots__) == {"site_id", "u_local"}
 
 
 class TestErrorsAndValidation:

@@ -55,6 +55,7 @@ from repro import (
     restore,
     snapshot,
 )
+from repro.errors import ConfigurationError
 from repro.netsim import ChaosNetwork
 
 SHARDED_INFINITE = ("sharded:infinite", "sharded:broadcast", "sharded:caching")
@@ -862,3 +863,131 @@ class TestChaosSafetyUnderDrop:
         system.network.pump()
         assert system.coordinator.threshold >= oracle.threshold
         assert set(system.sample()) <= observed
+
+
+# ---------------------------------------------------------------------------
+# Restore fuzzing: exact restore or a typed error on an untouched sampler
+# ---------------------------------------------------------------------------
+
+#: Restore-fuzz subjects: the infinite family and both with-replacement
+#: flavours, at one shape (k = 3, s = 3) so cross-variant loads line up.
+RESTORE_SUBJECTS = {
+    "infinite": {"variant": "infinite"},
+    "broadcast": {"variant": "broadcast"},
+    "caching": {"variant": "caching"},
+    "wr-infinite": {"variant": "with-replacement"},
+    "wr-sliding": {"variant": "with-replacement", "window": 6},
+}
+
+#: State keys whose value is an event counter or a threshold.
+SWAPPABLE_KEYS = frozenset(
+    {
+        "last_slot",
+        "slots_processed",
+        "total_messages",
+        "total_bytes",
+        "site_to_coordinator",
+        "coordinator_to_site",
+        "reports_received",
+        "reports_accepted",
+        "broadcasts_sent",
+        "suppressed",
+        "u_local",
+        "reports_sent",
+        "fallbacks",
+    }
+)
+
+#: What a swapped counter or threshold becomes (``"negative"`` picks
+#: -0.5 for a float and -1 otherwise).
+BAD_VALUES = ("x", None, [1], float("nan"), "negative")
+
+
+def _restore_subject(label: str, seed: int):
+    sampler = make_sampler(num_sites=3, sample_size=3, seed=4, **RESTORE_SUBJECTS[label])
+    rng = np.random.default_rng(seed)
+    for slot in range(1, 7):
+        sampler.advance(slot)
+        sampler.observe_batch(
+            [(int(rng.integers(0, 3)), int(rng.integers(0, 30))) for _ in range(6)]
+        )
+    return sampler
+
+
+def _drop_targets(node) -> list:
+    """``(dict, key)`` for every dict key at or below ``node``."""
+    found = []
+    if isinstance(node, dict):
+        found.extend((node, key) for key in node)
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            found.extend(_drop_targets(child))
+    return found
+
+
+def _swap_targets(node, key=None) -> list:
+    """``(container, index)`` for every counter or threshold at or below
+    ``node``: values under :data:`SWAPPABLE_KEYS` and ``by_kind``, site
+    thresholds, and the hashes of infinite-family sample rows."""
+    found = []
+    if isinstance(node, dict):
+        for name, child in node.items():
+            if name in SWAPPABLE_KEYS:
+                found.append((node, name))
+            elif name == "by_kind":
+                found.extend((child, kind) for kind in child)
+            else:
+                found.extend(_swap_targets(child, name))
+    elif isinstance(node, list):
+        if key == "site_thresholds":
+            found.extend((node, i) for i in range(len(node)))
+        elif key == "sample" and all(isinstance(row, list) for row in node):
+            found.extend((row, 0) for row in node)
+        else:
+            for child in node:
+                found.extend(_swap_targets(child))
+    return found
+
+
+def _as_json(state) -> str:
+    return json.dumps(state, sort_keys=True)
+
+
+class TestRestoreFuzz:
+    """Every ``load_state`` of a mutated snapshot either restores it
+    exactly or raises ConfigurationError and leaves the sampler as it
+    was.  Mutations drop any key, swap any counter or threshold for a
+    string, None, a list, NaN or a negative value, or substitute another
+    variant's whole state."""
+
+    @given(
+        label=st.sampled_from(sorted(RESTORE_SUBJECTS)),
+        other=st.sampled_from(sorted(RESTORE_SUBJECTS)),
+        seeds=st.tuples(st.integers(0, 3), st.integers(4, 7)),
+        kind=st.sampled_from(("drop", "swap", "cross")),
+        bad=st.sampled_from(BAD_VALUES),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_exact_or_typed_error(self, label, other, seeds, kind, bad, data):
+        target = _restore_subject(label, seeds[1])
+        if kind == "cross":
+            state = json.loads(json.dumps(_restore_subject(other, seeds[0]).state_dict()))
+        else:
+            state = json.loads(json.dumps(_restore_subject(label, seeds[0]).state_dict()))
+            targets = _drop_targets(state) if kind == "drop" else _swap_targets(state)
+            container, index = data.draw(st.sampled_from(targets))
+            if kind == "drop":
+                del container[index]
+            elif bad == "negative":
+                container[index] = -0.5 if isinstance(container[index], float) else -1
+            else:
+                container[index] = bad
+        before = _as_json(target.state_dict())
+        try:
+            target.load_state(state)
+        except ConfigurationError:
+            assert _as_json(target.state_dict()) == before
+        else:
+            assert _as_json(target.state_dict()) == _as_json(state)

@@ -214,8 +214,8 @@ class TestShardedPersistence:
         baseline_sample = sampler.sample()
         baseline_state = copy.deepcopy(sampler.state_dict())
         poisoned = copy.deepcopy(baseline_state)
-        # Group 0 loads fine; group 1 blows up mid-loop.  The restore
-        # must roll group 0 (and the half-loaded group 1) back.
+        # Group 0 loads fine; group 1 blows up mid-loop.  Neither may
+        # reach the live sampler.
         poisoned["groups"][1]["system"] = {"sample": "not-a-sample"}
         with pytest.raises(Exception):
             sampler.load_state(poisoned)
@@ -228,10 +228,10 @@ class TestShardedPersistence:
     @pytest.mark.parametrize("variant", ["sharded:sliding", "sharded:sliding+s4"])
     def test_malformed_later_group_rolls_back_exactly(self, variant, donor_shards):
         # A *later* snapshot whose group 1 is malformed.  At the same
-        # shard count group 0 loads first and moves its clock forward, so
-        # the rollback must rewind it; across counts the re-partition
-        # fails first.  Either way the original error surfaces and the
-        # sampler keeps its pre-call state.
+        # shard count group 0 loads first with its clock moved forward;
+        # across counts the re-partition fails first.  Either way the
+        # original error surfaces and the sampler keeps its pre-call
+        # state.
         name, s = cell(variant, 1)
 
         def build(shards):
@@ -313,6 +313,44 @@ class TestElasticResharding:
             sampler.observe_batch(events_tail)
             twin.observe_batch(events_tail)
             assert sampler.sample() == twin.sample()
+
+    @pytest.mark.parametrize("new_shards", [2, 3, 8])
+    @pytest.mark.parametrize("s", [1, 4])
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            "sharded:infinite",
+            "sharded:broadcast",
+            "sharded:caching",
+            "sharded:sliding",
+            "sharded:sliding-local-push",
+        ],
+    )
+    def test_reshard_equals_cross_count_load_state(self, variant, s, new_shards):
+        # Both callers of the one re-partitioning path agree: a live
+        # reshard and a cross-count restore of the same snapshot leave
+        # equal states.
+        windowed = "sliding" in variant
+
+        def build(shards):
+            return make_sampler(
+                variant, num_sites=3, sample_size=s, shards=shards, seed=SEED,
+                window=12 if windowed else 0,
+            )
+
+        donor = build(4)
+        if windowed:
+            for slot, arrivals in slotted_schedule(40, 5, sites=3, universe=70):
+                donor.advance(slot)
+                donor.observe_batch(arrivals)
+        else:
+            donor.observe_batch(uniform_events(1200, sites=3, universe=300))
+        restored = build(new_shards)
+        restored.load_state(json.loads(json.dumps(donor.state_dict())))
+        donor.reshard(new_shards)
+        assert json.dumps(donor.state_dict(), sort_keys=True) == json.dumps(
+            restored.state_dict(), sort_keys=True
+        )
 
     @pytest.mark.parametrize("variant", INFINITE)
     def test_reshard_oracle_pinned_infinite(self, variant):
@@ -564,6 +602,38 @@ class TestExecutionBackends:
         assert parallel.sample() == serial.sample()
         assert parallel.sample().threshold == serial.sample().threshold
         assert parallel.stats() == serial.stats()
+        assert parallel.state_dict() == serial.state_dict()
+        parallel.close()
+
+    @pytest.mark.parametrize("donor_shards", [2, 3], ids=["same", "cross"])
+    def test_load_state_over_live_workers_matches_serial(self, donor_shards):
+        # The shm sampler's workers hold newer group state when an earlier
+        # checkpoint lands; the restored groups must replace it, so both
+        # samplers keep ingesting in step with a serial twin.
+        events = uniform_events(1800, sites=3, universe=300)
+
+        def build(executor, shards=2):
+            return make_sampler(
+                "sharded:caching",
+                num_sites=3,
+                sample_size=5,
+                shards=shards,
+                seed=SEED,
+                executor=executor,
+                workers=2,
+            )
+
+        donor = build("serial", donor_shards)
+        donor.observe_batch(events[:600])
+        checkpoint = json.loads(json.dumps(donor.state_dict()))
+        serial, parallel = build("serial"), build("shm")
+        for sampler in (serial, parallel):
+            sampler.observe_batch(events[:1200])
+            sampler.load_state(checkpoint)
+        assert parallel.state_dict() == serial.state_dict()
+        for sampler in (serial, parallel):
+            sampler.observe_batch(events[600:])
+        assert parallel.sample() == serial.sample()
         assert parallel.state_dict() == serial.state_dict()
         parallel.close()
 

@@ -107,3 +107,52 @@ class TestSlidingWithReplacement:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SlidingWindowWithReplacement(num_sites=2, window=5, sample_size=0)
+
+
+def _driven(window: int, seed: int):
+    sampler = (
+        SlidingWindowWithReplacement(num_sites=2, window=window, sample_size=3, seed=4)
+        if window
+        else WithReplacementSampler(num_sites=2, sample_size=3, seed=4)
+    )
+    rng = np.random.default_rng(seed)
+    for slot in range(1, 6 + seed):
+        sampler.advance(slot)
+        sampler.observe_batch(
+            [(int(rng.integers(0, 2)), int(rng.integers(0, 40))) for _ in range(6)]
+        )
+    return sampler
+
+
+def _drop_a_copy(state):
+    state["copies"] = state["copies"][:2]
+
+
+def _break_the_third_copy(state):
+    del state["copies"][2]["system"]
+
+
+class TestAtomicRestore:
+    """A restore that fails leaves the sampler exactly as it was: the
+    copy count is checked and every copy loads into a fresh twin before
+    any field of the sampler changes."""
+
+    @pytest.mark.parametrize(
+        "defect", [_drop_a_copy, _break_the_third_copy], ids=["copies", "third"]
+    )
+    @pytest.mark.parametrize("window", [0, 6], ids=["infinite", "sliding"])
+    def test_failed_restore_leaves_the_sampler_untouched(self, window, defect):
+        state = _driven(window, seed=1).state_dict()
+        defect(state)
+        target = _driven(window, seed=2)
+        before = target.state_dict()
+        with pytest.raises(ConfigurationError, match="malformed"):
+            target.load_state(state)
+        assert target.state_dict() == before
+
+    @pytest.mark.parametrize("window", [0, 6], ids=["infinite", "sliding"])
+    def test_restore_round_trips(self, window):
+        source, target = _driven(window, seed=1), _driven(window, seed=2)
+        target.load_state(source.state_dict())
+        assert target.state_dict() == source.state_dict()
+        assert target.sample() == source.sample()
