@@ -39,9 +39,8 @@ from .infinite import (
     InfiniteWindowSite,
     parse_counter,
     parse_site_list,
-    parse_threshold,
 )
-from .protocol import SamplerConfig, revive_element
+from .protocol import SamplerConfig, parse_threshold, revive_element
 
 __all__ = ["CachingSite", "CachingSamplerSystem"]
 

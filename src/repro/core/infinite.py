@@ -58,7 +58,13 @@ from ..netsim.network import Network
 from ..runtime.topology import Topology
 from ..structures.bottomk import BottomK
 from .events import EventBatch
-from .protocol import Sampler, SampleResult, SamplerConfig, revive_element
+from .protocol import (
+    Sampler,
+    SampleResult,
+    SamplerConfig,
+    parse_threshold,
+    revive_element,
+)
 
 if TYPE_CHECKING:
     from ..streams.partition import HashDistributor
@@ -86,19 +92,6 @@ def parse_counter(value: Any) -> int:
     if value < 0:
         raise ValueError(f"counter {value} is negative")
     return value
-
-
-def parse_threshold(value: Any) -> float:
-    """A persisted site threshold: a number in ``[0, 1]`` (NaN rejected).
-
-    Raises:
-        TypeError, ValueError: For anything else.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"threshold {value!r} is not a number")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"threshold {value!r} is not in [0, 1]")
-    return float(value)
 
 
 def parse_site_list(rows: Any, num_sites: int) -> list[Any]:
@@ -470,15 +463,15 @@ class BottomSFacadeBase(Sampler):
                 raise TypeError(
                     f"sample must be a list of rows, got {type(rows).__name__}"
                 )
+            hashes: list[float] = []
+            elements: list[Any] = []
             for h, element in rows:
                 h = float(h)
                 if not 0.0 <= h < 1.0:
                     raise ValueError(f"sample hash {h!r} is not in [0, 1)")
-                accepted, _ = store.offer(h, revive_element(element))
-                if not accepted:
-                    raise ValueError(
-                        "sample contains duplicates or unsorted entries"
-                    )
+                hashes.append(h)
+                elements.append(revive_element(element))
+            store.load(hashes, elements)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed snapshot sample: {exc}") from exc
         return store

@@ -281,6 +281,20 @@ def revive_element(element: Any) -> Any:
     return element
 
 
+def parse_threshold(value: Any) -> float:
+    """A persisted threshold or sample hash: a number in ``[0, 1]`` (NaN
+    rejected).
+
+    Raises:
+        TypeError, ValueError: For anything else.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"threshold {value!r} is not a number")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"threshold {value!r} is not in [0, 1]")
+    return float(value)
+
+
 def stats_state(network: Network) -> dict[str, Any]:
     """Capture a network's message counters as a JSON-safe dict."""
     stats = network.stats

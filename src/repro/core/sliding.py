@@ -83,6 +83,7 @@ from .protocol import (
     SamplerConfig,
     decode_expiry,
     encode_expiry,
+    parse_threshold,
     revive_element,
 )
 
@@ -332,6 +333,9 @@ class SlidingFacadeBase(Sampler):
 
     def _state(self) -> dict[str, Any]:
         coordinator = self.coordinator
+        # A sample read expires the coordinator's dead entries; do the
+        # same here, so a snapshot is the same whether a read ran first.
+        coordinator.sample_entries(self.clock.now)
         return {
             self.CLOCK_KEY: self.clock.now,
             "coordinator": {
@@ -733,7 +737,7 @@ class SlidingWindowSystem(SlidingFacadeBase):
     ) -> None:
         element, u_star, expiry = state["sample"]
         coordinator.sample_element = revive_element(element)
-        coordinator.u_star = float(u_star)
+        coordinator.u_star = parse_threshold(u_star)
         coordinator.sample_expiry = decode_expiry(expiry)
 
     def _site_state(self, site: SlidingWindowSite) -> dict[str, Any]:
@@ -745,5 +749,5 @@ class SlidingWindowSystem(SlidingFacadeBase):
 
     def _load_site(self, site: SlidingWindowSite, state: dict[str, Any]) -> None:
         site.sample_element = revive_element(state["sample_element"])
-        site.u_local = float(state["u_local"])
+        site.u_local = parse_threshold(state["u_local"])
         site.sample_expiry = decode_expiry(state["sample_expiry"])

@@ -22,7 +22,8 @@ where the canonical group state lives:
 * ``adopt`` — on a session's first batch (or after any parent-side
   mutation), the parent ships each group's ``(config, state_dict)`` to
   its worker once; the worker rebuilds the group and keeps it alive
-  across batches.  State crosses the pipe here and nowhere else.
+  across batches.  State crosses the pipe to the workers here and
+  nowhere else.
 * ``ingest_columns`` — the one ingest command.  The parent routes the
   batch (one vectorized pass), warms the shared sampling-hash column,
   concatenates the per-group sub-runs into ``/dev/shm`` blocks (sites,
@@ -37,44 +38,63 @@ where the canonical group state lives:
   per-group ingest seconds.  The parent unlinks the blocks as soon as
   every worker has replied — a batch's blocks never outlive the call,
   even on error.
-* ``collect`` — on ``sample()``/``stats()``/``state_dict()``/``close()``
-  the parent pulls the groups' ``state_dict`` back and re-synchronizes
-  its own copies (queries always run against parent-side groups).
-  Parent-side mutation (``observe``, ``advance``, ``load_state``)
-  additionally *invalidates* the session so the next batch re-adopts.
+* ``collect`` — the one read command.  A read's
+  :meth:`~SharedMemoryExecutor.fetch` sends it to the workers holding
+  *dirty* groups (those that ingested since the last fetch), at most
+  once per quiescent period.  For each such group the worker replies
+  ``(sample_columns(), pickle.dumps(state_dict()))``.
+  The parent does not load that state: the session keeps the pickled
+  bytes as the group's canonical parent-side copy and marks the group's
+  parent object stale.  ``sample()``/``threshold`` merge the fetched
+  columns, and ``state_dict()`` unpickles a fresh dict from the kept
+  bytes on every call.
+* *load* — the stale object is loaded from the kept bytes only when
+  something needs the object itself: ``stats()``/``message_stats()``,
+  reads of ``ShardedSampler.groups``, pickling the sampler, ``reshard``,
+  ``close`` and parent-side mutation.  :meth:`~SharedMemoryExecutor.sync`
+  is that entry point: fetch, then load every kept state.  Parent-side
+  mutation (``observe``, ``advance``, ``load_state``) additionally
+  *invalidates* the session so the next batch re-adopts.
 
 Results are **bit-identical** across both backends: plans are built by
 the same routing pass, groups share no state, the workers replay the
 exact serial per-group delivery order, and the sampling hash is a pure
-function of (seed, algorithm, item) wherever it is computed.  The
-property suite in ``tests/test_properties.py`` pins ``sample()``,
-``stats()``, and the full ``state_dict`` across backends for every
-``sharded:*`` variant.
+function of (seed, algorithm, item) wherever it is computed.  A fetch
+reads each group's sample before its state, as a serial query does, and
+a sliding core's snapshot applies the same expiry a sample read applies,
+so reads never make the two backends' states drift apart.  The property
+suite in ``tests/test_properties.py`` pins ``sample()``, ``threshold``,
+``stats()``, ``message_stats()`` and the full ``state_dict`` across
+backends for every ``sharded:*`` variant, with reads interleaved
+between batches.
 
 Failure and lifecycle semantics of the shm backend (crash-replay):
 
-* Every batch plan shipped since a group's last sync is **retained in a
-  per-group replay log until a sync acknowledges it**.  When a worker
-  dies, the executor tears the remaining workers down and rebuilds
-  every worker-held group from the parent's last-synchronized state by
-  replaying the pending plans in-process — the recovered groups are
-  **bit-identical to a never-crashed run** (same delivery order, same
-  shared sampling hash), so no acknowledged data is ever lost.  Ingest
-  calls simply succeed; the ``recoveries`` counter records that a replay
-  happened, and the next batch respawns workers and re-adopts.  Only a
+* Between a fetch and the next load, a group's canonical parent-side
+  state is the kept pickled ``state_dict()``; the parent object is
+  stale.  Every batch plan shipped since the group's last fetch (or
+  adopt) is **retained in a per-group replay log until the next fetch
+  acknowledges it**.  When a worker dies, the executor tears the
+  remaining workers down and rebuilds every worker-held group in the
+  parent: it loads the kept state, if any, then replays only the plans
+  logged after that fetch — the recovered groups are **bit-identical to
+  a never-crashed run** (same delivery order, same shared sampling
+  hash), so no acknowledged data is ever lost.  Ingest calls simply
+  succeed; the ``recoveries`` counter records that a replay happened,
+  and the next batch respawns workers and re-adopts.  Only a
   *deterministic* in-worker protocol error (a poisoned plan) still
   raises — replaying it in-process raises the same underlying error.
-* The replay log is trimmed at every sync/adopt boundary and, to bound
-  memory on sync-free workloads, the executor checkpoints (a partial
-  sync) every ``checkpoint_batches`` batches per session.
+* The replay log is trimmed at every fetch and adopt and, to bound
+  memory on read-free workloads, the executor also fetches (without
+  loading) every ``checkpoint_batches`` batches per session.
 * Shared-memory blocks are created/unlinked strictly per batch inside
   ``try/finally``; worker terminations are additionally registered via
   ``weakref.finalize`` (which hooks interpreter exit like ``atexit``)
   and the workers are daemonic, so neither an un-``close()``d executor
   nor a hard exit leaks ``/dev/shm`` segments or processes.
 * Executors are context managers: ``with SharedMemoryExecutor() as ex:``
-  guarantees ``close()`` (which first collects every live session's
-  state back into its sampler).
+  guarantees ``close()`` (which first syncs every live session's state
+  back into its sampler).
 
 Two documented backend differences.  A non-monotone slot stamp raises
 *before* any delivery under the shm backend (plans are built up front),
@@ -128,6 +148,10 @@ RangePlan = list[tuple[Optional[int], Optional[tuple[int, int]]]]
 
 #: ``(group, tasks)`` pairs addressed to one worker.
 WorkerPlans = list[tuple[int, Any]]
+
+#: A fetched group: its ``sample_columns()`` and its pickled
+#: ``state_dict()``, which the parent keeps without loading.
+Fetched = tuple[tuple[npt.NDArray[np.float64], list[Any]], bytes]
 
 
 def _replay_group(group: Sampler, tasks: GroupPlan) -> float:
@@ -278,6 +302,19 @@ def _shm_ingest_columns(
                 pass
 
 
+def _fetch_group(group: Sampler) -> Fetched:
+    """One group's ``collect`` reply: its sample columns, then its state.
+
+    The sample is read first because a sliding core's read expires dead
+    coordinator entries; the state then already reflects the read, as a
+    serial group's does after the query.
+    """
+    columns = group.sample_columns()
+    return columns, pickle.dumps(
+        group.state_dict(), protocol=pickle.HIGHEST_PROTOCOL
+    )
+
+
 def _shm_dispatch(
     groups: dict[tuple[int, int], Sampler], command: str, args: Any
 ) -> Any:
@@ -294,7 +331,7 @@ def _shm_dispatch(
         return _shm_ingest_columns(groups, args)
     if command == "collect":
         session, group_ids = args
-        return {g: groups[(session, g)].state_dict() for g in group_ids}
+        return {g: _fetch_group(groups[(session, g)]) for g in group_ids}
     if command == "drop":
         for key in [k for k in groups if k[0] in args]:
             del groups[key]
@@ -356,6 +393,7 @@ class _ShmSession:
         "workers_canonical",
         "dirty",
         "pending",
+        "deferred",
         "batches_since_checkpoint",
     )
 
@@ -364,18 +402,22 @@ class _ShmSession:
         #: True once the workers hold adopted (authoritative) groups.
         self.workers_canonical = False
         #: Group ids whose worker-held copies have advanced past the
-        #: parent's since the last sync.  Empty means fully in sync;
-        #: ``sync()`` collects exactly these groups and nothing else.
+        #: parent's since the last fetch.  Empty means fully in sync; a
+        #: fetch collects exactly these groups and nothing else.
         self.dirty: set[int] = set()
         #: Per-group replay log: every batch plan shipped since the
-        #: group's parent copy was last synchronized, retained until a
-        #: sync/adopt boundary acknowledges the worker state back into
-        #: the parent.  On a worker crash, replaying ``pending[g]`` (in
-        #: ship order) against the parent's copy reproduces the
-        #: worker-held group bit for bit — zero acked-data loss.
+        #: group's state was last fetched, retained until a fetch or
+        #: adopt acknowledges the worker state back into the parent.  On
+        #: a worker crash, replaying ``pending[g]`` (in ship order)
+        #: against the parent's copy reproduces the worker-held group
+        #: bit for bit — zero acked-data loss.
         self.pending: dict[int, GroupPlan] = {}
-        #: Batches since the replay log was last trimmed by a sync;
-        #: bounds log memory on sync-free workloads (``checkpoint_batches``).
+        #: Fetched groups whose parent object is stale: their canonical
+        #: parent-side state is the kept pickled ``state_dict()``, loaded
+        #: into the group object only when something needs the object.
+        self.deferred: dict[int, Fetched] = {}
+        #: Batches since the replay log was last trimmed by a fetch;
+        #: bounds log memory on read-free workloads (``checkpoint_batches``).
         self.batches_since_checkpoint = 0
 
 
@@ -430,14 +472,27 @@ class ExecutionBackend(ABC):
     def ingest_columns(self, sharded: "ShardedSampler", batch: EventBatch) -> int:
         """Deliver a columnar :class:`~repro.core.events.EventBatch`."""
 
-    def sync(self, sharded: "ShardedSampler") -> None:
-        """Pull worker-held group state back into ``sharded.groups``.
+    def fetch(self, sharded: "ShardedSampler") -> dict[int, Fetched]:
+        """Worker-held groups' ``(sample columns, pickled state)``, unloaded.
 
-        No-op for backends whose parent-side groups are always
-        canonical (serial).  The sharded facade calls this at most once
-        per quiescent period — queries between two mutations share a
-        single sync — and a stateful backend should itself collect only
-        the groups dirtied since the last sync.
+        The read path: ``sample()``/``threshold`` merge the fetched
+        columns and ``state_dict()`` unpickles the fetched state, in
+        place of the stale parent copies of those groups.  A stateful
+        backend makes at most one round trip per quiescent period and
+        asks only the groups dirtied since the last fetch.  ``{}`` for
+        backends whose parent-side groups are always canonical (serial).
+        """
+        return {}
+
+    def sync(self, sharded: "ShardedSampler") -> None:
+        """Make every group object in ``sharded`` canonical.
+
+        Fetches as :meth:`fetch` does, then loads each fetched state into
+        its parent-side group object.  The sharded facade calls this
+        where it needs the objects themselves (``stats()``,
+        ``message_stats()``, reads of ``groups``, pickling) rather than
+        their samples or states.  No-op for backends whose parent-side
+        groups are always canonical (serial).
         """
 
     def invalidate(self, sharded: "ShardedSampler") -> None:
@@ -496,8 +551,8 @@ class SharedMemoryExecutor(ExecutionBackend):
     See the module docstring for the full protocol.  The steady-state
     per-batch traffic is plan metadata only — column bytes are written
     once into ``/dev/shm`` and mapped by the workers, and group state
-    crosses the pipe only at session boundaries (adopt/collect), never
-    per batch.  ``pickle_bytes`` therefore stays 0 for ``int64`` items
+    crosses the pipe only on an adopt or a read's fetch, never per
+    batch.  ``pickle_bytes`` therefore stays 0 for ``int64`` items
     (``object`` item columns honestly count their pickled requests).
 
     Raises:
@@ -506,8 +561,9 @@ class SharedMemoryExecutor(ExecutionBackend):
 
     name = "shm"
 
-    #: Force a partial sync after this many batches per session, so the
-    #: crash-replay log cannot grow without bound on sync-free workloads.
+    #: Fetch (without loading) after this many batches per session, so
+    #: the crash-replay log cannot grow without bound on read-free
+    #: workloads.
     checkpoint_batches: int = 64
 
     def __init__(self, workers: int = 0) -> None:
@@ -562,9 +618,9 @@ class SharedMemoryExecutor(ExecutionBackend):
         """Crash-replay recovery after a worker death or in-worker error.
 
         Tears the remaining workers down, then rebuilds every session's
-        worker-held groups *in the parent* by replaying the retained
-        batch plans (``session.pending``) against the parent's
-        last-synchronized copies — the exact serial delivery order the
+        worker-held groups *in the parent*: each group loads its kept
+        fetched state, if any, and replays the batch plans logged since
+        (``session.pending``) — the exact serial delivery order the
         worker would have run, so the recovered groups (message counters
         included) are bit-identical to a never-crashed run.  The next
         batch respawns workers and re-adopts.
@@ -583,9 +639,10 @@ class SharedMemoryExecutor(ExecutionBackend):
         for sampler, session in list(self._sessions.items()):
             try:
                 if session.workers_canonical:
+                    self._load_deferred(sampler, session)
                     for g in sorted(session.pending):
                         elapsed = _replay_group(
-                            sampler.groups[g], session.pending[g]
+                            sampler._groups[g], session.pending[g]
                         )
                         sampler.group_ingest_seconds[g] += elapsed
             except BaseException as exc:
@@ -593,6 +650,7 @@ class SharedMemoryExecutor(ExecutionBackend):
                     replay_error = exc
             finally:
                 session.pending.clear()
+                session.deferred.clear()
                 session.dirty.clear()
                 session.batches_since_checkpoint = 0
                 session.workers_canonical = False
@@ -600,10 +658,10 @@ class SharedMemoryExecutor(ExecutionBackend):
             raise replay_error
 
     def close(self) -> None:
-        """Collect every live session's state, then stop the workers.
+        """Sync every live session's state home, then stop the workers.
 
         Idempotent; the executor remains usable — the next batch
-        respawns the workers and re-adopts from the (now synchronized)
+        respawns the workers and re-adopts from the (now loaded)
         parent-side groups.
         """
         if self._workers is None:
@@ -632,8 +690,8 @@ class SharedMemoryExecutor(ExecutionBackend):
     def __getstate__(self) -> dict[str, int]:
         # Workers, pipes, and sessions are OS/process-local resources; a
         # pickled executor carries only its configuration.  Callers must
-        # query (sync) before snapshotting a sampler — the facade's
-        # state_dict() does so automatically.
+        # sync before copying a sampler's groups — the facade's
+        # __getstate__ does so automatically.
         return {"workers": self.workers}
 
     def __setstate__(self, state: dict[str, int]) -> None:
@@ -723,7 +781,7 @@ class SharedMemoryExecutor(ExecutionBackend):
             return
         per_worker: list[list[tuple[int, int, dict[str, Any], dict[str, Any]]]]
         per_worker = [[] for _ in workers]
-        for g, group in enumerate(sharded.groups):
+        for g, group in enumerate(sharded._groups):
             per_worker[g % len(workers)].append(
                 (
                     session.session_id,
@@ -746,18 +804,48 @@ class SharedMemoryExecutor(ExecutionBackend):
         session.pending.clear()
         session.batches_since_checkpoint = 0
 
-    def sync(self, sharded: "ShardedSampler") -> None:
-        """Collect the *dirty* worker-held group states back into the
-        parent copies.
+    def fetch(self, sharded: "ShardedSampler") -> dict[int, Fetched]:
+        """Fetch the *dirty* groups' sample columns and state, unloaded.
 
-        Partial by design: only the groups that ingested since the last
-        sync (``session.dirty``) cross the pipe — a clean group's parent
-        copy is already canonical, so collecting it would be pure IPC
-        waste on read-heavy workloads.
+        One round trip to the workers holding dirty groups, none while
+        nothing ingested since the last fetch.  Each reply is kept as
+        that group's canonical parent-side state (``session.deferred``),
+        trims the group's replay log and clears its dirty bit; the
+        parent's group object is not touched.  Returns every deferred
+        group, fetched now or earlier; callers read it and must not
+        mutate it.
         """
         session = self._sessions.get(sharded)
-        if session is None or not session.workers_canonical or not session.dirty:
+        if session is None:
+            return {}
+        if session.dirty:
+            self._collect(sharded, session)
+        return session.deferred
+
+    def sync(self, sharded: "ShardedSampler") -> None:
+        """Fetch, then load every deferred group into the parent's copy.
+
+        After a sync the parent's group objects are canonical again,
+        though the workers stay canonical too: the next batch needs no
+        re-adopt.
+        """
+        session = self._sessions.get(sharded)
+        if session is None:
             return
+        self.fetch(sharded)
+        self._load_deferred(sharded, session)
+
+    @staticmethod
+    def _load_deferred(sharded: "ShardedSampler", session: _ShmSession) -> None:
+        """Load each deferred group's kept state into its group object."""
+        deferred = session.deferred
+        while deferred:
+            g, (_, state) = deferred.popitem()
+            sharded._groups[g].load_state(pickle.loads(state))
+
+    def _collect(self, sharded: "ShardedSampler", session: _ShmSession) -> None:
+        """The fetch round trip: one ``collect`` per worker holding dirty
+        groups, every reply kept in ``session.deferred``."""
         workers = self._workers
         if workers is None:
             # Workers were closed/crashed since the last ingest; crash
@@ -777,15 +865,14 @@ class SharedMemoryExecutor(ExecutionBackend):
                 )
                 posted.append(w)
             for w in posted:
-                for g, state in self._reply(workers[w]).items():
-                    sharded.groups[g].load_state(state)
-                    # The collected state supersedes the replay log —
-                    # the parent copy is canonical again for this group.
+                for g, fetched in self._reply(workers[w]).items():
+                    session.deferred[g] = fetched
+                    # The fetched state supersedes the replay log.
                     session.pending.pop(g, None)
         except ExecutorError:
-            # A worker died mid-collect.  _on_worker_failure already
-            # replayed every still-pending plan into the parent copies,
-            # which is exactly the state this sync was after — recovered.
+            # A worker died mid-fetch.  _on_worker_failure already loaded
+            # the kept states and replayed every still-pending plan into
+            # the parent copies, which are canonical again — recovered.
             self.recoveries += 1
             return
         session.dirty.clear()
@@ -816,6 +903,7 @@ class SharedMemoryExecutor(ExecutionBackend):
             return
         session.workers_canonical = False
         session.pending.clear()
+        session.deferred.clear()
         session.dirty.clear()
         if self._workers is not None:
             self._dead_sessions.append(session.session_id)
@@ -842,7 +930,7 @@ class SharedMemoryExecutor(ExecutionBackend):
         Raises:
             ConfigurationError: If any group's network is asynchronous.
         """
-        for g, group in enumerate(sharded.groups):
+        for g, group in enumerate(sharded._groups):
             if not group.network.synchronous:
                 raise ConfigurationError(
                     f"shard group {g} runs on {type(group.network).__name__}, "
@@ -909,7 +997,7 @@ class SharedMemoryExecutor(ExecutionBackend):
                 _release_blocks(blocks)
             session.batches_since_checkpoint += 1
             if session.batches_since_checkpoint >= self.checkpoint_batches:
-                self.sync(sharded)
+                self._collect(sharded, session)
         except ExecutorError:
             self.recoveries += 1
             if not logged:
@@ -919,7 +1007,7 @@ class SharedMemoryExecutor(ExecutionBackend):
                 for g, tasks in enumerate(plans):
                     if tasks:
                         sharded.group_ingest_seconds[g] += _replay_group(
-                            sharded.groups[g], tasks
+                            sharded._groups[g], tasks
                         )
 
     def _collect_timings(

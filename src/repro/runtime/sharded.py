@@ -34,8 +34,9 @@ the **critical path**, i.e. the slowest group
 quantity.  Under ``executor="shm"`` each group's batch plan really runs
 concurrently and the per-group timers hold measured wall-clock:
 persistent worker processes own their groups across batches and map the
-batch's columns from shared memory (zero-copy *and* multi-core; queries
-transparently re-synchronize the parent's copies).  Both backends are
+batch's columns from shared memory (zero-copy *and* multi-core; a query
+fetches the groups' sample columns and state, and the parent's group
+objects load that state only when something needs them).  Both backends are
 bit-identical, because every group replays the same per-group delivery
 order under the same shared sampling hash.  Message counts, by
 contrast, are a real total either way: sharding does not reduce (and
@@ -51,6 +52,7 @@ the other way around if needed (``s`` parallel sharded ``s=1`` groups).
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import replace
 from typing import Any, Optional
@@ -64,7 +66,7 @@ from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher
 from ..netsim.network import MessageStats
 from ..streams.partition import HashDistributor
-from .executor import GroupPlan, make_executor
+from .executor import Fetched, GroupPlan, make_executor
 from .topology import aggregate_sampler_stats, merge_message_stats
 
 __all__ = ["ShardedSampler", "shard_router"]
@@ -113,7 +115,7 @@ class ShardedSampler(Sampler):
                 f"config.shards is {config.shards} but {len(groups)} "
                 "groups were built"
             )
-        self.groups = groups
+        self._groups = groups
         self._config = config
         self._router = shard_router(config, len(groups))
         #: Cumulative batch-ingest wall-clock per group, in seconds —
@@ -147,11 +149,17 @@ class ShardedSampler(Sampler):
         """Release the execution backend's resources (worker processes).
 
         Idempotent, and a no-op for the serial backend.  The shm backend
-        first collects every live session's worker-held group state back
+        first syncs every live session's worker-held group state back
         into its sampler, so no ingested data is lost by closing; the
         sampler remains usable — the next batch respawns the workers.
         """
         self.executor.close()
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A copy takes the group objects, so worker-held state comes home
+        # first; the copy's executor starts with no session.
+        self.executor.sync(self)
+        return self.__dict__
 
     def __enter__(self) -> "ShardedSampler":
         return self
@@ -162,16 +170,27 @@ class ShardedSampler(Sampler):
     # -- routing -------------------------------------------------------------
 
     @property
+    def groups(self) -> list[Sampler]:
+        """The S coordinator groups, each object holding its current state.
+
+        Under the shm backend, worker-held state is synced into the
+        group objects first (see :meth:`_sync_if_stale`).  The plan,
+        ingest, merge and snapshot paths read the raw list instead.
+        """
+        self._sync_if_stale(load=True)
+        return self._groups
+
+    @property
     def shards(self) -> int:
         """Number of coordinator groups S."""
-        return len(self.groups)
+        return len(self._groups)
 
     @property
     def sampling_hasher(self) -> UnitHasher:
         """The shared sampling hash ``h`` (every group owns an equal
         hasher — same seed, same algorithm — so a hash column warmed
         under this instance is a cache hit for all of them)."""
-        hasher: UnitHasher = self.groups[0].hasher
+        hasher: UnitHasher = self._groups[0].hasher
         return hasher
 
     def shard_of(self, item: Any) -> int:
@@ -185,13 +204,13 @@ class ShardedSampler(Sampler):
         self.executor.invalidate(self)
         shard = self.shard_of(item)
         self._group_generation[shard] += 1
-        self.groups[shard]._deliver(site_id, item)
+        self._groups[shard]._deliver(site_id, item)
 
     def _advance_to(self, slot: int) -> None:
         """Slot boundary: every group advances (independent maintenance)."""
         self.executor.invalidate(self)
         self._bump_all_generations()
-        for group in self.groups:
+        for group in self._groups:
             group.advance(slot)
 
     def observe_columns(self, batch: EventBatch) -> int:
@@ -250,7 +269,7 @@ class ShardedSampler(Sampler):
         so shm workers adopt views of one warmed column rather than
         rehashing.
         """
-        plans: list[GroupPlan] = [[] for _ in self.groups]
+        plans: list[GroupPlan] = [[] for _ in self._groups]
         state: list[Any] = [self._last_slot, 0]
         hasher = self.sampling_hasher
         for slot, run in batch.slot_runs():
@@ -259,11 +278,11 @@ class ShardedSampler(Sampler):
             if not len(run):
                 continue
             run.hash_column(hasher)
-            if len(self.groups) == 1:
+            if len(self._groups) == 1:
                 plans[0].append((None, run))
                 continue
             shard_ids = self._router.assignments_for_batch(run)
-            for shard in range(len(self.groups)):
+            for shard in range(len(self._groups)):
                 index = np.flatnonzero(shard_ids == shard)
                 if index.size:
                     plans[shard].append((None, run.select(index)))
@@ -296,7 +315,7 @@ class ShardedSampler(Sampler):
         if not len(run):
             return
         timings = self.group_ingest_seconds
-        groups = self.groups
+        groups = self._groups
         if len(groups) == 1:
             self._group_generation[0] += 1
             started = time.perf_counter()
@@ -322,20 +341,27 @@ class ShardedSampler(Sampler):
     def _generation_key(self) -> tuple[int, ...]:
         return tuple(self._group_generation)
 
-    def _sync_if_stale(self) -> None:
-        """Collect worker-held group state at most once per quiescent
-        period: ``sample()``/``stats()``/``message_stats()``/
-        ``state_dict()`` between two mutations share a single executor
-        sync instead of forcing one each.  The executors themselves
-        additionally collect only the groups that ingested since the
-        last sync (dirty bits), so even the one sync is partial.
+    def _sync_if_stale(self, load: bool = False) -> dict[int, Fetched]:
+        """Bring worker-held group state home for a read.
+
+        ``sample()``/``threshold``/``state_dict()`` need only each group's
+        sample columns and state: they read the executor's fetched,
+        unloaded copies (returned here) in place of the stale group
+        objects.  ``stats()``, ``message_stats()`` and reads of
+        :attr:`groups` need the objects, so ``load=True`` also loads the
+        fetched states into them and returns ``{}``.  The executor asks
+        only the groups dirtied since its last fetch, so reads between
+        two mutations share one round trip; ``sync_count`` counts those
+        quiescent periods.
         """
         key = self._generation_key()
-        if self._synced_key == key:
-            return
-        self.executor.sync(self)
-        self.sync_count += 1
-        self._synced_key = key
+        if self._synced_key != key:
+            self.sync_count += 1
+            self._synced_key = key
+        if load:
+            self.executor.sync(self)
+            return {}
+        return self.executor.fetch(self)
 
     def invalidate_merge_cache(self) -> None:
         """Drop the cached merged sample (benchmark/test hook).
@@ -364,16 +390,19 @@ class ShardedSampler(Sampler):
         key = (self._generation_key(), self._last_slot)
         if self._merge_result is not None and self._merge_key == key:
             return self._merge_result
-        self._sync_if_stale()
-        result = self._merge_groups()
+        result = self._merge_groups(self._sync_if_stale())
         self._merge_key = key
         self._merge_result = result
         return result
 
-    def _merge_groups(self) -> SampleResult:
-        """Cold merge: vectorized bottom-s over the group columns."""
+    def _merge_groups(self, fetched: dict[int, Fetched]) -> SampleResult:
+        """Cold merge: vectorized bottom-s over the group columns, taking
+        a fetched group's columns in place of its stale object's."""
         s = self._config.sample_size
-        columns = [group.sample_columns() for group in self.groups]
+        columns = [
+            fetched[g][0] if g in fetched else group.sample_columns()
+            for g, group in enumerate(self._groups)
+        ]
         hashes = np.concatenate([hash_column for hash_column, _ in columns])
         items: list[Any] = []
         for _, group_items in columns:
@@ -415,9 +444,9 @@ class ShardedSampler(Sampler):
     def message_stats(self) -> MessageStats:
         """Aggregate message counters across all S group transports."""
         self.query_count += 1
-        self._sync_if_stale()
+        self._sync_if_stale(load=True)
         return merge_message_stats(
-            group.message_stats() for group in self.groups
+            group.message_stats() for group in self._groups
         )
 
     def stats(self) -> SamplerStats:
@@ -427,8 +456,8 @@ class ShardedSampler(Sampler):
         its S shard-local sites (one per group).
         """
         self.query_count += 1
-        self._sync_if_stale()
-        return aggregate_sampler_stats(self.groups, self._slots_processed)
+        self._sync_if_stale(load=True)
+        return aggregate_sampler_stats(self._groups, self._slots_processed)
 
     @property
     def ingest_seconds(self) -> float:
@@ -450,7 +479,7 @@ class ShardedSampler(Sampler):
     @property
     def num_sites(self) -> int:
         """Number of physical sites k (each runs one site per group)."""
-        return self.groups[0].num_sites
+        return self._groups[0].num_sites
 
     @property
     def sample_size(self) -> int:
@@ -489,14 +518,14 @@ class ShardedSampler(Sampler):
         new_shards = int(new_shards)
         if new_shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {new_shards}")
-        if new_shards == len(self.groups):
+        if new_shards == len(self._groups):
             return self
         # Pull worker-held state home first: the live groups must be
         # canonical, and the old worker-side groups must not survive the
         # shard-count change.
         self.executor.invalidate(self)
         config = replace(self._config, shards=new_shards)
-        self.groups = repartition_groups(self.groups, config, new_shards)
+        self._groups = repartition_groups(self._groups, config, new_shards)
         self.executor.release(self)
         self._config = config
         self._router = shard_router(config, new_shards)
@@ -510,13 +539,18 @@ class ShardedSampler(Sampler):
     # -- persistence ---------------------------------------------------------
 
     def state_dict(self) -> dict[str, Any]:
-        self._sync_if_stale()
+        # A fetched group's state is unpickled afresh on every call, so
+        # no caller shares the executor's kept copy.
+        fetched = self._sync_if_stale()
         return {
             "protocol": {
                 "last_slot": self._last_slot,
                 "slots_processed": self._slots_processed,
             },
-            "groups": [group.state_dict() for group in self.groups],
+            "groups": [
+                pickle.loads(fetched[g][1]) if g in fetched else group.state_dict()
+                for g, group in enumerate(self._groups)
+            ],
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
@@ -551,7 +585,7 @@ class ShardedSampler(Sampler):
                 "malformed sampler state: 'groups' must be a list, got "
                 f"{type(group_states).__name__}"
             )
-        count = len(self.groups)
+        count = len(self._groups)
         if len(group_states) == count:
             groups = make_groups(self._config, count)
             for group, group_state in zip(groups, group_states):
@@ -560,7 +594,7 @@ class ShardedSampler(Sampler):
             groups = repartition_group_states(group_states, self._config, count)
         # Worker-held copies describe the groups being replaced.
         self.executor.release(self)
-        self.groups = groups
+        self._groups = groups
         self._last_slot = last_slot
         self._slots_processed = slots_processed
         self._bump_all_generations()

@@ -91,6 +91,25 @@ class BottomK:
             del self._hashes[evicted]
         return True, evicted
 
+    def load(self, hashes: list[float], elements: list[Any]) -> None:
+        """Replace the contents with parallel ``hashes`` and ``elements``
+        in one sort, the order :meth:`offer` would have kept them in.
+
+        Raises:
+            ValueError: If an element repeats or the rows exceed the
+                capacity (the set is then left as it was).
+        """
+        index = dict(zip(elements, hashes))
+        if len(index) < len(elements):
+            raise ValueError("rows repeat an element")
+        if len(index) > self.capacity:
+            raise ValueError(
+                f"{len(index)} rows exceed the capacity {self.capacity}"
+            )
+        self._pairs = sorted(zip(hashes, elements))
+        self._hashes = index
+        self._columns_cache = None
+
     def discard(self, element: Any) -> bool:
         """Remove ``element`` if present; returns whether it was present."""
         h = self._hashes.pop(element, None)

@@ -33,10 +33,12 @@ Two interchangeable implementations (differentially tested):
   :meth:`~SortedDominanceSet.load` fills a set from snapshot rows the same
   way: one sort, one sweep.  Supports any ``s >= 1``.
 * :class:`TreapDominanceSet` — the paper's treap (s = 1 only): key
-  ``(expiry, hash)``, priority ``hash``; min-hash is the root, expiry is an
-  O(log n) split, and dominance pruning exploits the *staircase invariant*
-  (surviving hashes increase with expiry), removing only a contiguous run
-  of predecessors.  It prunes eagerly, so its :meth:`settle` is a no-op.
+  ``(expiry, hash, tie)``, priority ``hash``; min-hash is the root, expiry
+  is an O(log n) split, and dominance pruning exploits the *staircase
+  invariant* (surviving hashes never decrease with expiry), removing only
+  a contiguous run of predecessors.  It prunes eagerly, so its
+  :meth:`settle` is a no-op.  ``tie`` orders distinct elements with equal
+  hash and expiry (a hash collision) as the sorted list does.
 
 :class:`SortedDominanceSet` also keeps its bottom-s (by hash, then expiry)
 incrementally: an insert bisects into it, and only the expiry of a member
@@ -397,13 +399,19 @@ class SortedDominanceSet:
 class TreapDominanceSet:
     """Paper-faithful treap-backed dominance set (s = 1).
 
-    Key: ``(expiry, hash)`` (hash breaks same-slot ties); priority: hash,
-    min-heap — so :meth:`min_entry` is the root.  The staircase invariant
-    (hash strictly increases across strictly increasing expiry) makes the
-    dominated region after an insert a contiguous run of predecessor keys.
+    Key: ``(expiry, hash, tie)`` (hash breaks same-slot ties); priority:
+    hash, min-heap — so :meth:`min_entry` is the root (on equal hashes the
+    treap keeps the smaller key on top, the entry the sorted set ranks
+    first).  The staircase invariant (hash never decreases across strictly
+    increasing expiry) makes the dominated region after an insert a
+    contiguous run of predecessor keys.
+
+    ``tie`` keeps distinct elements with equal hash and expiry apart and
+    orders them as :class:`SortedDominanceSet` does: an entry that sorts
+    at or after the last one goes after its equals, any other before them.
     """
 
-    __slots__ = ("_treap", "_index")
+    __slots__ = ("_treap", "_index", "_ties")
 
     def __init__(self, s: int = 1) -> None:
         if s != 1:
@@ -412,7 +420,8 @@ class TreapDominanceSet:
                 "use SortedDominanceSet for s > 1"
             )
         self._treap = Treap()
-        self._index: dict[Any, tuple[int, float]] = {}  # element -> key
+        self._index: dict[Any, tuple[int, float, int]] = {}  # element -> key
+        self._ties = 0  # inserts so far, the source of ``tie`` values
 
     @property
     def s(self) -> int:
@@ -435,13 +444,14 @@ class TreapDominanceSet:
         ]
 
     def load(self, rows: Iterable[tuple[Any, int, float]]) -> None:
-        """Replace the contents by observing each row into an empty treap.
+        """Replace the contents by observing each row, stably sorted by
+        ``(expiry, hash)``, into an empty treap.
 
         Raises:
             ValueError: If two rows carry the same element (the set is
                 then left as it was).
         """
-        rows = list(rows)
+        rows = sorted(rows, key=lambda row: (row[1], row[2]))
         if len({row[0] for row in rows}) < len(rows):
             raise ValueError("rows repeat an element")
         self._treap = Treap()
@@ -455,7 +465,6 @@ class TreapDominanceSet:
             if expiry <= old_key[0]:
                 return
             self._treap.remove(old_key)
-        key = (expiry, hash_value)
 
         # Is the newcomer itself dominated?  The minimum hash among strictly
         # later expiries is the first entry of the next expiry band.
@@ -465,15 +474,21 @@ class TreapDominanceSet:
                 del self._index[element]
             return
 
-        # Drop now-dominated predecessors: strictly earlier expiry, larger
-        # hash.  By the staircase invariant they are a contiguous run.
+        # Drop now-dominated predecessors: strictly earlier expiry, strictly
+        # larger hash.  By the staircase invariant they are a contiguous run.
         while True:
             pred = self._treap.predecessor((expiry, -1.0))
-            if pred is None or pred.key[1] < hash_value:
+            if pred is None or pred.key[1] <= hash_value:
                 break
             del self._index[pred.value]
             self._treap.remove(pred.key)
 
+        self._ties += 1
+        last = self._treap.max_key()
+        if last is None or (expiry, hash_value) >= last.key[:2]:
+            key = (expiry, hash_value, self._ties)
+        else:
+            key = (expiry, hash_value, -self._ties)
         self._treap.insert(key, hash_value, element)
         self._index[element] = key
 

@@ -2,8 +2,8 @@
 
 The paper stores each site's sliding-window candidate set ``T_i`` in "an
 efficient data structure ... a treap".  Keys order the tree (we key by
-``(expiry_time, hash)``), priorities obey a *min*-heap: the node with the
-smallest priority sits at the root.  Using an element's hash value as its
+``(expiry_time, hash)`` plus a tie-breaker), priorities obey a *min*-heap:
+the node with the smallest priority sits at the root.  Using an element's hash value as its
 priority makes "element with the smallest hash" an O(1) root lookup, while
 expiry-ordered range deletions ("drop everything expired") are O(log n)
 splits — exactly the two operations the sliding-window site needs.
@@ -80,8 +80,7 @@ class Treap:
 
     Keys must be mutually comparable; priorities are floats.  Duplicate keys
     are rejected — callers that need multiset behaviour should disambiguate
-    the key (the dominance sets use ``(expiry, hash)`` pairs, unique almost
-    surely).
+    the key (the dominance set appends a tie-breaker to ``(expiry, hash)``).
     """
 
     __slots__ = ("_root", "_size")

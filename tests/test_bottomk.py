@@ -139,3 +139,47 @@ class TestPropertyBased:
             assert bk.discard(victim)
             bk.check_invariants()
             assert victim not in bk
+
+
+class TestLoad:
+    """``load`` fills the set in one sort, as offering each row would."""
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 0.5, 0.75]), st.integers(0, 30)
+            ),
+            max_size=8,
+            unique_by=lambda row: row[1],
+        ),
+        capacity=st.integers(1, 8),
+    )
+    @settings(max_examples=200)
+    def test_load_equals_offering_each_row(self, rows, capacity):
+        # Few distinct hashes, so equal-hash rows order by element.
+        rows = rows[:capacity]
+        offered = BottomK(capacity)
+        for h, element in rows:
+            offered.offer(h, element)
+        loaded = BottomK(capacity)
+        loaded.load([h for h, _ in rows], [element for _, element in rows])
+        loaded.check_invariants()
+        assert loaded.pairs() == offered.pairs()
+        assert loaded.threshold() == offered.threshold()
+        assert loaded.columns()[1] == offered.columns()[1]
+
+    @pytest.mark.parametrize(
+        "hashes,elements",
+        [
+            ([0.1, 0.2], ["a", "a"]),
+            ([0.1, 0.2, 0.3], ["a", "b", "c"]),
+        ],
+        ids=["repeated-element", "over-capacity"],
+    )
+    def test_bad_rows_raise_and_leave_the_set_alone(self, hashes, elements):
+        bk = BottomK(2)
+        bk.offer(0.4, "z")
+        with pytest.raises(ValueError):
+            bk.load(hashes, elements)
+        assert bk.pairs() == [(0.4, "z")]
+        assert "a" not in bk

@@ -183,6 +183,48 @@ class TestDifferentialVsBruteForce:
             assert _raw(a) == _raw(b)
 
 
+class TestHashCollisions:
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 8), st.integers(0, 6)),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_treap_keeps_colliding_entries_as_sorted_does(self, ops):
+        # Three hash values make equal (expiry, hash) keys for distinct
+        # elements common, and observes at earlier expiries place entries
+        # between existing ones: the treap must keep, order and rank
+        # every entry exactly as the sorted list does.
+        def h(element):
+            return (element % 3) / 3
+
+        sorted_set, treap = SortedDominanceSet(1), TreapDominanceSet(1)
+        now = 0
+        for is_observe, element, offset in ops:
+            if is_observe:
+                sorted_set.observe(element, now + offset + 1, h(element))
+                treap.observe(element, now + offset + 1, h(element))
+            else:
+                now += offset
+                sorted_set.expire(now)
+                treap.expire(now)
+            assert _raw(treap) == _raw(sorted_set)
+            assert len(treap) == len(sorted_set)
+            assert [e.as_tuple() for e in treap.bottom(3)] == [
+                e.as_tuple() for e in sorted_set.bottom(3)
+            ]
+            top, want = treap.min_entry(), sorted_set.min_entry()
+            assert (top and top.as_tuple()) == (want and want.as_tuple())
+        treap.check_invariants()
+        # Loads keep equal keys in the given order, reversed or not.
+        rows = [entry.as_tuple() for entry in sorted_set.entries()]
+        for given in (rows, rows[::-1]):
+            treap.load(given)
+            sorted_set.load(given)
+            assert _raw(treap) == _raw(sorted_set)
+
+
 @pytest.mark.parametrize("impl", IMPLS)
 class TestInvariants:
     @given(

@@ -239,13 +239,25 @@ def shared_shm():
     executor.close()
 
 
+#: Reads interleaved between batches in the executor-equivalence
+#: property: each is taken from both samplers and compared.
+READS = {
+    "sample": lambda sampler, g: sampler.sample(),
+    "threshold": lambda sampler, g: sampler.threshold,
+    "state_dict": lambda sampler, g: sampler.state_dict(),
+    "stats": lambda sampler, g: sampler.stats(),
+    "message_stats": lambda sampler, g: sampler.message_stats(),
+    "group_state": lambda sampler, g: sampler.groups[g % sampler.shards].state_dict(),
+}
+
+
 class TestExecutorEquivalence:
     """The acceptance pin: the shm backend is byte-identical to
     SerialExecutor for every ``sharded:*`` variant."""
 
     @pytest.mark.parametrize("variant", SHARDED_ALL)
     @given(data=st.data())
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=6, deadline=None)
     def test_parallel_executor_is_bit_identical_to_serial(
         self, shared_shm, variant, data
     ):
@@ -276,10 +288,26 @@ class TestExecutorEquivalence:
         parallel = build("shm", 2)
         # Reuse one long-lived executor across examples.
         parallel.executor = shared_shm
-        cut = len(events) // 2
-        for chunk in (events[:cut], events[cut:]):
-            serial.observe_batch(list(chunk))
-            parallel.observe_batch(list(chunk))
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(0, len(events)), max_size=3), label="cuts"
+            )
+        )
+        bounds = [0, *cuts, len(events)]
+        for start, stop in zip(bounds, bounds[1:]):
+            serial.observe_batch(list(events[start:stop]))
+            parallel.observe_batch(list(events[start:stop]))
+            # Reads between batches fetch, load or reuse worker state;
+            # each must answer as the serial backend does.
+            reads = data.draw(
+                st.lists(
+                    st.tuples(st.sampled_from(sorted(READS)), st.integers(0, 2)),
+                    max_size=4,
+                ),
+                label="reads",
+            )
+            for name, g in reads:
+                assert READS[name](parallel, g) == READS[name](serial, g), name
         assert_indistinguishable(parallel, serial)
         assert parallel.message_stats() == serial.message_stats()
         assert parallel.current_slot == serial.current_slot
@@ -464,7 +492,8 @@ class TestCrashReplayRecovery:
         try:
             serial.observe_batch(EventBatch.from_events(events[:150]))
             crashy.observe_batch(EventBatch.from_events(events[:150]))
-            # Query → the parent's copies synchronize here ...
+            # Query → the groups' states are fetched and kept, not
+            # loaded, here ...
             assert crashy.sample() == serial.sample()
             # ... then one more acked batch with NO query after it, so a
             # lossy recovery would visibly rewind it.
@@ -501,9 +530,9 @@ class TestCrashReplayRecovery:
         else:
             k, events = data.draw(flat_streams(), label="stream")
             window = 0
-        cut = data.draw(
-            st.integers(0, max(0, len(events) - 1)), label="crash_after"
-        )
+        fetch_at = data.draw(st.integers(0, len(events)), label="fetch_after")
+        cut = data.draw(st.integers(fetch_at, len(events)), label="crash_after")
+        query = data.draw(st.booleans(), label="query_before_crash")
 
         def build(executor, workers):
             return make_sampler(
@@ -519,8 +548,17 @@ class TestCrashReplayRecovery:
 
         serial, crashy = build("serial", 0), build("shm", 2)
         try:
-            serial.observe_batch(list(events[:cut]))
-            crashy.observe_batch(list(events[:cut]))
+            serial.observe_batch(list(events[:fetch_at]))
+            crashy.observe_batch(list(events[:fetch_at]))
+            if query:
+                # The query fetches without loading; the kill below then
+                # lands between that fetch and the next load, with the
+                # batches in between logged for replay.
+                assert crashy.sample() == serial.sample()
+            mid = (fetch_at + cut) // 2
+            for chunk in (events[fetch_at:mid], events[mid:cut]):
+                serial.observe_batch(list(chunk))
+                crashy.observe_batch(list(chunk))
             _kill_executor_workers(crashy.executor)
             serial.observe_batch(list(events[cut:]))
             crashy.observe_batch(list(events[cut:]))
@@ -869,15 +907,24 @@ class TestChaosSafetyUnderDrop:
 # Restore fuzzing: exact restore or a typed error on an untouched sampler
 # ---------------------------------------------------------------------------
 
-#: Restore-fuzz subjects: the infinite family and both with-replacement
-#: flavours, at one shape (k = 3, s = 3) so cross-variant loads line up.
+#: Restore-fuzz subjects: the infinite family, both with-replacement
+#: flavours, the three sliding cores and a sharded snapshot, mostly at one
+#: shape (k = 3, s = 3) so cross-variant loads line up.
 RESTORE_SUBJECTS = {
     "infinite": {"variant": "infinite"},
     "broadcast": {"variant": "broadcast"},
     "caching": {"variant": "caching"},
     "wr-infinite": {"variant": "with-replacement"},
     "wr-sliding": {"variant": "with-replacement", "window": 6},
+    "sliding-s1": {"variant": "sliding", "window": 6, "sample_size": 1},
+    "sliding": {"variant": "sliding", "window": 6},
+    "local-push": {"variant": "sliding-local-push", "window": 6},
+    "sharded": {"variant": "sharded:sliding", "window": 6, "shards": 2},
 }
+
+#: Records a general-s sliding site restores as empty when they are
+#: missing (the next lapse then pushes its whole bottom-s, still exact).
+OPTIONAL_RECORDS = frozenset({"known", "pending"})
 
 #: State keys whose value is an event counter or a threshold.
 SWAPPABLE_KEYS = frozenset(
@@ -904,7 +951,9 @@ BAD_VALUES = ("x", None, [1], float("nan"), "negative")
 
 
 def _restore_subject(label: str, seed: int):
-    sampler = make_sampler(num_sites=3, sample_size=3, seed=4, **RESTORE_SUBJECTS[label])
+    sampler = make_sampler(
+        **{"num_sites": 3, "sample_size": 3, "seed": 4, **RESTORE_SUBJECTS[label]}
+    )
     rng = np.random.default_rng(seed)
     for slot in range(1, 7):
         sampler.advance(slot)
@@ -959,7 +1008,8 @@ class TestRestoreFuzz:
     exactly or raises ConfigurationError and leaves the sampler as it
     was.  Mutations drop any key, swap any counter or threshold for a
     string, None, a list, NaN or a negative value, or substitute another
-    variant's whole state."""
+    variant's whole state.  One exception is by design: a dropped
+    :data:`OPTIONAL_RECORDS` record restores as an empty one."""
 
     @given(
         label=st.sampled_from(sorted(RESTORE_SUBJECTS)),
@@ -969,9 +1019,10 @@ class TestRestoreFuzz:
         bad=st.sampled_from(BAD_VALUES),
         data=st.data(),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_exact_or_typed_error(self, label, other, seeds, kind, bad, data):
         target = _restore_subject(label, seeds[1])
+        dropped_record = None
         if kind == "cross":
             state = json.loads(json.dumps(_restore_subject(other, seeds[0]).state_dict()))
         else:
@@ -980,6 +1031,8 @@ class TestRestoreFuzz:
             container, index = data.draw(st.sampled_from(targets))
             if kind == "drop":
                 del container[index]
+                if index in OPTIONAL_RECORDS:
+                    dropped_record = (container, index)
             elif bad == "negative":
                 container[index] = -0.5 if isinstance(container[index], float) else -1
             else:
@@ -990,4 +1043,24 @@ class TestRestoreFuzz:
         except ConfigurationError:
             assert _as_json(target.state_dict()) == before
         else:
+            if dropped_record is not None:
+                container, index = dropped_record
+                container[index] = []
             assert _as_json(target.state_dict()) == _as_json(state)
+
+    @pytest.mark.parametrize("label", ["sliding-s1", "sliding", "wr-sliding"])
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5, 1.5, "0.5"])
+    def test_sliding_site_thresholds_parse_strictly(self, label, bad):
+        # A NaN or out-of-range threshold would otherwise restore "exactly".
+        target = _restore_subject(label, 5)
+        state = json.loads(json.dumps(_restore_subject(label, 0).state_dict()))
+        container, index = next(
+            (container, index)
+            for container, index in _swap_targets(state)
+            if index == "u_local"
+        )
+        container[index] = bad
+        before = _as_json(target.state_dict())
+        with pytest.raises(ConfigurationError, match="threshold"):
+            target.load_state(state)
+        assert _as_json(target.state_dict()) == before

@@ -8,6 +8,7 @@ from __future__ import annotations
 import copy
 import gc
 import json
+import pickle
 import time
 
 import numpy as np
@@ -860,7 +861,7 @@ class TestSharedMemoryBackendLifecycle:
 
         def drive(sampler):
             sampler.observe_batch(batch)  # columnar
-            _ = sampler.sample()  # mid-stream query forces a sync
+            _ = sampler.sample()  # mid-stream query forces a fetch
             for site, item in events[300:350]:
                 sampler.observe(site, item)  # single (in-parent)
             sampler.observe_batch(events[350:600])  # tuple list
@@ -882,6 +883,46 @@ class TestSharedMemoryBackendLifecycle:
         sampler.observe_batch(uniform_events(800, sites=3, universe=120, seed=7))
         sampler.close()
         assert self._segments() - before == set()
+
+    def test_read_after_write_is_one_round_trip(self):
+        """A query after a write makes one fetch round trip, one collect
+        per worker holding dirty groups; every read after it until the
+        next write makes none, and int items pickle nothing."""
+        sampler = self._build("shm")
+        sampler.observe_batch(uniform_events(900, sites=3, universe=150))
+        executor = sampler.executor
+        posted = []
+        post = executor._post
+
+        def counting_post(worker, command, args):
+            posted.append(command)
+            return post(worker, command, args)
+
+        executor._post = counting_post
+        first = sampler.sample()
+        assert posted == ["collect", "collect"]  # 3 groups on 2 workers
+        sampler.invalidate_merge_cache()
+        assert sampler.sample() == first
+        sampler.state_dict()
+        sampler.stats()
+        sampler.message_stats()
+        sampler.groups[0].state_dict()
+        assert posted == ["collect", "collect"]
+        assert sampler.sync_count == 1
+        assert executor.pickle_bytes == 0
+        sampler.close()
+
+    def test_pickling_brings_worker_state_home(self):
+        events = uniform_events(900, sites=3, universe=150)
+        serial, parallel = self._build("serial"), self._build("shm")
+        for query, chunk in ((False, events[:400]), (True, events[400:])):
+            serial.observe_batch(chunk)
+            parallel.observe_batch(chunk)
+            if query:  # fetched state, kept unloaded
+                assert parallel.sample() == serial.sample()
+            copied = pickle.loads(pickle.dumps(parallel))
+            assert copied.state_dict() == serial.state_dict()
+        parallel.close()
 
     def test_serialization_counters_split_pickle_from_ipc(self):
         sampler = self._build("shm")

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import CentralizedWindowSampler, SlidingWindowSystem, make_sampler
 from repro.errors import ConfigurationError, ProtocolError
@@ -169,6 +171,41 @@ class TestStructureEquivalence:
                 queries.append(system.sample().first)
             results[structure] = (system.total_messages, queries)
         assert results["treap"] == results["sorted"]
+
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.sampled_from([5, 2**64 + 5, 9, 2**64 + 9, 2**65 + 9]),
+                st.integers(0, 2),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_treap_keeps_hash_collisions_as_sorted_does(self, events):
+        # mix64 hashes ints mod 2**64, so 5 and 2**64 + 5 collide: equal
+        # hash, and equal expiry when they arrive in the same slot.
+        def build(structure):
+            return make_sampler(
+                "sliding",
+                num_sites=2,
+                sample_size=1,
+                window=4,
+                seed=7,
+                algorithm="mix64",
+                structure=structure,
+            )
+
+        treap, reference = build("treap"), build("sorted")
+        slot = 0
+        for site, item, delta in events:
+            slot += delta
+            for sampler in (treap, reference):
+                sampler.observe(site, item, slot=slot)
+            assert treap.sample() == reference.sample()
+            assert treap.stats() == reference.stats()
+            assert treap.state_dict() == reference.state_dict()
 
     def test_unknown_structure(self):
         with pytest.raises(ConfigurationError):
