@@ -37,10 +37,9 @@ from .infinite import (
     BottomSFacadeBase,
     InfiniteWindowCoordinator,
     InfiniteWindowSite,
-    parse_counter,
     parse_site_list,
 )
-from .protocol import SamplerConfig, parse_threshold, revive_element
+from .protocol import SamplerConfig, parse_counter, parse_threshold, revive_element
 
 __all__ = ["CachingSite", "CachingSamplerSystem"]
 

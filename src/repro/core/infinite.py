@@ -62,6 +62,7 @@ from .protocol import (
     Sampler,
     SampleResult,
     SamplerConfig,
+    parse_counter,
     parse_threshold,
     revive_element,
 )
@@ -80,18 +81,6 @@ __all__ = [
 #: :meth:`BottomSFacadeBase.process_batch` (any value yields identical
 #: protocol behaviour).
 PROCESS_CHUNK = 1024
-
-def parse_counter(value: Any) -> int:
-    """A persisted event counter: a non-negative ``int`` (not a bool).
-
-    Raises:
-        TypeError, ValueError: For anything else.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"counter {value!r} is not an int")
-    if value < 0:
-        raise ValueError(f"counter {value} is negative")
-    return value
 
 
 def parse_site_list(rows: Any, num_sites: int) -> list[Any]:
@@ -284,6 +273,22 @@ class BottomSFacadeBase(Sampler):
         for site in self.sites:
             site.observe_hashed(element, h, network)
 
+    @property
+    def sampling_hasher(self) -> UnitHasher:
+        """The shared sampling hash ``h`` (the site thresholds' hash)."""
+        return self.hasher
+
+    def report_bound(self) -> float:
+        """The largest site threshold ``max_i u_i``.
+
+        A site reports only below its own ``u_i`` (a caching site tests
+        the threshold before its LRU, so a row at or above it never
+        touches the cache), and ``u_i`` never rises within a batch (see
+        :meth:`process_batch`), so a row hashing at or above this bound
+        is silent everywhere.
+        """
+        return max(site.u_local for site in self.sites)
+
     def _deliver_columns(self, run: EventBatch) -> None:
         """Columnar delivery: the run's cached hash column (one NumPy
         pass under ``mix64``) through the :meth:`process_batch`
@@ -297,6 +302,13 @@ class BottomSFacadeBase(Sampler):
     def process_batch(self, site_ids: Any, elements: Any, hashes: Any) -> int:
         """Vectorized bulk ingestion (semantically identical to a loop of
         :meth:`observe_hashed`, verified by the equivalence tests).
+
+        This is the second, per-site filter.  The first,
+        :meth:`~repro.core.protocol.Sampler.reportable_rows`, drops the
+        rows at or above :meth:`report_bound` (the largest ``u_i``)
+        before an unstamped batch is routed, so behind an
+        :class:`~repro.runtime.engine.Engine` the batch arriving here
+        holds only those rows.  Both rest on one fact.
 
         Exploits monotonicity: within a batch a site's threshold ``u_i``
         only ever *decreases* — a synchronous reply carries the

@@ -42,6 +42,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..errors import ConfigurationError, ProtocolError
+from ..hashing.unit import UnitHasher
 from ..netsim.message import MessageKind
 from ..netsim.network import MessageStats, Network
 from .events import EventBatch
@@ -281,6 +282,32 @@ def revive_element(element: Any) -> Any:
     return element
 
 
+def parse_counter(value: Any) -> int:
+    """A persisted event counter: a non-negative ``int`` (not a bool).
+
+    Raises:
+        TypeError, ValueError: For anything else.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"counter {value!r} is not an int")
+    if value < 0:
+        raise ValueError(f"counter {value} is negative")
+    return value
+
+
+def parse_slot(value: Any) -> Optional[int]:
+    """A persisted slot: None (never slotted) or a plain ``int``.
+
+    Raises:
+        TypeError: For a bool, a float, a string or anything else.
+    """
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"slot {value!r} is not an int")
+    return value
+
+
 def parse_threshold(value: Any) -> float:
     """A persisted threshold or sample hash: a number in ``[0, 1]`` (NaN
     rejected).
@@ -310,13 +337,13 @@ def stats_state(network: Network) -> dict[str, Any]:
 def parse_stats_state(state: dict[str, Any]) -> MessageStats:
     """The counters captured by :func:`stats_state`, as fresh stats."""
     stats = MessageStats(
-        total_messages=int(state["total_messages"]),
-        total_bytes=int(state["total_bytes"]),
-        site_to_coordinator=int(state["site_to_coordinator"]),
-        coordinator_to_site=int(state["coordinator_to_site"]),
+        total_messages=parse_counter(state["total_messages"]),
+        total_bytes=parse_counter(state["total_bytes"]),
+        site_to_coordinator=parse_counter(state["site_to_coordinator"]),
+        coordinator_to_site=parse_counter(state["coordinator_to_site"]),
     )
     for name, count in state["by_kind"].items():
-        stats.by_kind[MessageKind[name]] = int(count)
+        stats.by_kind[MessageKind[name]] = parse_counter(count)
     return stats
 
 
@@ -428,6 +455,46 @@ class Sampler(ABC):
                 self.advance(slot)
             self._deliver_columns(run)
         return len(batch)
+
+    def report_bound(self) -> Optional[float]:
+        """An upper bound on every site's report threshold, or None.
+
+        A sampler returns a bound ``b`` only if a site reports an arrival
+        only when its :attr:`sampling_hasher` hash is below the site's
+        threshold ``u_i``, every ``u_i <= b``, and no ``u_i`` rises
+        within a batch.  An arrival hashing at or above ``b`` then
+        changes no state anywhere, and :meth:`reportable_rows` drops it
+        before routing.  The default, None, fits every variant where
+        each arrival can change state: the sliding family, and
+        with-replacement, whose copies hash differently.
+        """
+        return None
+
+    @property
+    def sampling_hasher(self) -> UnitHasher:
+        """The hash that :meth:`report_bound` bounds (samplers that return
+        a bound only)."""
+        raise NotImplementedError(f"{type(self).__name__} has no report bound")
+
+    def reportable_rows(self, batch: EventBatch) -> Optional[npt.NDArray[np.intp]]:
+        """The rows of ``batch`` a site could still report, or None for
+        all of them.
+
+        The filter at the top of the ingest pipeline: the rows of an
+        unstamped batch whose sampling hash is below :meth:`report_bound`
+        (one cached hash column, which the kept rows' ``select`` slices
+        for the layers below).  Dropping the others is exact, since none
+        of them could be reported later in the batch either.  A stamped
+        batch is never filtered: every slot it names still advances, even
+        one whose rows are all silent.
+        """
+        if batch.slots is not None:
+            return None
+        bound = self.report_bound()
+        if bound is None or bound >= 1.0:
+            return None
+        rows = np.flatnonzero(batch.hash_column(self.sampling_hasher) < bound)
+        return None if rows.size == len(batch) else rows
 
     def advance(self, slot: int) -> None:
         """Advance slotted time to ``slot`` and run boundary maintenance.
@@ -566,9 +633,8 @@ class Sampler(ABC):
         try:
             protocol = state["protocol"]
             system = state["system"]
-            last_slot = protocol["last_slot"]
-            last_slot = None if last_slot is None else int(last_slot)
-            slots_processed = int(protocol["slots_processed"])
+            last_slot = parse_slot(protocol["last_slot"])
+            slots_processed = parse_counter(protocol["slots_processed"])
             stats = parse_stats_state(state["network"])
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigurationError(f"malformed sampler state: {exc}") from exc

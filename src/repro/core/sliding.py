@@ -83,6 +83,8 @@ from .protocol import (
     SamplerConfig,
     decode_expiry,
     encode_expiry,
+    parse_counter,
+    parse_slot,
     parse_threshold,
     revive_element,
 )
@@ -353,6 +355,35 @@ class SlidingFacadeBase(Sampler):
             ],
         }
 
+    def load_state(self, state: dict[str, Any]) -> None:
+        """Restore :meth:`state_dict` output whose clock agrees with its
+        ``protocol.last_slot``.
+
+        Every windowed variant keeps the slot clock at the last slot
+        advanced to: a fresh sampler has ``last_slot`` None and clock 0,
+        and after ``advance(7)`` both read 7.  A state that breaks this
+        would load, and then its next ``advance`` could move the clock
+        backwards.
+
+        Raises:
+            ConfigurationError: For a clock that is not
+                ``protocol.last_slot`` (0 when that is None), or as
+                :meth:`~repro.core.protocol.Sampler.load_state` does; the
+                sampler is left untouched.
+        """
+        try:
+            last_slot = parse_slot(state["protocol"]["last_slot"])
+            now = parse_slot(state["system"][self.CLOCK_KEY])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed sampler state: {exc!r}") from exc
+        expected = 0 if last_slot is None else last_slot
+        if now != expected:
+            raise ConfigurationError(
+                f"malformed sampler state: clock {now!r} disagrees with "
+                f"protocol.last_slot {last_slot!r}"
+            )
+        super().load_state(state)
+
     def _load(self, state: dict[str, Any]) -> None:
         """Restore :meth:`_state` output.  The clock is *set*, so an
         earlier checkpoint rewinds a live system.
@@ -367,10 +398,14 @@ class SlidingFacadeBase(Sampler):
                 list of the wrong length.
         """
         try:
-            now = int(state[self.CLOCK_KEY])
+            now = parse_slot(state[self.CLOCK_KEY])
+            if now is None:
+                raise TypeError("clock is None")
             coord_state = state["coordinator"]
             coordinator = self._make_coordinator()
-            coordinator.reports_received = int(coord_state["reports_received"])
+            coordinator.reports_received = parse_counter(
+                coord_state["reports_received"]
+            )
             _load_rows(coordinator.candidates, coord_state["entries"])
             self._load_coordinator(coordinator, coord_state)
             site_states = list(state["sites"])
@@ -384,7 +419,7 @@ class SlidingFacadeBase(Sampler):
                 _load_rows(site.candidates, site_state["entries"])
                 self._load_site(site, site_state)
                 for name in self.SITE_COUNTERS:
-                    setattr(site, name, int(site_state[name]))
+                    setattr(site, name, parse_counter(site_state[name]))
                 sites.append(site)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigurationError(

@@ -24,7 +24,14 @@ from ..hashing.unit import SeededHashFamily, UnitHasher
 from ..runtime.topology import aggregate_sampler_stats, merge_message_stats
 from .events import EventBatch
 from .infinite import DistinctSamplerSystem
-from .protocol import Sampler, SampleResult, SamplerConfig, SamplerStats
+from .protocol import (
+    Sampler,
+    SampleResult,
+    SamplerConfig,
+    SamplerStats,
+    parse_counter,
+    parse_slot,
+)
 from .sliding import SlidingWindowSystem
 
 __all__ = ["WithReplacementSampler", "SlidingWindowWithReplacement"]
@@ -169,14 +176,15 @@ class _WithReplacementBase(Sampler):
 
         Raises:
             ConfigurationError: For missing keys, a copy count that
-                differs from the sampler's, or a malformed copy.
+                differs from the sampler's, a malformed copy, or (windowed)
+                a copy whose slot is not ``protocol.last_slot``: every
+                ``advance`` moves the facade and all copies together.
         """
         try:
             protocol = state["protocol"]
             copy_states = state["copies"]
-            last_slot = protocol["last_slot"]
-            last_slot = None if last_slot is None else int(last_slot)
-            slots_processed = int(protocol["slots_processed"])
+            last_slot = parse_slot(protocol["last_slot"])
+            slots_processed = parse_counter(protocol["slots_processed"])
             if not isinstance(copy_states, list):
                 raise TypeError(
                     f"copies must be a list, got {type(copy_states).__name__}"
@@ -191,6 +199,11 @@ class _WithReplacementBase(Sampler):
         copies = self._make_copies(self.num_sites, len(self.copies))
         for copy, copy_state in zip(copies, copy_states):
             copy.load_state(copy_state)
+        if self.window and any(copy.current_slot != last_slot for copy in copies):
+            raise ConfigurationError(
+                f"malformed sampler state: a copy's slot differs from "
+                f"protocol.last_slot {last_slot!r}"
+            )
         self.copies = copies
         self._last_slot = last_slot
         self._slots_processed = slots_processed

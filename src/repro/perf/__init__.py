@@ -10,6 +10,8 @@ Three layers, mirroring the sampler front door:
 * :mod:`repro.perf.report` / :mod:`repro.perf.regress` — the
   schema-versioned JSON artifact and the tolerance-based diff that CI
   runs against ``benchmarks/baseline.json``.
+* :mod:`repro.perf.timing` — :func:`paired_speedup`, the interleaved
+  median ratio behind the ``speedup``-marked floors in the test suite.
 
 CLI: ``repro perf run | compare | baseline`` (see README
 "Benchmarking & performance tracking").
@@ -38,6 +40,7 @@ from .scenarios import (
     register_scenario,
 )
 from .suite import SuiteConfig, build_sampler_for, run_suite
+from .timing import paired_speedup
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -49,6 +52,7 @@ __all__ = [
     "SuiteConfig",
     "run_suite",
     "build_sampler_for",
+    "paired_speedup",
     "PerfRecord",
     "PerfReport",
     "report_from_dict",

@@ -18,7 +18,10 @@ decision, with the three policies the paper's experiments use
 
 Routing is vectorized for batches (one NumPy pass under ``mix64``) and
 the single/batch paths are equivalent by construction: the batch path
-computes exactly the site ids the one-at-a-time path would.
+computes exactly the site ids the one-at-a-time path would.  Before
+routing, an unstamped batch drops the rows no site could report
+(:meth:`~repro.core.protocol.Sampler.reportable_rows`), so on a warmed
+infinite-family sampler the router sees only the few candidate rows.
 """
 
 from __future__ import annotations
@@ -157,11 +160,18 @@ class Engine:
     ) -> int:
         """Route a columnar batch; site assignments stay NumPy arrays.
 
-        The distributor computes the site ids :meth:`observe` would, and
-        :meth:`~repro.core.events.EventBatch.with_sites` attaches them
-        (sharing the cached hash columns) for the sampler's
-        ``observe_columns``; under ``explicit`` the batch's own site
-        column is used.
+        First the sampler's
+        :meth:`~repro.core.protocol.Sampler.reportable_rows` drops the
+        rows of an unstamped batch that no site could report: one pass of
+        the sampling hash, whose column the kept rows carry down, so no
+        layer below rehashes them.  Only the kept rows are routed.  The
+        distributor computes the site ids :meth:`observe` would (under
+        ``round-robin`` a kept row takes the site of its place in the
+        whole batch, and the position still advances by the whole batch),
+        and :meth:`~repro.core.events.EventBatch.with_sites` attaches
+        them for the sampler's ``observe_columns``.  Under ``explicit``
+        the batch passes through with its own site column.  Returns the
+        input count.
         """
         if slot is not None:
             self.sampler.advance(slot)
@@ -170,10 +180,17 @@ class Engine:
             return self.sampler.observe_columns(batch)
         if not n:
             return 0
+        rows = self.sampler.reportable_rows(batch)
+        if rows is not None:
+            if not rows.size:
+                self._position += n
+                return n
+            batch = batch.select(rows)
         if self.policy == "hash":
             sites = self._hash_distributor().assignments_for_batch(batch)
         else:
-            k = self.num_sites
-            sites = (self._position + np.arange(n, dtype=np.int64)) % k
+            positions = np.arange(n, dtype=np.int64) if rows is None else rows
+            sites = (self._position + positions) % self.num_sites
         self._position += n
-        return self.sampler.observe_columns(batch.with_sites(sites))
+        self.sampler.observe_columns(batch.with_sites(sites))
+        return n

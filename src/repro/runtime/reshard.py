@@ -102,8 +102,8 @@ def repartition_group_states(
         state.
 
     Raises:
-        ConfigurationError: For a malformed snapshot, an unsupported
-            variant, or ``new_shards < 1``.
+        ConfigurationError: For a malformed snapshot (groups at different
+            slots included), an unsupported variant, or ``new_shards < 1``.
     """
     from ..core.api import make_groups
 
@@ -114,4 +114,6 @@ def repartition_group_states(
     groups = make_groups(config, len(group_states))
     for group, state in zip(groups, group_states):
         group.load_state(state)
+    if len({group.current_slot for group in groups}) > 1:
+        raise ConfigurationError("malformed snapshot: the groups' slots differ")
     return repartition_groups(groups, config, new_shards)

@@ -61,7 +61,14 @@ import numpy as np
 import numpy.typing as npt
 
 from ..core.events import EventBatch
-from ..core.protocol import Sampler, SampleResult, SamplerConfig, SamplerStats
+from ..core.protocol import (
+    Sampler,
+    SampleResult,
+    SamplerConfig,
+    SamplerStats,
+    parse_counter,
+    parse_slot,
+)
 from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher
 from ..netsim.network import MessageStats
@@ -213,10 +220,32 @@ class ShardedSampler(Sampler):
         for group in self._groups:
             group.advance(slot)
 
+    def report_bound(self) -> Optional[float]:
+        """The largest group bound, or None if any group has none.
+
+        Read from the raw group objects, with no sync or fetch.  Under
+        the shm backend these may be copies from an earlier adopt or
+        load, older than the workers' groups.  A stale ``u_i`` is still
+        an upper bound: shm runs only on synchronous transports, where
+        ``u_i`` only falls.
+        """
+        bound = 0.0
+        for group in self._groups:
+            group_bound = group.report_bound()
+            if group_bound is None:
+                return None
+            bound = max(bound, group_bound)
+        return bound
+
     def observe_columns(self, batch: EventBatch) -> int:
         """Partitioned ingestion: array-sliced shard split, zero tuples.
 
-        Each same-slot run is routed with one vectorized shard-hash pass
+        An unstamped batch first drops the rows no group could report
+        (:meth:`~repro.core.protocol.Sampler.reportable_rows`), so a
+        batch that arrives already routed is filtered before its shard
+        split, as an :class:`~repro.runtime.engine.Engine` filters before
+        routing.  Each same-slot run is then routed with one vectorized
+        shard-hash pass
         and :meth:`~repro.core.events.EventBatch.select` slices it into
         per-group sub-runs, which every group ingests through its own
         ``observe_columns`` — in-process under the serial executor, in
@@ -229,9 +258,13 @@ class ShardedSampler(Sampler):
         accumulates in :attr:`group_ingest_seconds`.
         """
         batch.require_sites()
-        if not len(batch):
-            return 0
-        return self.executor.ingest_columns(self, batch)
+        n = len(batch)
+        rows = self.reportable_rows(batch)
+        if rows is not None:
+            batch = batch.select(rows)
+        if len(batch):
+            self.executor.ingest_columns(self, batch)
+        return n
 
     # -- per-group plans (the shm backend's unit of shipment) ----------------
 
@@ -566,8 +599,10 @@ class ShardedSampler(Sampler):
         transport.
 
         Raises:
-            ConfigurationError: For a malformed snapshot (the sampler is
-                left exactly as it was).
+            ConfigurationError: For a malformed snapshot, including one
+                whose groups' slots are not ``protocol.last_slot`` (every
+                ``advance`` moves the facade and all groups together); the
+                sampler is left exactly as it was.
         """
         from ..core.api import make_groups  # lazy: core.api imports the runtime
         from .reshard import repartition_group_states
@@ -575,9 +610,8 @@ class ShardedSampler(Sampler):
         try:
             protocol = state["protocol"]
             group_states = state["groups"]
-            last_slot = protocol["last_slot"]
-            last_slot = None if last_slot is None else int(last_slot)
-            slots_processed = int(protocol["slots_processed"])
+            last_slot = parse_slot(protocol["last_slot"])
+            slots_processed = parse_counter(protocol["slots_processed"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed sampler state: {exc}") from exc
         if not isinstance(group_states, list):
@@ -592,6 +626,11 @@ class ShardedSampler(Sampler):
                 group.load_state(group_state)
         else:
             groups = repartition_group_states(group_states, self._config, count)
+        if any(group.current_slot != last_slot for group in groups):
+            raise ConfigurationError(
+                "malformed sampler state: a group's slot differs from "
+                f"protocol.last_slot {last_slot!r}"
+            )
         # Worker-held copies describe the groups being replaced.
         self.executor.release(self)
         self._groups = groups

@@ -920,16 +920,18 @@ RESTORE_SUBJECTS = {
     "sliding": {"variant": "sliding", "window": 6},
     "local-push": {"variant": "sliding-local-push", "window": 6},
     "sharded": {"variant": "sharded:sliding", "window": 6, "shards": 2},
+    "sharded-infinite": {"variant": "sharded:infinite", "shards": 2},
 }
 
 #: Records a general-s sliding site restores as empty when they are
 #: missing (the next lapse then pushes its whole bottom-s, still exact).
 OPTIONAL_RECORDS = frozenset({"known", "pending"})
 
-#: State keys whose value is an event counter or a threshold.
+#: State keys whose value is an event counter, a slot or a threshold.
 SWAPPABLE_KEYS = frozenset(
     {
         "last_slot",
+        "clock",
         "slots_processed",
         "total_messages",
         "total_bytes",
@@ -947,7 +949,7 @@ SWAPPABLE_KEYS = frozenset(
 
 #: What a swapped counter or threshold becomes (``"negative"`` picks
 #: -0.5 for a float and -1 otherwise).
-BAD_VALUES = ("x", None, [1], float("nan"), "negative")
+BAD_VALUES = ("x", None, [1], float("nan"), "negative", 2.5, "4")
 
 
 def _restore_subject(label: str, seed: int):
@@ -1064,3 +1066,68 @@ class TestRestoreFuzz:
         with pytest.raises(ConfigurationError, match="threshold"):
             target.load_state(state)
         assert _as_json(target.state_dict()) == before
+
+    @pytest.mark.parametrize("label", ["infinite", "sliding", "sharded-infinite"])
+    @pytest.mark.parametrize(
+        "key,bad",
+        [
+            ("slots_processed", -3),
+            ("slots_processed", 2.7),
+            ("slots_processed", "4"),
+            ("slots_processed", True),
+            ("last_slot", "3"),
+            ("last_slot", 2.9),
+            ("total_messages", -5),
+            ("total_bytes", 1.5),
+            ("by_kind", -1),
+        ],
+    )
+    def test_counters_parse_strictly(self, label, key, bad):
+        # A negative int would restore "exactly", and int() would turn
+        # 2.7 into 2, "4" into 4 and True into 1.
+        target = _restore_subject(label, 5)
+        state = json.loads(json.dumps(_restore_subject(label, 0).state_dict()))
+        protocol = state["protocol"]
+        network = (state["groups"][0] if "groups" in state else state)["network"]
+        if key in protocol:
+            protocol[key] = bad
+        elif key == "by_kind":
+            network["by_kind"][next(iter(network["by_kind"]))] = bad
+        else:
+            network[key] = bad
+        before = _as_json(target.state_dict())
+        with pytest.raises(ConfigurationError):
+            target.load_state(state)
+        assert _as_json(target.state_dict()) == before
+
+    @pytest.mark.parametrize(
+        "label,path,value",
+        [
+            ("sliding-s1", ("protocol", "last_slot"), 1),
+            ("sliding", ("protocol", "last_slot"), 1),
+            ("sliding", ("protocol", "last_slot"), None),
+            ("sliding", ("system", "clock"), 2),
+            ("local-push", ("system", "now"), 9),
+            ("wr-sliding", ("protocol", "last_slot"), 1),
+            ("wr-sliding", ("copies", 1, "protocol", "last_slot"), 1),
+            ("sharded", ("protocol", "last_slot"), 1),
+            ("sharded", ("groups", 0, "protocol", "last_slot"), 1),
+            ("sharded", ("groups", 1, "system", "clock"), 3),
+        ],
+    )
+    def test_windowed_clock_agrees_with_last_slot(self, label, path, value):
+        # Every windowed variant keeps its clock at the last slot advanced
+        # to; a state that breaks this would load, and its next advance
+        # would then fail with "clock cannot move backwards".
+        target = _restore_subject(label, 5)
+        state = json.loads(json.dumps(_restore_subject(label, 0).state_dict()))
+        container = state
+        for step in path[:-1]:
+            container = container[step]
+        assert container[path[-1]] == 6
+        container[path[-1]] = value
+        before = _as_json(target.state_dict())
+        with pytest.raises(ConfigurationError, match="slot"):
+            target.load_state(state)
+        assert _as_json(target.state_dict()) == before
+        target.advance(7)  # the untouched sampler still moves on
