@@ -311,7 +311,7 @@ class EventBatch:
         """Install a precomputed unit-hash column for ``hasher``.
 
         The zero-copy ingest path: a shared-memory worker reconstructs a
-        batch over views into the parent's shm blocks and adopts the
+        batch over views into the parent's shm arena and adopts the
         parent-warmed sampling-hash slice instead of rehashing.  The
         column must be element-for-element what :meth:`hash_column`
         would compute — callers ship slices of a column that *was*

@@ -134,6 +134,7 @@ def _load_rows(candidates, rows: Optional[list[list[Any]]]) -> None:
     :meth:`~repro.structures.dominance.DominanceSet.load`.
 
     Raises:
+        TypeError: For a row whose expiry is not a plain ``int``.
         ValueError: For a row whose hash is not a float in ``[0, 1)``
             (NaN and infinities included), rows that repeat an element,
             or rows for a node without a candidate set.
@@ -147,8 +148,21 @@ def _load_rows(candidates, rows: Optional[list[list[Any]]]) -> None:
         h = float(h)
         if not 0.0 <= h < 1.0:
             raise ValueError(f"entry hash {h!r} is not in [0, 1)")
-        parsed.append((revive_element(element), int(expiry), h))
+        parsed.append((revive_element(element), _parse_expiry(expiry), h))
     candidates.load(parsed)
+
+
+def _parse_expiry(value: Any) -> int:
+    """A persisted row expiry: a plain ``int``, as :func:`parse_slot`
+    reads a slot (``int()`` would turn 8.9 into 8 and ``"7"`` into 7).
+    One type test, since restores parse every candidate row.
+
+    Raises:
+        TypeError: For None, a bool, a float, a string or anything else.
+    """
+    if type(value) is not int:
+        raise TypeError(f"expiry {value!r} is not an int")
+    return value
 
 
 def expiry_rows(record: dict[Any, int]) -> list[list[Any]]:
@@ -158,8 +172,10 @@ def expiry_rows(record: dict[Any, int]) -> list[list[Any]]:
 
 
 def expiry_record(rows) -> dict[Any, int]:
-    """The inverse of :func:`expiry_rows`."""
-    return {revive_element(element): int(expiry) for element, expiry in rows}
+    """The inverse of :func:`expiry_rows`; expiries parse strictly."""
+    return {
+        revive_element(element): _parse_expiry(expiry) for element, expiry in rows
+    }
 
 
 def _adopt(node: Any, parsed: Any) -> None:

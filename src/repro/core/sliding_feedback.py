@@ -76,7 +76,7 @@ from ..netsim.clock import SlotClock
 from ..netsim.message import COORDINATOR, Message, MessageKind
 from ..netsim.network import Network
 from ..structures.dominance import DominanceEntry, SortedDominanceSet
-from .protocol import decode_expiry, encode_expiry, parse_threshold
+from .protocol import decode_expiry, encode_expiry, parse_slot, parse_threshold
 from .sliding import (
     SlidingFacadeBase,
     expiry_record,
@@ -306,7 +306,8 @@ class SlidingWindowBottomSFeedback(SlidingFacadeBase):
         self, site: FeedbackBottomSSite, state: dict[str, Any]
     ) -> None:
         site.u_local = parse_threshold(state["u_local"])
-        site.valid_until = decode_expiry(state["valid_until"])
+        # None (never lapses) or a plain int, as a slot parses.
+        site.valid_until = decode_expiry(parse_slot(state["valid_until"]))
         # A snapshot without the records restores as nothing known: the
         # next lapse pushes the whole local bottom-s, which is still exact.
         site.known = expiry_record(state.get("known", ()))

@@ -26,18 +26,28 @@ where the canonical group state lives:
   nowhere else.
 * ``ingest_columns`` — the one ingest command.  The parent routes the
   batch (one vectorized pass), warms the shared sampling-hash column,
-  concatenates the per-group sub-runs into ``/dev/shm`` blocks (sites,
-  hashes and ``int64`` items — written once), and sends only *plan
-  metadata*: block names plus per-group ``(slot, None) | (None,
-  (offset, length))`` tasks.  An ``object`` item column has no
-  fixed-width layout, so it travels pickled in the metadata instead of
-  a block (counted in ``pickle_bytes``).  Workers attach, build
-  :class:`~repro.core.events.EventBatch` views over the mapped columns
-  (zero copies, the parent-warmed hash slice adopted via
-  ``adopt_hash_column``), replay, and reply with their measured
-  per-group ingest seconds.  The parent unlinks the blocks as soon as
-  every worker has replied — a batch's blocks never outlive the call,
-  even on error.
+  concatenates the per-group sub-runs straight into the executor's
+  *arena*, one ``/dev/shm`` segment reused by every batch (sites, hashes
+  and ``int64`` items at offsets 0, 8n and 16n — written once), and
+  sends only *plan metadata*: the arena name, ``n`` and per-group
+  ``(slot, None) | (None, (offset, length))`` tasks.  An ``object`` item
+  column has no fixed-width layout, so it travels pickled in the
+  metadata instead (counted in ``pickle_bytes``).  Each worker keeps the
+  arena mapped across commands, builds
+  :class:`~repro.core.events.EventBatch` views over it (zero copies, the
+  parent-warmed hash slice adopted via ``adopt_hash_column``), replays,
+  drops the views and replies, per group, with its measured ingest
+  seconds and its ``report_bound()`` after the batch.  A worker with an
+  empty plan gets no command.
+* *live bounds* — the session keeps each group's replied bound until
+  the next adopt and serves it (:meth:`~SharedMemoryExecutor.live_bounds`)
+  only while the workers hold the canonical groups.  It is the worker
+  group's live ``max u_i``: reads never raise a threshold, and every
+  parent-side mutation, restore, reshard, recovery and close makes the
+  parent's objects canonical again.  So
+  :meth:`~repro.runtime.sharded.ShardedSampler.report_bound`, which
+  prefers it to the parent's possibly stale copy, equals the serial
+  backend's at every point, and the silent-row filter drops as much.
 * ``collect`` — the one read command.  A read's
   :meth:`~SharedMemoryExecutor.fetch` sends it to the workers holding
   *dirty* groups (those that ingested since the last fetch), at most
@@ -64,9 +74,9 @@ reads each group's sample before its state, as a serial query does, and
 a sliding core's snapshot applies the same expiry a sample read applies,
 so reads never make the two backends' states drift apart.  The property
 suite in ``tests/test_properties.py`` pins ``sample()``, ``threshold``,
-``stats()``, ``message_stats()`` and the full ``state_dict`` across
-backends for every ``sharded:*`` variant, with reads interleaved
-between batches.
+``report_bound()``, ``stats()``, ``message_stats()`` and the full
+``state_dict`` across backends for every ``sharded:*`` variant, with
+reads interleaved between batches.
 
 Failure and lifecycle semantics of the shm backend (crash-replay):
 
@@ -87,11 +97,18 @@ Failure and lifecycle semantics of the shm backend (crash-replay):
 * The replay log is trimmed at every fetch and adopt and, to bound
   memory on read-free workloads, the executor also fetches (without
   loading) every ``checkpoint_batches`` batches per session.
-* Shared-memory blocks are created/unlinked strictly per batch inside
-  ``try/finally``; worker terminations are additionally registered via
-  ``weakref.finalize`` (which hooks interpreter exit like ``atexit``)
-  and the workers are daemonic, so neither an un-``close()``d executor
-  nor a hard exit leaks ``/dev/shm`` segments or processes.
+* The arena is created on the first batch with rows and reused until
+  ``close()``.  A batch that does not fit replaces it with a segment at
+  least twice as large (:data:`ARENA_MIN_BYTES` at first) and unlinks
+  the old one at once; workers re-map when a frame names a new arena.
+  Overwriting it is safe because every worker has replied to the
+  previous batch, and the replay log holds the parent's own plans,
+  never arena views.  ``close()`` and crash teardown unlink it.  The
+  arena and the worker processes are also bound to the executor's life
+  through ``weakref.finalize`` (which hooks interpreter exit like
+  ``atexit``) and the workers are daemonic, so neither an
+  un-``close()``d executor nor a hard exit leaks ``/dev/shm`` segments
+  or processes.
 * Executors are context managers: ``with SharedMemoryExecutor() as ex:``
   guarantees ``close()`` (which first syncs every live session's state
   back into its sampler).
@@ -153,6 +170,10 @@ WorkerPlans = list[tuple[int, Any]]
 #: ``state_dict()``, which the parent keeps without loading.
 Fetched = tuple[tuple[npt.NDArray[np.float64], list[Any]], bytes]
 
+#: The smallest arena an executor creates; a batch that does not fit
+#: replaces the arena with one at least twice as large.
+ARENA_MIN_BYTES = 64 * 1024
+
 
 def _replay_group(group: Sampler, tasks: GroupPlan) -> float:
     """Replay one group's plan in place; returns the measured seconds.
@@ -178,11 +199,12 @@ def _replay_group(group: Sampler, tasks: GroupPlan) -> float:
 def _shm_attach(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing block without taking cleanup ownership.
 
-    The parent owns every block's lifecycle (create → unlink inside one
-    batch call); an attaching worker must not let *its* resource tracker
-    claim the segment, or the tracker unlinks it a second time at worker
-    exit and spews "leaked shared_memory" warnings for segments that
-    were cleaned up correctly.
+    The parent owns the arena's lifecycle (create, then unlink when it
+    is outgrown, closed, torn down or finalized); an attaching worker
+    must not let *its* resource tracker claim the segment, or the
+    tracker unlinks it a second time at worker exit and spews "leaked
+    shared_memory" warnings for segments that were cleaned up
+    correctly.
     """
     if sys.version_info >= (3, 13):
         return shared_memory.SharedMemory(name=name, track=False)
@@ -200,39 +222,72 @@ def _shm_attach(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = original  # type: ignore[assignment]
 
 
-def _create_block(column: npt.NDArray[Any]) -> shared_memory.SharedMemory:
-    """Create one shm block holding ``column`` (written exactly once)."""
-    block = shared_memory.SharedMemory(create=True, size=max(1, column.nbytes))
+def _release_block(block: shared_memory.SharedMemory) -> None:
+    """Unlink + close one block (idempotent, exception-proof)."""
     try:
-        view: npt.NDArray[Any] = np.ndarray(
-            column.shape, dtype=column.dtype, buffer=block.buf
-        )
-        view[:] = column
-        del view
+        block.unlink()
+    except OSError:
+        pass
+    try:
+        block.close()
+    except BufferError:  # pragma: no cover - view still exported
+        pass
+
+
+def _create_block(
+    owner: object, size: int
+) -> tuple[shared_memory.SharedMemory, weakref.finalize]:
+    """Create a ``size``-byte shm block that is unlinked with ``owner``.
+
+    Returns the block and its release: a ``weakref.finalize`` that
+    unlinks and closes it when called, when ``owner`` is collected, or
+    at interpreter exit, whichever comes first.
+    """
+    block = shared_memory.SharedMemory(create=True, size=size)
+    try:
+        release = weakref.finalize(owner, _release_block, block)
     except BaseException:
-        try:
-            block.unlink()
-        except OSError:  # pragma: no cover - already gone
-            pass
-        try:
-            block.close()
-        except BufferError:  # pragma: no cover - view still exported
-            pass
+        block.unlink()
+        block.close()
         raise
-    return block
+    return block, release
 
 
-def _release_blocks(blocks: list[shared_memory.SharedMemory]) -> None:
-    """Unlink + close every block (idempotent, exception-proof)."""
-    for block in blocks:
-        try:
-            block.unlink()
-        except OSError:
-            pass
-        try:
-            block.close()
-        except BufferError:  # pragma: no cover - view still exported
-            pass
+def _arena_views(
+    buf: memoryview, rows: int, int_items: bool
+) -> tuple[npt.NDArray[Any], npt.NDArray[Any], Optional[npt.NDArray[Any]]]:
+    """The arena's layout for an ``n``-row batch, as ``(sites, hashes,
+    items)`` views: sites, hashes and ``int64`` items at offsets 0, 8n
+    and 16n (no items view for an ``object`` column, which travels
+    pickled in the frame)."""
+    return (
+        np.ndarray((rows,), np.int64, buf),
+        np.ndarray((rows,), np.float64, buf, 8 * rows),
+        np.ndarray((rows,), np.int64, buf, 16 * rows) if int_items else None,
+    )
+
+
+def _arena_columns(
+    mapped: dict[str, shared_memory.SharedMemory],
+    meta: tuple[str, int, Optional[npt.NDArray[Any]]],
+) -> tuple[npt.NDArray[Any], ...]:
+    """A batch's ``(items, sites, hashes)`` columns (worker side).
+
+    The worker keeps one mapping and re-maps when a frame names another
+    arena (the parent replaced a full one).
+    """
+    name, rows, items = meta
+    arena = mapped.get(name)
+    if arena is None:
+        for old in mapped.values():
+            try:
+                old.close()
+            except BufferError:  # pragma: no cover - a core retained a view
+                pass
+        mapped.clear()
+        arena = mapped[name] = _shm_attach(name)
+    sites, hashes, int_items = _arena_views(arena.buf, rows, items is None)
+    return (items if int_items is None else int_items, sites, hashes)
 
 
 def _shm_replay_ranges(
@@ -241,17 +296,17 @@ def _shm_replay_ranges(
     columns: Optional[tuple[npt.NDArray[Any], ...]],
     hasher: UnitHasher,
     plans: WorkerPlans,
-) -> dict[int, float]:
+) -> dict[int, tuple[float, Optional[float]]]:
     """Replay range plans against zero-copy column views (worker side).
 
     Every delivery builds an :class:`EventBatch` whose columns are
-    *slices of the mapped shm blocks* (or of the pickled object item
-    column) and adopts the parent-warmed sampling-hash slice; the cores
-    convert to Python lists before retaining anything, so no view
-    outlives this frame and the caller can close the mappings
-    immediately after.
+    *slices of the mapped arena* (or of the pickled object item column)
+    and adopts the parent-warmed sampling-hash slice; the cores convert
+    to Python lists before retaining anything, so no view outlives the
+    command and the next batch may overwrite the arena.  Replies with
+    each group's measured seconds and its live ``report_bound()``.
     """
-    timings: dict[int, float] = {}
+    replies: dict[int, tuple[float, Optional[float]]] = {}
     for g, tasks in plans:
         group = groups[(session, g)]
         started = time.perf_counter()
@@ -268,38 +323,9 @@ def _shm_replay_ranges(
                     hasher, columns[2][offset : offset + length]
                 )
                 group.observe_columns(run)
-        timings[g] = time.perf_counter() - started
-    return timings
-
-
-def _shm_ingest_columns(
-    groups: dict[tuple[int, int], Sampler], args: tuple[Any, ...]
-) -> dict[int, float]:
-    """One ``ingest_columns`` request: attach, replay, detach."""
-    session, meta, hasher_key, plans = args
-    handles: list[shared_memory.SharedMemory] = []
-    columns: Optional[tuple[npt.NDArray[Any], ...]] = None
-    try:
-        if meta is not None:
-            items, sites_name, hash_name, rows = meta
-            handles = [_shm_attach(sites_name), _shm_attach(hash_name)]
-            if isinstance(items, str):
-                handles.append(_shm_attach(items))
-                items = np.ndarray((rows,), dtype=np.int64, buffer=handles[2].buf)
-            columns = (
-                items,
-                np.ndarray((rows,), dtype=np.int64, buffer=handles[0].buf),
-                np.ndarray((rows,), dtype=np.float64, buffer=handles[1].buf),
-            )
-        hasher = UnitHasher(seed=hasher_key[0], algorithm=hasher_key[1])
-        return _shm_replay_ranges(groups, session, columns, hasher, plans)
-    finally:
-        columns = None  # drop the buffer views before closing the maps
-        for handle in handles:
-            try:
-                handle.close()
-            except BufferError:  # pragma: no cover - a core retained a view
-                pass
+        elapsed = time.perf_counter() - started
+        replies[g] = (elapsed, group.report_bound())
+    return replies
 
 
 def _fetch_group(group: Sampler) -> Fetched:
@@ -316,9 +342,17 @@ def _fetch_group(group: Sampler) -> Fetched:
 
 
 def _shm_dispatch(
-    groups: dict[tuple[int, int], Sampler], command: str, args: Any
+    groups: dict[tuple[int, int], Sampler],
+    mapped: dict[str, shared_memory.SharedMemory],
+    command: str,
+    args: Any,
 ) -> Any:
-    """Execute one worker command against the persistent group store."""
+    """Execute one worker command against the persistent group store.
+
+    ``mapped`` holds the worker's one arena mapping across commands; the
+    column views an ``ingest_columns`` builds over it die with this
+    frame, before the worker replies.
+    """
     from ..core.api import make_sampler  # lazy: avoids an import cycle
 
     if command == "adopt":
@@ -328,7 +362,10 @@ def _shm_dispatch(
             groups[(session, g)] = group
         return None
     if command == "ingest_columns":
-        return _shm_ingest_columns(groups, args)
+        session, meta, hasher_key, plans = args
+        columns = None if meta is None else _arena_columns(mapped, meta)
+        hasher = UnitHasher(seed=hasher_key[0], algorithm=hasher_key[1])
+        return _shm_replay_ranges(groups, session, columns, hasher, plans)
     if command == "collect":
         session, group_ids = args
         return {g: _fetch_group(groups[(session, g)]) for g in group_ids}
@@ -348,6 +385,7 @@ def _shm_worker_main(conn: Connection) -> None:
     reported as ``("error", message)`` replies, never silent death.
     """
     groups: dict[tuple[int, int], Sampler] = {}
+    mapped: dict[str, shared_memory.SharedMemory] = {}
     while True:
         try:
             command, args = pickle.loads(conn.recv_bytes())
@@ -362,7 +400,7 @@ def _shm_worker_main(conn: Connection) -> None:
         try:
             reply: tuple[str, Any] = (
                 "ok",
-                _shm_dispatch(groups, command, args),
+                _shm_dispatch(groups, mapped, command, args),
             )
         except BaseException as exc:  # reported to the parent, never silent
             reply = ("error", f"{type(exc).__name__}: {exc}")
@@ -394,6 +432,7 @@ class _ShmSession:
         "dirty",
         "pending",
         "deferred",
+        "bounds",
         "batches_since_checkpoint",
     )
 
@@ -416,6 +455,11 @@ class _ShmSession:
         #: parent-side state is the kept pickled ``state_dict()``, loaded
         #: into the group object only when something needs the object.
         self.deferred: dict[int, Fetched] = {}
+        #: Each group's ``report_bound()`` from its last ingest reply,
+        #: since the last adopt: the live bound of the worker-held group,
+        #: which reads never raise.  Served only while the workers are
+        #: canonical; a group without an entry is as the parent holds it.
+        self.bounds: dict[int, Optional[float]] = {}
         #: Batches since the replay log was last trimmed by a fetch;
         #: bounds log memory on read-free workloads (``checkpoint_batches``).
         self.batches_since_checkpoint = 0
@@ -481,6 +525,16 @@ class ExecutionBackend(ABC):
         backend makes at most one round trip per quiescent period and
         asks only the groups dirtied since the last fetch.  ``{}`` for
         backends whose parent-side groups are always canonical (serial).
+        """
+        return {}
+
+    def live_bounds(self, sharded: "ShardedSampler") -> dict[int, Optional[float]]:
+        """Fresh ``report_bound()`` values of worker-held groups, by group.
+
+        :meth:`~repro.runtime.sharded.ShardedSampler.report_bound` takes
+        these in place of its possibly stale parent-side objects' bounds.
+        ``{}`` for backends whose parent-side groups are always canonical
+        (serial).
         """
         return {}
 
@@ -550,10 +604,11 @@ class SharedMemoryExecutor(ExecutionBackend):
 
     See the module docstring for the full protocol.  The steady-state
     per-batch traffic is plan metadata only — column bytes are written
-    once into ``/dev/shm`` and mapped by the workers, and group state
-    crosses the pipe only on an adopt or a read's fetch, never per
-    batch.  ``pickle_bytes`` therefore stays 0 for ``int64`` items
-    (``object`` item columns honestly count their pickled requests).
+    once into the executor's persistent ``/dev/shm`` arena, which the
+    workers keep mapped, and group state crosses the pipe only on an
+    adopt or a read's fetch, never per batch.  ``pickle_bytes`` therefore
+    stays 0 for ``int64`` items (``object`` item columns honestly count
+    their pickled requests).
 
     Raises:
         ConfigurationError: For a negative ``workers``.
@@ -576,6 +631,9 @@ class SharedMemoryExecutor(ExecutionBackend):
         self.recoveries = 0
         self._workers: Optional[list[_ShmWorker]] = None
         self._finalizer: Optional[weakref.finalize] = None
+        #: The batch columns' one shared-memory segment, with its release.
+        self._arena: Optional[shared_memory.SharedMemory] = None
+        self._arena_release: Optional[weakref.finalize] = None
         self._sessions: "weakref.WeakKeyDictionary[Any, _ShmSession]" = (
             weakref.WeakKeyDictionary()
         )
@@ -614,6 +672,25 @@ class SharedMemoryExecutor(ExecutionBackend):
             self._finalizer.detach()
             self._finalizer = None
 
+    def _release_arena(self) -> None:
+        """Unlink and close the arena now (the next batch makes a new one)."""
+        if self._arena_release is not None:
+            self._arena_release()
+        self._arena = None
+        self._arena_release = None
+
+    def _arena_for(self, nbytes: int) -> shared_memory.SharedMemory:
+        """The arena, replaced first by one at least twice as large if
+        ``nbytes`` does not fit; the old segment is unlinked at once."""
+        arena = self._arena
+        if arena is not None and arena.size >= nbytes:
+            return arena
+        size = max(ARENA_MIN_BYTES, nbytes, 2 * arena.size if arena else 0)
+        block, release = _create_block(self, size)
+        self._release_arena()
+        self._arena, self._arena_release = block, release
+        return block
+
     def _on_worker_failure(self) -> None:
         """Crash-replay recovery after a worker death or in-worker error.
 
@@ -635,6 +712,7 @@ class SharedMemoryExecutor(ExecutionBackend):
         self._dead_sessions.clear()
         if workers:
             _terminate_workers(workers)
+        self._release_arena()
         replay_error: Optional[BaseException] = None
         for sampler, session in list(self._sessions.items()):
             try:
@@ -684,6 +762,7 @@ class SharedMemoryExecutor(ExecutionBackend):
                     except (BrokenPipeError, EOFError, OSError):
                         pass
                 _terminate_workers(workers)
+            self._release_arena()
 
     # -- pickling ------------------------------------------------------------
 
@@ -701,6 +780,8 @@ class SharedMemoryExecutor(ExecutionBackend):
         self.recoveries = 0
         self._workers = None
         self._finalizer = None
+        self._arena = None
+        self._arena_release = None
         self._sessions = weakref.WeakKeyDictionary()
         self._session_counter = 0
         self._dead_sessions = []
@@ -799,10 +880,19 @@ class SharedMemoryExecutor(ExecutionBackend):
             self._reply(workers[w])
         session.workers_canonical = True
         session.dirty.clear()
+        session.bounds.clear()
         # Fresh epoch: the copies just shipped ARE the parent copies, so
         # there is nothing to replay until the next batch.
         session.pending.clear()
         session.batches_since_checkpoint = 0
+
+    def live_bounds(self, sharded: "ShardedSampler") -> dict[int, Optional[float]]:
+        """The bounds of the session's last ingest replies, while the
+        workers hold the canonical groups; ``{}`` otherwise."""
+        session = self._sessions.get(sharded)
+        if session is None or not session.workers_canonical:
+            return {}
+        return session.bounds
 
     def fetch(self, sharded: "ShardedSampler") -> dict[int, Fetched]:
         """Fetch the *dirty* groups' sample columns and state, unloaded.
@@ -963,38 +1053,33 @@ class SharedMemoryExecutor(ExecutionBackend):
             self._flush_dead_sessions(workers)
             session = self._session_for(sharded)
             self._adopt_if_needed(sharded, session, workers)
+            # Every worker replied to the last batch, so its columns are
+            # dead and the arena is free to overwrite.
+            meta, range_plans = self._stage_columns(plans, hasher)
+            # Object items really do travel pickled in the metadata.
+            boxed = meta is not None and meta[2] is not None
             for g, tasks in enumerate(plans):
                 if tasks:
                     session.pending.setdefault(g, []).extend(tasks)
             logged = True
-            blocks, meta, range_plans = self._build_blocks(plans, hasher)
-            # Object items really do travel pickled in the metadata.
-            boxed = meta is not None and not isinstance(meta[0], str)
-            try:
-                per_worker = self._plans_by_worker_ranged(
-                    range_plans, len(workers)
+            posted = []
+            for w, worker_plans in self._plans_by_worker_ranged(
+                range_plans, len(workers)
+            ):
+                sent = self._post(
+                    workers[w],
+                    "ingest_columns",
+                    (
+                        session.session_id,
+                        meta,
+                        (hasher.seed, hasher.algorithm),
+                        worker_plans,
+                    ),
                 )
-                posted = []
-                for w, worker_plans in per_worker:
-                    sent = self._post(
-                        workers[w],
-                        "ingest_columns",
-                        (
-                            session.session_id,
-                            meta,
-                            (hasher.seed, hasher.algorithm),
-                            worker_plans,
-                        ),
-                    )
-                    if boxed:
-                        self.pickle_bytes += sent
-                    posted.append(w)
-                self._collect_timings(sharded, session, workers, posted)
-            finally:
-                # The blocks never outlive the batch call: every worker
-                # has replied (or the executor is already torn down), so
-                # the segments can be unlinked unconditionally.
-                _release_blocks(blocks)
+                if boxed:
+                    self.pickle_bytes += sent
+                posted.append(w)
+            self._collect_replies(sharded, session, workers, posted)
             session.batches_since_checkpoint += 1
             if session.batches_since_checkpoint >= self.checkpoint_batches:
                 self._collect(sharded, session)
@@ -1010,7 +1095,7 @@ class SharedMemoryExecutor(ExecutionBackend):
                             sharded._groups[g], tasks
                         )
 
-    def _collect_timings(
+    def _collect_replies(
         self,
         sharded: "ShardedSampler",
         session: _ShmSession,
@@ -1018,9 +1103,10 @@ class SharedMemoryExecutor(ExecutionBackend):
         posted: list[int],
     ) -> None:
         for w in posted:
-            for g, elapsed in self._reply(workers[w]).items():
+            for g, (elapsed, bound) in self._reply(workers[w]).items():
                 sharded.group_ingest_seconds[g] += elapsed
                 session.dirty.add(g)
+                session.bounds[g] = bound
 
     @staticmethod
     def _plans_by_worker_ranged(
@@ -1031,25 +1117,22 @@ class SharedMemoryExecutor(ExecutionBackend):
             per_worker.setdefault(g % worker_count, []).append((g, tasks))
         return sorted(per_worker.items())
 
-    @staticmethod
-    def _build_blocks(
-        plans: list[GroupPlan], hasher: UnitHasher
+    def _stage_columns(
+        self, plans: list[GroupPlan], hasher: UnitHasher
     ) -> tuple[
-        list[shared_memory.SharedMemory],
-        Optional[tuple[Any, str, str, int]],
+        Optional[tuple[str, int, Optional[npt.NDArray[Any]]]],
         list[tuple[int, RangePlan]],
     ]:
-        """Lay the batch's columns out once and index them by ranges.
+        """Lay the batch's columns out once in the arena, indexed by ranges.
 
-        Concatenates every group's sub-run columns (items, sites, and
-        the parent-warmed sampling-hash slice — a cache hit, computed
-        once for the whole batch) into contiguous shm blocks and
-        rewrites the plans as ``(offset, length)`` ranges into them.
-        Returns ``(blocks, meta, range_plans)``; ``meta`` is ``(items,
-        sites, hashes, rows)``, block names except for an ``object``
-        item column, which it carries itself (it has no fixed-width
-        layout), and ``None`` for an advance-only batch (no blocks
-        created).
+        Concatenates every group's sub-run columns (sites, the
+        parent-warmed sampling-hash slice — a cache hit, computed once
+        for the whole batch — and items) straight into the arena's views
+        (:func:`_arena_views`), and rewrites the plans as ``(offset,
+        length)`` ranges into them.  Returns ``(meta, range_plans)``;
+        ``meta`` is ``(arena name, n, object items or None)``, the
+        ``object`` item column having no fixed-width layout, and ``None``
+        for an advance-only batch (the arena is not touched).
         """
         chunks_items: list[npt.NDArray[Any]] = []
         chunks_sites: list[npt.NDArray[Any]] = []
@@ -1072,26 +1155,16 @@ class SharedMemoryExecutor(ExecutionBackend):
                 offset += rows
             range_plans.append((g, ranged))
         if offset == 0:
-            return [], None, range_plans
-        items = np.concatenate(chunks_items)
-        boxed = items.dtype == object
-        columns = [np.concatenate(chunks_sites), np.concatenate(chunks_hash)]
-        if not boxed:
-            columns.append(items)
-        blocks: list[shared_memory.SharedMemory] = []
-        try:
-            for column in columns:
-                blocks.append(_create_block(column))
-        except BaseException:
-            _release_blocks(blocks)
-            raise
-        meta = (
-            items if boxed else blocks[2].name,
-            blocks[0].name,
-            blocks[1].name,
-            offset,
-        )
-        return blocks, meta, range_plans
+            return None, range_plans
+        boxed = any(chunk.dtype == object for chunk in chunks_items)
+        arena = self._arena_for((16 if boxed else 24) * offset)
+        sites, hashes, items = _arena_views(arena.buf, offset, not boxed)
+        np.concatenate(chunks_sites, out=sites)
+        np.concatenate(chunks_hash, out=hashes)
+        if items is None:
+            return (arena.name, offset, np.concatenate(chunks_items)), range_plans
+        np.concatenate(chunks_items, out=items)
+        return (arena.name, offset, None), range_plans
 
 
 def make_executor(config: SamplerConfig) -> ExecutionBackend:

@@ -223,15 +223,19 @@ class ShardedSampler(Sampler):
     def report_bound(self) -> Optional[float]:
         """The largest group bound, or None if any group has none.
 
-        Read from the raw group objects, with no sync or fetch.  Under
-        the shm backend these may be copies from an earlier adopt or
-        load, older than the workers' groups.  A stale ``u_i`` is still
-        an upper bound: shm runs only on synchronous transports, where
-        ``u_i`` only falls.
+        No sync or fetch.  A group's bound is the one its worker replied
+        with after its last batch
+        (:meth:`~repro.runtime.executor.ExecutionBackend.live_bounds`),
+        or else its raw object's.  Under the shm backend a group with no
+        reply since the last adopt is as its object holds it, so the
+        result equals the serial backend's.  (A raw object older than
+        its worker's group would still be an upper bound: shm runs only
+        on synchronous transports, where ``u_i`` only falls.)
         """
+        live = self.executor.live_bounds(self)
         bound = 0.0
-        for group in self._groups:
-            group_bound = group.report_bound()
+        for g, group in enumerate(self._groups):
+            group_bound = live[g] if g in live else group.report_bound()
             if group_bound is None:
                 return None
             bound = max(bound, group_bound)

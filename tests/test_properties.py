@@ -35,7 +35,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -244,6 +244,7 @@ def shared_shm():
 READS = {
     "sample": lambda sampler, g: sampler.sample(),
     "threshold": lambda sampler, g: sampler.threshold,
+    "report_bound": lambda sampler, g: sampler.report_bound(),
     "state_dict": lambda sampler, g: sampler.state_dict(),
     "stats": lambda sampler, g: sampler.stats(),
     "message_stats": lambda sampler, g: sampler.message_stats(),
@@ -313,6 +314,9 @@ class TestExecutorEquivalence:
         assert parallel.current_slot == serial.current_slot
 
     @given(stream=flat_streams(), seed=st.integers(0, 3))
+    # Enough distinct items that every group's sites lower their
+    # thresholds, which the parent's copies would not see.
+    @example(stream=(3, [(i % 3, i) for i in range(61)]), seed=0)
     @settings(max_examples=15, deadline=None)
     def test_parallel_executor_columnar_matches_serial(
         self, shared_shm, stream, seed
@@ -336,6 +340,8 @@ class TestExecutorEquivalence:
         parallel.executor = shared_shm
         serial.observe_batch(batch)
         parallel.observe_batch(EventBatch.from_events(events))
+        # Before any read: the bound the next batch's filter would use.
+        assert parallel.report_bound() == serial.report_bound()
         assert_indistinguishable(parallel, serial)
 
 
@@ -1095,6 +1101,43 @@ class TestRestoreFuzz:
             network["by_kind"][next(iter(network["by_kind"]))] = bad
         else:
             network[key] = bad
+        before = _as_json(target.state_dict())
+        with pytest.raises(ConfigurationError):
+            target.load_state(state)
+        assert _as_json(target.state_dict()) == before
+
+    @pytest.mark.parametrize(
+        "label,field,bad",
+        [
+            (label, field, bad)
+            for label, field in (
+                ("sliding", "site entries"),
+                ("sliding", "coordinator entries"),
+                ("sliding-s1", "site entries"),
+                ("sliding-s1", "coordinator entries"),
+                ("sliding", "known"),
+                ("sliding", "pending"),
+                ("local-push", "reported"),
+            )
+            for bad in (8.9, "7", True)
+        ]
+        + [("sliding", "valid_until", bad) for bad in (8.9, "7", True, "abc")],
+    )
+    def test_expiries_parse_strictly(self, label, field, bad):
+        # int() would restore 8.9 as 8, "7" as 7 and True as 1, and an
+        # unchecked valid_until of "abc" would fail only at the next ingest.
+        target = _restore_subject(label, 5)
+        state = json.loads(json.dumps(_restore_subject(label, 0).state_dict()))
+        system = state["system"]
+        if field == "coordinator entries":
+            system["coordinator"]["entries"][0][1] = bad
+        elif field == "site entries":
+            site = next(site for site in system["sites"] if site["entries"])
+            site["entries"][0][1] = bad
+        elif field == "valid_until":
+            system["sites"][0]["valid_until"] = bad
+        else:
+            system["sites"][0][field] = [[3, bad]]
         before = _as_json(target.state_dict())
         with pytest.raises(ConfigurationError):
             target.load_state(state)

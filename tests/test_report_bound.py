@@ -129,7 +129,8 @@ class TestFilterIsInvisible:
         fresh = [site.u_local for group in serial._groups for site in group.sites]
         assert all(old >= new for old, new in zip(stale, fresh))
         assert stale != fresh
-        assert parallel.report_bound() >= serial.report_bound()
+        # The workers' replies carry their live bounds past the stale copies.
+        assert parallel.report_bound() == serial.report_bound()
         for engine in engines:
             engine.observe_batch(EventBatch(third))
         assert everything(parallel, engines[1]) == everything(serial, engines[0])
@@ -277,6 +278,46 @@ class TestWorkCount:
         assert routed[0] <= 0.05 * ingested, (
             f"routed {routed[0]} rows of {ingested}"
         )
+
+    def test_shm_routes_what_serial_routes_after_a_restore(self, monkeypatch):
+        """The ``serve-mixed`` shape: an S=2 state loaded into S=4
+        samplers, whose fresh groups report everything.  Read only
+        through ``sample()``, the shm sampler's filter must still see the
+        workers' live bounds, so the Engine router and the shard router
+        see as many rows per batch as on the serial backend."""
+        config = {"num_sites": 8, "sample_size": 32, "seed": 2015, "algorithm": "mix64"}
+        source = make_sampler("sharded:infinite", shards=2, **config)
+        feed = Engine(source, policy="hash", seed=2015)
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            feed.observe_batch(EventBatch(rng.integers(0, 4_000_000, 2048)))
+        state = json.loads(json.dumps(source.state_dict()))
+        routed = [0]
+        original = HashDistributor.assignments_for_batch
+
+        def counting(self, batch):
+            routed[0] += len(batch)
+            return original(self, batch)
+
+        monkeypatch.setattr(HashDistributor, "assignments_for_batch", counting)
+        per_backend = {}
+        for executor, workers in (("serial", 0), ("shm", 2)):
+            sampler = make_sampler(
+                "sharded:infinite", shards=4, executor=executor, workers=workers, **config
+            )
+            sampler.load_state(state)
+            engine = Engine(sampler, policy="hash", seed=2015)
+            keys = np.random.default_rng(18)
+            counts = []
+            with sampler:
+                for _ in range(12):
+                    routed[0] = 0
+                    engine.observe_batch(EventBatch(keys.integers(0, 4_000_000, 2048)))
+                    counts.append(routed[0])
+                    sampler.sample()
+            per_backend[executor] = counts
+        assert per_backend["shm"] == per_backend["serial"]
+        assert sum(per_backend["serial"][1:]) < 2048  # the filter works
 
 
 class TestErrors:

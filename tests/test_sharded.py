@@ -29,6 +29,7 @@ from repro import (
 from repro.core.api import register_sharded_variant
 from repro.errors import ConfigurationError
 from repro.perf import paired_speedup
+from repro.runtime.executor import ARENA_MIN_BYTES
 
 SEED = 20150525
 
@@ -951,6 +952,168 @@ class TestSharedMemoryBackendLifecycle:
                 serial.observe_batch(events)
                 assert parallel.state_dict() == serial.state_dict()
                 assert parallel.stats() == serial.stats()
+
+
+class TestSharedMemoryArena:
+    """The shm backend's batch columns share one persistent arena: one
+    segment across batches, replaced only when a batch outgrows it, and
+    unlinked on every way out."""
+
+    _segments = staticmethod(TestSharedMemoryBackendLifecycle._segments)
+
+    @staticmethod
+    def _build(executor, variant="sharded:sliding", **overrides):
+        kwargs = {
+            "num_sites": 3,
+            "sample_size": 4,
+            "shards": 3,
+            "seed": SEED,
+            "algorithm": "mix64",
+            "executor": executor,
+            "workers": 2 if executor == "shm" else 0,
+        }
+        if variant == "sharded:sliding":
+            kwargs["window"] = 4
+        kwargs.update(overrides)
+        return make_sampler(variant, **kwargs)
+
+    @staticmethod
+    def _slot_batch(slot, n, seed=SEED):
+        """``n`` events stamped ``slot``: never filtered, all shipped."""
+        return [
+            (site, item, slot)
+            for site, item in uniform_events(n, 3, 10**6, seed=seed + slot)
+        ]
+
+    def test_one_segment_serves_every_batch(self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        created = []
+        original = shared_memory.SharedMemory
+
+        class Counting(original):
+            def __init__(self, *args, create=False, **kwargs):
+                if create:
+                    created.append(kwargs.get("size"))
+                super().__init__(*args, create=create, **kwargs)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", Counting)
+        reads = (
+            lambda sampler: sampler.sample(),
+            lambda sampler: sampler.state_dict(),
+            lambda sampler: sampler.stats(),
+            lambda sampler: sampler.threshold,
+        )
+        serial, parallel = self._build("serial"), self._build("shm")
+        with parallel:
+            for slot in range(1, 25):
+                batch = self._slot_batch(slot, 200)
+                serial.observe_batch(batch)
+                parallel.observe_batch(batch)
+                read = reads[slot % len(reads)]
+                assert read(parallel) == read(serial)
+            assert created == [ARENA_MIN_BYTES]
+            assert parallel.state_dict() == serial.state_dict()
+
+    def test_a_batch_that_does_not_fit_replaces_the_arena(self):
+        serial, parallel = self._build("serial"), self._build("shm")
+        rows = ARENA_MIN_BYTES // 24 + 1
+        with parallel:
+            for slot, n in ((1, 100), (2, rows), (3, 100)):
+                batch = self._slot_batch(slot, n)
+                serial.observe_batch(batch)
+                parallel.observe_batch(batch)
+                if slot == 1:
+                    first = parallel.executor._arena.name
+                    assert first in self._segments()
+            arena = parallel.executor._arena
+            assert arena.name != first
+            assert arena.size >= 2 * ARENA_MIN_BYTES
+            assert first not in self._segments()  # unlinked at once
+            # Both workers re-mapped: their groups answer as serial's do.
+            assert parallel.sample() == serial.sample()
+            assert parallel.state_dict() == serial.state_dict()
+
+    def test_no_segment_outlives_close_a_crash_or_the_executor(self):
+        import gc
+
+        before = self._segments()
+        sampler = self._build("shm")
+        sampler.observe_batch(self._slot_batch(1, 300))
+        assert len(self._segments() - before) == 1
+        sampler.close()
+        assert self._segments() - before == set()
+        # A killed worker: the recovering batch unlinks the arena, and
+        # close() leaves nothing either.
+        sampler.observe_batch(self._slot_batch(2, 300))
+        for worker in sampler.executor._workers:
+            worker.process.kill()
+            worker.process.join(timeout=10)
+            assert not worker.process.is_alive()
+        sampler.observe_batch(self._slot_batch(3, 300))
+        assert sampler.executor.recoveries == 1
+        assert self._segments() - before == set()
+        sampler.close()
+        assert self._segments() - before == set()
+        # An executor dropped without close(): its finalizer unlinks.
+        sampler.observe_batch(self._slot_batch(4, 300))
+        assert len(self._segments() - before) == 1
+        del sampler
+        gc.collect()
+        assert self._segments() - before == set()
+
+    def test_only_object_items_travel_pickled(self):
+        sampler = self._build("shm", "sharded:infinite", algorithm="murmur2")
+        executor = sampler.executor
+        frames = []
+        post = executor._post
+
+        def recording_post(worker, command, args):
+            sent = post(worker, command, args)
+            if command == "ingest_columns":
+                frames.append(sent)
+            return sent
+
+        executor._post = recording_post
+        with sampler:
+            sampler.observe_batch(uniform_events(400, sites=3, universe=10**6))
+            assert frames and executor.pickle_bytes == 0
+            frames.clear()
+            sampler.observe_batch(
+                [
+                    (site, f"user-{item}")
+                    for site, item in uniform_events(400, 3, 10**6, seed=5)
+                ]
+            )
+            assert frames and executor.pickle_bytes == sum(frames)
+
+    def test_a_worker_without_rows_gets_no_command(self):
+        serial = self._build("serial", "sharded:infinite", shards=2)
+        parallel = self._build("shm", "sharded:infinite", shards=2)
+        warm = uniform_events(200, sites=3, universe=10**6)
+        serial.observe_batch(warm)
+        with parallel:
+            parallel.observe_batch(warm)  # adopts on both workers
+            executor = parallel.executor
+            bound, hasher = parallel.report_bound(), parallel.sampling_hasher
+            keys = (
+                key
+                for key in range(10**6)
+                if parallel.shard_of(key) == 0 and hasher.unit(key) < bound
+            )
+            batch = [(i % 3, next(keys)) for i in range(20)]
+            posted = []
+            post = executor._post
+
+            def recording_post(worker, command, args):
+                posted.append((executor._workers.index(worker), command))
+                return post(worker, command, args)
+
+            executor._post = recording_post
+            serial.observe_batch(batch)
+            parallel.observe_batch(batch)
+            assert posted == [(0, "ingest_columns")]  # group 1 is worker 1's
+            assert parallel.state_dict() == serial.state_dict()
 
 
 def python_sort_merge(sampler: ShardedSampler):
