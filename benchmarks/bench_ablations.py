@@ -34,17 +34,6 @@ def test_ablation_sync(benchmark, bench_config):
             assert ys[-1] < ys[0]
 
 
-def test_ablation_structure(benchmark, bench_config):
-    results = run_once(
-        benchmark, run_experiment, "ablation_structure", bench_config
-    )
-    for result in results:
-        assert (
-            result.series_by_name("treap").ys
-            == result.series_by_name("sorted").ys
-        ), "treap and sorted-list candidate sets must be behaviourally equal"
-
-
 def test_ablation_cache(benchmark, bench_config):
     results = run_once(benchmark, run_experiment, "ablation_cache", bench_config)
     for result in results:

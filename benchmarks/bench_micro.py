@@ -1,8 +1,8 @@
 """Micro-benchmarks for the hot paths.
 
 These measure raw throughput of the pieces that dominate experiment
-runtimes: hashing, site ingestion, dominance-set maintenance, and the
-two candidate-set backends (the wall-clock side of ``ablation_structure``).
+runtimes: hashing, site ingestion, dominance-set maintenance and bottom-k
+offers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from conftest import scenario_events
 from repro import make_sampler
 from repro.hashing import UnitHasher, unit_hash_array
 from repro.structures.bottomk import BottomK
-from repro.structures.dominance import SortedDominanceSet, TreapDominanceSet
+from repro.structures.dominance import SortedDominanceSet
 
 _N = 20_000
 
@@ -67,27 +67,19 @@ def test_sliding_ingest(benchmark):
     assert messages > 0
 
 
-def _drive_dominance(structure_cls):
+def test_dominance_sorted(benchmark):
     rng = np.random.default_rng(2)
     arrivals = rng.integers(0, 2000, 5000).tolist()
     hashes = unit_hash_array(np.arange(2000), 9).tolist()
 
     def run():
-        ds = structure_cls(1)
+        ds = SortedDominanceSet(1)
         for t, element in enumerate(arrivals):
             ds.expire(t)
             ds.observe(element, t + 300, hashes[element])
         return len(ds)
 
-    return run
-
-
-def test_dominance_sorted(benchmark):
-    assert benchmark(_drive_dominance(SortedDominanceSet)) >= 1
-
-
-def test_dominance_treap(benchmark):
-    assert benchmark(_drive_dominance(TreapDominanceSet)) >= 1
+    assert benchmark(run) >= 1
 
 
 def test_bottomk_offer(benchmark):

@@ -193,7 +193,6 @@ def _make_sliding(config: SamplerConfig) -> Sampler:
             window=config.window,
             seed=config.seed,
             algorithm=config.algorithm,
-            structure=config.structure,
             coordinator_mode=config.coordinator_mode,
         )
     return SlidingWindowBottomSFeedback(

@@ -177,6 +177,11 @@ class SamplerStats:
 class SamplerConfig:
     """Declarative recipe for :func:`repro.core.api.make_sampler`.
 
+    Snapshots written by earlier releases also record a ``structure``
+    field (the s = 1 sites' candidate store, now always
+    :class:`~repro.structures.dominance.SortedDominanceSet`);
+    :func:`repro.core.snapshot.restore` drops it.
+
     Attributes:
         variant: Registry key (see ``repro.core.api.sampler_variants()``):
             ``"infinite"``, ``"sliding"`` (Algorithms 3–4 at ``s = 1``,
@@ -192,8 +197,6 @@ class SamplerConfig:
             Sliding variants require ``window >= 1``.
         seed: Hash seed (fix it for reproducible runs).
         algorithm: Hash algorithm name (see ``repro.hashing``).
-        structure: Candidate-set backing store for the s = 1 sliding
-            system (``"treap"``/``"sorted"``).
         coordinator_mode: ``"exact"``/``"paper"`` for the s = 1 sliding
             system (see :mod:`repro.core.sliding`).
         cache_size: Per-site LRU capacity for the ``"caching"`` variant
@@ -216,7 +219,6 @@ class SamplerConfig:
     window: int = 0
     seed: int = 0
     algorithm: str = "murmur2"
-    structure: str = "treap"
     coordinator_mode: str = "exact"
     cache_size: Optional[int] = None
     shards: int = 1

@@ -71,11 +71,7 @@ from ..netsim.clock import SlotClock
 from ..netsim.message import COORDINATOR, Message, MessageKind
 from ..netsim.network import Network
 from ..runtime.topology import Topology
-from ..structures.dominance import (
-    DominanceEntry,
-    SortedDominanceSet,
-    TreapDominanceSet,
-)
+from ..structures.dominance import DominanceEntry, SortedDominanceSet
 from .events import EventBatch
 from .protocol import (
     Sampler,
@@ -92,8 +88,6 @@ from .protocol import (
 if TYPE_CHECKING:
     from ..streams.partition import HashDistributor
 
-# SortedDominanceSet doubles as the exact coordinator's candidate store.
-
 __all__ = [
     "SlidingFacadeBase",
     "SlidingWindowSite",
@@ -102,16 +96,6 @@ __all__ = [
 ]
 
 _INF = math.inf
-
-
-def _make_structure(kind: str):
-    if kind == "treap":
-        return TreapDominanceSet(1)
-    if kind == "sorted":
-        return SortedDominanceSet(1)
-    raise ConfigurationError(
-        f"unknown dominance structure {kind!r}; expected 'treap' or 'sorted'"
-    )
 
 
 def require_positive(**values: int) -> None:
@@ -373,19 +357,21 @@ class SlidingFacadeBase(Sampler):
 
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore :meth:`state_dict` output whose clock agrees with its
-        ``protocol.last_slot``.
+        ``protocol.last_slot`` and is not negative.
 
         Every windowed variant keeps the slot clock at the last slot
         advanced to: a fresh sampler has ``last_slot`` None and clock 0,
-        and after ``advance(7)`` both read 7.  A state that breaks this
-        would load, and then its next ``advance`` could move the clock
-        backwards.
+        and after ``advance(7)`` both read 7.  The clock starts at 0 and
+        never moves back (a fresh ``advance(-3)`` raises
+        :class:`~repro.errors.ProtocolError`), so no such slot is
+        negative.  A state that breaks either rule would load, and then
+        its next ``advance`` could move the clock backwards.
 
         Raises:
             ConfigurationError: For a clock that is not
-                ``protocol.last_slot`` (0 when that is None), or as
-                :meth:`~repro.core.protocol.Sampler.load_state` does; the
-                sampler is left untouched.
+                ``protocol.last_slot`` (0 when that is None), a negative
+                slot, or as :meth:`~repro.core.protocol.Sampler.load_state`
+                does; the sampler is left untouched.
         """
         try:
             last_slot = parse_slot(state["protocol"]["last_slot"])
@@ -397,6 +383,11 @@ class SlidingFacadeBase(Sampler):
             raise ConfigurationError(
                 f"malformed sampler state: clock {now!r} disagrees with "
                 f"protocol.last_slot {last_slot!r}"
+            )
+        if now < 0:
+            raise ConfigurationError(
+                f"malformed sampler state: slot {now} is before the clock's "
+                "start at 0"
             )
         super().load_state(state)
 
@@ -529,11 +520,13 @@ class SlidingFacadeBase(Sampler):
 class SlidingWindowSite:
     """Algorithm 3: the per-site sliding-window protocol.
 
+    The candidate set ``T_i`` is a :class:`SortedDominanceSet` of order 1,
+    which keeps exactly the entries of the paper's treap (see
+    :mod:`repro.structures.dominance`).
+
     Args:
         site_id: Network address.
         window: Window size w in slots (>= 1).
-        structure: ``"treap"`` (paper-faithful) or ``"sorted"`` backing
-            store for the candidate set ``T_i``.
     """
 
     __slots__ = (
@@ -547,11 +540,11 @@ class SlidingWindowSite:
         "fallbacks",
     )
 
-    def __init__(self, site_id: int, window: int, structure: str = "treap") -> None:
+    def __init__(self, site_id: int, window: int) -> None:
         require_positive(window=window)
         self.site_id = site_id
         self.window = window
-        self.candidates = _make_structure(structure)
+        self.candidates = SortedDominanceSet(1)
         self.sample_element: Optional[Any] = None
         self.u_local = 1.0
         self.sample_expiry: float = _INF
@@ -730,7 +723,6 @@ class SlidingWindowSystem(SlidingFacadeBase):
         window: Window size w in slots.
         seed: Hash seed (ignored if ``hasher`` given).
         algorithm: Hash algorithm name.
-        structure: Candidate-set backing store (``"treap"``/``"sorted"``).
         coordinator_mode: ``"exact"`` (default, provably correct) or
             ``"paper"`` (literal Algorithm 4) — see the module docstring.
         hasher: Optional shared pre-built hasher.
@@ -749,11 +741,9 @@ class SlidingWindowSystem(SlidingFacadeBase):
         window: int,
         seed: int = 0,
         algorithm: str = "murmur2",
-        structure: str = "treap",
         coordinator_mode: str = "exact",
         hasher: Optional[UnitHasher] = None,
     ) -> None:
-        self.structure = structure
         self.coordinator_mode = coordinator_mode
         super().__init__(num_sites, window, 1, seed, algorithm, hasher)
 
@@ -761,16 +751,12 @@ class SlidingWindowSystem(SlidingFacadeBase):
         return SlidingWindowCoordinator(self.clock, self.coordinator_mode)
 
     def _make_site(self, site_id: int) -> SlidingWindowSite:
-        return SlidingWindowSite(site_id, self.window, self.structure)
+        return SlidingWindowSite(site_id, self.window)
 
     @property
     def config(self) -> SamplerConfig:
-        """The base recipe plus the structure and coordinator mode."""
-        return replace(
-            super().config,
-            structure=self.structure,
-            coordinator_mode=self.coordinator_mode,
-        )
+        """The base recipe plus the coordinator mode."""
+        return replace(super().config, coordinator_mode=self.coordinator_mode)
 
     def _coordinator_state(
         self, coordinator: SlidingWindowCoordinator
@@ -789,7 +775,11 @@ class SlidingWindowSystem(SlidingFacadeBase):
         element, u_star, expiry = state["sample"]
         coordinator.sample_element = revive_element(element)
         coordinator.u_star = parse_threshold(u_star)
-        coordinator.sample_expiry = decode_expiry(expiry)
+        # -1.0 marks a coordinator without a live sample; JSON keeps it a
+        # float, and every expiry it ever holds otherwise is an int.
+        if not (type(expiry) is float and expiry == -1.0):
+            expiry = _parse_expiry(expiry)
+        coordinator.sample_expiry = expiry
 
     def _site_state(self, site: SlidingWindowSite) -> dict[str, Any]:
         return {
@@ -801,4 +791,4 @@ class SlidingWindowSystem(SlidingFacadeBase):
     def _load_site(self, site: SlidingWindowSite, state: dict[str, Any]) -> None:
         site.sample_element = revive_element(state["sample_element"])
         site.u_local = parse_threshold(state["u_local"])
-        site.sample_expiry = decode_expiry(state["sample_expiry"])
+        site.sample_expiry = decode_expiry(parse_slot(state["sample_expiry"]))

@@ -23,7 +23,11 @@ execution backend (``"process"`` restores as ``"shm"``, ``"thread"`` as
 ``"sharded:sliding-feedback"`` restore as ``"sliding"`` and
 ``"sharded:sliding"``, which build the same class for ``s >= 2``; their
 ``s = 1`` snapshots hold a state ``"sliding"`` cannot read and raise
-:class:`~repro.errors.ConfigurationError`.
+:class:`~repro.errors.ConfigurationError`.  Every version-2 snapshot
+written before the ``s = 1`` sites shared one candidate structure records
+a ``structure`` field (``"treap"`` or ``"sorted"``); it is dropped
+whatever its value, since both structures keep the same entries and the
+state layout never named it.
 """
 
 from __future__ import annotations
@@ -106,6 +110,7 @@ def restore(state: dict[str, Any]) -> Sampler:
         sampler_state = state["state"]
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed snapshot: {exc}") from exc
+    config_dict.pop("structure", None)
     executor = config_dict.get("executor")
     if isinstance(executor, str) and executor in _RETIRED_EXECUTORS:
         config_dict["executor"] = _RETIRED_EXECUTORS[executor]

@@ -1,6 +1,6 @@
 """Ablation experiments beyond the paper's figures.
 
-Four studies probing the design decisions DESIGN.md calls out:
+Five studies probing the reproduction's design decisions:
 
 * ``ablation_theory`` — measured messages vs the Lemma 4 upper bound,
   Observation 1 per-site bound, and Lemma 9 lower bound, on the
@@ -9,12 +9,13 @@ Four studies probing the design decisions DESIGN.md calls out:
 * ``ablation_sync`` — value of lazy feedback in sliding windows: the
   paper's lazy protocol (exact and literal-paper coordinator modes)
   versus the no-feedback local-push variant.
-* ``ablation_structure`` — treap vs sorted-list candidate sets: message
-  counts must agree *exactly* (the structures are behaviourally
-  equivalent); wall-clock differences are reported by the benchmark
-  suite instead.
 * ``ablation_hash`` — murmur2 vs murmur3 vs mix64: message counts are
   statistically indistinguishable (any good hash family looks uniform).
+* ``ablation_cache`` — per-site duplicate-suppression caches: messages
+  and suppressed reports vs cache size (cache 0 is the paper's
+  algorithm).
+* ``ablation_obs1`` — measured messages vs the Lemma 4 and Observation 1
+  bounds under flooding and random distribution.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .runner import prepare_stream, run_infinite_once, run_sliding_once
 __all__ = [
     "run_theory",
     "run_sync",
-    "run_structure",
     "run_hash",
     "run_cache",
     "run_obs1",
@@ -162,55 +162,6 @@ def run_sync(config: ExperimentConfig) -> list[FigureResult]:
                 ],
                 notes=(
                     f"k={_SYNC_SITES}, scale={config.scale}, "
-                    f"runs={config.effective_runs}"
-                ),
-            )
-        )
-    return results
-
-
-_STRUCT_WINDOWS = (100, 400)
-_STRUCT_SITES = 10
-
-
-def run_structure(config: ExperimentConfig) -> list[FigureResult]:
-    """Treap vs sorted-list candidate sets: behavioural equivalence."""
-    results = []
-    for family in config.datasets:
-        spec = get_dataset(family, config.scale)
-        treap_msgs: list[float] = []
-        sorted_msgs: list[float] = []
-        for w in _STRUCT_WINDOWS:
-            per_structure: dict[str, list[float]] = {"treap": [], "sorted": []}
-            for rng_state, hash_seed in run_rngs(config):
-                elements = spec.generate(rng_state).tolist()
-                seed_bits = rng_state.integers(0, 2**31)
-                for structure in ("treap", "sorted"):
-                    rng = np.random.default_rng(seed_bits)
-                    out = run_sliding_once(
-                        elements,
-                        _STRUCT_SITES,
-                        w,
-                        rng,
-                        hash_seed,
-                        per_slot=PER_SLOT,
-                        structure=structure,
-                    )
-                    per_structure[structure].append(float(out.messages))
-            treap_msgs.append(mean(per_structure["treap"]))
-            sorted_msgs.append(mean(per_structure["sorted"]))
-        results.append(
-            FigureResult(
-                figure_id="ablation_structure",
-                title=f"Treap vs sorted-list candidate sets ({family})",
-                x_label="w",
-                y_label="total messages (must be identical)",
-                series=[
-                    Series("treap", list(_STRUCT_WINDOWS), treap_msgs),
-                    Series("sorted", list(_STRUCT_WINDOWS), sorted_msgs),
-                ],
-                notes=(
-                    f"k={_STRUCT_SITES}, scale={config.scale}, "
                     f"runs={config.effective_runs}"
                 ),
             )

@@ -102,11 +102,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             ablations.run_sync,
         ),
         Experiment(
-            "ablation_structure",
-            "Treap vs sorted-list candidate sets (equivalence)",
-            ablations.run_structure,
-        ),
-        Experiment(
             "ablation_hash",
             "Hash algorithm comparison (murmur2/murmur3/mix64)",
             ablations.run_hash,

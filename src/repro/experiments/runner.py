@@ -208,7 +208,6 @@ def run_sliding_once(
     per_slot: int = 5,
     sample_size: int = 1,
     coordinator_mode: str = "exact",
-    structure: str = "treap",
     record_series: bool = False,
     variant: str = "auto",
 ) -> SlidingRunResult:
@@ -223,7 +222,6 @@ def run_sliding_once(
         per_slot: Arrivals per timestep (paper uses 5).
         sample_size: Sample size s.
         coordinator_mode: ``"exact"``/``"paper"`` (s = 1 only).
-        structure: Site candidate-set backing store (s = 1 only).
         record_series: Also record the per-slot mean memory series.
         variant: Registry variant to drive; ``"auto"`` preserves the
             figures' historical choice — Algorithms 3-4 for s = 1
@@ -243,7 +241,6 @@ def run_sliding_once(
         sample_size=sample_size,
         seed=hash_seed,
         algorithm="mix64",
-        structure=structure,
         coordinator_mode=coordinator_mode,
     )
     schedule = SlottedArrivals(elements, num_sites, per_slot, rng)

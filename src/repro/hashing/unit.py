@@ -19,7 +19,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .encoding import Element, encode_element
-from .murmur import fmix64, fmix64_array, murmur2_64a, murmur3_128_x64, murmur3_32
+from .murmur import fmix64, fmix64_inplace, murmur2_64a, murmur3_128_x64, murmur3_32
 
 __all__ = [
     "UnitHasher",
@@ -150,12 +150,15 @@ def unit_hash_array(ids: npt.ArrayLike, seed: int = 0) -> npt.NDArray[np.float64
     Returns:
         Float64 array in ``[0, 1)``, same shape as ``ids``.
     """
-    with np.errstate(over="ignore"):
-        keys = np.asarray(ids, dtype=np.uint64) ^ np.uint64(
-            (seed * 0x9E3779B97F4A7C15) & _MASK64
-        )
-    mixed = fmix64_array(keys)
-    return (mixed >> np.uint64(11)).astype(np.float64) / _TWO_53
+    keys = np.array(ids, dtype=np.uint64)
+    keys ^= np.uint64((seed * 0x9E3779B97F4A7C15) & _MASK64)
+    out = np.empty(keys.shape, dtype=np.float64)
+    # The output doubles as the mixer's scratch: one temporary per call.
+    fmix64_inplace(keys, out.view(np.uint64))
+    keys >>= np.uint64(11)
+    np.copyto(out, keys, casting="unsafe")
+    out /= _TWO_53
+    return out
 
 
 class SeededHashFamily:

@@ -1,22 +1,19 @@
-"""Core data structures: treap, dominance sets, bottom-k."""
+"""Core data structures: bottom-k sets and dominance sets (one
+implementation, :class:`SortedDominanceSet`; the tests keep the paper's
+treap as its differential oracle)."""
 
 from .bottomk import BottomK
 from .dominance import (
     DominanceEntry,
     DominanceSet,
     SortedDominanceSet,
-    TreapDominanceSet,
     brute_force_survivors,
 )
-from .treap import Treap, TreapNode
 
 __all__ = [
     "BottomK",
-    "Treap",
-    "TreapNode",
     "DominanceEntry",
     "DominanceSet",
     "SortedDominanceSet",
-    "TreapDominanceSet",
     "brute_force_survivors",
 ]

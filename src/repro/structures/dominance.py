@@ -12,33 +12,28 @@ We generalize to sample size ``s`` (*s-dominance*): an entry is dropped iff
 **at least s** entries with strictly later expiry have strictly smaller
 hash; the survivors always contain the ``s`` smallest-hash live elements.
 
-Two interchangeable implementations (differentially tested):
+One implementation serves every site and coordinator, at every ``s``:
+:class:`SortedDominanceSet`, a list sorted by ``(expiry, hash)`` plus an
+element index, pruned *lazily*.  An insert only places the entry, and one
+O(n log s) right-to-left sweep restores the invariant in a batch, in the
+amortized manner of the Datar et al. exponential histogram.  The sweep runs
+when the set is read (``len``, ``in``, ``entries()``, ``check_invariants()``,
+``bottom(count > s)``), when :meth:`settle` is called (the sliding facades
+do so once per delivered same-slot run), and when an insert takes the raw
+list past ``2 * n + s`` entries, ``n`` being its size after the last sweep;
+so the list never outgrows its settled size by more than that constant
+factor.  Batching is exact: an entry dominated by anything is dominated by
+survivors (whatever dominates its dominators dominates it too), an expiry
+never removes a live entry's dominator (dominators expire later), and a
+refresh keeps the element's hash, so the refreshed entry dominates all the
+old one did (a refresh that changes the hash settles first).  So one sweep
+after a batch of inserts leaves what a sweep after every insert leaves,
+and :meth:`~SortedDominanceSet.load` fills a set from snapshot rows the
+same way: one sort, one sweep.
 
-* :class:`SortedDominanceSet` — a list sorted by ``(expiry, hash)`` plus an
-  element index, pruned *lazily*: an insert only places the entry, and one
-  O(n log s) right-to-left sweep restores the invariant in a batch, in the
-  amortized manner of the Datar et al. exponential histogram.  The sweep
-  runs when the set is read (``len``, ``in``, ``entries()``,
-  ``check_invariants()``, ``bottom(count > s)``), when :meth:`settle` is
-  called (the sliding facades do so once per delivered same-slot run), and
-  when an insert takes the raw list past ``2 * n + s`` entries, ``n`` being
-  its size after the last sweep; so the list never outgrows its settled
-  size by more than that constant factor.  Batching is exact: an entry
-  dominated by anything is dominated by survivors (whatever dominates its
-  dominators dominates it too), an expiry never removes a live entry's
-  dominator (dominators expire later), and a refresh keeps the element's
-  hash, so the refreshed entry dominates all the old one did (a refresh
-  that changes the hash settles first).  So one sweep after a batch of
-  inserts leaves what a sweep after every insert leaves, and
-  :meth:`~SortedDominanceSet.load` fills a set from snapshot rows the same
-  way: one sort, one sweep.  Supports any ``s >= 1``.
-* :class:`TreapDominanceSet` — the paper's treap (s = 1 only): key
-  ``(expiry, hash, tie)``, priority ``hash``; min-hash is the root, expiry
-  is an O(log n) split, and dominance pruning exploits the *staircase
-  invariant* (surviving hashes never decrease with expiry), removing only
-  a contiguous run of predecessors.  It prunes eagerly, so its
-  :meth:`settle` is a no-op.  ``tie`` orders distinct elements with equal
-  hash and expiry (a hash collision) as the sorted list does.
+At ``s = 1`` the set keeps exactly the entries of the paper's treap
+(Section 4.1), hash collisions included.  The tests keep that treap as a
+differential oracle (``tests/treap_oracle.py``).
 
 :class:`SortedDominanceSet` also keeps its bottom-s (by hash, then expiry)
 incrementally: an insert bisects into it, and only the expiry of a member
@@ -55,13 +50,10 @@ from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter
 from typing import Any, Iterable, Optional, Protocol
 
-from .treap import Treap
-
 __all__ = [
     "DominanceEntry",
     "DominanceSet",
     "SortedDominanceSet",
-    "TreapDominanceSet",
     "brute_force_survivors",
 ]
 
@@ -95,7 +87,8 @@ class DominanceEntry:
 
 
 class DominanceSet(Protocol):
-    """Protocol implemented by both dominance-set variants."""
+    """Protocol of a candidate set (:class:`SortedDominanceSet`, and the
+    tests' treap oracle)."""
 
     def observe(self, element: Any, expiry: int, hash_value: float) -> None:
         """Insert ``element`` or refresh its expiry to ``expiry``.
@@ -394,122 +387,3 @@ class SortedDominanceSet:
         raw = [(e.element, e.expiry, e.hash) for e in self._entries]
         expected = brute_force_survivors(raw, self._s)
         assert raw == expected, "set contains a dominated entry"
-
-
-class TreapDominanceSet:
-    """Paper-faithful treap-backed dominance set (s = 1).
-
-    Key: ``(expiry, hash, tie)`` (hash breaks same-slot ties); priority:
-    hash, min-heap — so :meth:`min_entry` is the root (on equal hashes the
-    treap keeps the smaller key on top, the entry the sorted set ranks
-    first).  The staircase invariant (hash never decreases across strictly
-    increasing expiry) makes the dominated region after an insert a
-    contiguous run of predecessor keys.
-
-    ``tie`` keeps distinct elements with equal hash and expiry apart and
-    orders them as :class:`SortedDominanceSet` does: an entry that sorts
-    at or after the last one goes after its equals, any other before them.
-    """
-
-    __slots__ = ("_treap", "_index", "_ties")
-
-    def __init__(self, s: int = 1) -> None:
-        if s != 1:
-            raise ValueError(
-                "TreapDominanceSet implements the paper's s=1 structure; "
-                "use SortedDominanceSet for s > 1"
-            )
-        self._treap = Treap()
-        self._index: dict[Any, tuple[int, float, int]] = {}  # element -> key
-        self._ties = 0  # inserts so far, the source of ``tie`` values
-
-    @property
-    def s(self) -> int:
-        """Dominance order (always 1 for this implementation)."""
-        return 1
-
-    def __len__(self) -> int:
-        return len(self._treap)
-
-    def settle(self) -> None:
-        """No-op: every :meth:`observe` prunes at once."""
-
-    def __contains__(self, element: Any) -> bool:
-        return element in self._index
-
-    def entries(self) -> list[DominanceEntry]:
-        return [
-            DominanceEntry(node.value, node.key[0], node.key[1])
-            for node in self._treap
-        ]
-
-    def load(self, rows: Iterable[tuple[Any, int, float]]) -> None:
-        """Replace the contents by observing each row, stably sorted by
-        ``(expiry, hash)``, into an empty treap.
-
-        Raises:
-            ValueError: If two rows carry the same element (the set is
-                then left as it was).
-        """
-        rows = sorted(rows, key=lambda row: (row[1], row[2]))
-        if len({row[0] for row in rows}) < len(rows):
-            raise ValueError("rows repeat an element")
-        self._treap = Treap()
-        self._index = {}
-        for row in rows:
-            self.observe(*row)
-
-    def observe(self, element: Any, expiry: int, hash_value: float) -> None:
-        old_key = self._index.get(element)
-        if old_key is not None:
-            if expiry <= old_key[0]:
-                return
-            self._treap.remove(old_key)
-
-        # Is the newcomer itself dominated?  The minimum hash among strictly
-        # later expiries is the first entry of the next expiry band.
-        succ = self._treap.successor((expiry, float("inf")))
-        if succ is not None and succ.key[1] < hash_value:
-            if old_key is not None:
-                del self._index[element]
-            return
-
-        # Drop now-dominated predecessors: strictly earlier expiry, strictly
-        # larger hash.  By the staircase invariant they are a contiguous run.
-        while True:
-            pred = self._treap.predecessor((expiry, -1.0))
-            if pred is None or pred.key[1] <= hash_value:
-                break
-            del self._index[pred.value]
-            self._treap.remove(pred.key)
-
-        self._ties += 1
-        last = self._treap.max_key()
-        if last is None or (expiry, hash_value) >= last.key[:2]:
-            key = (expiry, hash_value, self._ties)
-        else:
-            key = (expiry, hash_value, -self._ties)
-        self._treap.insert(key, hash_value, element)
-        self._index[element] = key
-
-    def expire(self, now: int) -> None:
-        for node in self._treap.split_leq((now, float("inf"))):
-            del self._index[node.value]
-
-    def min_entry(self) -> Optional[DominanceEntry]:
-        node = self._treap.min_priority()
-        if node is None:
-            return None
-        return DominanceEntry(node.value, node.key[0], node.key[1])
-
-    def bottom(self, count: int) -> list[DominanceEntry]:
-        out = sorted(self.entries(), key=lambda e: e.hash)
-        return out[:count]
-
-    def check_invariants(self) -> None:
-        """Assert treap invariants plus dominance minimality."""
-        self._treap.check_invariants()
-        assert len(self._treap) == len(self._index)
-        raw = [(e.element, e.expiry, e.hash) for e in self.entries()]
-        expected = brute_force_survivors(raw, 1)
-        assert sorted(raw, key=lambda t: (t[1], t[2])) == expected

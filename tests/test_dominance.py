@@ -1,6 +1,7 @@
 """Differential tests for the dominance sets.
 
-Both implementations are checked against the brute-force s-dominance
+:class:`SortedDominanceSet` and the paper's treap, kept as a test oracle
+in ``treap_oracle.py``, are checked against the brute-force s-dominance
 filter after arbitrary interleavings of observe/expire operations, and
 against each other (s = 1).
 """
@@ -12,11 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.structures.dominance import (
-    SortedDominanceSet,
-    TreapDominanceSet,
-    brute_force_survivors,
-)
+from repro.structures.dominance import SortedDominanceSet, brute_force_survivors
+from treap_oracle import TreapDominanceSet
 
 IMPLS = [SortedDominanceSet, TreapDominanceSet]
 

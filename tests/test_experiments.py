@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.sliding import SlidingWindowSystem
 from repro.errors import ConfigurationError
 from repro.experiments import (
     EXPERIMENTS,
@@ -20,6 +21,7 @@ from repro.experiments import (
     run_sliding_once,
 )
 from repro.streams.partition import make_distributor
+from treap_oracle import TreapDominanceSet
 
 TINY = ExperimentConfig(scale="tiny", runs=1, datasets=("oc48",))
 TINY2 = ExperimentConfig(scale="tiny", runs=2, datasets=("oc48",))
@@ -169,7 +171,6 @@ class TestRegistry:
         for ablation in (
             "ablation_theory",
             "ablation_sync",
-            "ablation_structure",
             "ablation_hash",
         ):
             assert ablation in EXPERIMENTS
@@ -279,12 +280,25 @@ class TestExperimentShapes:
         ratio = result.series_by_name("measured/lower").ys
         assert all(3.0 < r < 5.5 for r in ratio), ratio
 
-    def test_ablation_structure_equivalence(self):
-        (result,) = run_experiment("ablation_structure", TINY)
-        assert (
-            result.series_by_name("treap").ys
-            == result.series_by_name("sorted").ys
-        )
+    def test_sliding_figures_equal_with_the_treap_oracle(self, monkeypatch):
+        # The paper keeps each s = 1 site's candidates in a treap, the
+        # package in SortedDominanceSet(1): memory (Fig 5.7) and messages
+        # (Fig 5.8) must not change with the treap oracle in every site.
+        figures = ("fig5_7", "fig5_8")
+        built = [run_experiment(figure, TINY) for figure in figures]
+        make_site = SlidingWindowSystem._make_site
+        treap_sites = []
+
+        def treap_site(system, site_id):
+            site = make_site(system, site_id)
+            site.candidates = TreapDominanceSet(1)
+            treap_sites.append(site)
+            return site
+
+        monkeypatch.setattr(SlidingWindowSystem, "_make_site", treap_site)
+        oracle = [run_experiment(figure, TINY) for figure in figures]
+        assert treap_sites
+        assert oracle == built
 
     def test_ablation_sync_ordering(self):
         (result,) = run_experiment("ablation_sync", TINY)

@@ -914,8 +914,9 @@ class TestChaosSafetyUnderDrop:
 # ---------------------------------------------------------------------------
 
 #: Restore-fuzz subjects: the infinite family, both with-replacement
-#: flavours, the three sliding cores and a sharded snapshot, mostly at one
-#: shape (k = 3, s = 3) so cross-variant loads line up.
+#: flavours, the three sliding cores (the s = 1 one in both coordinator
+#: modes) and a sharded snapshot, mostly at one shape (k = 3, s = 3) so
+#: cross-variant loads line up.
 RESTORE_SUBJECTS = {
     "infinite": {"variant": "infinite"},
     "broadcast": {"variant": "broadcast"},
@@ -923,6 +924,12 @@ RESTORE_SUBJECTS = {
     "wr-infinite": {"variant": "with-replacement"},
     "wr-sliding": {"variant": "with-replacement", "window": 6},
     "sliding-s1": {"variant": "sliding", "window": 6, "sample_size": 1},
+    "sliding-s1-paper": {
+        "variant": "sliding",
+        "window": 6,
+        "sample_size": 1,
+        "coordinator_mode": "paper",
+    },
     "sliding": {"variant": "sliding", "window": 6},
     "local-push": {"variant": "sliding-local-push", "window": 6},
     "sharded": {"variant": "sharded:sliding", "window": 6, "shards": 2},
@@ -1121,15 +1128,29 @@ class TestRestoreFuzz:
             )
             for bad in (8.9, "7", True)
         ]
-        + [("sliding", "valid_until", bad) for bad in (8.9, "7", True, "abc")],
+        + [("sliding", "valid_until", bad) for bad in (8.9, "7", True, "abc")]
+        + [
+            (label, field, bad)
+            for label in ("sliding-s1", "sliding-s1-paper")
+            for field, bads in (
+                ("site sample_expiry", ("abc", 8.9, True, "7")),
+                ("coordinator sample", ("7", 8.9, None, True, "abc")),
+            )
+            for bad in bads
+        ],
     )
     def test_expiries_parse_strictly(self, label, field, bad):
         # int() would restore 8.9 as 8, "7" as 7 and True as 1, and an
-        # unchecked valid_until of "abc" would fail only at the next ingest.
+        # unchecked valid_until or s = 1 sample expiry of "abc" would fail
+        # only at the next ingest.
         target = _restore_subject(label, 5)
         state = json.loads(json.dumps(_restore_subject(label, 0).state_dict()))
         system = state["system"]
-        if field == "coordinator entries":
+        if field == "coordinator sample":
+            system["coordinator"]["sample"][2] = bad
+        elif field == "site sample_expiry":
+            system["sites"][0]["sample_expiry"] = bad
+        elif field == "coordinator entries":
             system["coordinator"]["entries"][0][1] = bad
         elif field == "site entries":
             site = next(site for site in system["sites"] if site["entries"])
@@ -1174,3 +1195,38 @@ class TestRestoreFuzz:
             target.load_state(state)
         assert _as_json(target.state_dict()) == before
         target.advance(7)  # the untouched sampler still moves on
+
+    @pytest.mark.parametrize("label", ["sliding-s1", "sliding-s1-paper"])
+    def test_s1_expiry_sentinels_restore(self, label):
+        # A site that has never synced keeps None (never expires), and a
+        # coordinator that has never sampled keeps the float -1.0.
+        fresh = make_sampler(**{"num_sites": 3, "seed": 4, **RESTORE_SUBJECTS[label]})
+        state = json.loads(json.dumps(fresh.state_dict()))
+        assert state["system"]["coordinator"]["sample"][2] == -1.0
+        assert {site["sample_expiry"] for site in state["system"]["sites"]} == {None}
+        target = _restore_subject(label, 5)
+        target.load_state(state)
+        assert _as_json(target.state_dict()) == _as_json(state)
+
+    @pytest.mark.parametrize("label", sorted(RESTORE_SUBJECTS))
+    def test_only_infinite_windows_restore_negative_slots(self, label):
+        # A windowed clock starts at 0 and never moves back (a fresh
+        # advance(-3) raises ProtocolError), so a windowed state whose last
+        # slots and clocks all read -3 is malformed; an infinite-window
+        # sampler accepts advance(-3), so its state restores.
+        state = json.loads(json.dumps(_restore_subject(label, 0).state_dict()))
+        found = []
+        for container, key in _drop_targets(state):
+            if key in ("last_slot", "clock", "now") and container[key] == 6:
+                container[key] = -3
+                found.append(key)
+        assert found
+        target = _restore_subject(label, 5)
+        if "window" not in RESTORE_SUBJECTS[label]:
+            target.load_state(state)
+            assert _as_json(target.state_dict()) == _as_json(state)
+            return
+        before = _as_json(target.state_dict())
+        with pytest.raises(ConfigurationError, match="slot"):
+            target.load_state(state)
+        assert _as_json(target.state_dict()) == before

@@ -16,10 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CentralizedWindowSampler, SlidingWindowSystem, make_sampler
+from repro import (
+    CentralizedWindowSampler,
+    SlidingWindowSystem,
+    make_sampler,
+    restore,
+    snapshot,
+)
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hashing import UnitHasher
 from repro.netsim import COORDINATOR, Message, MessageKind
+from treap_oracle import treap_backed
 
 
 def random_schedule(rng, num_sites, universe, slots, max_per_slot=4):
@@ -47,9 +54,9 @@ class TestExactMode:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_oracle_every_slot(self, structure, seed):
         hasher = UnitHasher(seed + 40)
-        system = SlidingWindowSystem(
-            num_sites=3, window=25, structure=structure, hasher=hasher
-        )
+        system = SlidingWindowSystem(num_sites=3, window=25, hasher=hasher)
+        if structure == "treap":
+            treap_backed(system)
         oracle = CentralizedWindowSampler(25, 1, hasher)
         rng = np.random.default_rng(seed)
 
@@ -156,14 +163,17 @@ class TestPaperMode:
 
 
 class TestStructureEquivalence:
+    """The sites' sorted candidate sets against the paper's treap, which
+    ``treap_backed`` puts into the sites of a fresh system."""
+
     def test_treap_and_sorted_identical_messages(self):
         rng = np.random.default_rng(11)
         schedule = list(random_schedule(rng, 4, 80, 800))
         results = {}
         for structure in ("treap", "sorted"):
-            system = SlidingWindowSystem(
-                num_sites=4, window=30, seed=21, structure=structure
-            )
+            system = SlidingWindowSystem(num_sites=4, window=30, seed=21)
+            if structure == "treap":
+                treap_backed(system)
             queries = []
             for slot, arrivals in schedule:
                 system.advance(slot)
@@ -186,7 +196,7 @@ class TestStructureEquivalence:
     def test_treap_keeps_hash_collisions_as_sorted_does(self, events):
         # mix64 hashes ints mod 2**64, so 5 and 2**64 + 5 collide: equal
         # hash, and equal expiry when they arrive in the same slot.
-        def build(structure):
+        def build():
             return make_sampler(
                 "sliding",
                 num_sites=2,
@@ -194,10 +204,9 @@ class TestStructureEquivalence:
                 window=4,
                 seed=7,
                 algorithm="mix64",
-                structure=structure,
             )
 
-        treap, reference = build("treap"), build("sorted")
+        treap, reference = treap_backed(build()), build()
         slot = 0
         for site, item, delta in events:
             slot += delta
@@ -207,9 +216,49 @@ class TestStructureEquivalence:
             assert treap.stats() == reference.stats()
             assert treap.state_dict() == reference.state_dict()
 
-    def test_unknown_structure(self):
-        with pytest.raises(ConfigurationError):
-            SlidingWindowSystem(num_sites=1, window=5, structure="btree")
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"variant": "sliding"},
+            {"variant": "sliding", "coordinator_mode": "paper"},
+            {"variant": "with-replacement", "sample_size": 4},
+            {"variant": "sharded:sliding", "shards": 2},
+        ],
+        ids=["sliding-s1", "sliding-s1-paper", "wr-sliding", "sharded-sliding-s1"],
+    )
+    def test_snapshots_recording_a_structure_restore_without_it(self, config):
+        # Snapshots written while the s = 1 sites could keep a treap record
+        # the retired "structure" field; restore drops it whatever its
+        # value, and the sampler goes on as if the key were absent.
+        schedule = list(random_schedule(np.random.default_rng(3), 3, 40, 30))
+        source = make_sampler(num_sites=3, window=6, seed=5, **config)
+        for slot, arrivals in schedule[:20]:
+            source.advance(slot)
+            source.observe_batch(arrivals)
+        blob = json.loads(json.dumps(snapshot(source)))
+        assert "structure" not in blob["config"]
+        revived = []
+        for value in ("treap", "sorted", None):
+            recorded = copy.deepcopy(blob)
+            if value is not None:
+                recorded["config"]["structure"] = value
+            revived.append(restore(recorded))
+        for slot, arrivals in schedule[20:]:
+            for sampler in (source, *revived):
+                sampler.advance(slot)
+                sampler.observe_batch(arrivals)
+            for sampler in revived:
+                assert sampler.sample() == source.sample()
+                assert sampler.stats() == source.stats()
+        for sampler in revived:
+            assert sampler.config == source.config
+            assert sampler.state_dict() == source.state_dict()
+
+    def test_unknown_config_fields_still_raise(self):
+        blob = snapshot(make_sampler("sliding", num_sites=2, window=5))
+        blob["config"]["layout"] = "treap"
+        with pytest.raises(ConfigurationError, match="config"):
+            restore(blob)
 
 
 class TestMessageAccounting:

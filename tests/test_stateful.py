@@ -22,7 +22,7 @@ from repro import CentralizedDistinctSampler, DistinctSamplerSystem
 from repro.hashing import UnitHasher
 from repro.structures.bottomk import BottomK
 from repro.structures.dominance import SortedDominanceSet, brute_force_survivors
-from repro.structures.treap import Treap
+from treap_oracle import Treap
 
 
 class BottomKMachine(RuleBasedStateMachine):

@@ -1,4 +1,5 @@
-"""Tests for the treap (randomized BST)."""
+"""Tests for the treap (randomized BST) behind the s = 1 oracle in
+``treap_oracle.py``."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.structures.treap import Treap
+from treap_oracle import Treap
 
 
 def build(pairs):
