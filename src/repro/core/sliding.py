@@ -106,34 +106,63 @@ def require_positive(**values: int) -> None:
 
 
 def _rows(candidates) -> Optional[list[list[Any]]]:
-    """A candidate set as JSON-safe ``[element, expiry, hash]`` rows."""
+    """A candidate set as JSON-safe ``[element, expiry]`` rows; a restore
+    recomputes the hashes (:func:`_load_candidates`)."""
     if candidates is None:
         return None
-    return [[e.element, e.expiry, e.hash] for e in candidates.entries()]
+    return [[e.element, e.expiry] for e in candidates.entries()]
 
 
-def _load_rows(candidates, rows: Optional[list[list[Any]]]) -> None:
-    """Fill a fresh node's ``candidates`` set with snapshot ``rows`` (the
-    inverse of :func:`_rows`), validating every row before one batch
-    :meth:`~repro.structures.dominance.DominanceSet.load`.
+def _load_candidates(
+    hasher: UnitHasher, nodes: Sequence[tuple[Any, Any]]
+) -> None:
+    """Fill fresh candidate sets from snapshot rows (the inverse of
+    :func:`_rows`), hashing every element of the state in one
+    :meth:`~repro.core.events.EventBatch.hash_column` pass, then one batch
+    :meth:`~repro.structures.dominance.SortedDominanceSet.load` per set.
+
+    ``nodes`` pairs each node's set (None for a node that keeps none)
+    with its rows: ``[element, expiry]``, or the ``[element, expiry,
+    hash]`` rows snapshots stored before, whose hash must be the
+    recomputed one.
 
     Raises:
-        TypeError: For a row whose expiry is not a plain ``int``.
-        ValueError: For a row whose hash is not a float in ``[0, 1)``
-            (NaN and infinities included), rows that repeat an element,
-            or rows for a node without a candidate set.
+        TypeError: For a row expiry that is not a plain ``int``, or an
+            element the hasher rejects.
+        ValueError: For a row of another length, a stored hash that is
+            not the element's hash, rows that repeat an element, or rows
+            for a node without a candidate set.
     """
-    if candidates is None:
-        if rows is not None:
-            raise ValueError("entries given for a node without a candidate set")
-        return
-    parsed = []
-    for element, expiry, h in rows:
-        h = float(h)
-        if not 0.0 <= h < 1.0:
-            raise ValueError(f"entry hash {h!r} is not in [0, 1)")
-        parsed.append((revive_element(element), _parse_expiry(expiry), h))
-    candidates.load(parsed)
+    sets = []
+    elements: list[Any] = []
+    expiries: list[int] = []
+    stored: list[tuple[int, Any]] = []
+    for candidates, rows in nodes:
+        if candidates is None:
+            if rows is not None:
+                raise ValueError("entries given for a node without a candidate set")
+            continue
+        start = len(elements)
+        for row in rows:
+            if len(row) == 2:
+                element, expiry = row
+            else:
+                element, expiry, h = row
+                stored.append((len(elements), h))
+            elements.append(revive_element(element))
+            expiries.append(_parse_expiry(expiry))
+        sets.append((candidates, start, len(elements)))
+    hashes = EventBatch(elements).hash_column(hasher).tolist()
+    for i, h in stored:
+        if h != hashes[i]:
+            raise ValueError(
+                f"stored hash {h!r} of {elements[i]!r} is not its hash "
+                f"{hashes[i]!r}"
+            )
+    for candidates, start, stop in sets:
+        candidates.load(
+            zip(elements[start:stop], expiries[start:stop], hashes[start:stop])
+        )
 
 
 def _parse_expiry(value: Any) -> int:
@@ -179,10 +208,12 @@ class SlidingFacadeBase(Sampler):
     columnar fast path, the bottom-``s`` query, the snapshot layout and
     the resharding hook are identical and live here.
 
-    Candidate sets prune lazily (:mod:`repro.structures.dominance`).  The
-    columnar path settles every site and coordinator set once at the end
-    of each delivered same-slot run, so the deferred sweeps are paid
-    inside ingest and a checkpoint reads clean sets.
+    Candidate sets prune lazily (:mod:`repro.structures.dominance`): a
+    set sweeps when an insert passes its growth bound or a read needs its
+    settled entries (a checkpoint, ``per_site_memory``), never per
+    delivered run.  Delivery hashes each same-slot run once (a cached
+    column); the general-``s`` feedback core also gives each site its
+    rows of a run in one pass (see its ``_deliver_columns``).
 
     Subclasses implement :meth:`_make_coordinator` and :meth:`_make_site`
     and persist their own node fields through :meth:`_site_state` /
@@ -290,15 +321,6 @@ class SlidingFacadeBase(Sampler):
         sites = self.sites
         for site_id, item, h in zip(site_ids, items, hashes):
             sites[site_id].observe_hashed(item, h, now, network)
-        self._settle()
-
-    def _settle(self) -> None:
-        """Run every candidate set's pending dominance sweep (one per set)."""
-        candidates = self.coordinator.candidates
-        if candidates is not None:
-            candidates.settle()
-        for site in self.sites:
-            site.candidates.settle()
 
     def sample(self) -> SampleResult:
         """The current window's bottom-s distinct sample."""
@@ -413,21 +435,27 @@ class SlidingFacadeBase(Sampler):
             coordinator.reports_received = parse_counter(
                 coord_state["reports_received"]
             )
-            _load_rows(coordinator.candidates, coord_state["entries"])
-            self._load_coordinator(coordinator, coord_state)
             site_states = list(state["sites"])
             if len(site_states) != self.num_sites:
                 raise ValueError(
                     f"expected {self.num_sites} sites, got {len(site_states)}"
                 )
-            sites = []
-            for live, site_state in zip(self.sites, site_states):
-                site = self._make_site(live.site_id)
-                _load_rows(site.candidates, site_state["entries"])
+            sites = [self._make_site(live.site_id) for live in self.sites]
+            _load_candidates(
+                self.hasher,
+                [
+                    (coordinator.candidates, coord_state["entries"]),
+                    *(
+                        (site.candidates, site_state["entries"])
+                        for site, site_state in zip(sites, site_states)
+                    ),
+                ],
+            )
+            self._load_coordinator(coordinator, coord_state, now)
+            for site, site_state in zip(sites, site_states):
                 self._load_site(site, site_state)
                 for name in self.SITE_COUNTERS:
                     setattr(site, name, parse_counter(site_state[name]))
-                sites.append(site)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigurationError(
                 f"malformed {self.VARIANT} state: {exc!r}"
@@ -441,8 +469,11 @@ class SlidingFacadeBase(Sampler):
         """Coordinator fields beyond its counter and candidates."""
         return {}
 
-    def _load_coordinator(self, coordinator: Any, state: dict[str, Any]) -> None:
-        """Restore :meth:`_coordinator_state` output into ``coordinator``."""
+    def _load_coordinator(
+        self, coordinator: Any, state: dict[str, Any], now: int
+    ) -> None:
+        """Restore :meth:`_coordinator_state` output into ``coordinator``,
+        whose candidates have loaded, at the restored slot ``now``."""
 
     @abstractmethod
     def _site_state(self, site: Any) -> dict[str, Any]:
@@ -707,6 +738,11 @@ class SlidingWindowCoordinator:
         return [DominanceEntry(self.sample_element, self.sample_expiry, self.u_star)]
 
 
+def _sample_triple(coordinator: SlidingWindowCoordinator) -> tuple[Any, float, Any]:
+    """A coordinator's ``(element, hash, expiry)`` sample tuple."""
+    return (coordinator.sample_element, coordinator.u_star, coordinator.sample_expiry)
+
+
 class SlidingWindowSystem(SlidingFacadeBase):
     """Facade: k sliding-window sites + coordinator on one network (s = 1).
 
@@ -770,8 +806,19 @@ class SlidingWindowSystem(SlidingFacadeBase):
         }
 
     def _load_coordinator(
-        self, coordinator: SlidingWindowCoordinator, state: dict[str, Any]
+        self,
+        coordinator: SlidingWindowCoordinator,
+        state: dict[str, Any],
+        now: int,
     ) -> None:
+        """Parse the persisted sample triple.  An exact-mode coordinator
+        recomputes it from its entries at every read, so the triple must
+        be the one its loaded entries give at ``now``, as every snapshot
+        writes it; a paper-mode coordinator keeps its own tuple.
+
+        Raises:
+            ValueError: For an exact-mode triple its entries disagree with.
+        """
         element, u_star, expiry = state["sample"]
         coordinator.sample_element = revive_element(element)
         coordinator.u_star = parse_threshold(u_star)
@@ -780,6 +827,14 @@ class SlidingWindowSystem(SlidingFacadeBase):
         if not (type(expiry) is float and expiry == -1.0):
             expiry = _parse_expiry(expiry)
         coordinator.sample_expiry = expiry
+        if coordinator.candidates is not None:
+            parsed = _sample_triple(coordinator)
+            coordinator._refresh_exact(now)
+            if parsed != _sample_triple(coordinator):
+                raise ValueError(
+                    f"sample {list(parsed)!r} is not the entries' sample "
+                    f"{list(_sample_triple(coordinator))!r} at slot {now}"
+                )
 
     def _site_state(self, site: SlidingWindowSite) -> dict[str, Any]:
         return {

@@ -30,6 +30,14 @@ Protocol:
   past ``2s`` drops its expired entries, since a site whose replies stay
   valid until infinity never lapses.
 
+Delivery takes a same-slot run per site in one pass
+(:meth:`SlidingWindowBottomSFeedback._deliver_columns`): each site's
+candidate set takes all of its rows at once, then only the rows hashing
+below the site's ``u_i`` at the start of the run are checked for a
+report, in arrival order.  That is exactly the per-arrival loop: ``u_i``
+never rises within a run (see the last paragraph), and no reply handler
+reads a site's candidates.
+
 Correctness (checked against a brute-force oracle every slot): suppose
 ``g`` is in the true global bottom-s at slot ``t`` and lives at site
 ``j``.  If ``h(g) >= u_j`` with ``t_j > t``, then the coordinator
@@ -68,7 +76,10 @@ one has expired the next boundary lapses anyway.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Any, Optional
+
+import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher
@@ -76,6 +87,7 @@ from ..netsim.clock import SlotClock
 from ..netsim.message import COORDINATOR, Message, MessageKind
 from ..netsim.network import Network
 from ..structures.dominance import DominanceEntry, SortedDominanceSet
+from .events import EventBatch
 from .protocol import decode_expiry, encode_expiry, parse_slot, parse_threshold
 from .sliding import (
     SlidingFacadeBase,
@@ -91,6 +103,7 @@ __all__ = [
 ]
 
 _INF = math.inf
+_EXPIRY = attrgetter("expiry")
 
 
 class FeedbackBottomSSite:
@@ -174,6 +187,10 @@ class FeedbackBottomSSite:
         expiry = now + self.window
         self.candidates.expire(now)
         self.candidates.observe(element, expiry, h)
+        self.report(element, h, expiry, network)
+
+    def report(self, element: Any, h: float, expiry: int, network: Network) -> None:
+        """Report an arrival iff it hashes below the current threshold."""
         if h < self.u_local:
             self.reports_sent += 1
             network.send(
@@ -217,9 +234,7 @@ class FeedbackBottomSCoordinator:
         bottom = self.sample_entries(now)
         if len(bottom) < self.sample_size:
             return 1.0, _INF
-        u = bottom[-1].hash
-        valid_until = min(entry.expiry for entry in bottom)
-        return u, valid_until
+        return bottom[-1].hash, min(map(_EXPIRY, bottom))
 
     def absorb(self, element: Any, h: float, expiry: int) -> None:
         """Merge one entry into the candidate set."""
@@ -266,10 +281,10 @@ class SlidingWindowBottomSFeedback(SlidingFacadeBase):
             and the usual out-of-range parameters.
     """
 
-    #: Repeats are kept: the expiring threshold ``u_i`` can *rise* within
-    #: a slot (a reply is 1.0 while the coordinator knows fewer than ``s``
-    #: candidates), so a same-slot repeat may legitimately report where
-    #: its first occurrence did not.
+    #: Repeats are kept: a reply can leave ``u_i`` above a reported hash
+    #: (one that joined the coordinator's bottom-s, or any while it knows
+    #: fewer than ``s`` candidates and replies 1.0), so a same-slot repeat
+    #: of it reports again.
     SAME_SLOT_REPEATS = "never"
 
     def __init__(
@@ -293,6 +308,55 @@ class SlidingWindowBottomSFeedback(SlidingFacadeBase):
 
     def _make_site(self, site_id: int) -> FeedbackBottomSSite:
         return FeedbackBottomSSite(site_id, self.window, self.sample_size)
+
+    def _deliver_columns(self, run: EventBatch) -> None:
+        """Deliver one same-slot run: every site takes its rows in one
+        :meth:`~repro.structures.dominance.SortedDominanceSet.observe_run`,
+        then only the rows hashing below their site's ``u_i`` at the start
+        of the run enter the report loop, in arrival order, each checking
+        the current ``u_i`` as :meth:`FeedbackBottomSSite.observe_hashed`
+        does.
+
+        Exactly the per-row loop: ``u_i`` never rises within a run (a
+        reply is adopted only if it does not raise it, and only ``tick``
+        resets it), so a row at or above the starting ``u_i`` never
+        reports, on any network; and no reply handler or coordinator reads
+        a site's candidate set, so inserting a site's rows ahead of the
+        run's reports leaves the same set and the same messages.
+        """
+        if not len(run):
+            return
+        hashes = run.hash_column(self.hasher)
+        site_column = run.require_sites()
+        sites = self.sites
+        order = np.argsort(site_column, kind="stable")
+        bounds = np.searchsorted(
+            site_column[order], np.arange(len(sites) + 1)
+        ).tolist()
+        if bounds[0] or bounds[-1] < len(run):
+            # Site ids out of range: the loop indexes (and fails) as ever.
+            super()._deliver_columns(run)
+            return
+        now = self.clock.now
+        expiry = now + self.window
+        thresholds = np.array([site.u_local for site in sites])
+        reporting = np.flatnonzero(hashes < thresholds[site_column])
+        items = run.items[order].tolist()
+        row_hashes = hashes[order].tolist()
+        for site, start, stop in zip(sites, bounds, bounds[1:]):
+            if start < stop:
+                candidates = site.candidates
+                candidates.expire(now)
+                candidates.observe_run(
+                    items[start:stop], expiry, row_hashes[start:stop]
+                )
+        network = self.network
+        for site_id, item, h in zip(
+            site_column[reporting].tolist(),
+            run.items[reporting].tolist(),
+            hashes[reporting].tolist(),
+        ):
+            sites[site_id].report(item, h, expiry, network)
 
     def _site_state(self, site: FeedbackBottomSSite) -> dict[str, Any]:
         return {

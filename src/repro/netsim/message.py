@@ -3,15 +3,15 @@
 The paper's cost model counts *messages*; each message carries a constant
 number of machine words ("message size is constant, assuming that each
 stream element can be stored in a constant number of bytes").  We model a
-message as a small frozen record with a kind tag and a payload tuple, and
-account both message counts and approximate byte sizes.
+message as a small immutable record (a named tuple, the cheapest to build
+on every send) with a kind tag and a payload tuple, and account both
+message counts and approximate byte sizes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["MessageKind", "Message", "COORDINATOR"]
 
@@ -37,9 +37,13 @@ class MessageKind(enum.Enum):
     #: Frequency-sensitive DRS baseline, coordinator -> site.
     DRS_THRESHOLD = "drs_threshold"
 
+    # Members are singletons compared by identity, so identity hashing
+    # agrees with equality and runs in C (``Enum`` hashes the name), which
+    # every per-kind count pays on each send.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True, slots=True)
-class Message:
+
+class Message(NamedTuple):
     """A single message on the simulated network.
 
     Attributes:

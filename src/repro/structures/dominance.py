@@ -17,19 +17,27 @@ One implementation serves every site and coordinator, at every ``s``:
 element index, pruned *lazily*.  An insert only places the entry, and one
 O(n log s) right-to-left sweep restores the invariant in a batch, in the
 amortized manner of the Datar et al. exponential histogram.  The sweep runs
-when the set is read (``len``, ``in``, ``entries()``, ``check_invariants()``,
-``bottom(count > s)``), when :meth:`settle` is called (the sliding facades
-do so once per delivered same-slot run), and when an insert takes the raw
-list past ``2 * n + s`` entries, ``n`` being its size after the last sweep;
-so the list never outgrows its settled size by more than that constant
-factor.  Batching is exact: an entry dominated by anything is dominated by
-survivors (whatever dominates its dominators dominates it too), an expiry
-never removes a live entry's dominator (dominators expire later), and a
-refresh keeps the element's hash, so the refreshed entry dominates all the
-old one did (a refresh that changes the hash settles first).  So one sweep
-after a batch of inserts leaves what a sweep after every insert leaves,
-and :meth:`~SortedDominanceSet.load` fills a set from snapshot rows the
-same way: one sort, one sweep.
+only when the set is read (``len``, ``in``, ``entries()``,
+``check_invariants()``, ``bottom(count > s)``, or :meth:`settle`) and when
+an insert takes the raw list past ``2 * n + s`` entries, ``n`` being its
+size after the last sweep; so the list never outgrows its settled size by
+more than that constant factor, and a set whose entries expire before it
+reaches the bound never sweeps at all.  Batching is exact: an entry
+dominated by anything is dominated by survivors (whatever dominates its
+dominators dominates it too), an expiry never removes a live entry's
+dominator (dominators expire later), and a refresh keeps the element's
+hash, so the refreshed entry dominates all the old one did (a refresh that
+changes the hash settles first).  So one sweep after a batch of inserts
+leaves what a sweep after every insert leaves, and
+:meth:`~SortedDominanceSet.load` fills a set from snapshot rows the same
+way: one sort, one sweep.
+
+:meth:`~SortedDominanceSet.observe_run` takes a whole same-slot run in one
+pass: every arrival of a run shares one expiry, later than any entry's, so
+its new entries sort by hash alone and extend the list's tail at once.
+Where the per-arrival order could show (exact hash ties among the new
+entries, a refresh that changes its hash, a run not later than the tail),
+it falls back to :meth:`~SortedDominanceSet.observe` per arrival.
 
 At ``s = 1`` the set keeps exactly the entries of the paper's treap
 (Section 4.1), hash collisions included.  The tests keep that treap as a
@@ -47,8 +55,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from operator import attrgetter
-from typing import Any, Iterable, Optional, Protocol
+from operator import attrgetter, itemgetter
+from typing import Any, Iterable, Optional, Protocol, Sequence
 
 __all__ = [
     "DominanceEntry",
@@ -63,6 +71,7 @@ _ORDER = attrgetter("expiry", "hash")
 _RANK = attrgetter("hash", "expiry")
 _EXPIRY = attrgetter("expiry")
 _HASH = attrgetter("hash")
+_SECOND = itemgetter(1)
 
 
 class DominanceEntry:
@@ -240,6 +249,65 @@ class SortedDominanceSet:
         self._dirty = True
         if len(entries) > self._limit:
             self._sweep()
+
+    def observe_run(
+        self, elements: Sequence[Any], expiry: int, hashes: Sequence[float]
+    ) -> None:
+        """Observe ``elements`` in turn, each with its hash in ``hashes``
+        and all at ``expiry``: the state a loop of :meth:`observe` leaves,
+        read for read.
+
+        When ``expiry`` is later than every entry's, the run takes one
+        pass (see the module docstring); otherwise, or where the loop's
+        order could show, it takes the loop.
+        """
+        if not self._observe_later_run(elements, expiry, hashes):
+            observe = self.observe
+            for element, h in zip(elements, hashes):
+                observe(element, expiry, h)
+
+    def _observe_later_run(
+        self, elements: Sequence[Any], expiry: int, hashes: Sequence[float]
+    ) -> bool:
+        """:meth:`observe_run` in one pass, or False, having changed
+        nothing, where that could differ from the loop.
+
+        The pass observes each distinct element of the run once, in hash
+        order: a repeat's refresh is a no-op in the loop, and the
+        survivors do not depend on the order of inserts.  Every new entry
+        is later than the tail, so distinct hashes make appending in hash
+        order keep the list sorted by ``(expiry, hash)``, as the loop's
+        inserts would, and leave no exact tie for the cached bottom-s to
+        rank.  The growth bound is checked once, at the end.
+        """
+        entries = self._entries
+        if entries and entries[-1].expiry >= expiry:
+            return False
+        index = self._index
+        fresh: dict[Any, float] = {}
+        for element, h in zip(elements, hashes):
+            if element not in fresh:
+                old = index.get(element)
+                if old is not None and h != old.hash:
+                    return False  # the loop settles first; see observe
+                fresh[element] = h
+        if len(set(fresh.values())) < len(fresh):
+            return False
+        s = self._s
+        for element, h in sorted(fresh.items(), key=_SECOND):
+            old = index.get(element)
+            if old is not None:
+                self._unlink(old, h)
+            entry = index[element] = DominanceEntry(element, expiry, h)
+            entries.append(entry)
+            best = self._bottom
+            if best is not None and (len(best) < s or h <= best[-1].hash):
+                self._offer(entry)
+        if fresh:
+            self._dirty = True
+            if len(entries) > self._limit:
+                self._sweep()
+        return True
 
     def load(self, rows: Iterable[tuple[Any, int, float]]) -> None:
         """Replace the contents in one batch: a stable sort by ``(expiry,

@@ -16,11 +16,16 @@ shm backend too.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import EventBatch, SamplerConfig, make_sampler, sampler_variants
 from repro.core.events import CURRENT_SLOT
+from repro.core.sliding_feedback import SlidingWindowBottomSFeedback
 from repro.errors import ConfigurationError, ProtocolError
+from repro.hashing import UnitHasher
+from repro.netsim.chaos import ChaosNetwork
+from repro.netsim.delayed import DelayedNetwork
 from repro.runtime import SharedMemoryExecutor
 
 #: One config per registered variant and per concrete facade flavour.
@@ -448,3 +453,102 @@ class TestDelayedNetworkEquivalence:
         columnar.network.pump()
         assert single.sample() == batched.sample() == columnar.sample()
         assert single.stats() == batched.stats() == columnar.stats()
+
+
+def zipf_slots(n_slots: int = 30, per_slot: int = 48, sites: int = 3) -> list:
+    """Slot-stamped events over Zipf(1.2) keys from 2,000 ids: heavy keys
+    repeat within a slot, at one site and across sites, and refresh from
+    slot to slot, while the tail keeps arriving fresh."""
+    rng = np.random.default_rng(17)
+    cdf = np.cumsum(np.arange(1, 2001, dtype=np.float64) ** -1.2)
+    cdf /= cdf[-1]
+    events = []
+    for slot in range(1, n_slots + 1):
+        keys = np.searchsorted(cdf, rng.random(per_slot), side="right")
+        events.extend(
+            (site, key, slot)
+            for site, key in zip(
+                rng.integers(0, sites, per_slot).tolist(), keys.tolist()
+            )
+        )
+    return events
+
+
+class CollidingHasher(UnitHasher):
+    """``murmur2`` folded onto 32 unit hashes, so distinct elements often
+    tie exactly: some runs take the one pass, others the per-row loop."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__(0, "murmur2")
+        full = self._fn
+        self._fn = lambda element: (full(element) % 32) << 59
+
+
+#: The general-s feedback core, whose runs each site takes in one pass.
+FEEDBACK_CASES = {
+    "sliding-s4-zipf": lambda: make_sampler(
+        "sliding", num_sites=3, window=6, sample_size=4, algorithm="mix64"
+    ),
+    "sharded-sliding-s4-zipf": lambda: make_sampler(
+        "sharded:sliding",
+        num_sites=3,
+        window=6,
+        sample_size=4,
+        shards=2,
+        algorithm="mix64",
+    ),
+    "sliding-s4-colliding": lambda: SlidingWindowBottomSFeedback(
+        num_sites=3, window=6, sample_size=4, hasher=CollidingHasher()
+    ),
+}
+
+
+class TestFeedbackRunDelivery:
+    """Each feedback site takes its rows of a run in one pass and only the
+    rows below its threshold report: message for message and state for
+    state what the per-event loop does, with repeats, exact hash ties,
+    and replies that land late, duplicated or reordered."""
+
+    @staticmethod
+    def _build(case, transport):
+        sampler = FEEDBACK_CASES[case]()
+        groups = getattr(sampler, "groups", [sampler])
+        if transport == "delayed":
+            networks = [DelayedNetwork.rewire(group) for group in groups]
+        elif transport == "chaos":
+            networks = [
+                ChaosNetwork.rewire(
+                    group,
+                    rng=np.random.default_rng(i),
+                    duplicate=0.2,
+                    reorder=0.3,
+                    seed=i,
+                )
+                for i, group in enumerate(groups)
+            ]
+        else:
+            networks = []
+        return sampler, networks
+
+    @pytest.mark.parametrize("transport", ["synchronous", "delayed", "chaos"])
+    @pytest.mark.parametrize("case", sorted(FEEDBACK_CASES))
+    def test_runs_match_the_event_loop(self, case, transport):
+        single, single_networks = self._build(case, transport)
+        columnar, columnar_networks = self._build(case, transport)
+        events = zipf_slots()
+        taken = 0
+        for slot in range(1, 31):
+            run = [event for event in events if event[2] == slot]
+            for site, item, _ in run:
+                single.observe(site, item, slot=slot)
+            columnar.observe_batch(EventBatch.from_events(run))
+            taken += len(run)
+            for network in (*single_networks, *columnar_networks):
+                network.pump()
+            assert single.stats() == columnar.stats(), f"slot {slot}"
+            assert single.sample() == columnar.sample()
+            assert single.state_dict() == columnar.state_dict()
+        assert taken == len(events)
+        assert single.total_messages > 0

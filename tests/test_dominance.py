@@ -374,3 +374,140 @@ class TestLazyPruning:
         with pytest.raises(ValueError, match="repeat"):
             ds.load([("a", 3, 0.2), ("b", 4, 0.1), ("a", 6, 0.05)])
         assert _raw(ds) == [("x", 5, 0.5)]
+
+
+def _assert_lazy_invariants(ds):
+    """The invariants :meth:`check_invariants` asserts before it settles,
+    checked without settling: sortedness, the index, the growth bound and
+    an exact cached bottom-s."""
+    entries = ds._entries
+    assert len(entries) == len(ds._index) <= ds._limit
+    assert all(ds._index[e.element] is e for e in entries)
+    for a, b in zip(entries, entries[1:]):
+        assert (a.expiry, a.hash) <= (b.expiry, b.hash)
+    if ds._bottom is not None:
+        assert ds._bottom == sorted(entries, key=lambda e: e.hash)[: ds.s]
+
+
+class TestObserveRun:
+    """``observe_run`` leaves what a loop of ``observe`` leaves, read for
+    read, and takes one pass where the loop's order cannot show."""
+
+    @given(
+        runs=st.lists(
+            st.tuples(
+                # Expiry step from the last run: at or below the tail's
+                # expiry for -1 and 0, so those runs take the loop.
+                st.integers(-1, 3),
+                # (element, hash code, re-hash): hash codes on a grid of
+                # 48 make exact ties between entries common, while most
+                # runs' new entries still hash apart (so take the one
+                # pass); a re-hash (one row in ten) gives a refresh a new
+                # hash.
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 40),
+                        st.integers(0, 47),
+                        st.integers(0, 9).map(lambda draw: draw == 0),
+                    ),
+                    max_size=14,
+                ),
+                st.integers(0, 3),  # slots elapsed before the run
+                st.booleans(),  # settle both with full reads afterwards
+            ),
+            max_size=30,
+        ),
+        s=st.sampled_from([1, 2, 3, 16]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_loop_of_observe(self, runs, s):
+        def rows(entries):
+            return [(e.element, e.expiry, e.hash) for e in entries]
+
+        def assert_reads_agree(full):
+            for count in range(s + 1):
+                assert rows(batch.bottom(count)) == rows(loop.bottom(count))
+            top, want = batch.min_entry(), loop.min_entry()
+            assert rows([top] if top else []) == rows([want] if want else [])
+            if full:
+                assert rows(batch.entries()) == rows(loop.entries())
+                assert len(batch) == len(loop)
+                assert rows(batch.bottom(s + 1)) == rows(loop.bottom(s + 1))
+                for element in range(41):
+                    assert (element in batch) == (element in loop)
+                batch.check_invariants()
+                loop.check_invariants()
+
+        batch, loop = SortedDominanceSet(s), SortedDominanceSet(s)
+        hashes: dict[int, float] = {}
+        now, expiry = 0, 1
+        for step, arrivals, elapsed, full in runs:
+            now += elapsed
+            expiry = max(now + 1, expiry + step)
+            elements, run_hashes = [], []
+            for element, code, rehash in arrivals:
+                if rehash or element not in hashes:
+                    hashes[element] = code / 48
+                elements.append(element)
+                run_hashes.append(hashes[element])
+            for ds in (batch, loop):
+                ds.expire(now)
+            batch.observe_run(elements, expiry, run_hashes)
+            for element, h in zip(elements, run_hashes):
+                loop.observe(element, expiry, h)
+            _assert_lazy_invariants(batch)
+            assert_reads_agree(full)
+        assert_reads_agree(True)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_refreshing_the_last_cached_entry_past_a_tie(self, s):
+        # "b" is the cache's last entry and "x", uncached, ties its hash
+        # at a later expiry.  b's refresh now ranks after x, so the cache
+        # must not simply take it back.
+        batch, loop = SortedDominanceSet(s), SortedDominanceSet(s)
+        runs = [
+            (["a", "b"][2 - s :], 10, [0.1, 0.5][2 - s :]),
+            (["x"], 11, [0.5]),
+            (["b"], 12, [0.5]),
+        ]
+        for elements, expiry, hashes in runs:
+            batch.observe_run(elements, expiry, hashes)
+            for element, h in zip(elements, hashes):
+                loop.observe(element, expiry, h)
+            _assert_lazy_invariants(batch)
+        want = [("a", 10, 0.1), ("x", 11, 0.5)][2 - s :]
+        assert [e.as_tuple() for e in batch.bottom(s)] == want
+        assert [e.as_tuple() for e in loop.bottom(s)] == want
+
+    def test_one_pass_and_its_fallbacks(self):
+        class Counting(SortedDominanceSet):
+            """Counts the per-row inserts a fallback makes."""
+
+            __slots__ = ("observes",)
+
+            def __init__(self, s):
+                super().__init__(s)
+                self.observes = 0
+
+            def observe(self, *args):
+                self.observes += 1
+                super().observe(*args)
+
+        ds = Counting(2)
+
+        def one_pass(elements, expiry, hashes):
+            before = ds.observes
+            ds.observe_run(elements, expiry, hashes)
+            return ds.observes == before
+
+        assert one_pass(["a", "b", "a", "c"], 10, [0.3, 0.1, 0.3, 0.2])
+        assert _raw(ds) == [("b", 10, 0.1), ("c", 10, 0.2), ("a", 10, 0.3)]
+        # A refresh keeping its hash, and a new entry: one pass.
+        assert one_pass(["a", "d"], 11, [0.3, 0.05])
+        assert [e.hash for e in ds.bottom(2)] == [0.05, 0.1]
+        # The loop's order shows, so the loop runs: a run at the tail's
+        # expiry, an exact tie among new entries, a re-hashed refresh.
+        assert not one_pass(["e"], 11, [0.5])
+        assert not one_pass(["f", "g"], 12, [0.4, 0.4])
+        assert not one_pass(["a"], 13, [0.9])
+        assert ("a", 13, 0.9) in _raw(ds)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import ProtocolError
@@ -144,6 +149,52 @@ class TestAccounting:
         assert net.kind_count(MessageKind.BROADCAST) == 2
         assert net.kind_count(MessageKind.THRESHOLD) == 1
         assert net.kind_count(MessageKind.REPORT) == 0
+
+    def test_kind_counts_survive_a_pickle_into_another_process(self):
+        # Workers ship MessageStats pickled.  Kinds hash by identity, which
+        # differs between processes, so the receiving side must rebuild
+        # the per-kind counts under its own members.
+        net = Network()
+        net.register(0, Recorder())
+        net.register(COORDINATOR, Recorder())
+        for kind, times in ((MessageKind.SW_REPORT, 3), (MessageKind.SW_SAMPLE, 2)):
+            for _ in range(times):
+                net.send(0, COORDINATOR, kind, None)
+        script = (
+            "import pickle, sys\n"
+            "from repro.netsim import MessageKind\n"
+            "stats = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert stats.by_kind[MessageKind.SW_REPORT] == 3\n"
+            "assert stats.by_kind[MessageKind.SW_SAMPLE] == 2\n"
+            "stats.by_kind[MessageKind.SW_REPORT] += 1\n"
+            "sys.stdout.buffer.write(pickle.dumps(stats))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(net.stats),
+            capture_output=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        back = pickle.loads(done.stdout)
+        assert back.total_messages == 5
+        assert back.site_to_coordinator == 5
+        assert back.total_bytes == 80
+        assert dict(back.by_kind) == {
+            MessageKind.SW_REPORT: 4,
+            MessageKind.SW_SAMPLE: 2,
+        }
+
+    def test_messages_are_immutable_named_records(self):
+        message = Message(0, COORDINATOR, MessageKind.REPORT, ("e", 0.5))
+        assert message.size_bytes == 16
+        assert (message.src, message.dst, message.kind) == (
+            0,
+            COORDINATOR,
+            MessageKind.REPORT,
+        )
+        with pytest.raises(AttributeError):
+            message.kind = MessageKind.THRESHOLD
 
     def test_broadcast_counts_per_destination(self):
         net = Network()

@@ -357,21 +357,25 @@ SLIDING_CORES = {
 }
 
 
-#: Row hashes outside [0, 1) that a restore must refuse, by test id.
+#: Stored row hashes that are not the element's hash, by test id: outside
+#: [0, 1), and a plausible one.
 BAD_HASHES = {
     "nan": math.nan,
     "inf": math.inf,
     "neg-inf": -math.inf,
     "7.5": 7.5,
     "neg-0.1": -0.1,
+    "other": 0.5,
+    "string": "0.5",
 }
 
 
 def with_row_hash(node, value):
-    """Give ``node``'s first candidate row the hash ``value`` (adding a row
-    for element 8 to a node that holds none)."""
+    """Store the hash ``value`` in ``node``'s first candidate row, which
+    becomes an ``[element, expiry, hash]`` row (adding a row for element 8
+    to a node that holds none)."""
     if node["entries"]:
-        node["entries"][0][2] = value
+        node["entries"][0][2:] = [value]
     else:
         node["entries"] = [[8, 100, value]]
 
@@ -379,9 +383,61 @@ def with_row_hash(node, value):
 def with_repeated_element(node):
     """Append a second row for ``node``'s first candidate element (adding
     element 8 to a node that holds none)."""
-    rows = node["entries"] or [[8, 100, 0.5]]
-    element, expiry, h = rows[0]
-    node["entries"] = rows + [[element, expiry + 1, h]]
+    rows = node["entries"] or [[8, 100]]
+    element, expiry, *stored = rows[0]
+    node["entries"] = rows + [[element, expiry + 1, *stored]]
+
+
+def with_stored_hashes(system, hasher):
+    """Rewrite every candidate row of a sliding ``system`` state as the
+    ``[element, expiry, hash]`` rows snapshots stored before restores
+    recomputed the hashes."""
+    for node in (system["coordinator"], *system["sites"]):
+        if node["entries"]:
+            node["entries"] = [
+                [element, expiry, hasher.unit(element)]
+                for element, expiry in node["entries"]
+            ]
+
+
+#: Malformed sliding states, by test id: each edits a state's ``system``.
+CORRUPTIONS = {
+    "short-site-list": lambda system: system.update(sites=system["sites"][:-1]),
+    "long-site-list": lambda system: system.update(sites=system["sites"] * 2),
+    "sites-none": lambda system: system.update(sites=None),
+    "coordinator-list": lambda system: system.update(coordinator=[]),
+    "coordinator-entries-int": lambda system: system["coordinator"].update(
+        entries=7
+    ),
+    "short-row": lambda system: system["sites"][0].update(entries=[[1]]),
+    "long-row": lambda system: system["sites"][0].update(
+        entries=[[1, 2, 0.5, 3]]
+    ),
+    "non-numeric-row": lambda system: system["sites"][0].update(
+        entries=[["a", "b", "c"]]
+    ),
+    "non-numeric-expiry": lambda system: system["sites"][0].update(
+        entries=[["a", "b"]]
+    ),
+    "unhashable-element": lambda system: system["sites"][0].update(
+        entries=[[{"x": 1}, 3]]
+    ),
+    **{
+        f"site-hash-{name}": lambda system, h=h: with_row_hash(
+            system["sites"][0], h
+        )
+        for name, h in BAD_HASHES.items()
+    },
+    **{
+        f"coordinator-hash-{name}": lambda system, h=h: with_row_hash(
+            system["coordinator"], h
+        )
+        for name, h in BAD_HASHES.items()
+    },
+    "duplicate-element": lambda system: with_repeated_element(
+        system["sites"][2]
+    ),
+}
 
 
 def core_schedule(slots, seed=3):
@@ -488,44 +544,107 @@ class TestTypedRestoreErrors:
             oracle.advance(slot)
             assert target.sample() == oracle.sample(), f"slot {slot}"
 
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda system: system.update(sites=system["sites"][:-1]),
-            lambda system: system.update(sites=system["sites"] * 2),
-            lambda system: system.update(sites=None),
-            lambda system: system.update(coordinator=[]),
-            lambda system: system["coordinator"].update(entries=7),
-            lambda system: system["sites"][0].update(entries=[[1, 2]]),
-            lambda system: system["sites"][0].update(entries=[["a", "b", "c"]]),
-            *[
-                lambda system, h=h: with_row_hash(system["sites"][0], h)
-                for h in BAD_HASHES.values()
-            ],
-            *[
-                lambda system, h=h: with_row_hash(system["coordinator"], h)
-                for h in BAD_HASHES.values()
-            ],
-            lambda system: with_repeated_element(system["sites"][2]),
-        ],
-        ids=[
-            "short-site-list",
-            "long-site-list",
-            "sites-none",
-            "coordinator-list",
-            "coordinator-entries-int",
-            "short-row",
-            "non-numeric-row",
-            *[f"site-hash-{name}" for name in BAD_HASHES],
-            *[f"coordinator-hash-{name}" for name in BAD_HASHES],
-            "duplicate-element",
-        ],
-    )
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
-    def test_wrong_shapes_are_configuration_errors(self, core, corrupt):
+    def test_wrong_shapes_are_configuration_errors(self, core, corruption):
         state = driven_core(core).state_dict()
-        corrupt(state["system"])
+        CORRUPTIONS[corruption](state["system"])
         assert_load_fails_untouched(bystander(core), state)
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
+    def test_wrong_shapes_of_stored_hash_rows_are_configuration_errors(
+        self, core, corruption
+    ):
+        source = driven_core(core)
+        state = source.state_dict()
+        with_stored_hashes(state["system"], source.hasher)
+        CORRUPTIONS[corruption](state["system"])
+        assert_load_fails_untouched(bystander(core), state)
+
+    @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
+    def test_rows_store_no_hash_and_stored_hashes_still_load(self, core):
+        source = driven_core(core)
+        state = json.loads(json.dumps(source.state_dict()))
+        system = state["system"]
+        rows = [
+            row
+            for node in (system["coordinator"], *system["sites"])
+            for row in node["entries"] or ()
+        ]
+        assert rows and all(len(row) == 2 for row in rows)
+        # Rows that store their hash, as earlier snapshots did, restore
+        # to the same sampler.
+        with_stored_hashes(system, source.hasher)
+        target = bystander(core)
+        target.load_state(state)
+        assert target.state_dict() == source.state_dict()
+        assert target.sample() == source.sample()
+
+    @staticmethod
+    def _driven_s1(coordinator_mode="exact", seed=8):
+        sampler = make_sampler(
+            "sliding",
+            num_sites=4,
+            window=8,
+            algorithm="mix64",
+            coordinator_mode=coordinator_mode,
+        )
+        rng = np.random.default_rng(seed)
+        for slot, arrivals in random_schedule(rng, 4, 40, 30, max_per_slot=6):
+            sampler.advance(slot)
+            sampler.observe_batch(arrivals)
+        return sampler
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda sample, entries: ["bogus", 0.0001, 25],
+            lambda sample, entries: [sample[0], sample[1], sample[2] + 1],
+            lambda sample, entries: [sample[0], sample[1] / 2, sample[2]],
+            lambda sample, entries: [sample[0] + 1, sample[1], sample[2]],
+            lambda sample, entries: [None, 1.0, -1.0],
+        ],
+        ids=["bogus", "expiry", "hash", "element", "none-while-live"],
+    )
+    def test_exact_sample_must_be_what_its_entries_give(self, edit):
+        # An exact-mode coordinator recomputes its sample from its entries
+        # at every read, so a persisted triple that disagrees with them
+        # cannot restore exactly: it is refused, not silently replaced.
+        source = self._driven_s1()
+        state = json.loads(json.dumps(source.state_dict()))
+        coordinator = state["system"]["coordinator"]
+        assert coordinator["entries"]
+        coordinator["sample"] = edit(coordinator["sample"], coordinator["entries"])
+        target = self._driven_s1(seed=9)
+        assert_load_fails_untouched(target, state)
+        # An empty coordinator's sample is the never-sampled mark.
+        fresh = make_sampler("sliding", num_sites=4, window=8, algorithm="mix64")
+        empty = json.loads(json.dumps(fresh.state_dict()))
+        empty["system"]["coordinator"]["sample"] = ["bogus", 0.0001, 25]
+        assert_load_fails_untouched(target, empty)
+
+    def test_paper_sample_keeps_its_own_tuple(self):
+        source = self._driven_s1("paper")
+        state = json.loads(json.dumps(source.state_dict()))
+        state["system"]["coordinator"]["sample"] = ["other", 0.0001, 33]
+        target = self._driven_s1("paper", seed=9)
+        target.load_state(state)
+        assert target.state_dict()["system"]["coordinator"]["sample"] == [
+            "other",
+            0.0001,
+            33,
+        ]
+
+    def test_an_element_the_hasher_refuses_is_a_configuration_error(self):
+        source = make_sampler(
+            "sliding", num_sites=2, window=8, sample_size=3, algorithm="mix64"
+        )
+        source.advance(1)
+        source.observe_batch([(0, 4), (1, 9)])
+        state = json.loads(json.dumps(source.state_dict()))
+        state["system"]["sites"][0]["entries"][0][0] = "four"
+        assert_load_fails_untouched(source, state)
 
     @pytest.mark.parametrize(
         "rows",
