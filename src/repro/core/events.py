@@ -352,6 +352,22 @@ class EventBatch:
             )
         return self.sites
 
+    def check_sites(self, num_sites: int) -> None:
+        """Require every site id to be in ``[0, num_sites)``, in one
+        vectorized test.
+
+        Raises:
+            ConfigurationError: For a batch with no site column, or a
+                site id outside the range.
+        """
+        sites = self.require_sites()
+        # Viewed unsigned, a negative id lies above every bound.
+        if sites.size and int(sites.view(np.uint64).max()) >= num_sites:
+            bad = sites[(sites < 0) | (sites >= num_sites)][0]
+            raise ConfigurationError(
+                f"site id {int(bad)} is outside [0, {num_sites})"
+            )
+
     def items_list(self) -> list[Any]:
         """The item column as Python objects (cached)."""
         if self._items_list is None:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from abc import abstractmethod
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +75,7 @@ __all__ = [
     "InfiniteWindowSite",
     "InfiniteWindowCoordinator",
     "DistinctSamplerSystem",
+    "upgrade_sample_rows",
 ]
 
 #: Elements per threshold refresh in
@@ -94,6 +95,94 @@ def parse_site_list(rows: Any, num_sites: int) -> list[Any]:
     if len(rows) != num_sites:
         raise ValueError(f"expected {num_sites} site entries, got {len(rows)}")
     return rows
+
+
+def upgrade_sample_rows(rows: list[Any]) -> tuple[list[Any], list[float]]:
+    """Read the ``[hash, element]`` sample rows earlier snapshots stored.
+
+    Version-2 snapshots written before the sample rows dropped their
+    hashes hold these rows under ``"sample"``, and so do version-1
+    snapshots (:func:`repro.core.snapshot.restore` reads them through
+    here).  Returns the rows' elements in ascending ``(hash, element)``
+    order, the order of the element column snapshots now store, and the
+    stored hashes in the same order, which a restore accepts only when
+    each is the hash it recomputes.
+
+    Raises:
+        TypeError, ValueError: For a row that is not ``[hash, element]``,
+            or a hash that is not a number in ``[0, 1)`` (NaN included).
+    """
+    pairs = []
+    for h, element in rows:
+        h = float(h)
+        if not 0.0 <= h < 1.0:
+            raise ValueError(f"sample hash {h!r} is not in [0, 1)")
+        pairs.append((h, revive_element(element)))
+    pairs.sort()
+    return [element for _, element in pairs], [h for h, _ in pairs]
+
+
+class _ParsedSystem(NamedTuple):
+    """A parsed :meth:`BottomSFacadeBase._state`: the fields its
+    ``_load`` assigns to the live nodes."""
+
+    store: BottomK
+    counters: dict[str, int]
+    site_fields: list[dict[str, Any]]
+
+
+def _parse_systems(groups: Sequence[Any], states: Sequence[Any]) -> list[_ParsedSystem]:
+    """Parse each group's :meth:`~BottomSFacadeBase._state` output,
+    hashing the elements of every group's sample in one
+    :meth:`~repro.core.events.EventBatch.hash_column` pass (the groups
+    share one sampling hash).  The groups are left untouched.
+
+    Raises:
+        ConfigurationError: For any state :meth:`BottomSFacadeBase._load`
+            refuses.
+    """
+    sections = []
+    elements: list[Any] = []
+    for group, state in zip(groups, states):
+        try:
+            sample, stored, counters = group._load_coordinator(state)
+            site_fields = group._load_sites(state)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"malformed {group.VARIANT} state: {exc!r}"
+            ) from exc
+        sections.append((group, len(elements), sample, stored, counters, site_fields))
+        elements.extend(sample)
+    try:
+        hashes = EventBatch(elements).hash_column(groups[0].hasher).tolist()
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"malformed {groups[0].VARIANT} state: {exc}"
+        ) from exc
+    parsed = []
+    for group, start, sample, stored, counters, site_fields in sections:
+        sample_hashes = hashes[start : start + len(sample)]
+        store = BottomK(group.sample_size)
+        try:
+            for h, element, recomputed in zip(stored or (), sample, sample_hashes):
+                if h != recomputed:
+                    raise ValueError(
+                        f"stored hash {h!r} of {element!r} is not its hash "
+                        f"{recomputed!r}"
+                    )
+            store.load(sample_hashes, sample)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"malformed {group.VARIANT} state: {exc}"
+            ) from exc
+        u = store.threshold()
+        if any(fields["u_local"] < u for fields in site_fields):
+            raise ConfigurationError(
+                f"malformed {group.VARIANT} state: a site threshold is below "
+                f"the coordinator's {u!r}, which it never undercuts"
+            )
+        parsed.append(_ParsedSystem(store, counters, site_fields))
+    return parsed
 
 
 class InfiniteWindowSite:
@@ -260,7 +349,12 @@ class BottomSFacadeBase(Sampler):
 
     def observe_hashed(self, site_id: int, element: Any, h: float) -> None:
         """Fast path with a precomputed hash (``h == hasher.unit(element)``;
-        experiment drivers vectorize hashing over whole streams)."""
+        experiment drivers vectorize hashing over whole streams).
+
+        Raises:
+            ConfigurationError: For a site id outside ``[0, k)``.
+        """
+        self._check_site(site_id)
         self.sites[site_id].observe_hashed(element, h, self.network)
 
     def flood(self, element: Any) -> None:
@@ -410,44 +504,91 @@ class BottomSFacadeBase(Sampler):
         )
 
     def _state(self) -> dict[str, Any]:
+        return {**self._coordinator_state(), **self._sites_state()}
+
+    def _load(self, state: Any) -> None:
+        """Restore :meth:`_state` output, or the parsed form
+        :meth:`load_states` hands each group.
+
+        The sample, the counters and every site's fields are parsed
+        first, and the sample's elements hashed in one pass; the live
+        nodes take them only once all of them have parsed, so a malformed
+        state leaves the system untouched.  The ``[hash, element]`` rows
+        earlier snapshots stored load through :func:`upgrade_sample_rows`.
+
+        Raises:
+            ConfigurationError: For a missing key, a sample that is not
+                one column of distinct elements the hasher takes, in
+                ascending ``(hash, element)`` order, at most ``s`` of them;
+                a stored
+                hash that is not the recomputed one; a counter that is not
+                a non-negative int; a site threshold that is not a number
+                in ``[0, 1]`` or is below the coordinator's (a site only
+                ever adopts a past ``u``, and ``u`` never rises); or a
+                site list of the wrong length.
+        """
+        if not isinstance(state, _ParsedSystem):
+            [state] = _parse_systems([self], [state])
+        coordinator = self.coordinator
+        coordinator.sample_store = state.store
+        for name, value in state.counters.items():
+            setattr(coordinator, name, value)
+        for site, fields in zip(self.sites, state.site_fields):
+            for name, value in fields.items():
+                setattr(site, name, value)
+
+    @staticmethod
+    def load_states(groups: Sequence[Sampler], states: Sequence[Any]) -> None:
+        """Restore each group's :meth:`state_dict` as :meth:`load_state`
+        does, hashing every group's sample in one pass.
+
+        The groups share one sampling hash (a sharded sampler's do).
+        Every group's system state parses first, then each group loads
+        its lifecycle fields and takes its parsed system.
+        """
+        try:
+            systems = [state["system"] for state in states]
+        except (KeyError, TypeError) as exc:
+            raise ConfigurationError(f"malformed sampler state: {exc!r}") from exc
+        for group, state, parsed in zip(groups, states, _parse_systems(groups, systems)):
+            group.load_state({**state, "system": parsed})
+
+    def _coordinator_state(self) -> dict[str, Any]:
+        """The coordinator's persisted fields: the sample stored by column,
+        ``[elements]``, its one column the elements in the store's
+        ascending ``(hash, element)`` order (a restore recomputes the hash
+        column), and the counters."""
         coordinator = self.coordinator
         return {
-            "sample": [[h, element] for h, element in self.sample_pairs()],
-            **self._sites_state(),
+            "sample": [coordinator.sample_store.elements()],
             **{name: getattr(coordinator, name) for name in self.COORDINATOR_COUNTERS},
         }
 
-    def _load(self, state: dict[str, Any]) -> None:
-        """Restore :meth:`_state` output.
-
-        The sample, the counters and every site's fields are parsed
-        first; the live nodes take them only once all of them have
-        parsed, so a malformed state leaves the system untouched.
-
-        Raises:
-            ConfigurationError: For a missing key, a malformed sample
-                (see :meth:`_load_sample_rows`), a counter that is not a
-                non-negative int, a site threshold that is not a number
-                in ``[0, 1]``, or a site list of the wrong length.
-        """
-        try:
-            store = self._load_sample_rows(state["sample"])
-            counters = {
-                name: parse_counter(state[name])
-                for name in self.COORDINATOR_COUNTERS
-            }
-            site_fields = self._load_sites(state)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"malformed {self.VARIANT} state: {exc!r}"
-            ) from exc
-        coordinator = self.coordinator
-        coordinator.sample_store = store
-        for name, value in counters.items():
-            setattr(coordinator, name, value)
-        for site, fields in zip(self.sites, site_fields):
-            for name, value in fields.items():
-                setattr(site, name, value)
+    def _load_coordinator(
+        self, state: dict[str, Any]
+    ) -> tuple[list[Any], Optional[list[float]], dict[str, int]]:
+        """Parse :meth:`_coordinator_state` output into the sample's
+        elements (the caller hashes them), the hashes stored beside them
+        by earlier snapshots' ``[hash, element]`` rows (None for an
+        element column) and the counters."""
+        rows = state["sample"]
+        if not isinstance(rows, list):
+            raise TypeError(f"sample must be a list, got {type(rows).__name__}")
+        stored = None
+        if not rows or (rows[0] and isinstance(rows[0][0], float)):
+            # [hash, element] rows: every hash is a float, no element is.
+            elements, stored = upgrade_sample_rows(rows)
+        else:
+            (column,) = rows
+            if not isinstance(column, list):
+                raise TypeError(
+                    f"sample column must be a list, got {type(column).__name__}"
+                )
+            elements = [revive_element(element) for element in column]
+        counters = {
+            name: parse_counter(state[name]) for name in self.COORDINATOR_COUNTERS
+        }
+        return elements, stored, counters
 
     def _sites_state(self) -> dict[str, Any]:
         """The sites' persisted fields: one threshold per site."""
@@ -458,35 +599,6 @@ class BottomSFacadeBase(Sampler):
         value`` dict per site (the caller assigns them)."""
         thresholds = parse_site_list(state["site_thresholds"], self.num_sites)
         return [{"u_local": parse_threshold(u)} for u in thresholds]
-
-    def _load_sample_rows(self, rows: Any) -> BottomK:
-        """Parse snapshot ``[hash, element]`` rows into a fresh sample
-        store (the live store is untouched; the caller installs it).
-
-        Raises:
-            ConfigurationError: For a non-list sample, a row that is not
-                ``[hash, element]``, a hash that is not a float in
-                ``[0, 1)`` (NaN included), or rows that repeat an element
-                or overflow the sample.
-        """
-        store = BottomK(self.sample_size)
-        try:
-            if not isinstance(rows, list):
-                raise TypeError(
-                    f"sample must be a list of rows, got {type(rows).__name__}"
-                )
-            hashes: list[float] = []
-            elements: list[Any] = []
-            for h, element in rows:
-                h = float(h)
-                if not 0.0 <= h < 1.0:
-                    raise ValueError(f"sample hash {h!r} is not in [0, 1)")
-                hashes.append(h)
-                elements.append(revive_element(element))
-            store.load(hashes, elements)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed snapshot sample: {exc}") from exc
-        return store
 
     # -- elastic resharding ------------------------------------------------
 

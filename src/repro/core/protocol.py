@@ -422,10 +422,22 @@ class Sampler(ABC):
             item: The stream element.
             slot: Optional slot stamp; when given, time is advanced to
                 ``slot`` (as by :meth:`advance`) before delivery.
+
+        Raises:
+            ConfigurationError: For a site id outside ``[0, k)``, before
+                time advances.
         """
+        self._check_site(site_id)
         if slot is not None:
             self.advance(slot)
         self._deliver(site_id, item)
+
+    def _check_site(self, site_id: int) -> None:
+        """Require ``site_id`` to address one of the k sites."""
+        if not 0 <= site_id < self.num_sites:
+            raise ConfigurationError(
+                f"site id {site_id!r} is outside [0, {self.num_sites})"
+            )
 
     def observe_batch(self, events: Iterable[Event]) -> int:
         """Deliver a batch of events; returns the number delivered.
@@ -449,9 +461,15 @@ class Sampler(ABC):
         Replays the batch run by run: each same-slot run advances to its
         slot (when stamped), then :meth:`_deliver_columns` delivers it.
         A non-monotone stamp raises once the earlier runs are delivered,
-        exactly as a loop of :meth:`observe` calls would.
+        exactly as a loop of :meth:`observe` calls would.  A site id
+        outside ``[0, k)`` raises :class:`ConfigurationError` before any
+        row is delivered (:meth:`~repro.core.events.EventBatch.check_sites`).
         """
-        batch.require_sites()
+        batch.check_sites(self.num_sites)
+        return self._replay_columns(batch)
+
+    def _replay_columns(self, batch: EventBatch) -> int:
+        """:meth:`observe_columns` for a batch whose site ids are checked."""
         for slot, run in batch.slot_runs():
             if slot is not None:
                 self.advance(slot)
@@ -574,8 +592,11 @@ class Sampler(ABC):
     def _deliver_columns(self, run: EventBatch) -> None:
         """Deliver one routed same-slot run at the current slot.
 
-        The default delivers row by row through :meth:`_deliver`; cores
-        override it to hash the run once (a cached column) and filter.
+        The run's site ids are in ``[0, k)``: the public entry points check
+        a batch once, and a sharded sampler's groups (in-process or in a
+        worker) take the runs it checked through here.  The default
+        delivers row by row through :meth:`_deliver`; cores override it
+        to hash the run once (a cached column) and filter.
         """
         for site_id, item in zip(run.sites_list(), run.items_list()):
             self._deliver(site_id, item)
@@ -644,6 +665,21 @@ class Sampler(ABC):
         self._last_slot = last_slot
         self._slots_processed = slots_processed
         self.network.stats = stats
+
+    @staticmethod
+    def load_states(groups: Sequence["Sampler"], states: Sequence[Any]) -> None:
+        """Restore ``states[i]``, a :meth:`state_dict`, into ``groups[i]``.
+
+        The family hook beside ``repartition``
+        (:mod:`repro.runtime.reshard`) through which a sharded sampler
+        loads its groups, each as :meth:`load_state` would: a malformed
+        state raises :class:`ConfigurationError` and leaves its group
+        untouched.  The default loops :meth:`load_state`; a family may
+        share work across the groups, as the infinite family hashes every
+        group's sample in one pass.
+        """
+        for group, state in zip(groups, states):
+            group.load_state(state)
 
     @abstractmethod
     def _state(self) -> dict[str, Any]:

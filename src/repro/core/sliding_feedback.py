@@ -333,10 +333,6 @@ class SlidingWindowBottomSFeedback(SlidingFacadeBase):
         bounds = np.searchsorted(
             site_column[order], np.arange(len(sites) + 1)
         ).tolist()
-        if bounds[0] or bounds[-1] < len(run):
-            # Site ids out of range: the loop indexes (and fails) as ever.
-            super()._deliver_columns(run)
-            return
         now = self.clock.now
         expiry = now + self.window
         thresholds = np.array([site.u_local for site in sites])

@@ -16,10 +16,23 @@ and ``stats()`` (including message counters) round-trip exactly, modulo
 in-flight messages lost with the crash.
 
 The snapshot is a plain JSON-serializable dict: no pickle, safe to store.
-Version-1 snapshots (infinite-window only, written by earlier releases)
-are still read, and so are version-2 snapshots that name a retired
-execution backend (``"process"`` restores as ``"shm"``, ``"thread"`` as
-``"serial"``) or a retired variant name: ``"sliding-feedback"`` and
+It keeps elements, not their hashes: each retained hash is a pure
+function of (seed, algorithm, element), so a restore recomputes them.
+An infinite-family sample is stored by column, ``"sample": [elements]``:
+its one column holds the elements in the store's ascending
+``(hash, element)`` order.  A sliding candidate row is
+``[element, expiry]``, and a sharded restore hashes every group's sample
+in one pass (the family ``load_states`` hook).  The rows earlier
+snapshots stored with a hash column — infinite-family
+``[hash, element]`` rows under ``"sample"``, sliding
+``[element, expiry, hash]`` — still load when each stored hash is the
+recomputed one (:func:`~repro.core.infinite.upgrade_sample_rows` reads
+the former; a sample whose first entry starts with a float is read as
+such rows, since an element is an int, a string, bytes or a tuple).
+Version-1 snapshots (infinite-window only, written by earlier releases,
+with the same ``[hash, element]`` rows) are still read, and so are
+version-2 snapshots that name a retired execution backend (``"process"``
+restores as ``"shm"``, ``"thread"`` as ``"serial"``) or a retired variant name: ``"sliding-feedback"`` and
 ``"sharded:sliding-feedback"`` restore as ``"sliding"`` and
 ``"sharded:sliding"``, which build the same class for ``s >= 2``; their
 ``s = 1`` snapshots hold a state ``"sliding"`` cannot read and raise
@@ -28,6 +41,16 @@ written before the ``s = 1`` sites shared one candidate structure records
 a ``structure`` field (``"treap"`` or ``"sorted"``); it is dropped
 whatever its value, since both structures keep the same entries and the
 state layout never named it.
+
+Under the ``python`` hash algorithm, ``hash()`` salts str and bytes per
+process (unless ``PYTHONHASHSEED`` is fixed), so a snapshot of such
+elements restores exactly only under the salt that wrote it.  Under
+another salt an infinite-family restore raises
+:class:`~repro.errors.ConfigurationError`, since the recomputed hashes
+break the stored order (only a sample of one element, or a few that
+happen to keep their order, loads, under its new hashes); earlier
+releases stored those hashes and loaded such a snapshot anywhere.  A
+sliding restore loads its candidates under their new hashes.
 """
 
 from __future__ import annotations
@@ -133,7 +156,13 @@ def restore(state: dict[str, Any]) -> Sampler:
 
 
 def _restore_v1(state: dict[str, Any]) -> DistinctSamplerSystem:
-    """Read the legacy infinite-window-only snapshot layout."""
+    """Read the legacy infinite-window-only snapshot layout.
+
+    Its ``[hash, element]`` rows load as an earlier version-2 state's do
+    (:func:`~repro.core.infinite.upgrade_sample_rows`: each stored hash
+    must be the recomputed one), and every site takes the sample's
+    threshold.
+    """
     try:
         num_sites = state["num_sites"]
         sample_size = state["sample_size"]
@@ -149,8 +178,13 @@ def _restore_v1(state: dict[str, Any]) -> DistinctSamplerSystem:
         seed=seed,
         algorithm=algorithm,
     )
-    store = system._load_sample_rows(sample)
-    system.coordinator.sample_store = store
+    system._load(
+        {
+            "sample": sample,
+            "site_thresholds": [1.0] * system.num_sites,
+            **dict.fromkeys(system.COORDINATOR_COUNTERS, 0),
+        }
+    )
     for site in system.sites:
-        site.u_local = store.threshold()
+        site.u_local = system.threshold
     return system

@@ -20,8 +20,9 @@ with strict request/reply framing.  Per sampler, a *session* tracks
 where the canonical group state lives:
 
 * ``adopt`` — on a session's first batch (or after any parent-side
-  mutation), the parent ships each group's ``(config, state_dict)`` to
-  its worker once; the worker rebuilds the group and keeps it alive
+  mutation), the parent ships the groups' config and each group's
+  ``state_dict`` to its worker once; the worker rebuilds its groups
+  (:func:`~repro.runtime.sharded.load_groups`) and keeps them alive
   across batches.  State crosses the pipe to the workers here and
   nowhere else.
 * ``ingest_columns`` — the one ingest command.  The parent routes the
@@ -180,14 +181,15 @@ def _replay_group(group: Sampler, tasks: GroupPlan) -> float:
 
     The parent's crash-replay — the replay order is exactly the serial
     per-group delivery order, which is what makes the recovered groups
-    bit-identical to a never-crashed run.
+    bit-identical to a never-crashed run.  Each run is a same-slot run
+    whose site ids the facade checked, delivered as a worker delivers it.
     """
     started = time.perf_counter()
     for slot, run in tasks:
         if slot is not None:
             group.advance(slot)
         else:
-            group.observe_columns(run)
+            group._deliver_columns(run)
     return time.perf_counter() - started
 
 
@@ -322,7 +324,7 @@ def _shm_replay_ranges(
                 run.adopt_hash_column(
                     hasher, columns[2][offset : offset + length]
                 )
-                group.observe_columns(run)
+                group._deliver_columns(run)
         elapsed = time.perf_counter() - started
         replies[g] = (elapsed, group.report_bound())
     return replies
@@ -353,12 +355,12 @@ def _shm_dispatch(
     column views an ``ingest_columns`` builds over it die with this
     frame, before the worker replies.
     """
-    from ..core.api import make_sampler  # lazy: avoids an import cycle
+    from .sharded import load_groups  # lazy: sharded imports this module
 
     if command == "adopt":
-        for session, g, config_dict, state in args:
-            group = make_sampler(SamplerConfig(**config_dict))
-            group.load_state(state)
+        session, config_dict, states = args
+        loaded = load_groups(SamplerConfig(**config_dict), list(states.values()))
+        for g, group in zip(states, loaded):
             groups[(session, g)] = group
         return None
     if command == "ingest_columns":
@@ -590,8 +592,9 @@ class SerialExecutor(ExecutionBackend):
     name = "serial"
 
     def ingest_columns(self, sharded: "ShardedSampler", batch: EventBatch) -> int:
-        # The generic run-by-run replay over the facade's run delivery.
-        return Sampler.observe_columns(sharded, batch)
+        # The generic run-by-run replay over the facade's run delivery
+        # (the facade checked the batch's site ids).
+        return sharded._replay_columns(batch)
 
 
 class SharedMemoryExecutor(ExecutionBackend):
@@ -860,21 +863,14 @@ class SharedMemoryExecutor(ExecutionBackend):
         """Ship group state to the workers once per session epoch."""
         if session.workers_canonical:
             return
-        per_worker: list[list[tuple[int, int, dict[str, Any], dict[str, Any]]]]
-        per_worker = [[] for _ in workers]
+        per_worker: list[dict[int, dict[str, Any]]] = [{} for _ in workers]
         for g, group in enumerate(sharded._groups):
-            per_worker[g % len(workers)].append(
-                (
-                    session.session_id,
-                    g,
-                    group.config.to_dict(),
-                    group.state_dict(),
-                )
-            )
+            per_worker[g % len(workers)][g] = group.state_dict()
+        config = sharded._groups[0].config.to_dict()
         posted = []
-        for w, payload in enumerate(per_worker):
-            if payload:
-                self._post(workers[w], "adopt", payload)
+        for w, states in enumerate(per_worker):
+            if states:
+                self._post(workers[w], "adopt", (session.session_id, config, states))
                 posted.append(w)
         for w in posted:
             self._reply(workers[w])
@@ -927,11 +923,17 @@ class SharedMemoryExecutor(ExecutionBackend):
 
     @staticmethod
     def _load_deferred(sharded: "ShardedSampler", session: _ShmSession) -> None:
-        """Load each deferred group's kept state into its group object."""
+        """Load each deferred group's kept state into its group object
+        (one ``load_states`` call)."""
         deferred = session.deferred
-        while deferred:
-            g, (_, state) = deferred.popitem()
-            sharded._groups[g].load_state(pickle.loads(state))
+        if not deferred:
+            return
+        kept = list(deferred.items())
+        deferred.clear()
+        groups = [sharded._groups[g] for g, _ in kept]
+        type(groups[0]).load_states(
+            groups, [pickle.loads(state) for _, (_, state) in kept]
+        )
 
     def _collect(self, sharded: "ShardedSampler", session: _ShmSession) -> None:
         """The fetch round trip: one ``collect`` per worker holding dirty

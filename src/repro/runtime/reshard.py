@@ -30,7 +30,7 @@ from typing import Any, Sequence
 
 from ..core.protocol import Sampler, SamplerConfig
 from ..errors import ConfigurationError
-from .sharded import shard_router
+from .sharded import load_groups, shard_router
 from .topology import merge_message_stats
 
 __all__ = ["repartition_groups", "repartition_group_states"]
@@ -87,8 +87,8 @@ def repartition_group_states(
 ) -> list[Sampler]:
     """Re-partition S captured group states into ``new_shards`` fresh groups.
 
-    Each old group is rebuilt through its own ``load_state``, so a
-    malformed group state raises that group's typed error, and
+    The old groups are rebuilt by :func:`~repro.runtime.sharded.load_groups`,
+    so a malformed group state raises that group's typed error, and
     :func:`repartition_groups` does the rest.
 
     Args:
@@ -105,15 +105,11 @@ def repartition_group_states(
         ConfigurationError: For a malformed snapshot (groups at different
             slots included), an unsupported variant, or ``new_shards < 1``.
     """
-    from ..core.api import make_groups
-
     if not isinstance(group_states, list) or not group_states:
         raise ConfigurationError(
             "malformed snapshot: expected a non-empty list of shard group states"
         )
-    groups = make_groups(config, len(group_states))
-    for group, state in zip(groups, group_states):
-        group.load_state(state)
+    groups = load_groups(config, group_states)
     if len({group.current_slot for group in groups}) > 1:
         raise ConfigurationError("malformed snapshot: the groups' slots differ")
     return repartition_groups(groups, config, new_shards)

@@ -55,7 +55,7 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import replace
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -76,7 +76,7 @@ from ..streams.partition import HashDistributor
 from .executor import Fetched, GroupPlan, make_executor
 from .topology import aggregate_sampler_stats, merge_message_stats
 
-__all__ = ["ShardedSampler", "shard_router"]
+__all__ = ["ShardedSampler", "shard_router", "load_groups"]
 
 #: Salt for the key→group routing layer.  Distinct from the
 #: :class:`HashDistributor` default so that an Engine hash-routing sites
@@ -91,6 +91,21 @@ def shard_router(config: SamplerConfig, shards: int) -> HashDistributor:
     return HashDistributor(
         shards, seed=config.seed, algorithm=config.algorithm, salt=_SHARD_SALT
     )
+
+
+def load_groups(config: SamplerConfig, group_states: Sequence[Any]) -> list[Sampler]:
+    """Fresh groups of ``config``'s base variant holding ``group_states``
+    (one ``state_dict()`` each), loaded by one call of their family's
+    ``load_states`` hook.
+
+    Raises:
+        ConfigurationError: For a malformed group state.
+    """
+    from ..core.api import make_groups  # lazy: core.api imports the runtime
+
+    groups = make_groups(config, len(group_states))
+    type(groups[0]).load_states(groups, group_states)
+    return groups
 
 
 class ShardedSampler(Sampler):
@@ -244,16 +259,19 @@ class ShardedSampler(Sampler):
     def observe_columns(self, batch: EventBatch) -> int:
         """Partitioned ingestion: array-sliced shard split, zero tuples.
 
-        An unstamped batch first drops the rows no group could report
+        A site id outside ``[0, k)`` raises first, before any row is
+        filtered or delivered (one vectorized test).  An unstamped batch
+        then drops the rows no group could report
         (:meth:`~repro.core.protocol.Sampler.reportable_rows`), so a
         batch that arrives already routed is filtered before its shard
         split, as an :class:`~repro.runtime.engine.Engine` filters before
         routing.  Each same-slot run is then routed with one vectorized
         shard-hash pass
         and :meth:`~repro.core.events.EventBatch.select` slices it into
-        per-group sub-runs, which every group ingests through its own
-        ``observe_columns`` — in-process under the serial executor, in
-        the group's persistent worker process under the shm executor.
+        per-group sub-runs, which every group takes through its
+        ``_deliver_columns`` (no second site-id test) — in-process under
+        the serial executor, in the group's persistent worker process
+        under the shm executor.
         Both backends warm the shared *sampling*-hash column once per
         run, so no group ever rehashes.  Groups share no state, so
         per-group order (which both backends preserve) is all that
@@ -261,7 +279,7 @@ class ShardedSampler(Sampler):
         batch-equivalence and property tests.  Per-group wall-clock
         accumulates in :attr:`group_ingest_seconds`.
         """
-        batch.require_sites()
+        batch.check_sites(self.num_sites)
         n = len(batch)
         rows = self.reportable_rows(batch)
         if rows is not None:
@@ -356,7 +374,7 @@ class ShardedSampler(Sampler):
         if len(groups) == 1:
             self._group_generation[0] += 1
             started = time.perf_counter()
-            groups[0].observe_columns(run)
+            groups[0]._deliver_columns(run)
             timings[0] += time.perf_counter() - started
             return
         shard_ids = self._router.assignments_for_batch(run)
@@ -370,7 +388,7 @@ class ShardedSampler(Sampler):
             sub_run = run.select(index)
             self._group_generation[shard] += 1
             started = time.perf_counter()
-            groups[shard].observe_columns(sub_run)
+            groups[shard]._deliver_columns(sub_run)
             timings[shard] += time.perf_counter() - started
 
     # -- queries -------------------------------------------------------------
@@ -593,13 +611,13 @@ class ShardedSampler(Sampler):
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore a sharded snapshot — taken at *any* shard count.
 
-        The snapshot's groups load into freshly built groups, which are
-        swapped in only once every one has loaded, so a failure leaves
-        the sampler as it was.  A snapshot whose group count differs from
-        this sampler's is re-partitioned on the way
-        (:func:`~repro.runtime.reshard.repartition_group_states`), so an
-        S=4 snapshot restores into an S=8 or S=2 sampler exactly.  As
-        after :meth:`reshard`, the restored groups run on the default
+        The snapshot's groups load into freshly built groups
+        (:func:`load_groups`), which are swapped in only once every one
+        has loaded, so a failure leaves the sampler as it was.  A snapshot
+        whose group count differs from this sampler's is re-partitioned on
+        the way (:func:`~repro.runtime.reshard.repartition_group_states`),
+        so an S=4 snapshot restores into an S=8 or S=2 sampler exactly.
+        As after :meth:`reshard`, the restored groups run on the default
         transport.
 
         Raises:
@@ -608,7 +626,6 @@ class ShardedSampler(Sampler):
                 ``advance`` moves the facade and all groups together); the
                 sampler is left exactly as it was.
         """
-        from ..core.api import make_groups  # lazy: core.api imports the runtime
         from .reshard import repartition_group_states
 
         try:
@@ -625,9 +642,7 @@ class ShardedSampler(Sampler):
             )
         count = len(self._groups)
         if len(group_states) == count:
-            groups = make_groups(self._config, count)
-            for group, group_state in zip(groups, group_states):
-                group.load_state(group_state)
+            groups = load_groups(self._config, group_states)
         else:
             groups = repartition_group_states(group_states, self._config, count)
         if any(group.current_slot != last_slot for group in groups):

@@ -10,6 +10,8 @@ hundred), a sorted list with binary search is both simple and fast.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from itertools import islice
+from operator import ge
 from typing import Any, Optional
 
 import numpy as np
@@ -92,12 +94,14 @@ class BottomK:
         return True, evicted
 
     def load(self, hashes: list[float], elements: list[Any]) -> None:
-        """Replace the contents with parallel ``hashes`` and ``elements``
-        in one sort, the order :meth:`offer` would have kept them in.
+        """Replace the contents with parallel ``hashes`` and ``elements``,
+        given in the ascending ``(hash, element)`` order :meth:`offer`
+        keeps.
 
         Raises:
-            ValueError: If an element repeats or the rows exceed the
-                capacity (the set is then left as it was).
+            ValueError: If an element repeats, the rows exceed the
+                capacity, or they break that order (the set is then left
+                as it was).
         """
         index = dict(zip(elements, hashes))
         if len(index) < len(elements):
@@ -106,7 +110,10 @@ class BottomK:
             raise ValueError(
                 f"{len(index)} rows exceed the capacity {self.capacity}"
             )
-        self._pairs = sorted(zip(hashes, elements))
+        pairs = list(zip(hashes, elements))
+        if any(map(ge, pairs, islice(pairs, 1, None))):
+            raise ValueError("rows are not in ascending (hash, element) order")
+        self._pairs = pairs
         self._hashes = index
         self._columns_cache = None
 

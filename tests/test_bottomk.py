@@ -162,7 +162,8 @@ class TestLoad:
         for h, element in rows:
             offered.offer(h, element)
         loaded = BottomK(capacity)
-        loaded.load([h for h, _ in rows], [element for _, element in rows])
+        ordered = sorted(rows)  # load takes the rows in the store's order
+        loaded.load([h for h, _ in ordered], [element for _, element in ordered])
         loaded.check_invariants()
         assert loaded.pairs() == offered.pairs()
         assert loaded.threshold() == offered.threshold()
@@ -173,8 +174,10 @@ class TestLoad:
         [
             ([0.1, 0.2], ["a", "a"]),
             ([0.1, 0.2, 0.3], ["a", "b", "c"]),
+            ([0.2, 0.1], ["a", "b"]),
+            ([0.1, 0.1], ["b", "a"]),
         ],
-        ids=["repeated-element", "over-capacity"],
+        ids=["repeated-element", "over-capacity", "descending", "tie-descending"],
     )
     def test_bad_rows_raise_and_leave_the_set_alone(self, hashes, elements):
         bk = BottomK(2)

@@ -132,9 +132,20 @@ class TestSnapshot:
 
     def test_duplicate_sample_rejected(self):
         state = snapshot(self._build())
-        sample = state["state"]["system"]["sample"]
-        sample.append(sample[0])
-        with pytest.raises(ConfigurationError):
+        [column] = state["state"]["system"]["sample"]
+        column.append(column[0])
+        with pytest.raises(ConfigurationError, match="repeat"):
+            restore(state)
+
+    def test_duplicate_legacy_row_rejected(self):
+        # Earlier snapshots stored [hash, element] rows.
+        original = self._build()
+        state = snapshot(original)
+        system = state["state"]["system"]
+        system["sample"] = [[h, e] for h, e in original.sample_pairs()]
+        assert restore(state).sample() == original.sample()
+        system["sample"].append(system["sample"][0])
+        with pytest.raises(ConfigurationError, match="repeat"):
             restore(state)
 
     def test_v1_snapshot_still_readable(self):

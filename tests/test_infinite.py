@@ -7,6 +7,8 @@ at every point in time, regardless of how elements are distributed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,62 @@ class TestErrorsAndValidation:
         assert system.sample_size == 7
 
 
+def _drop_sample(system_state):
+    del system_state["sample"]
+
+
+def _sample_as_mapping(system_state):
+    system_state["sample"] = {str(i): row for i, row in enumerate(system_state["sample"])}
+
+
+def _column_as_mapping(system_state):
+    [column] = system_state["sample"]
+    system_state["sample"] = [{str(i): e for i, e in enumerate(column)}]
+
+
+def _second_column(system_state):
+    system_state["sample"].append(list(system_state["sample"][0]))
+
+
+def _repeat_an_element(system_state):
+    column = system_state["sample"][0]
+    column.append(column[0])
+
+
+def _reverse_column(system_state):
+    system_state["sample"][0].reverse()
+
+
+def _refused_element(system_state):
+    system_state["sample"][0][0] = None  # murmur2 hashes no None
+
+
+def _halve_first_element(system_state):
+    system_state["sample"][0][0] /= 2  # a float, which no hasher here takes
+
+
+def _overflow(system_state):
+    # One element more than s, in order: only the size is wrong.
+    unit = UnitHasher(2).unit
+    column = system_state["sample"][0]
+    last = unit(column[-1])
+    column.append(next(e for e in range(1000, 2000) if unit(e) > last))
+
+
+#: Snapshot ``system`` mutations every infinite-family restore must reject.
+MALFORMED_SAMPLES = {
+    "dropped-sample": _drop_sample,
+    "non-list-sample": _sample_as_mapping,
+    "column-as-mapping": _column_as_mapping,
+    "two-columns": _second_column,
+    "repeated-element": _repeat_an_element,
+    "descending": _reverse_column,
+    "refused-element": _refused_element,
+    "halved-element": _halve_first_element,
+    "overflow": _overflow,
+}
+
+
 def _set_first_hash(value):
     def mutate(system_state):
         system_state["sample"][0][0] = value
@@ -240,27 +298,55 @@ def _set_first_hash(value):
     return mutate
 
 
-def _drop_sample(system_state):
-    del system_state["sample"]
-
-
 def _shorten_first_row(system_state):
     system_state["sample"][0] = system_state["sample"][0][:1]
 
 
-def _sample_as_mapping(system_state):
-    system_state["sample"] = {str(h): e for h, e in system_state["sample"]}
+def _repeat_a_row(system_state):
+    system_state["sample"].append(system_state["sample"][0])
 
 
-#: Snapshot ``system`` mutations every infinite-family restore must reject.
-MALFORMED_SAMPLES = {
-    "dropped-sample": _drop_sample,
+def _nudge_a_stored_hash(system_state):
+    row = system_state["sample"][0]
+    row[0] = math.nextafter(row[0], 1.0)
+
+
+#: The same for the ``[hash, element]`` rows earlier snapshots stored,
+#: whose hashes must also be the recomputed ones.
+MALFORMED_LEGACY_SAMPLES = {
     "hash-x": _set_first_hash("x"),
     "hash-7.5": _set_first_hash(7.5),
     "hash-nan": _set_first_hash(float("nan")),
     "short-row": _shorten_first_row,
     "non-list-sample": _sample_as_mapping,
+    "repeated-row": _repeat_a_row,
+    "stored-hash-nextafter": _nudge_a_stored_hash,
 }
+
+
+def legacy_state(sampler):
+    """``sampler.state_dict()`` as earlier snapshots wrote it: the sample
+    as ``[hash, element]`` rows."""
+    state = sampler.state_dict()
+    state["system"]["sample"] = [[h, e] for h, e in sampler.sample_pairs()]
+    return state
+
+
+def _site_thresholds(state):
+    """``(container, key)`` of every site threshold in a state."""
+    found = []
+    for key, value in state.items():
+        if key == "site_thresholds":
+            found.extend((value, i) for i in range(len(value)))
+        elif key == "u_local":
+            found.append((state, key))
+        elif isinstance(value, dict):
+            found.extend(_site_thresholds(value))
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, dict):
+                    found.extend(_site_thresholds(item))
+    return found
 
 
 class TestMalformedRestore:
@@ -269,22 +355,70 @@ class TestMalformedRestore:
     touched)."""
 
     @staticmethod
-    def _driven(variant, seed):
-        sampler = make_sampler(variant, num_sites=3, sample_size=4, seed=2)
+    def _driven(variant, seed, **options):
+        sampler = make_sampler(variant, num_sites=3, sample_size=4, seed=2, **options)
         items = np.random.default_rng(seed).integers(0, 40, 60).tolist()
         sampler.observe_batch([(i % 3, item) for i, item in enumerate(items)])
         return sampler
+
+    def _assert_refused(self, variant, state, match="malformed", **options):
+        target = self._driven(variant, seed=2, **options)
+        before = target.state_dict()
+        with pytest.raises(ConfigurationError, match=match):
+            target.load_state(state)
+        assert target.state_dict() == before
 
     @pytest.mark.parametrize("mutation", sorted(MALFORMED_SAMPLES))
     @pytest.mark.parametrize("variant", ["infinite", "broadcast", "caching"])
     def test_typed_error_and_untouched_sampler(self, variant, mutation):
         state = self._driven(variant, seed=1).state_dict()
         MALFORMED_SAMPLES[mutation](state["system"])
+        self._assert_refused(variant, state)
+
+    @pytest.mark.parametrize("mutation", sorted(MALFORMED_LEGACY_SAMPLES))
+    @pytest.mark.parametrize("variant", ["infinite", "broadcast", "caching"])
+    def test_legacy_rows_typed_error_and_untouched_sampler(self, variant, mutation):
+        state = legacy_state(self._driven(variant, seed=1))
+        MALFORMED_LEGACY_SAMPLES[mutation](state["system"])
+        self._assert_refused(variant, state)
+
+    @pytest.mark.parametrize("variant", ["infinite", "broadcast", "caching"])
+    def test_legacy_rows_with_their_hashes_restore(self, variant):
+        source = self._driven(variant, seed=1)
         target = self._driven(variant, seed=2)
-        before = target.state_dict()
-        with pytest.raises(ConfigurationError, match="malformed"):
-            target.load_state(state)
-        assert target.state_dict() == before
+        target.load_state(legacy_state(source))
+        assert target.state_dict() == source.state_dict()
+        assert target.sample() == source.sample()
+
+    @pytest.mark.parametrize(
+        "variant,options",
+        [
+            ("infinite", {}),
+            ("broadcast", {}),
+            ("caching", {}),
+            ("sharded:infinite", {"shards": 2}),
+        ],
+        ids=["infinite", "broadcast", "caching", "sharded-infinite"],
+    )
+    def test_a_site_threshold_below_the_coordinators_is_refused(self, variant, options):
+        # A site only ever adopts a past u, and u never rises, so u_i >= u.
+        source = self._driven(variant, seed=1, **options)
+        state = source.state_dict()
+        thresholds = _site_thresholds(state)
+        assert len(thresholds) == 3 * options.get("shards", 1)
+        for container, key in thresholds:
+            container[key] = 0.0
+        self._assert_refused(variant, state, match="below", **options)
+        # Exactly at its coordinator's threshold, a site restores.
+        state = source.state_dict()
+        group_states = state["groups"] if "groups" in state else [state]
+        for group_state, group in zip(group_states, getattr(source, "groups", [source])):
+            assert group.threshold < 1.0
+            for container, key in _site_thresholds(group_state):
+                container[key] = group.threshold
+        target = self._driven(variant, seed=2, **options)
+        target.load_state(state)
+        assert target.state_dict() == state
 
 
 class TestElementTypes:

@@ -993,7 +993,10 @@ def _drop_targets(node) -> list:
 def _swap_targets(node, key=None) -> list:
     """``(container, index)`` for every counter or threshold at or below
     ``node``: values under :data:`SWAPPABLE_KEYS` and ``by_kind``, site
-    thresholds, and the hashes of infinite-family sample rows."""
+    thresholds, and every entry of an infinite-family sample: each element
+    of its column, and each stored hash and element of the
+    ``[hash, element]`` rows earlier snapshots wrote (see
+    :func:`_as_legacy`)."""
     found = []
     if isinstance(node, dict):
         for name, child in node.items():
@@ -1007,11 +1010,44 @@ def _swap_targets(node, key=None) -> list:
         if key == "site_thresholds":
             found.extend((node, i) for i in range(len(node)))
         elif key == "sample" and all(isinstance(row, list) for row in node):
-            found.extend((row, 0) for row in node)
+            found.extend((row, i) for row in node for i in range(len(row)))
         else:
             for child in node:
                 found.extend(_swap_targets(child))
     return found
+
+
+#: Subjects whose states hold infinite-family samples.
+INFINITE_SUBJECTS = frozenset(
+    {"infinite", "broadcast", "caching", "wr-infinite", "sharded-infinite"}
+)
+
+
+def _as_legacy(sampler) -> dict:
+    """``sampler.state_dict()`` as earlier snapshots wrote it: every
+    infinite-family sample as ``[hash, element]`` rows."""
+    state = json.loads(json.dumps(sampler.state_dict()))
+    parts = getattr(sampler, "copies", None) or getattr(sampler, "groups", None)
+    for part, part_state in (
+        zip(parts, state.get("copies") or state["groups"])
+        if parts
+        else [(sampler, state)]
+    ):
+        part_state["system"]["sample"] = [[h, e] for h, e in part.sample_pairs()]
+    return state
+
+
+def _upgraded(node):
+    """What a restore of an :func:`_as_legacy` state writes back: each
+    row's element, its hash dropped."""
+    if isinstance(node, dict):
+        node = {key: _upgraded(value) for key, value in node.items()}
+        if "sample" in node:
+            node["sample"] = [[row[1] for row in node["sample"]]]
+        return node
+    if isinstance(node, list):
+        return [_upgraded(value) for value in node]
+    return node
 
 
 def _as_json(state) -> str:
@@ -1032,16 +1068,22 @@ class TestRestoreFuzz:
         seeds=st.tuples(st.integers(0, 3), st.integers(4, 7)),
         kind=st.sampled_from(("drop", "swap", "cross")),
         bad=st.sampled_from(BAD_VALUES),
+        legacy=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_exact_or_typed_error(self, label, other, seeds, kind, bad, data):
+    def test_exact_or_typed_error(self, label, other, seeds, kind, bad, legacy, data):
         target = _restore_subject(label, seeds[1])
         dropped_record = None
+        legacy = legacy and kind != "cross" and label in INFINITE_SUBJECTS
         if kind == "cross":
             state = json.loads(json.dumps(_restore_subject(other, seeds[0]).state_dict()))
         else:
-            state = json.loads(json.dumps(_restore_subject(label, seeds[0]).state_dict()))
+            source = _restore_subject(label, seeds[0])
+            if legacy:
+                state = _as_legacy(source)
+            else:
+                state = json.loads(json.dumps(source.state_dict()))
             targets = _drop_targets(state) if kind == "drop" else _swap_targets(state)
             container, index = data.draw(st.sampled_from(targets))
             if kind == "drop":
@@ -1061,7 +1103,24 @@ class TestRestoreFuzz:
             if dropped_record is not None:
                 container, index = dropped_record
                 container[index] = []
-            assert _as_json(target.state_dict()) == _as_json(state)
+            expected = _upgraded(state) if legacy else state
+            assert _as_json(target.state_dict()) == _as_json(expected)
+
+    @pytest.mark.parametrize("label", sorted(INFINITE_SUBJECTS))
+    def test_swaps_reach_every_sample_entry(self, label):
+        # Each element of the column, and each stored hash and element of
+        # a legacy row, is a target.
+        source = _restore_subject(label, 0)
+        for state in (json.loads(json.dumps(source.state_dict())), _as_legacy(source)):
+            entries = {
+                (id(row), i)
+                for container, key in _drop_targets(state)
+                if key == "sample"
+                for row in container[key]
+                for i in range(len(row))
+            }
+            assert entries
+            assert {(id(c), i) for c, i in _swap_targets(state)} >= entries
 
     @pytest.mark.parametrize("label", ["sliding-s1", "sliding", "wr-sliding"])
     @pytest.mark.parametrize("bad", [float("nan"), -0.5, 1.5, "0.5"])

@@ -18,7 +18,9 @@ import pytest
 from repro import (
     BroadcastSamplerSystem,
     CachingSamplerSystem,
+    ConfigurationError,
     DistinctSamplerSystem,
+    EventBatch,
     Sampler,
     SampleResult,
     SamplerConfig,
@@ -232,6 +234,27 @@ class TestLifecycle:
         sampler.advance(5)
         with pytest.raises(ProtocolError):
             sampler.advance(4)
+
+    @pytest.mark.parametrize("site", [-1, -3, 3, 7])
+    def test_out_of_range_site_ids_raise_before_any_delivery(self, config, site):
+        # A negative id would otherwise reach a site counted from the end,
+        # and an id >= k fail only after the batch's earlier rows.
+        sampler = make_sampler(config)
+        drive(sampler, workload(n_slots=5))
+        before = json.dumps(sampler.state_dict(), sort_keys=True)
+        calls = [
+            lambda: sampler.observe(site, 5),
+            lambda: sampler.observe(site, 5, slot=9),
+            lambda: sampler.observe_batch([(0, 1), (1, 2), (site, 3)]),
+            lambda: sampler.observe_batch([(0, 1, 6), (1, 2, 7), (site, 3, 8)]),
+            lambda: sampler.observe_columns(EventBatch([1, 2, 3], sites=[0, site, 1])),
+        ]
+        if hasattr(sampler, "observe_hashed"):
+            calls.append(lambda: sampler.observe_hashed(site, 5, 0.0))
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="site id"):
+                call()
+            assert json.dumps(sampler.state_dict(), sort_keys=True) == before
 
 
 class TestSnapshotRoundTrip:

@@ -226,6 +226,49 @@ class TestShardedPersistence:
         # Still fully usable after the rejected restore.
         sampler.observe_batch(uniform_events(100, sites=3, universe=120))
 
+    @pytest.mark.parametrize("algorithm", ["mix64", "murmur2"])
+    @pytest.mark.parametrize("source_shards,shards", [(2, 2), (2, 4), (4, 4)])
+    def test_a_restore_hashes_every_group_in_one_pass(
+        self, monkeypatch, source_shards, shards, algorithm
+    ):
+        # Snapshots keep the sample's elements, not their hashes; the
+        # restore recomputes them in one column pass across the groups,
+        # at the same shard count and through a re-partition alike.
+        source = make_sampler(
+            "sharded:infinite", num_sites=3, sample_size=16,
+            shards=source_shards, algorithm=algorithm, seed=SEED,
+        )
+        source.observe_batch(uniform_events(3000, sites=3, universe=5000))
+        state = json.loads(json.dumps(source.state_dict()))
+        # One element column per group.
+        columns = [group["system"]["sample"] for group in state["groups"]]
+        assert all(len(column) == 1 for column in columns)
+        retained = sum(len(column) for [column] in columns)
+        target = make_sampler(
+            "sharded:infinite", num_sites=3, sample_size=16, shards=shards,
+            algorithm=algorithm, seed=SEED,
+        )
+        sampling = target.sampling_hasher
+        passes, scalar = [], []
+        column, unit = EventBatch.hash_column, UnitHasher.unit
+
+        def counting_column(batch, hasher):
+            if hasher == sampling and hasher not in batch._hash_columns:
+                passes.append(len(batch))
+            return column(batch, hasher)
+
+        def counting_unit(hasher, element):
+            scalar.append(element)
+            return unit(hasher, element)
+
+        monkeypatch.setattr(EventBatch, "hash_column", counting_column)
+        monkeypatch.setattr(UnitHasher, "unit", counting_unit)
+        target.load_state(state)
+        assert passes == [retained]
+        assert scalar == []
+        monkeypatch.undo()
+        assert target.sample() == source.sample()
+
     @pytest.mark.parametrize("donor_shards", [2, 3])
     @pytest.mark.parametrize("variant", ["sharded:sliding", "sharded:sliding+s4"])
     def test_malformed_later_group_rolls_back_exactly(self, variant, donor_shards):
