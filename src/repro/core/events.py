@@ -41,7 +41,7 @@ import numpy.typing as npt
 from ..errors import ConfigurationError
 from ..hashing.unit import UnitHasher, unit_hash_array
 
-__all__ = ["EventBatch", "CURRENT_SLOT"]
+__all__ = ["EventBatch", "CURRENT_SLOT", "check_site_id"]
 
 #: One int64 column (items, sites, or slots).
 IntColumn = npt.NDArray[np.int64]
@@ -81,6 +81,36 @@ def _as_int64(values: npt.ArrayLike, name: str) -> IntColumn:
             "(pass them as a Python sequence)"
         )
     return arr.astype(np.int64)
+
+
+def check_site_id(site_id: Any) -> None:
+    """Require ``site_id`` to be an ``int`` or a NumPy integer.
+
+    A float would otherwise be truncated to a site (or fail as a list
+    index), a numeric string be parsed as one, and a bool address site 0
+    or 1.
+
+    Raises:
+        ConfigurationError: For a bool, a float, a string or anything else.
+    """
+    if isinstance(site_id, bool) or not isinstance(site_id, (int, np.integer)):
+        raise ConfigurationError(f"site id {site_id!r} is not an integer")
+
+
+def _site_column(sites: Any) -> IntColumn:
+    """The site column for a sequence of site ids, each of which
+    :func:`check_site_id` accepts, scanned once when every id is a plain
+    ``int`` (an array takes :func:`_as_int64`)."""
+    sites = sites if isinstance(sites, (list, tuple)) else list(sites)
+    if not set(map(type, sites)) <= {int}:
+        for site_id in sites:
+            check_site_id(site_id)
+    try:
+        return np.array(sites, dtype=np.int64)
+    except OverflowError as exc:
+        raise ConfigurationError(
+            f"event sites must be int64-range integers: {exc}"
+        ) from None
 
 
 def _item_column(items: Any) -> ItemColumn:
@@ -143,7 +173,12 @@ class EventBatch:
     ) -> None:
         self.items = _item_column(items)
         n = self.items.size
-        self.sites = None if sites is None else _as_int64(sites, "sites")
+        if sites is None:
+            self.sites = None
+        elif isinstance(sites, np.ndarray):
+            self.sites = _as_int64(sites, "sites")
+        else:
+            self.sites = _site_column(sites)
         self.slots = None if slots is None else _as_int64(slots, "slots")
         for name, column in (("sites", self.sites), ("slots", self.slots)):
             if column is not None and column.size != n:
@@ -170,7 +205,8 @@ class EventBatch:
 
         Raises:
             ConfigurationError: For an event with fewer than two fields,
-                or sites and slots that are not int64-range integers.
+                a site id :func:`check_site_id` refuses, or sites and
+                slots that are not int64-range integers.
         """
         events = events if isinstance(events, list) else list(events)
         if not events:
@@ -195,14 +231,14 @@ class EventBatch:
                     stamp = event[2]
                 filled.append(stamp)
             slots = filled
+        site_column = _site_column(sites)
         try:
-            site_column = np.array(sites, dtype=np.int64)
             slot_column = (
                 None if slots is None else np.array(slots, dtype=np.int64)
             )
         except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigurationError(
-                f"event sites and slots must be int64-range integers: {exc}"
+                f"event slots must be int64-range integers: {exc}"
             ) from None
         return cls(items, site_column, slot_column)
 

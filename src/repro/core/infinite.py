@@ -58,6 +58,7 @@ from ..netsim.network import Network
 from ..runtime.topology import Topology
 from ..structures.bottomk import BottomK
 from .events import EventBatch
+from .legacy import upgrade_bottom_s
 from .protocol import (
     Sampler,
     SampleResult,
@@ -75,7 +76,6 @@ __all__ = [
     "InfiniteWindowSite",
     "InfiniteWindowCoordinator",
     "DistinctSamplerSystem",
-    "upgrade_sample_rows",
 ]
 
 #: Elements per threshold refresh in
@@ -97,31 +97,6 @@ def parse_site_list(rows: Any, num_sites: int) -> list[Any]:
     return rows
 
 
-def upgrade_sample_rows(rows: list[Any]) -> tuple[list[Any], list[float]]:
-    """Read the ``[hash, element]`` sample rows earlier snapshots stored.
-
-    Version-2 snapshots written before the sample rows dropped their
-    hashes hold these rows under ``"sample"``, and so do version-1
-    snapshots (:func:`repro.core.snapshot.restore` reads them through
-    here).  Returns the rows' elements in ascending ``(hash, element)``
-    order, the order of the element column snapshots now store, and the
-    stored hashes in the same order, which a restore accepts only when
-    each is the hash it recomputes.
-
-    Raises:
-        TypeError, ValueError: For a row that is not ``[hash, element]``,
-            or a hash that is not a number in ``[0, 1)`` (NaN included).
-    """
-    pairs = []
-    for h, element in rows:
-        h = float(h)
-        if not 0.0 <= h < 1.0:
-            raise ValueError(f"sample hash {h!r} is not in [0, 1)")
-        pairs.append((h, revive_element(element)))
-    pairs.sort()
-    return [element for _, element in pairs], [h for h, _ in pairs]
-
-
 class _ParsedSystem(NamedTuple):
     """A parsed :meth:`BottomSFacadeBase._state`: the fields its
     ``_load`` assigns to the live nodes."""
@@ -135,7 +110,10 @@ def _parse_systems(groups: Sequence[Any], states: Sequence[Any]) -> list[_Parsed
     """Parse each group's :meth:`~BottomSFacadeBase._state` output,
     hashing the elements of every group's sample in one
     :meth:`~repro.core.events.EventBatch.hash_column` pass (the groups
-    share one sampling hash).  The groups are left untouched.
+    share one sampling hash).  A state in an earlier layout is first
+    rewritten into the current one
+    (:func:`~repro.core.legacy.upgrade_bottom_s`).  The groups are left
+    untouched.
 
     Raises:
         ConfigurationError: For any state :meth:`BottomSFacadeBase._load`
@@ -144,14 +122,15 @@ def _parse_systems(groups: Sequence[Any], states: Sequence[Any]) -> list[_Parsed
     sections = []
     elements: list[Any] = []
     for group, state in zip(groups, states):
+        state = upgrade_bottom_s(state, group.hasher)
         try:
-            sample, stored, counters = group._load_coordinator(state)
+            sample, counters = group._load_coordinator(state)
             site_fields = group._load_sites(state)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"malformed {group.VARIANT} state: {exc!r}"
             ) from exc
-        sections.append((group, len(elements), sample, stored, counters, site_fields))
+        sections.append((group, len(elements), sample, counters, site_fields))
         elements.extend(sample)
     try:
         hashes = EventBatch(elements).hash_column(groups[0].hasher).tolist()
@@ -160,17 +139,10 @@ def _parse_systems(groups: Sequence[Any], states: Sequence[Any]) -> list[_Parsed
             f"malformed {groups[0].VARIANT} state: {exc}"
         ) from exc
     parsed = []
-    for group, start, sample, stored, counters, site_fields in sections:
-        sample_hashes = hashes[start : start + len(sample)]
+    for group, start, sample, counters, site_fields in sections:
         store = BottomK(group.sample_size)
         try:
-            for h, element, recomputed in zip(stored or (), sample, sample_hashes):
-                if h != recomputed:
-                    raise ValueError(
-                        f"stored hash {h!r} of {element!r} is not its hash "
-                        f"{recomputed!r}"
-                    )
-            store.load(sample_hashes, sample)
+            store.load(hashes[start : start + len(sample)], sample)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"malformed {group.VARIANT} state: {exc}"
@@ -514,14 +486,15 @@ class BottomSFacadeBase(Sampler):
         first, and the sample's elements hashed in one pass; the live
         nodes take them only once all of them have parsed, so a malformed
         state leaves the system untouched.  The ``[hash, element]`` rows
-        earlier snapshots stored load through :func:`upgrade_sample_rows`.
+        earlier snapshots stored load through
+        :func:`~repro.core.legacy.upgrade_bottom_s`.
 
         Raises:
             ConfigurationError: For a missing key, a sample that is not
                 one column of distinct elements the hasher takes, in
                 ascending ``(hash, element)`` order, at most ``s`` of them;
-                a stored
-                hash that is not the recomputed one; a counter that is not
+                a stored hash that is not the recomputed one; a counter
+                that is not
                 a non-negative int; a site threshold that is not a number
                 in ``[0, 1]`` or is below the coordinator's (a site only
                 ever adopts a past ``u``, and ``u`` never rises); or a
@@ -566,29 +539,22 @@ class BottomSFacadeBase(Sampler):
 
     def _load_coordinator(
         self, state: dict[str, Any]
-    ) -> tuple[list[Any], Optional[list[float]], dict[str, int]]:
+    ) -> tuple[list[Any], dict[str, int]]:
         """Parse :meth:`_coordinator_state` output into the sample's
-        elements (the caller hashes them), the hashes stored beside them
-        by earlier snapshots' ``[hash, element]`` rows (None for an
-        element column) and the counters."""
+        elements (the caller hashes them) and the counters."""
         rows = state["sample"]
         if not isinstance(rows, list):
             raise TypeError(f"sample must be a list, got {type(rows).__name__}")
-        stored = None
-        if not rows or (rows[0] and isinstance(rows[0][0], float)):
-            # [hash, element] rows: every hash is a float, no element is.
-            elements, stored = upgrade_sample_rows(rows)
-        else:
-            (column,) = rows
-            if not isinstance(column, list):
-                raise TypeError(
-                    f"sample column must be a list, got {type(column).__name__}"
-                )
-            elements = [revive_element(element) for element in column]
+        (column,) = rows
+        if not isinstance(column, list):
+            raise TypeError(
+                f"sample column must be a list, got {type(column).__name__}"
+            )
+        elements = [revive_element(element) for element in column]
         counters = {
             name: parse_counter(state[name]) for name in self.COORDINATOR_COUNTERS
         }
-        return elements, stored, counters
+        return elements, counters
 
     def _sites_state(self) -> dict[str, Any]:
         """The sites' persisted fields: one threshold per site."""

@@ -45,7 +45,7 @@ from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher
 from ..netsim.message import MessageKind
 from ..netsim.network import MessageStats, Network
-from .events import EventBatch
+from .events import EventBatch, check_site_id
 
 if TYPE_CHECKING:  # runtime.topology imports this module back at call time
     from ..runtime.topology import Topology
@@ -180,7 +180,7 @@ class SamplerConfig:
     Snapshots written by earlier releases also record a ``structure``
     field (the s = 1 sites' candidate store, now always
     :class:`~repro.structures.dominance.SortedDominanceSet`);
-    :func:`repro.core.snapshot.restore` drops it.
+    :func:`repro.core.legacy.upgrade_config` drops it on restore.
 
     Attributes:
         variant: Registry key (see ``repro.core.api.sampler_variants()``):
@@ -190,7 +190,7 @@ class SamplerConfig:
             ``"broadcast"``, or ``"caching"``, plus the ``"sharded:*"``
             wrappers.  Snapshots naming the retired
             ``"sliding-feedback"`` restore as ``"sliding"`` (see
-            :mod:`repro.core.snapshot`).
+            :mod:`repro.core.legacy`).
         num_sites: Number of distributed sites k (>= 1).
         sample_size: Sample size s (>= 1).
         window: Window size w in slots; 0 means infinite window.
@@ -424,8 +424,9 @@ class Sampler(ABC):
                 ``slot`` (as by :meth:`advance`) before delivery.
 
         Raises:
-            ConfigurationError: For a site id outside ``[0, k)``, before
-                time advances.
+            ConfigurationError: For a site id that is not an integer (a
+                float, a string or a bool) or lies outside ``[0, k)``,
+                before time advances.
         """
         self._check_site(site_id)
         if slot is not None:
@@ -433,7 +434,10 @@ class Sampler(ABC):
         self._deliver(site_id, item)
 
     def _check_site(self, site_id: int) -> None:
-        """Require ``site_id`` to address one of the k sites."""
+        """Require ``site_id`` to be an integer addressing one of the k
+        sites (:func:`~repro.core.events.check_site_id`)."""
+        if type(site_id) is not int:
+            check_site_id(site_id)
         if not 0 <= site_id < self.num_sites:
             raise ConfigurationError(
                 f"site id {site_id!r} is outside [0, {self.num_sites})"

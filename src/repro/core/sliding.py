@@ -63,6 +63,7 @@ from __future__ import annotations
 import math
 from abc import abstractmethod
 from dataclasses import replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..errors import ConfigurationError, ProtocolError
@@ -73,6 +74,7 @@ from ..netsim.network import Network
 from ..runtime.topology import Topology
 from ..structures.dominance import DominanceEntry, SortedDominanceSet
 from .events import EventBatch
+from .legacy import upgrade_sliding
 from .protocol import (
     Sampler,
     SampleResult,
@@ -96,6 +98,8 @@ __all__ = [
 ]
 
 _INF = math.inf
+_ELEMENT = attrgetter("element")
+_EXPIRY = attrgetter("expiry")
 
 
 def require_positive(**values: int) -> None:
@@ -105,70 +109,107 @@ def require_positive(**values: int) -> None:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
 
-def _rows(candidates) -> Optional[list[list[Any]]]:
-    """A candidate set as JSON-safe ``[element, expiry]`` rows; a restore
-    recomputes the hashes (:func:`_load_candidates`)."""
+def _columns(candidates) -> Optional[dict[str, list[Any]]]:
+    """A candidate set as two JSON-safe columns, ``{"elements": [...],
+    "expiries": [...]}``, in the settled set's ascending ``(expiry,
+    hash)`` order; a restore recomputes the hashes
+    (:func:`_load_candidates`)."""
     if candidates is None:
         return None
-    return [[e.element, e.expiry] for e in candidates.entries()]
+    entries = candidates.entries()
+    return {
+        "elements": list(map(_ELEMENT, entries)),
+        "expiries": list(map(_EXPIRY, entries)),
+    }
+
+
+def _parse_columns(columns: Any) -> tuple[list[Any], list[int]]:
+    """The inverse of :func:`_columns` and :func:`record_columns`: the
+    elements, revived, and the expiries, each a plain ``int`` (as
+    :func:`parse_slot` reads a slot, ``int()`` would turn 8.9 into 8 and
+    ``"7"`` into 7).
+
+    Raises:
+        TypeError: For columns that are not two lists under exactly
+            ``"elements"`` and ``"expiries"``, or an expiry that is not an
+            ``int`` (None, a bool, a float, a string or anything else).
+        ValueError: For columns of different lengths.
+    """
+    elements = columns["elements"]
+    expiries = columns["expiries"]
+    if len(columns) != 2 or type(elements) is not list or type(expiries) is not list:
+        raise TypeError(
+            f"columns under {sorted(columns)} are not exactly two lists, "
+            "'elements' and 'expiries'"
+        )
+    if len(elements) != len(expiries):
+        raise ValueError(
+            f"{len(elements)} elements but {len(expiries)} expiries"
+        )
+    if not set(map(type, expiries)) <= {int}:
+        bad = next(value for value in expiries if type(value) is not int)
+        raise TypeError(f"expiry {bad!r} is not an int")
+    if list in set(map(type, elements)):
+        elements = [revive_element(element) for element in elements]
+    return elements, expiries
 
 
 def _load_candidates(
     hasher: UnitHasher, nodes: Sequence[tuple[Any, Any]]
 ) -> None:
-    """Fill fresh candidate sets from snapshot rows (the inverse of
-    :func:`_rows`), hashing every element of the state in one
+    """Fill fresh candidate sets from snapshot columns (the inverse of
+    :func:`_columns`), hashing every element of the state in one
     :meth:`~repro.core.events.EventBatch.hash_column` pass, then one batch
     :meth:`~repro.structures.dominance.SortedDominanceSet.load` per set.
 
     ``nodes`` pairs each node's set (None for a node that keeps none)
-    with its rows: ``[element, expiry]``, or the ``[element, expiry,
-    hash]`` rows snapshots stored before, whose hash must be the
-    recomputed one.
+    with its columns.  A snapshot writes a settled set, in ascending
+    ``(expiry, hash)`` order, and loading a settled set drops nothing;
+    rows that break either rule under the recomputed hashes were written
+    under other hashes (a ``python``-algorithm snapshot restored under
+    another salt), or edited, and are refused.
 
     Raises:
-        TypeError: For a row expiry that is not a plain ``int``, or an
-            element the hasher rejects.
-        ValueError: For a row of another length, a stored hash that is
-            not the element's hash, rows that repeat an element, or rows
-            for a node without a candidate set.
+        TypeError: As :func:`_parse_columns` does, or for an element the
+            hasher rejects.
+        ValueError: For columns of different lengths, rows that repeat
+            an element, break that order or lose a row to the load, or
+            rows for a node without a candidate set.
     """
     sets = []
     elements: list[Any] = []
     expiries: list[int] = []
-    stored: list[tuple[int, Any]] = []
-    for candidates, rows in nodes:
+    for candidates, columns in nodes:
         if candidates is None:
-            if rows is not None:
+            if columns is not None:
                 raise ValueError("entries given for a node without a candidate set")
             continue
+        node_elements, node_expiries = _parse_columns(columns)
         start = len(elements)
-        for row in rows:
-            if len(row) == 2:
-                element, expiry = row
-            else:
-                element, expiry, h = row
-                stored.append((len(elements), h))
-            elements.append(revive_element(element))
-            expiries.append(_parse_expiry(expiry))
+        elements += node_elements
+        expiries += node_expiries
         sets.append((candidates, start, len(elements)))
     hashes = EventBatch(elements).hash_column(hasher).tolist()
-    for i, h in stored:
-        if h != hashes[i]:
-            raise ValueError(
-                f"stored hash {h!r} of {elements[i]!r} is not its hash "
-                f"{hashes[i]!r}"
-            )
     for candidates, start, stop in sets:
-        candidates.load(
-            zip(elements[start:stop], expiries[start:stop], hashes[start:stop])
-        )
+        rows = elements[start:stop]
+        candidates.load(zip(rows, expiries[start:stop], hashes[start:stop]))
+        loaded = list(map(_ELEMENT, candidates.entries()))
+        if loaded != rows:
+            keys = list(zip(expiries[start:stop], hashes[start:stop]))
+            if any(a > b for a, b in zip(keys, keys[1:])):
+                raise ValueError(
+                    "candidate rows are not in ascending (expiry, hash) "
+                    "order under their hashes"
+                )
+            raise ValueError(
+                f"loading drops {len(rows) - len(loaded)} of {len(rows)} "
+                "candidate rows, which a settled set never does"
+            )
 
 
 def _parse_expiry(value: Any) -> int:
-    """A persisted row expiry: a plain ``int``, as :func:`parse_slot`
-    reads a slot (``int()`` would turn 8.9 into 8 and ``"7"`` into 7).
-    One type test, since restores parse every candidate row.
+    """A persisted expiry: a plain ``int``, as :func:`parse_slot` reads a
+    slot.
 
     Raises:
         TypeError: For None, a bool, a float, a string or anything else.
@@ -178,17 +219,16 @@ def _parse_expiry(value: Any) -> int:
     return value
 
 
-def expiry_rows(record: dict[Any, int]) -> list[list[Any]]:
-    """An ``element -> expiry`` record as JSON-safe ``[element, expiry]``
-    rows, in the record's insertion order."""
-    return [[element, expiry] for element, expiry in record.items()]
+def record_columns(record: dict[Any, int]) -> dict[str, list[Any]]:
+    """An ``element -> expiry`` record as two JSON-safe columns, as
+    :func:`_columns` writes a set, in the record's insertion order."""
+    return {"elements": list(record), "expiries": list(record.values())}
 
 
-def expiry_record(rows) -> dict[Any, int]:
-    """The inverse of :func:`expiry_rows`; expiries parse strictly."""
-    return {
-        revive_element(element): _parse_expiry(expiry) for element, expiry in rows
-    }
+def parse_record(columns: Any) -> dict[Any, int]:
+    """The inverse of :func:`record_columns`; expiries parse strictly."""
+    elements, expiries = _parse_columns(columns)
+    return dict(zip(elements, expiries))
 
 
 def _adopt(node: Any, parsed: Any) -> None:
@@ -249,6 +289,9 @@ class SlidingFacadeBase(Sampler):
     #: synchronous network).  Each subclass documents why its rule is
     #: exact; the batch-equivalence tests check it against the event loop.
     SAME_SLOT_REPEATS = "never"
+    #: Site ``element -> expiry`` records a state persists beside the
+    #: candidates (each written by :func:`record_columns`).
+    RECORDS: tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -365,11 +408,11 @@ class SlidingFacadeBase(Sampler):
             "coordinator": {
                 "reports_received": coordinator.reports_received,
                 **self._coordinator_state(coordinator),
-                "entries": _rows(coordinator.candidates),
+                "entries": _columns(coordinator.candidates),
             },
             "sites": [
                 {
-                    "entries": _rows(site.candidates),
+                    "entries": _columns(site.candidates),
                     **self._site_state(site),
                     **{name: getattr(site, name) for name in self.SITE_COUNTERS},
                 }
@@ -417,15 +460,19 @@ class SlidingFacadeBase(Sampler):
         """Restore :meth:`_state` output.  The clock is *set*, so an
         earlier checkpoint rewinds a live system.
 
-        Every node is parsed into a fresh twin from :meth:`_make_site` /
-        :meth:`_make_coordinator` first, and the live nodes take the
-        parsed fields only once all of them have parsed, so a malformed
-        state leaves the system untouched.
+        A state in an earlier layout is first rewritten into the current
+        one (:func:`~repro.core.legacy.upgrade_sliding`).  Every node is
+        then parsed into a fresh twin from :meth:`_make_site` /
+        :meth:`_make_coordinator`, and the live nodes take the parsed
+        fields only once all of them have parsed, so a malformed state
+        leaves the system untouched.
 
         Raises:
-            ConfigurationError: For missing keys, wrong types, or a site
-                list of the wrong length.
+            ConfigurationError: For missing keys, wrong types, a site
+                list of the wrong length, or candidate rows a snapshot
+                never writes (see :func:`_load_candidates`).
         """
+        state = upgrade_sliding(state, self.hasher, self.RECORDS)
         try:
             now = parse_slot(state[self.CLOCK_KEY])
             if now is None:

@@ -91,8 +91,8 @@ from .events import EventBatch
 from .protocol import decode_expiry, encode_expiry, parse_slot, parse_threshold
 from .sliding import (
     SlidingFacadeBase,
-    expiry_record,
-    expiry_rows,
+    parse_record,
+    record_columns,
     require_positive,
 )
 
@@ -286,6 +286,7 @@ class SlidingWindowBottomSFeedback(SlidingFacadeBase):
     #: fewer than ``s`` candidates and replies 1.0), so a same-slot repeat
     #: of it reports again.
     SAME_SLOT_REPEATS = "never"
+    RECORDS = ("known", "pending")
 
     def __init__(
         self,
@@ -358,8 +359,8 @@ class SlidingWindowBottomSFeedback(SlidingFacadeBase):
         return {
             "u_local": site.u_local,
             "valid_until": encode_expiry(site.valid_until),
-            "known": expiry_rows(site.known),
-            "pending": expiry_rows(site.pending),
+            "known": record_columns(site.known),
+            "pending": record_columns(site.pending),
         }
 
     def _load_site(
@@ -368,7 +369,5 @@ class SlidingWindowBottomSFeedback(SlidingFacadeBase):
         site.u_local = parse_threshold(state["u_local"])
         # None (never lapses) or a plain int, as a slot parses.
         site.valid_until = decode_expiry(parse_slot(state["valid_until"]))
-        # A snapshot without the records restores as nothing known: the
-        # next lapse pushes the whole local bottom-s, which is still exact.
-        site.known = expiry_record(state.get("known", ()))
-        site.pending = expiry_record(state.get("pending", ()))
+        site.known = parse_record(state["known"])
+        site.pending = parse_record(state["pending"])

@@ -37,8 +37,8 @@ from ..netsim.network import Network
 from ..structures.dominance import DominanceEntry, SortedDominanceSet
 from .sliding import (
     SlidingFacadeBase,
-    expiry_record,
-    expiry_rows,
+    parse_record,
+    record_columns,
     require_positive,
 )
 
@@ -178,6 +178,7 @@ class SlidingWindowBottomS(SlidingFacadeBase):
     #: messages flow one way, so nothing else can have invalidated it, on
     #: any network.
     SAME_SLOT_REPEATS = "always"
+    RECORDS = ("reported",)
 
     def _make_coordinator(self) -> LocalPushCoordinator:
         return LocalPushCoordinator(self.sample_size)
@@ -186,7 +187,7 @@ class SlidingWindowBottomS(SlidingFacadeBase):
         return LocalPushSite(site_id, self.window, self.sample_size)
 
     def _site_state(self, site: LocalPushSite) -> dict[str, Any]:
-        return {"reported": expiry_rows(site._reported)}
+        return {"reported": record_columns(site._reported)}
 
     def _load_site(self, site: LocalPushSite, state: dict[str, Any]) -> None:
-        site._reported = expiry_record(state["reported"])
+        site._reported = parse_record(state["reported"])

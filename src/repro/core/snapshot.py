@@ -17,40 +17,45 @@ in-flight messages lost with the crash.
 
 The snapshot is a plain JSON-serializable dict: no pickle, safe to store.
 It keeps elements, not their hashes: each retained hash is a pure
-function of (seed, algorithm, element), so a restore recomputes them.
-An infinite-family sample is stored by column, ``"sample": [elements]``:
-its one column holds the elements in the store's ascending
-``(hash, element)`` order.  A sliding candidate row is
-``[element, expiry]``, and a sharded restore hashes every group's sample
-in one pass (the family ``load_states`` hook).  The rows earlier
-snapshots stored with a hash column — infinite-family
-``[hash, element]`` rows under ``"sample"``, sliding
-``[element, expiry, hash]`` — still load when each stored hash is the
-recomputed one (:func:`~repro.core.infinite.upgrade_sample_rows` reads
-the former; a sample whose first entry starts with a float is read as
-such rows, since an element is an int, a string, bytes or a tuple).
-Version-1 snapshots (infinite-window only, written by earlier releases,
-with the same ``[hash, element]`` rows) are still read, and so are
-version-2 snapshots that name a retired execution backend (``"process"``
-restores as ``"shm"``, ``"thread"`` as ``"serial"``) or a retired variant name: ``"sliding-feedback"`` and
+function of (seed, algorithm, element), so a restore recomputes them,
+and a sharded restore hashes every group's sample in one pass (the
+family ``load_states`` hook).  Both families store by column:
+
+* an infinite-family sample is ``"sample": [elements]``, one column of
+  the elements in the store's ascending ``(hash, element)`` order;
+* a sliding candidate set is ``"entries": {"elements": [...],
+  "expiries": [...]}``, two parallel columns in the settled set's
+  ascending ``(expiry, hash)`` order, and each ``known``/``pending``/
+  ``reported`` record the same two columns in its insertion order.
+
+A restore refuses, with :class:`~repro.errors.ConfigurationError` and
+the sampler untouched, rows that break the order they were written in
+under the recomputed hashes, and a sliding candidate row that loading
+its set would drop (a snapshot writes settled sets, which drop none).
+
+Every layout earlier releases wrote is read by :mod:`repro.core.legacy`
+and nowhere else: :func:`restore` and each ``load_state`` pass a state
+through it first, which rewrites an old state into the current layout,
+so every facade's ``_load`` parses one layout.  It reads version-1
+snapshots (infinite window only); version-2 configs that name a retired
+execution backend (``"process"`` restores as ``"shm"``, ``"thread"`` as
+``"serial"``), a retired variant (``"sliding-feedback"`` and
 ``"sharded:sliding-feedback"`` restore as ``"sliding"`` and
 ``"sharded:sliding"``, which build the same class for ``s >= 2``; their
-``s = 1`` snapshots hold a state ``"sliding"`` cannot read and raise
-:class:`~repro.errors.ConfigurationError`.  Every version-2 snapshot
-written before the ``s = 1`` sites shared one candidate structure records
-a ``structure`` field (``"treap"`` or ``"sorted"``); it is dropped
-whatever its value, since both structures keep the same entries and the
-state layout never named it.
+``s = 1`` snapshots raise), or the dropped ``structure`` field; the
+infinite family's ``[hash, element]`` sample rows; and the sliding
+family's ``[element, expiry, hash]`` and ``[element, expiry]`` candidate
+rows, ``[element, expiry]`` record rows and missing ``known``/``pending``
+records.  A stored hash loads only when it is the recomputed one.
 
 Under the ``python`` hash algorithm, ``hash()`` salts str and bytes per
 process (unless ``PYTHONHASHSEED`` is fixed), so a snapshot of such
 elements restores exactly only under the salt that wrote it.  Under
-another salt an infinite-family restore raises
-:class:`~repro.errors.ConfigurationError`, since the recomputed hashes
-break the stored order (only a sample of one element, or a few that
-happen to keep their order, loads, under its new hashes); earlier
-releases stored those hashes and loaded such a snapshot anywhere.  A
-sliding restore loads its candidates under their new hashes.
+another salt a restore raises :class:`~repro.errors.ConfigurationError`
+when the recomputed hashes break the stored order or, in the sliding
+family, make the load drop a row; only a sample or set that happens to
+keep both rules (one element, say) loads, under its new hashes.  Earlier
+releases loaded such a snapshot anywhere.
 """
 
 from __future__ import annotations
@@ -59,25 +64,13 @@ from typing import Any
 
 from ..errors import ConfigurationError
 from .api import make_sampler
-from .infinite import DistinctSamplerSystem
+from .legacy import upgrade_config, upgrade_v1
 from .protocol import Sampler, SamplerConfig
 
 __all__ = ["snapshot", "restore", "SNAPSHOT_VERSION"]
 
 #: Format version written into every snapshot.
 SNAPSHOT_VERSION = 2
-
-#: Backends earlier releases could record in ``config.executor``, mapped
-#: to their surviving equivalent.  The backend never changes sampler
-#: state (every backend is bit-identical), so the substitution is exact.
-_RETIRED_EXECUTORS = {"process": "shm", "thread": "serial"}
-
-#: Variant names earlier releases could record in ``config.variant``,
-#: mapped to the name that builds the same class at ``s >= 2``.
-_RETIRED_VARIANTS = {
-    "sliding-feedback": "sliding",
-    "sharded:sliding-feedback": "sharded:sliding",
-}
 
 
 def snapshot(sampler: Sampler) -> dict[str, Any]:
@@ -105,6 +98,10 @@ def snapshot(sampler: Sampler) -> dict[str, Any]:
 def restore(state: dict[str, Any]) -> Sampler:
     """Rebuild a sampler from a :func:`snapshot` dict.
 
+    The snapshot's config and state pass through :mod:`repro.core.legacy`
+    first, which rewrites every layout earlier releases wrote into the
+    current one.
+
     Args:
         state: A snapshot produced by :func:`snapshot` (version 2) or by
             an earlier release (version 1, infinite-window only).
@@ -122,30 +119,18 @@ def restore(state: dict[str, Any]) -> Sampler:
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed snapshot: {exc}") from exc
     if version == 1:
-        return _restore_v1(state)
-    if version != SNAPSHOT_VERSION:
+        config_dict, sampler_state = upgrade_v1(state)
+    elif version == SNAPSHOT_VERSION:
+        try:
+            config_dict = upgrade_config(state["config"])
+            sampler_state = state["state"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed snapshot: {exc}") from exc
+    else:
         raise ConfigurationError(
             f"unsupported snapshot version {version}; "
             f"this build reads versions 1 and {SNAPSHOT_VERSION}"
         )
-    try:
-        config_dict = dict(state["config"])
-        sampler_state = state["state"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"malformed snapshot: {exc}") from exc
-    config_dict.pop("structure", None)
-    executor = config_dict.get("executor")
-    if isinstance(executor, str) and executor in _RETIRED_EXECUTORS:
-        config_dict["executor"] = _RETIRED_EXECUTORS[executor]
-    variant = config_dict.get("variant")
-    if isinstance(variant, str) and variant in _RETIRED_VARIANTS:
-        if config_dict.get("sample_size", 1) == 1:
-            raise ConfigurationError(
-                f"cannot restore a {variant!r} snapshot at sample_size=1: "
-                "the variant is retired and 'sliding' keeps a different "
-                "s = 1 state"
-            )
-        config_dict["variant"] = _RETIRED_VARIANTS[variant]
     try:
         config = SamplerConfig(**config_dict)
     except TypeError as exc:
@@ -153,38 +138,3 @@ def restore(state: dict[str, Any]) -> Sampler:
     sampler = make_sampler(config)
     sampler.load_state(sampler_state)
     return sampler
-
-
-def _restore_v1(state: dict[str, Any]) -> DistinctSamplerSystem:
-    """Read the legacy infinite-window-only snapshot layout.
-
-    Its ``[hash, element]`` rows load as an earlier version-2 state's do
-    (:func:`~repro.core.infinite.upgrade_sample_rows`: each stored hash
-    must be the recomputed one), and every site takes the sample's
-    threshold.
-    """
-    try:
-        num_sites = state["num_sites"]
-        sample_size = state["sample_size"]
-        seed = state["hash_seed"]
-        algorithm = state["hash_algorithm"]
-        sample = state["sample"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"malformed snapshot: {exc}") from exc
-    system = make_sampler(
-        "infinite",
-        num_sites=num_sites,
-        sample_size=sample_size,
-        seed=seed,
-        algorithm=algorithm,
-    )
-    system._load(
-        {
-            "sample": sample,
-            "site_thresholds": [1.0] * system.num_sites,
-            **dict.fromkeys(system.COORDINATOR_COUNTERS, 0),
-        }
-    )
-    for site in system.sites:
-        site.u_local = system.threshold
-    return system

@@ -54,7 +54,7 @@ so it never ranks among the ``s`` smallest, and expiry and pruning commute.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Optional, Protocol, Sequence
 
@@ -389,8 +389,10 @@ class SortedDominanceSet:
             for entry in reversed(entries):
                 if entry.expiry != expiry:
                     if group:
-                        for h in group:
-                            insort(smallest, h)
+                        # One C sort per expiry group, not one insort
+                        # per hash: the same s smallest either way.
+                        smallest += group
+                        smallest.sort()
                         del smallest[s:]
                         if len(smallest) == s:
                             cut = smallest[-1]

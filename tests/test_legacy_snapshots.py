@@ -1,16 +1,21 @@
-"""Snapshots that store hashes beside their elements still restore.
+"""Snapshots in every earlier layout still restore.
 
-The fixtures in ``legacy_snapshots/`` (see its README) were written when
-sliding candidate rows were ``[element, expiry, hash]`` and
-infinite-family samples were ``[hash, element]`` rows under ``"sample"``
-(version-1 snapshots hold the same rows).  Such a row restores when its
-hash is the one the sampler's hasher computes, and the sampler then goes
-on exactly as the one that wrote it did.
+The fixtures in ``legacy_snapshots/`` (see its README) were written in
+layouts the current one replaced: sliding candidate sets as
+``[element, expiry, hash]`` rows or, later, ``[element, expiry]`` rows
+(now two columns, ``{"elements": [...], "expiries": [...]}``, as are the
+``known``/``pending``/``reported`` records), and infinite-family samples
+as ``[hash, element]`` rows under ``"sample"`` (version-1 snapshots hold
+the same rows).  Each restores, is written back in the current layout,
+and the sampler then goes on exactly as the one that wrote it did; a row
+that stores its hash restores only when that hash is the one the
+sampler's hasher computes.
 """
 
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 import math
 from dataclasses import asdict, replace
@@ -40,12 +45,16 @@ def is_sample_rows(key, value):
     )
 
 
+#: Keys under which the row layout wrote ``[element, expiry]`` rows.
+ROW_KEYS = frozenset({"entries", "known", "pending", "reported"})
+
+
 def stored_hashes(state):
     """``(row, index)`` of every hash a (possibly nested) state stores."""
     if isinstance(state, dict):
         for key, value in state.items():
             if key == "entries" and isinstance(value, list):
-                yield from ((row, 2) for row in value)
+                yield from ((row, 2) for row in value if len(row) == 3)
             elif is_sample_rows(key, value):
                 yield from ((row, 0) for row in value)
             else:
@@ -55,21 +64,25 @@ def stored_hashes(state):
             yield from stored_hashes(value)
 
 
-def without_hashes(state):
-    """``state`` as a restore writes it back: candidate rows cut to
-    ``[element, expiry]``, sample rows to one column of their elements."""
+def in_current_layout(state):
+    """``state`` as a restore writes it back: sliding rows as two columns
+    of elements and expiries, any stored hash dropped, and sample rows as
+    one column of their elements."""
     if isinstance(state, dict):
         rewritten = {}
         for key, value in state.items():
-            if key == "entries" and isinstance(value, list):
-                rewritten[key] = [row[:2] for row in value]
+            if key in ROW_KEYS and isinstance(value, list):
+                rewritten[key] = {
+                    "elements": [row[0] for row in value],
+                    "expiries": [row[1] for row in value],
+                }
             elif is_sample_rows(key, value):
                 rewritten[key] = [[row[1] for row in value]]
             else:
-                rewritten[key] = without_hashes(value)
+                rewritten[key] = in_current_layout(value)
         return rewritten
     if isinstance(state, list):
-        return [without_hashes(value) for value in state]
+        return [in_current_layout(value) for value in state]
     return state
 
 
@@ -96,23 +109,64 @@ def test_every_layout_has_a_fixture():
         "infinite-v1",
         "sharded-infinite",
         "sharded-sliding",
+        "sharded-sliding-rows",
         "sliding-local-push",
+        "sliding-local-push-rows",
         "sliding-s1-exact",
+        "sliding-s1-exact-rows",
+        "sliding-s1-paper-rows",
         "sliding-s4",
+        "sliding-s4-rows",
         "with-replacement",
         "with-replacement-infinite",
+        "with-replacement-rows",
     ]
+
+
+#: The fixtures whose rows store their hashes.
+HASHED = [name for name in CASES if list(stored_hashes(load(name)["snapshot"]))]
+
+
+def test_the_fixtures_cover_both_row_layouts():
+    assert HASHED == [name for name in CASES if not name.endswith("-rows")]
+    for name in CASES:
+        if name.endswith("-rows"):
+            snapshot = load(name)["snapshot"]
+            assert in_current_layout(snapshot) != snapshot, name
+
+
+def load_writer():
+    """``legacy_snapshots/write_fixture.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "write_fixture", FIXTURES / "write_fixture.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name != "infinite-v1"])
+def test_the_writer_reproduces_every_fixture_in_the_current_layout(name):
+    # Each fixture's recipe, written by this src, drives the same slots
+    # to the same results, from the fixture's state in the current layout.
+    fixture = load(name)
+    written = load_writer().fixture(
+        load_writer().RECIPES[name.removesuffix("-rows")]
+    )
+    assert set(fixture) <= set(written)
+    for key in set(fixture) - {"snapshot"}:
+        assert written[key] == fixture[key], key
+    assert written["snapshot"] == in_current_layout(fixture["snapshot"])
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_restores_and_drives_on_as_it_did(name):
     fixture = load(name)
     snapshot = fixture["snapshot"]
-    assert list(stored_hashes(snapshot))
     sampler = restore(snapshot)
-    # Rewritten without the hashes, and otherwise as it was.
+    # Rewritten in the current layout, and otherwise as it was.
     written = fixture.get("restored", snapshot.get("state"))
-    assert json.loads(json.dumps(sampler.state_dict())) == without_hashes(written)
+    assert json.loads(json.dumps(sampler.state_dict())) == in_current_layout(written)
     drive_and_check(sampler, fixture, fixture)
 
 
@@ -128,7 +182,7 @@ def test_loads_at_another_shard_count_and_drives_on_as_it_did(name):
     drive_and_check(sampler, fixture, resharded)
 
 
-@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("name", HASHED)
 def test_a_tampered_stored_hash_is_a_configuration_error(name):
     fixture = load(name)
     live = restore(fixture["snapshot"])

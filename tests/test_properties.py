@@ -936,8 +936,9 @@ RESTORE_SUBJECTS = {
     "sharded-infinite": {"variant": "sharded:infinite", "shards": 2},
 }
 
-#: Records a general-s sliding site restores as empty when they are
-#: missing (the next lapse then pushes its whole bottom-s, still exact).
+#: Records a general-s sliding site of a row-layout state restores as
+#: empty when they are missing (the next lapse then pushes its whole
+#: bottom-s, still exact).
 OPTIONAL_RECORDS = frozenset({"known", "pending"})
 
 #: State keys whose value is an event counter, a slot or a threshold.
@@ -990,13 +991,20 @@ def _drop_targets(node) -> list:
     return found
 
 
+#: Sliding state keys holding a candidate set or a record: two columns,
+#: ``{"elements": [...], "expiries": [...]}``, or the ``[element,
+#: expiry]`` rows earlier snapshots wrote (see :func:`_as_legacy`).
+CANDIDATE_KEYS = frozenset({"entries", "known", "pending", "reported"})
+
+
 def _swap_targets(node, key=None) -> list:
     """``(container, index)`` for every counter or threshold at or below
     ``node``: values under :data:`SWAPPABLE_KEYS` and ``by_kind``, site
-    thresholds, and every entry of an infinite-family sample: each element
-    of its column, and each stored hash and element of the
-    ``[hash, element]`` rows earlier snapshots wrote (see
-    :func:`_as_legacy`)."""
+    thresholds, every entry of an infinite-family sample (each element of
+    its column, and each stored hash and element of the ``[hash,
+    element]`` rows earlier snapshots wrote), and every element and
+    expiry of a sliding candidate set or record (of its two columns, or
+    of its legacy rows; see :func:`_as_legacy`)."""
     found = []
     if isinstance(node, dict):
         for name, child in node.items():
@@ -1004,16 +1012,41 @@ def _swap_targets(node, key=None) -> list:
                 found.append((node, name))
             elif name == "by_kind":
                 found.extend((child, kind) for kind in child)
+            elif key in CANDIDATE_KEYS and name in ("elements", "expiries"):
+                found.extend((child, i) for i in range(len(child)))
             else:
                 found.extend(_swap_targets(child, name))
     elif isinstance(node, list):
         if key == "site_thresholds":
             found.extend((node, i) for i in range(len(node)))
-        elif key == "sample" and all(isinstance(row, list) for row in node):
+        elif (key == "sample" or key in CANDIDATE_KEYS) and all(
+            isinstance(row, list) for row in node
+        ):
             found.extend((row, i) for row in node for i in range(len(row)))
         else:
             for child in node:
                 found.extend(_swap_targets(child))
+    return found
+
+
+def _candidate_entries(node, key=None) -> set:
+    """``(id(container), index)`` of every element and expiry of every
+    sliding candidate set and record at or below ``node``."""
+    found = set()
+    if isinstance(node, dict):
+        if key in CANDIDATE_KEYS:
+            return {
+                (id(column), i)
+                for column in node.values()
+                for i in range(len(column))
+            }
+        for name, child in node.items():
+            found |= _candidate_entries(child, name)
+    elif isinstance(node, list):
+        if key in CANDIDATE_KEYS:
+            return {(id(row), i) for row in node for i in range(len(row))}
+        for child in node:
+            found |= _candidate_entries(child)
     return found
 
 
@@ -1025,7 +1058,8 @@ INFINITE_SUBJECTS = frozenset(
 
 def _as_legacy(sampler) -> dict:
     """``sampler.state_dict()`` as earlier snapshots wrote it: every
-    infinite-family sample as ``[hash, element]`` rows."""
+    infinite-family sample as ``[hash, element]`` rows, and every sliding
+    candidate set and record as ``[element, expiry]`` rows."""
     state = json.loads(json.dumps(sampler.state_dict()))
     parts = getattr(sampler, "copies", None) or getattr(sampler, "groups", None)
     for part, part_state in (
@@ -1033,19 +1067,35 @@ def _as_legacy(sampler) -> dict:
         if parts
         else [(sampler, state)]
     ):
-        part_state["system"]["sample"] = [[h, e] for h, e in part.sample_pairs()]
+        system = part_state["system"]
+        if "coordinator" not in system:
+            system["sample"] = [[h, e] for h, e in part.sample_pairs()]
+            continue
+        for node in (system["coordinator"], *system["sites"]):
+            for key in CANDIDATE_KEYS & set(node):
+                if node[key] is not None:
+                    node[key] = [
+                        list(row)
+                        for row in zip(node[key]["elements"], node[key]["expiries"])
+                    ]
     return state
 
 
-def _upgraded(node):
+def _upgraded(node, key=None):
     """What a restore of an :func:`_as_legacy` state writes back: each
-    row's element, its hash dropped."""
+    sample row's element, its hash dropped, and each candidate set and
+    record as two columns."""
     if isinstance(node, dict):
-        node = {key: _upgraded(value) for key, value in node.items()}
-        if "sample" in node:
+        node = {name: _upgraded(value, name) for name, value in node.items()}
+        if key == "system" and "coordinator" not in node:
             node["sample"] = [[row[1] for row in node["sample"]]]
         return node
     if isinstance(node, list):
+        if key in CANDIDATE_KEYS:
+            return {
+                "elements": [row[0] for row in node],
+                "expiries": [row[1] for row in node],
+            }
         return [_upgraded(value) for value in node]
     return node
 
@@ -1057,10 +1107,13 @@ def _as_json(state) -> str:
 class TestRestoreFuzz:
     """Every ``load_state`` of a mutated snapshot either restores it
     exactly or raises ConfigurationError and leaves the sampler as it
-    was.  Mutations drop any key, swap any counter or threshold for a
-    string, None, a list, NaN or a negative value, or substitute another
-    variant's whole state.  One exception is by design: a dropped
-    :data:`OPTIONAL_RECORDS` record restores as an empty one."""
+    was.  Mutations drop any key, swap any counter, threshold, sample
+    entry or candidate entry for a string, None, a list, NaN or a
+    negative value, or substitute another variant's whole state; the
+    state is the current layout's or, drawn by ``legacy``, the rows
+    earlier snapshots wrote.  One exception is by design: a dropped
+    :data:`OPTIONAL_RECORDS` record of a row state restores as an empty
+    one."""
 
     @given(
         label=st.sampled_from(sorted(RESTORE_SUBJECTS)),
@@ -1075,7 +1128,7 @@ class TestRestoreFuzz:
     def test_exact_or_typed_error(self, label, other, seeds, kind, bad, legacy, data):
         target = _restore_subject(label, seeds[1])
         dropped_record = None
-        legacy = legacy and kind != "cross" and label in INFINITE_SUBJECTS
+        legacy = legacy and kind != "cross"
         if kind == "cross":
             state = json.loads(json.dumps(_restore_subject(other, seeds[0]).state_dict()))
         else:
@@ -1088,7 +1141,7 @@ class TestRestoreFuzz:
             container, index = data.draw(st.sampled_from(targets))
             if kind == "drop":
                 del container[index]
-                if index in OPTIONAL_RECORDS:
+                if legacy and index in OPTIONAL_RECORDS:
                     dropped_record = (container, index)
             elif bad == "negative":
                 container[index] = -0.5 if isinstance(container[index], float) else -1
@@ -1119,6 +1172,16 @@ class TestRestoreFuzz:
                 for row in container[key]
                 for i in range(len(row))
             }
+            assert entries
+            assert {(id(c), i) for c, i in _swap_targets(state)} >= entries
+
+    @pytest.mark.parametrize("label", sorted(set(RESTORE_SUBJECTS) - INFINITE_SUBJECTS))
+    def test_swaps_reach_every_candidate_entry(self, label):
+        # Each element and expiry of every candidate set and record, in
+        # both columns and legacy rows, is a target.
+        source = _restore_subject(label, 0)
+        for state in (json.loads(json.dumps(source.state_dict())), _as_legacy(source)):
+            entries = _candidate_entries(state)
             assert entries
             assert {(id(c), i) for c, i in _swap_targets(state)} >= entries
 
@@ -1210,14 +1273,16 @@ class TestRestoreFuzz:
         elif field == "site sample_expiry":
             system["sites"][0]["sample_expiry"] = bad
         elif field == "coordinator entries":
-            system["coordinator"]["entries"][0][1] = bad
+            system["coordinator"]["entries"]["expiries"][0] = bad
         elif field == "site entries":
-            site = next(site for site in system["sites"] if site["entries"])
-            site["entries"][0][1] = bad
+            site = next(
+                site for site in system["sites"] if site["entries"]["elements"]
+            )
+            site["entries"]["expiries"][0] = bad
         elif field == "valid_until":
             system["sites"][0]["valid_until"] = bad
         else:
-            system["sites"][0][field] = [[3, bad]]
+            system["sites"][0][field] = {"elements": [3], "expiries": [bad]}
         before = _as_json(target.state_dict())
         with pytest.raises(ConfigurationError):
             target.load_state(state)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -255,6 +256,46 @@ class TestLifecycle:
             with pytest.raises(ConfigurationError, match="site id"):
                 call()
             assert json.dumps(sampler.state_dict(), sort_keys=True) == before
+
+
+    @pytest.mark.parametrize("site", [1.7, 1.0, "1", True, False, None])
+    def test_non_integer_site_ids_raise_before_any_delivery(self, config, site):
+        # A float was truncated to a site by the batch path and failed as
+        # a list index on the single path; a string or a bool was taken
+        # as the site it spells.
+        sampler = make_sampler(config)
+        drive(sampler, workload(n_slots=5))
+        before = json.dumps(sampler.state_dict(), sort_keys=True)
+        calls = [
+            lambda: sampler.observe(site, 5),
+            lambda: sampler.observe(site, 5, slot=9),
+            lambda: sampler.observe_batch([(site, 5), (0, 6)]),
+            lambda: sampler.observe_batch([(0, 1, 6), (1, 2, 7), (site, 3, 8)]),
+            lambda: sampler.observe_batch([(0, 1), (site, 3, 8)]),
+            lambda: sampler.observe_columns(EventBatch([1, 2], sites=[0, site])),
+        ]
+        if hasattr(sampler, "observe_hashed"):
+            calls.append(lambda: sampler.observe_hashed(site, 5, 0.0))
+        for call in calls:
+            with pytest.raises(ConfigurationError, match=f"site id {site!r} is not an integer"):
+                call()
+            assert json.dumps(sampler.state_dict(), sort_keys=True) == before
+
+    def test_numpy_integer_site_ids_stay_valid(self, config):
+        plain = make_sampler(config)
+        numpy_ids = make_sampler(config)
+        for slot, arrivals in workload(n_slots=10):
+            for sampler in (plain, numpy_ids):
+                sampler.advance(slot)
+            plain.observe_batch(arrivals)
+            numpy_ids.observe_batch(
+                [(np.int32(site), item) for site, item in arrivals]
+            )
+            if arrivals:
+                site, item = arrivals[0]
+                plain.observe(site, item)
+                numpy_ids.observe(np.int64(site), item)
+        assert numpy_ids.state_dict() == plain.state_dict()
 
 
 class TestSnapshotRoundTrip:

@@ -388,10 +388,28 @@ def with_repeated_element(node):
     node["entries"] = rows + [[element, expiry + 1, *stored]]
 
 
+def as_rows(system):
+    """Rewrite a sliding ``system`` state in the row layout earlier
+    snapshots wrote: every candidate set and every ``known``/``pending``/
+    ``reported`` record as ``[element, expiry]`` rows instead of two
+    columns."""
+    for node in (system["coordinator"], *system["sites"]):
+        for key in ("entries", "known", "pending", "reported"):
+            if isinstance(node.get(key), dict):
+                columns = node[key]
+                node[key] = [
+                    [element, expiry]
+                    for element, expiry in zip(
+                        columns["elements"], columns["expiries"]
+                    )
+                ]
+
+
 def with_stored_hashes(system, hasher):
-    """Rewrite every candidate row of a sliding ``system`` state as the
-    ``[element, expiry, hash]`` rows snapshots stored before restores
-    recomputed the hashes."""
+    """Rewrite a sliding ``system`` state in the row layout with every
+    candidate row as the ``[element, expiry, hash]`` rows snapshots stored
+    before restores recomputed the hashes."""
+    as_rows(system)
     for node in (system["coordinator"], *system["sites"]):
         if node["entries"]:
             node["entries"] = [
@@ -400,8 +418,19 @@ def with_stored_hashes(system, hasher):
             ]
 
 
-#: Malformed sliding states, by test id: each edits a state's ``system``.
-CORRUPTIONS = {
+def with_repeated_column_element(node):
+    """Append ``node``'s first candidate element again at a later expiry
+    (adding element 8 to a node that holds none)."""
+    columns = node["entries"]
+    if not columns["elements"]:
+        columns.update(elements=[8], expiries=[100])
+    columns["elements"].append(columns["elements"][0])
+    columns["expiries"].append(max(columns["expiries"]) + 1)
+
+
+#: Malformed sliding states of any layout, by test id: each edits a
+#: state's ``system``.
+STRUCTURE_CORRUPTIONS = {
     "short-site-list": lambda system: system.update(sites=system["sites"][:-1]),
     "long-site-list": lambda system: system.update(sites=system["sites"] * 2),
     "sites-none": lambda system: system.update(sites=None),
@@ -409,6 +438,43 @@ CORRUPTIONS = {
     "coordinator-entries-int": lambda system: system["coordinator"].update(
         entries=7
     ),
+}
+
+#: Malformed column states, by test id.
+CORRUPTIONS = {
+    **STRUCTURE_CORRUPTIONS,
+    "short-column": lambda system: system["sites"][0].update(
+        entries={"elements": [1, 2], "expiries": [40]}
+    ),
+    "missing-column": lambda system: system["sites"][0].update(
+        entries={"elements": [1]}
+    ),
+    "extra-column": lambda system: system["sites"][0].update(
+        entries={"elements": [1], "expiries": [40], "hashes": [0.5]}
+    ),
+    "string-column": lambda system: system["sites"][0].update(
+        entries={"elements": "ab", "expiries": [40, 41]}
+    ),
+    "non-numeric-expiry": lambda system: system["sites"][0].update(
+        entries={"elements": ["a"], "expiries": ["b"]}
+    ),
+    "float-expiry": lambda system: system["sites"][0].update(
+        entries={"elements": [1], "expiries": [40.0]}
+    ),
+    "unhashable-element": lambda system: system["sites"][0].update(
+        entries={"elements": [{"x": 1}], "expiries": [3]}
+    ),
+    "rows-after-columns": lambda system: system["sites"][1].update(
+        entries=[[1, 40]]
+    ),
+    "duplicate-element": lambda system: with_repeated_column_element(
+        system["sites"][2]
+    ),
+}
+
+#: Malformed row states, by test id.
+ROW_CORRUPTIONS = {
+    **STRUCTURE_CORRUPTIONS,
     "short-row": lambda system: system["sites"][0].update(entries=[[1]]),
     "long-row": lambda system: system["sites"][0].update(
         entries=[[1, 2, 0.5, 3]]
@@ -491,8 +557,9 @@ class TestCheckpointRewind:
         assert sampler.current_slot == 31
 
 
-#: Site keys a snapshot may lack, by core: the general-s core's
-#: acknowledgement records, absent from snapshots taken before it kept them.
+#: Site keys a row-layout snapshot may lack, by core: the general-s
+#: core's acknowledgement records, absent from snapshots taken before it
+#: kept them.
 OPTIONAL_SITE_KEYS = {"s3": {"known", "pending"}}
 
 
@@ -504,8 +571,21 @@ class TestTypedRestoreErrors:
     @pytest.mark.parametrize("part", ["system", "coordinator", "site"])
     @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
     def test_every_dropped_key_is_a_configuration_error(self, core, part):
+        self._drop_each_key(core, part, rows=False)
+
+    @pytest.mark.parametrize("part", ["system", "coordinator", "site"])
+    @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
+    def test_every_dropped_key_of_a_row_state_is_a_configuration_error(
+        self, core, part
+    ):
+        # Except a record the row layout's earliest snapshots lacked.
+        self._drop_each_key(core, part, rows=True)
+
+    def _drop_each_key(self, core, part, rows):
         source = driven_core(core)
         state = source.state_dict()
+        if rows:
+            as_rows(state["system"])
         keys = {
             "system": state["system"],
             "coordinator": state["system"]["coordinator"],
@@ -520,7 +600,7 @@ class TestTypedRestoreErrors:
                 "site": broken["system"]["sites"][1],
             }[part].pop(key)
             target = bystander(core)
-            if part == "site" and key in OPTIONAL_SITE_KEYS.get(core, ()):
+            if rows and part == "site" and key in OPTIONAL_SITE_KEYS.get(core, ()):
                 self._assert_restores_exactly(target, broken, source)
             else:
                 assert_load_fails_untouched(target, broken)
@@ -551,7 +631,15 @@ class TestTypedRestoreErrors:
         CORRUPTIONS[corruption](state["system"])
         assert_load_fails_untouched(bystander(core), state)
 
-    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("corruption", sorted(ROW_CORRUPTIONS))
+    @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
+    def test_wrong_shapes_of_rows_are_configuration_errors(self, core, corruption):
+        state = driven_core(core).state_dict()
+        as_rows(state["system"])
+        ROW_CORRUPTIONS[corruption](state["system"])
+        assert_load_fails_untouched(bystander(core), state)
+
+    @pytest.mark.parametrize("corruption", sorted(ROW_CORRUPTIONS))
     @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
     def test_wrong_shapes_of_stored_hash_rows_are_configuration_errors(
         self, core, corruption
@@ -559,27 +647,38 @@ class TestTypedRestoreErrors:
         source = driven_core(core)
         state = source.state_dict()
         with_stored_hashes(state["system"], source.hasher)
-        CORRUPTIONS[corruption](state["system"])
+        ROW_CORRUPTIONS[corruption](state["system"])
         assert_load_fails_untouched(bystander(core), state)
 
     @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
-    def test_rows_store_no_hash_and_stored_hashes_still_load(self, core):
+    def test_columns_and_both_row_layouts_load_alike(self, core):
         source = driven_core(core)
         state = json.loads(json.dumps(source.state_dict()))
         system = state["system"]
-        rows = [
-            row
+        columns = [
+            node[key]
             for node in (system["coordinator"], *system["sites"])
-            for row in node["entries"] or ()
+            for key in ("entries", "known", "pending", "reported")
+            if node.get(key) is not None
         ]
-        assert rows and all(len(row) == 2 for row in rows)
-        # Rows that store their hash, as earlier snapshots did, restore
-        # to the same sampler.
-        with_stored_hashes(system, source.hasher)
-        target = bystander(core)
-        target.load_state(state)
-        assert target.state_dict() == source.state_dict()
-        assert target.sample() == source.sample()
+        assert columns and all(
+            set(column) == {"elements", "expiries"}
+            and len(column["elements"]) == len(column["expiries"])
+            for column in columns
+        )
+        assert any(column["elements"] for column in columns)
+        # Rows, with or without their hashes, as earlier snapshots wrote
+        # them, restore to the same sampler.
+        for hashed in (False, True):
+            rows = copy.deepcopy(state)
+            if hashed:
+                with_stored_hashes(rows["system"], source.hasher)
+            else:
+                as_rows(rows["system"])
+            target = bystander(core)
+            target.load_state(rows)
+            assert target.state_dict() == source.state_dict()
+            assert target.sample() == source.sample()
 
     @staticmethod
     def _driven_s1(coordinator_mode="exact", seed=8):
@@ -643,12 +742,23 @@ class TestTypedRestoreErrors:
         source.advance(1)
         source.observe_batch([(0, 4), (1, 9)])
         state = json.loads(json.dumps(source.state_dict()))
-        state["system"]["sites"][0]["entries"][0][0] = "four"
+        state["system"]["sites"][0]["entries"]["elements"][0] = "four"
         assert_load_fails_untouched(source, state)
 
     @pytest.mark.parametrize(
         "rows",
-        [7, None, [[1]], [[1, 2, 3]], [["a", "b"]], [[{"x": 1}, 3]]],
+        [
+            7,
+            None,
+            [[1]],
+            [[1, 2, 3]],
+            [["a", "b"]],
+            [[{"x": 1}, 3]],
+            {"elements": [1, 2], "expiries": [3]},
+            {"elements": ["a"], "expiries": ["b"]},
+            {"elements": [{"x": 1}], "expiries": [3]},
+            {"elements": [1], "expiries": [3], "hashes": [0.5]},
+        ],
         ids=[
             "int",
             "none",
@@ -656,6 +766,10 @@ class TestTypedRestoreErrors:
             "long-row",
             "non-numeric-expiry",
             "unhashable-element",
+            "short-column",
+            "non-numeric-column-expiry",
+            "unhashable-column-element",
+            "extra-column",
         ],
     )
     @pytest.mark.parametrize("key", ["known", "pending"])
@@ -670,3 +784,130 @@ class TestTypedRestoreErrors:
         state = driven_core("s3").state_dict()
         state["system"]["clock"] = "soon"
         assert_load_fails_untouched(bystander("s3"), state)
+
+
+#: Writes a ``python``-algorithm sliding snapshot of string keys (argv[1]
+#: ``write``), or restores the one on stdin and prints its sample or the
+#: error it raised (``read``).
+SALTED_SNAPSHOT_SCRIPT = """
+import json, sys
+from repro import make_sampler, restore, snapshot
+from repro.errors import ConfigurationError
+if sys.argv[1] == "write":
+    sampler = make_sampler(
+        "sliding", num_sites=3, sample_size=4, window=50, algorithm="python"
+    )
+    for slot in range(50):
+        sampler.advance(slot)
+        sampler.observe_batch(
+            [(j % 3, f"k{j}") for j in range(20 * slot, 20 * slot + 20)]
+        )
+    print(json.dumps({"snapshot": snapshot(sampler), "sample": sampler.sample().items}))
+else:
+    try:
+        print(json.dumps(list(restore(json.load(sys.stdin)["snapshot"]).sample().items)))
+    except ConfigurationError as exc:
+        print(json.dumps(str(exc)))
+"""
+
+
+class TestSettledRows:
+    """A snapshot writes every candidate set settled: in ascending
+    ``(expiry, hash)`` order, with no row a load would drop.  Rows that
+    break either rule under the recomputed hashes are refused, leaving
+    the sampler untouched."""
+
+    @staticmethod
+    def _run(mode, salt, stdin=""):
+        import os
+        import subprocess
+        import sys
+
+        done = subprocess.run(
+            [sys.executable, "-c", SALTED_SNAPSHOT_SCRIPT, mode],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            check=True,
+            env={
+                **os.environ,
+                "PYTHONHASHSEED": str(salt),
+                "PYTHONPATH": os.pathsep.join(sys.path),
+            },
+        )
+        return done.stdout
+
+    def test_a_python_hash_snapshot_restores_only_under_its_salt(self):
+        written = self._run("write", 1)
+        sample = json.loads(written)["sample"]
+        assert json.loads(self._run("read", 1, written)) == sample
+        # Under another salt the strings hash otherwise, so the written
+        # sets are out of order and lose rows to the load's sweep.
+        refused = json.loads(self._run("read", 2, written))
+        assert isinstance(refused, str)
+        assert "malformed sliding state" in refused
+
+    @staticmethod
+    def _mix64_core(name, slots=40):
+        sampler = make_sampler(
+            num_sites=3, window=8, seed=5, algorithm="mix64", **SLIDING_CORES[name]
+        )
+        for slot, arrivals in core_schedule(slots):
+            sampler.advance(slot)
+            sampler.observe_batch(arrivals)
+        return sampler
+
+    @pytest.mark.parametrize("layout", ["columns", "rows"])
+    @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
+    def test_two_swapped_rows_are_refused(self, core, layout):
+        source = self._mix64_core(core)
+        state = json.loads(json.dumps(source.state_dict()))
+        self._mix64_core(core, slots=30).load_state(copy.deepcopy(state))
+        hasher = source.hasher
+        for node in state["system"]["sites"]:
+            columns = node["entries"]
+            keys = list(
+                zip(columns["expiries"], map(hasher.unit, columns["elements"]))
+            )
+            i = next((i for i in range(len(keys) - 1) if keys[i] < keys[i + 1]), None)
+            if i is not None:
+                for column in columns.values():
+                    column[i], column[i + 1] = column[i + 1], column[i]
+                break
+        else:
+            pytest.fail("no site holds two distinct rows")
+        if layout == "rows":
+            as_rows(state["system"])
+        target = self._mix64_core(core, slots=30)
+        before = target.state_dict()
+        with pytest.raises(ConfigurationError, match="ascending"):
+            target.load_state(state)
+        assert target.state_dict() == before
+
+    @pytest.mark.parametrize("core", sorted(SLIDING_CORES))
+    def test_a_row_the_load_would_drop_is_refused(self, core):
+        source = self._mix64_core(core)
+        state = json.loads(json.dumps(source.state_dict()))
+        self._mix64_core(core, slots=30).load_state(copy.deepcopy(state))
+        hasher = source.hasher
+        columns = max(
+            (node["entries"] for node in state["system"]["sites"]),
+            key=lambda columns: len(columns["elements"]),
+        )
+        assert len(columns["elements"]) >= source.sample_size
+        # An element at the earliest expiry hashing above every entry is
+        # s-dominated by the set's later entries: in order, but no
+        # settled set holds it.
+        top = max(map(hasher.unit, columns["elements"]))
+        element = next(
+            e
+            for e in range(1000, 2000)
+            if hasher.unit(e) > top and e not in columns["elements"]
+        )
+        columns["elements"].insert(0, element)
+        columns["expiries"].insert(0, columns["expiries"][0] - 1)
+        target = self._mix64_core(core, slots=30)
+        before = target.state_dict()
+        with pytest.raises(ConfigurationError, match="drops 1 of"):
+            target.load_state(state)
+        assert target.state_dict() == before

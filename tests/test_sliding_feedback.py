@@ -420,7 +420,10 @@ class TestDeferredPruning:
                 if i % (CHURN["num_sites"] + 1) == CHURN["num_sites"]:
                     entries = [row for row in entries if row[1] > slot]
                 want = brute_force_survivors(entries, s)
-                assert rows == [[element, expiry] for element, expiry, _ in want]
+                assert rows == {
+                    "elements": [element for element, _, _ in want],
+                    "expiries": [expiry for _, expiry, _ in want],
+                }
 
     def test_sweeps_and_recounts_stay_batched(self, monkeypatch):
         # A deterministic work count, not a timing.  Settling every set
