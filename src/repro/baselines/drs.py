@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError
-from ..netsim.message import COORDINATOR, Message, MessageKind
+from ..netsim.message import COORDINATOR, MessageKind
 from ..netsim.network import Network
 from ..runtime.topology import Topology
 
@@ -61,12 +61,10 @@ class DRSSite:
                 (element, weight, self.site_id),
             )
 
-    def handle_message(self, message: Message, network: Network) -> None:
-        if message.kind is not MessageKind.DRS_THRESHOLD:
-            raise ProtocolError(
-                f"DRS site {self.site_id} cannot handle {message.kind!r}"
-            )
-        self.u_local = message.payload
+    def handle_message(self, kind: MessageKind, payload: Any, network: Network) -> None:
+        if kind is not MessageKind.DRS_THRESHOLD:
+            raise ProtocolError(f"DRS site {self.site_id} cannot handle {kind!r}")
+        self.u_local = payload
 
 
 class DRSCoordinator:
@@ -89,10 +87,10 @@ class DRSCoordinator:
             return 1.0
         return self._pairs[-1][0]
 
-    def handle_message(self, message: Message, network: Network) -> None:
-        if message.kind is not MessageKind.DRS_REPORT:
-            raise ProtocolError(f"coordinator cannot handle {message.kind!r}")
-        element, weight, site_id = message.payload
+    def handle_message(self, kind: MessageKind, payload: Any, network: Network) -> None:
+        if kind is not MessageKind.DRS_REPORT:
+            raise ProtocolError(f"coordinator cannot handle {kind!r}")
+        element, weight, site_id = payload
         self.reports_received += 1
         if weight < self.threshold():
             # Occurrences are not deduplicated: frequency matters in DRS.

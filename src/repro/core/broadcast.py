@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..errors import ConfigurationError, ProtocolError
-from ..netsim.message import COORDINATOR, Message, MessageKind
+from ..netsim.message import COORDINATOR, MessageKind
 from ..netsim.network import Network
 from ..structures.bottomk import BottomK
 from .infinite import BottomSFacadeBase, InfiniteWindowSite
@@ -59,11 +59,11 @@ class BroadcastCoordinator:
         """Current global threshold u."""
         return self.sample_store.threshold()
 
-    def handle_message(self, message: Message, network: Network) -> None:
+    def handle_message(self, kind: MessageKind, payload: Any, network: Network) -> None:
         """Absorb a report; broadcast iff the threshold changed."""
-        if message.kind is not MessageKind.REPORT:
-            raise ProtocolError(f"coordinator cannot handle {message.kind!r}")
-        element, h, _site_id = message.payload
+        if kind is not MessageKind.REPORT:
+            raise ProtocolError(f"coordinator cannot handle {kind!r}")
+        element, h, _site_id = payload
         self.reports_received += 1
         before = self.sample_store.threshold()
         self.sample_store.offer(h, element)

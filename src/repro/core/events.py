@@ -41,7 +41,7 @@ import numpy.typing as npt
 from ..errors import ConfigurationError
 from ..hashing.unit import UnitHasher, unit_hash_array
 
-__all__ = ["EventBatch", "CURRENT_SLOT", "check_site_id"]
+__all__ = ["EventBatch", "CURRENT_SLOT", "check_site_id", "check_slot"]
 
 #: One int64 column (items, sites, or slots).
 IntColumn = npt.NDArray[np.int64]
@@ -95,6 +95,19 @@ def check_site_id(site_id: Any) -> None:
     """
     if isinstance(site_id, bool) or not isinstance(site_id, (int, np.integer)):
         raise ConfigurationError(f"site id {site_id!r} is not an integer")
+
+
+def check_slot(slot: Any) -> None:
+    """Require a slot stamp to be an ``int`` or a NumPy integer.
+
+    A float would otherwise be truncated to a slot, a numeric string be
+    parsed as one, and a bool stamp slot 0 or 1.
+
+    Raises:
+        ConfigurationError: For a bool, a float, a string or anything else.
+    """
+    if isinstance(slot, bool) or not isinstance(slot, (int, np.integer)):
+        raise ConfigurationError(f"slot {slot!r} is not an integer")
 
 
 def _site_column(sites: Any) -> IntColumn:
@@ -205,8 +218,9 @@ class EventBatch:
 
         Raises:
             ConfigurationError: For an event with fewer than two fields,
-                a site id :func:`check_site_id` refuses, or sites and
-                slots that are not int64-range integers.
+                a site id :func:`check_site_id` or a slot
+                :func:`check_slot` refuses, or sites and slots that are
+                not int64-range integers.
         """
         events = events if isinstance(events, list) else list(events)
         if not events:
@@ -232,6 +246,9 @@ class EventBatch:
                 filled.append(stamp)
             slots = filled
         site_column = _site_column(sites)
+        if slots is not None and not set(map(type, slots)) <= {int}:
+            for slot in slots:
+                check_slot(slot)
         try:
             slot_column = (
                 None if slots is None else np.array(slots, dtype=np.int64)

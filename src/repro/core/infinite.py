@@ -53,7 +53,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher
-from ..netsim.message import COORDINATOR, Message, MessageKind
+from ..netsim.message import COORDINATOR, MessageKind
 from ..netsim.network import Network
 from ..runtime.topology import Topology
 from ..structures.bottomk import BottomK
@@ -184,13 +184,11 @@ class InfiniteWindowSite:
                 self.site_id, COORDINATOR, MessageKind.REPORT, (element, h, self.site_id)
             )
 
-    def handle_message(self, message: Message, network: Network) -> None:
+    def handle_message(self, kind: MessageKind, payload: Any, network: Network) -> None:
         """Adopt the refreshed threshold (Algorithm 1 lines 5-6)."""
-        if message.kind is not self.FEEDBACK:
-            raise ProtocolError(
-                f"site {self.site_id} cannot handle {message.kind!r}"
-            )
-        self.u_local = message.payload
+        if kind is not self.FEEDBACK:
+            raise ProtocolError(f"site {self.site_id} cannot handle {kind!r}")
+        self.u_local = payload
 
 
 class InfiniteWindowCoordinator:
@@ -219,13 +217,11 @@ class InfiniteWindowCoordinator:
         """Current global threshold u (the min(s,d)-th smallest hash)."""
         return self.sample_store.threshold()
 
-    def handle_message(self, message: Message, network: Network) -> None:
+    def handle_message(self, kind: MessageKind, payload: Any, network: Network) -> None:
         """Process a site report and always reply with the fresh u."""
-        if message.kind is not MessageKind.REPORT:
-            raise ProtocolError(
-                f"coordinator cannot handle {message.kind!r}"
-            )
-        element, h, site_id = message.payload
+        if kind is not MessageKind.REPORT:
+            raise ProtocolError(f"coordinator cannot handle {kind!r}")
+        element, h, site_id = payload
         self.reports_received += 1
         accepted, _evicted = self.sample_store.offer(h, element)
         if accepted:

@@ -45,7 +45,7 @@ from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher
 from ..netsim.message import MessageKind
 from ..netsim.network import MessageStats, Network
-from .events import EventBatch, check_site_id
+from .events import EventBatch, check_site_id, check_slot
 
 if TYPE_CHECKING:  # runtime.topology imports this module back at call time
     from ..runtime.topology import Topology
@@ -332,7 +332,7 @@ def stats_state(network: Network) -> dict[str, Any]:
         "total_bytes": stats.total_bytes,
         "site_to_coordinator": stats.site_to_coordinator,
         "coordinator_to_site": stats.coordinator_to_site,
-        "by_kind": {kind.name: count for kind, count in stats.by_kind.items()},
+        "by_kind": stats.by_kind.by_name(),
     }
 
 
@@ -426,7 +426,7 @@ class Sampler(ABC):
         Raises:
             ConfigurationError: For a site id that is not an integer (a
                 float, a string or a bool) or lies outside ``[0, k)``,
-                before time advances.
+                or a slot that is not an integer, before time advances.
         """
         self._check_site(site_id)
         if slot is not None:
@@ -527,9 +527,14 @@ class Sampler(ABC):
         infinite-window samplers this only tracks the slot counter.
 
         Raises:
+            ConfigurationError: For a slot that is not an integer (a
+                float, a string or a bool), before time advances
+                (:func:`~repro.core.events.check_slot`).
             ProtocolError: If ``slot`` is before the current slot (time
                 never rewinds in the synchronized-clock model).
         """
+        if type(slot) is not int:
+            check_slot(slot)
         slot = int(slot)
         if self._last_slot is not None:
             if slot < self._last_slot:

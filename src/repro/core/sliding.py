@@ -69,7 +69,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher
 from ..netsim.clock import SlotClock
-from ..netsim.message import COORDINATOR, Message, MessageKind
+from ..netsim.message import COORDINATOR, MessageKind
 from ..netsim.network import Network
 from ..runtime.topology import Topology
 from ..structures.dominance import DominanceEntry, SortedDominanceSet
@@ -681,13 +681,13 @@ class SlidingWindowSite:
                 (element, h, expiry, self.site_id),
             )
 
-    def handle_message(self, message: Message, network: Network) -> None:
+    def handle_message(self, kind: MessageKind, payload: Any, network: Network) -> None:
         """Adopt the coordinator's sample reply (Algorithm 3 lines 16-20)."""
-        if message.kind is not MessageKind.SW_SAMPLE:
+        if kind is not MessageKind.SW_SAMPLE:
             raise ProtocolError(
-                f"sliding-window site {self.site_id} cannot handle {message.kind!r}"
+                f"sliding-window site {self.site_id} cannot handle {kind!r}"
             )
-        element, h, expiry = message.payload
+        element, h, expiry = payload
         self.sample_element = element
         self.u_local = h
         self.sample_expiry = expiry
@@ -758,11 +758,11 @@ class SlidingWindowCoordinator:
             self.u_star = h
             self.sample_expiry = expiry
 
-    def handle_message(self, message: Message, network: Network) -> None:
+    def handle_message(self, kind: MessageKind, payload: Any, network: Network) -> None:
         """Absorb a site report; always reply with the global sample."""
-        if message.kind is not MessageKind.SW_REPORT:
-            raise ProtocolError(f"coordinator cannot handle {message.kind!r}")
-        element, h, expiry, site_id = message.payload
+        if kind is not MessageKind.SW_REPORT:
+            raise ProtocolError(f"coordinator cannot handle {kind!r}")
+        element, h, expiry, site_id = payload
         self.reports_received += 1
         self.absorb(element, h, expiry)
         if self.candidates is not None:

@@ -12,23 +12,31 @@ combining the two devices this package already has:
   than ``s``), valid until ``t_u`` = the earliest expiry among its
   current bottom-s — the first moment the threshold could *rise*.
 
-Protocol:
+Protocol.  A report ``(e, h(e), x, i, lapse)`` carries a last field: None
+for an arrival, the site's lapse number for the final push of a lapse,
+and :data:`SILENT` for the lapse's other pushes.
 
 * **Site, arrival ``e`` at slot ``t``:** refresh ``(e, t+w)`` in ``T_i``;
   report ``(e, h(e), t+w)`` iff ``h(e) < u_i``.
-* **Coordinator, report:** merge into its candidate set, then reply
-  ``(u, t_u)``, echoing the reported element and expiry.
-* **Site, reply:** record the echoed element as *known* (acknowledged) at
-  the echoed expiry; adopt ``(u, t_u)`` unless it would raise ``u_i``.
+* **Coordinator, report:** merge into its candidate set; unless the
+  report is :data:`SILENT`, reply ``(u, t_u)``, echoing the reported
+  element, expiry and lapse field.
+* **Site, reply:** adopt ``(u, t_u)`` unless it would raise ``u_i``.  A
+  reply echoing the site's current lapse number moves the whole
+  ``pending`` record into ``known``, in push order; any other reply
+  records just its echoed element as *known* (acknowledged) at the echoed
+  expiry, and clears it from ``pending`` if it is pending there.
 * **Site, slot boundary:** the site *lapses* if ``t_i <= now`` (threshold
   validity expired) or a push of its previous lapse is still
-  unacknowledged.  A lapse resets ``u_i`` to 1.0 and pushes the entries
-  of its local bottom-s that are not known at their current expiry (one
-  entry if all are, so a fresh ``(u, t_u)`` still comes back), each a
-  constant-size message counted individually.  The known record then
-  holds just the acknowledged bottom-s.  Between lapses, a record grown
-  past ``2s`` drops its expired entries, since a site whose replies stay
-  valid until infinity never lapses.
+  unacknowledged.  A lapse numbers itself (``fallbacks``, from 1), resets
+  ``u_i`` to 1.0 and pushes the entries of its local bottom-s that are not
+  known at their current expiry (one entry if all are, so a fresh
+  ``(u, t_u)`` still comes back), each a constant-size message counted
+  individually; only the final push asks for a reply.  Those pushes are
+  the ``pending`` record, and the known record then holds just the
+  acknowledged bottom-s.  Between lapses, a record grown past ``2s`` drops
+  its expired entries, since a site whose replies stay valid until
+  infinity never lapses.
 
 Delivery takes a same-slot run per site in one pass
 (:meth:`SlidingWindowBottomSFeedback._deliver_columns`): each site's
@@ -61,16 +69,34 @@ have been a no-op absorb, so on the synchronous network each threshold,
 lapse and sample is what pushing the whole bottom-s gives; only the
 message count falls.
 
-Two rules keep the sample exact on a delaying network
+Answering only a lapse's final push changes no state on the synchronous
+network.  A lapse's pushes are absorbed in order, so the final reply
+carries the ``(u, t_u)`` the last of one reply per push would have, and
+the site adopted that one too, since an absorb never raises ``u``.
+Moving ``pending`` into ``known`` in push order writes what one
+acknowledgement per push would have written.  Only the non-final replies
+go.
+
+Three rules keep the sample exact on a delaying network
 (:mod:`repro.netsim.delayed`, :mod:`repro.netsim.chaos` without drops)
-once it has drained and a slot boundary has passed, and neither fires on
+once it has drained and a slot boundary has passed, and none fires on
 the synchronous network, where every reply lands before the next event.
 A lapse repeats until its pushes are acknowledged, so a push lost to a
-dead site is resent.  And a reply that would raise ``u_i`` is not
-adopted, so between lapses ``u_i`` only falls and every element it
-filtered stays covered: while the held threshold is valid the
-coordinator's cannot rise, so such a reply is stale, and once the held
-one has expired the next boundary lapses anyway.
+dead site is resent.  A reply that would raise ``u_i`` is not adopted,
+so between lapses ``u_i`` only falls and every element it filtered stays
+covered: while the held threshold is valid the coordinator's cannot
+rise, so such a reply is stale, and once the held one has expired the
+next boundary lapses anyway.  And only a reply echoing the *current*
+lapse number settles the lapse.  That reply answers the final push of
+this lapse, which the site sent after every other push of it, so each of
+them was sent too and, drops aside, is absorbed or still in flight to
+the coordinator: delay and reordering (the final push overtaking the
+others) only postpone absorbs the drain completes, and a duplicate
+echoes the same number.  A site is dead or alive for a whole boundary,
+so a dead site sends none of a lapse's pushes and gets no reply to it.
+A reply to any older report, say one queued before the site died,
+echoes another number (or none) and acknowledges only its own entry, so
+it cannot settle a later lapse whose pushes never left the site.
 """
 
 from __future__ import annotations
@@ -84,7 +110,7 @@ import numpy as np
 from ..errors import ConfigurationError, ProtocolError
 from ..hashing.unit import UnitHasher
 from ..netsim.clock import SlotClock
-from ..netsim.message import COORDINATOR, Message, MessageKind
+from ..netsim.message import COORDINATOR, MessageKind
 from ..netsim.network import Network
 from ..structures.dominance import DominanceEntry, SortedDominanceSet
 from .events import EventBatch
@@ -100,10 +126,15 @@ __all__ = [
     "FeedbackBottomSSite",
     "FeedbackBottomSCoordinator",
     "SlidingWindowBottomSFeedback",
+    "SILENT",
 ]
 
 _INF = math.inf
 _EXPIRY = attrgetter("expiry")
+
+#: The lapse field of a lapse push the coordinator absorbs without a
+#: reply: every push of a lapse but the final one.  Lapses number from 1.
+SILENT = 0
 
 
 class FeedbackBottomSSite:
@@ -134,7 +165,8 @@ class FeedbackBottomSSite:
         self.fallbacks = 0
         # element -> expiry at which the coordinator acknowledged it
         self.known: dict[Any, int] = {}
-        # element -> expiry of the last lapse's unacknowledged pushes
+        # element -> expiry of the last lapse's unacknowledged pushes,
+        # in push order
         self.pending: dict[Any, int] = {}
 
     @property
@@ -144,7 +176,8 @@ class FeedbackBottomSSite:
 
     def tick(self, now: int, network: Network) -> None:
         """Slot boundary: on a lapse, push the local bottom-s entries the
-        coordinator has not acknowledged at their current expiry."""
+        coordinator has not acknowledged at their current expiry, the
+        final one numbered with the lapse."""
         known = self.known
         if len(known) > 2 * self.sample_size:
             known = self.known = {
@@ -165,19 +198,26 @@ class FeedbackBottomSSite:
             else:
                 fresh.append(entry)
         self.known = acknowledged
-        # Each push is answered; the last reply leaves the freshest
-        # (u, t_u).  Reset the threshold first so the replies rule.
+        # Only the final push is answered, and its reply leaves the
+        # freshest (u, t_u).  Reset the threshold first so the reply rules.
         self.u_local = 1.0
         self.valid_until = _INF
         pushes = fresh or bottom[:1]
         self.pending = {entry.element: entry.expiry for entry in pushes}
-        for entry in pushes:
+        final = len(pushes) - 1
+        for index, entry in enumerate(pushes):
             self.reports_sent += 1
             network.send(
                 self.site_id,
                 COORDINATOR,
                 MessageKind.SW_REPORT,
-                (entry.element, entry.hash, entry.expiry, self.site_id),
+                (
+                    entry.element,
+                    entry.hash,
+                    entry.expiry,
+                    self.site_id,
+                    self.fallbacks if index == final else SILENT,
+                ),
             )
 
     def observe_hashed(
@@ -197,24 +237,29 @@ class FeedbackBottomSSite:
                 self.site_id,
                 COORDINATOR,
                 MessageKind.SW_REPORT,
-                (element, h, expiry, self.site_id),
+                (element, h, expiry, self.site_id, None),
             )
 
-    def handle_message(self, message: Message, network: Network) -> None:
-        """Record the echoed entry as acknowledged, and adopt the reply's
-        (threshold, validity) unless it would raise the threshold, which
-        only a reply delayed past a slot boundary can."""
-        if message.kind is not MessageKind.SW_SAMPLE:
+    def handle_message(self, kind: MessageKind, payload: Any, network: Network) -> None:
+        """Adopt the reply's (threshold, validity) unless it would raise
+        the threshold, which only a reply delayed past a slot boundary
+        can.  A reply echoing the current lapse number settles the lapse:
+        every pending push joins ``known``, in push order.  Any other
+        records just its echoed entry as acknowledged."""
+        if kind is not MessageKind.SW_SAMPLE:
             raise ProtocolError(
-                f"feedback site {self.site_id} cannot handle {message.kind!r}"
+                f"feedback site {self.site_id} cannot handle {kind!r}"
             )
-        u, valid_until, element, expiry = message.payload
+        u, valid_until, element, expiry, lapse = payload
         if u <= self.u_local:
             self.u_local = u
             self.valid_until = valid_until
-        self.known[element] = expiry
-        if self.pending.get(element) == expiry:
+        if lapse == self.fallbacks:
+            self.known.update(self.pending)
+            self.pending = {}
+        elif self.pending.get(element) == expiry:
             del self.pending[element]
+        self.known[element] = expiry
 
 
 class FeedbackBottomSCoordinator:
@@ -240,20 +285,23 @@ class FeedbackBottomSCoordinator:
         """Merge one entry into the candidate set."""
         self.candidates.observe(element, expiry, h)
 
-    def handle_message(self, message: Message, network: Network) -> None:
-        """Merge a report; reply with the fresh (u, t_u), echoing the
-        reported element and expiry as its acknowledgement."""
-        if message.kind is not MessageKind.SW_REPORT:
-            raise ProtocolError(f"coordinator cannot handle {message.kind!r}")
-        element, h, expiry, site_id = message.payload
+    def handle_message(self, kind: MessageKind, payload: Any, network: Network) -> None:
+        """Merge a report; unless it is :data:`SILENT`, reply with the
+        fresh (u, t_u), echoing the reported element, expiry and lapse
+        field as its acknowledgement."""
+        if kind is not MessageKind.SW_REPORT:
+            raise ProtocolError(f"coordinator cannot handle {kind!r}")
+        element, h, expiry, site_id, lapse = payload
         self.reports_received += 1
         self.absorb(element, h, expiry)
+        if lapse == SILENT:
+            return
         u, valid_until = self._threshold(self.clock.now)
         network.send(
             COORDINATOR,
             site_id,
             MessageKind.SW_SAMPLE,
-            (u, valid_until, element, expiry),
+            (u, valid_until, element, expiry, lapse),
         )
 
     def sample_entries(self, now: int) -> list[DominanceEntry]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..errors import ProtocolError
-from ..netsim.message import COORDINATOR, Message, MessageKind
+from ..netsim.message import COORDINATOR, MessageKind
 from ..netsim.network import Network
 from ..structures.dominance import DominanceEntry, SortedDominanceSet
 from .sliding import (
@@ -117,10 +117,10 @@ class LocalPushSite:
         self.candidates.observe(element, now + self.window, h)
         self._sync_bottom(now, network)
 
-    def handle_message(self, message: Message, network: Network) -> None:
+    def handle_message(self, kind: MessageKind, payload: Any, network: Network) -> None:
         """Local-push sites receive no protocol messages."""
         raise ProtocolError(
-            f"local-push site {self.site_id} received unexpected {message.kind!r}"
+            f"local-push site {self.site_id} received unexpected {kind!r}"
         )
 
 
@@ -143,10 +143,10 @@ class LocalPushCoordinator:
         """Merge one entry into the candidate set."""
         self.candidates.observe(element, expiry, h)
 
-    def handle_message(self, message: Message, network: Network) -> None:
-        if message.kind is not MessageKind.SW_REPORT:
-            raise ProtocolError(f"coordinator cannot handle {message.kind!r}")
-        element, h, expiry, _site_id = message.payload
+    def handle_message(self, kind: MessageKind, payload: Any, network: Network) -> None:
+        if kind is not MessageKind.SW_REPORT:
+            raise ProtocolError(f"coordinator cannot handle {kind!r}")
+        element, h, expiry, _site_id = payload
         self.reports_received += 1
         self.absorb(element, h, expiry)
 

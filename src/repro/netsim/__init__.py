@@ -9,7 +9,7 @@ from .chaos import ChaosNetwork
 from .clock import SlotClock
 from .delayed import DelayedNetwork
 from .message import COORDINATOR, Message, MessageKind
-from .network import MessageStats, Network
+from .network import KindCounts, MessageStats, Network
 from .node import Node, SlottedSite, StreamSite
 from .trace import MessageTrace
 
@@ -21,6 +21,7 @@ __all__ = [
     "DelayedNetwork",
     "ChaosNetwork",
     "MessageStats",
+    "KindCounts",
     "Node",
     "StreamSite",
     "SlottedSite",

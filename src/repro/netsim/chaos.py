@@ -22,10 +22,12 @@ in ``tests/test_properties.py``):
   from a no-fault twin fed the same arrivals.
 * **Sliding windows converge at the next slot boundary.**  A sliding
   threshold legitimately rises as sample members expire, so the general-s
-  core adopts no reply that would raise its threshold and repeats a lapse
-  until its pushes are acknowledged (:mod:`repro.core.sliding_feedback`).
-  With ``drop == 0``, reviving every site, draining, and passing one slot
-  boundary leaves its sample equal to the window oracle's.
+  core adopts no reply that would raise its threshold, repeats a lapse
+  until its pushes are acknowledged, and settles a lapse only on the
+  reply that echoes its number, the answer to its final push
+  (:mod:`repro.core.sliding_feedback`).  With ``drop == 0``, reviving
+  every site, draining, and passing one slot boundary leaves its sample
+  equal to the window oracle's.
 * **With ``drop > 0`` exactness is forfeited** (a lost REPORT is lost
   data), but safety is not: the coordinator's threshold never falls below
   the oracle's, and every sample member remains a genuine observed
@@ -240,7 +242,7 @@ class ChaosNetwork(DelayedNetwork):
                 self.dropped_messages += 1
                 continue
             node = self._nodes[message.dst]
-            node.handle_message(message, self)
+            node.handle_message(message.kind, message.payload, self)
             delivered += 1
             self.delivered_messages += 1
         return delivered

@@ -5,7 +5,10 @@ which :class:`~repro.netsim.network.Network` models as synchronous
 delivery.  Real deployments have in-flight messages.  This module provides
 :class:`DelayedNetwork`, which queues messages per directed link and
 delivers them on an explicit pump, preserving **per-link FIFO order** —
-the standard TCP-like assumption.
+the standard TCP-like assumption.  Each queued send is a
+:class:`~repro.netsim.message.Message` record, since its addresses and
+size must wait with the payload; a pump hands the destination its kind
+and payload, as a synchronous send does.
 
 What survives delay (verified by ``tests/test_delayed.py``):
 
@@ -33,7 +36,7 @@ import numpy as np
 
 from ..errors import ProtocolError
 from .message import COORDINATOR, Message, MessageKind
-from .network import MessageStats, Network
+from .network import Network
 
 
 __all__ = ["DelayedNetwork"]
@@ -80,18 +83,11 @@ class DelayedNetwork(Network):
         """Count and enqueue one message; delivery happens at pump time.
 
         As in :class:`Network`, the counters move only after ``dst``
-        validates.
+        validates, by the same :meth:`~repro.netsim.network.MessageStats.record`.
         """
         if dst not in self._nodes:
             raise ProtocolError(f"no node registered at address {dst}")
-        stats = self.stats
-        stats.total_messages += 1
-        stats.total_bytes += size_bytes
-        if dst == COORDINATOR:
-            stats.site_to_coordinator += 1
-        elif src == COORDINATOR:
-            stats.coordinator_to_site += 1
-        stats.by_kind[kind] += 1
+        self.stats.record(src, dst, kind, size_bytes)
         self._queues.setdefault((src, dst), deque()).append(
             Message(src, dst, kind, payload, size_bytes)
         )
@@ -126,7 +122,7 @@ class DelayedNetwork(Network):
                 link = min(links)
             message = self._queues[link].popleft()
             node = self._nodes[message.dst]
-            node.handle_message(message, self)
+            node.handle_message(message.kind, message.payload, self)
             delivered += 1
             self.delivered_messages += 1
         return delivered

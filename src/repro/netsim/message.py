@@ -1,11 +1,16 @@
-"""Message types exchanged between sites and the coordinator.
+"""Message kinds, and the record a queueing network keeps of a message.
 
 The paper's cost model counts *messages*; each message carries a constant
 number of machine words ("message size is constant, assuming that each
-stream element can be stored in a constant number of bytes").  We model a
-message as a small immutable record (a named tuple, the cheapest to build
-on every send) with a kind tag and a payload tuple, and account both
-message counts and approximate byte sizes.
+stream element can be stored in a constant number of bytes").  A message
+is a kind tag and a payload tuple, and the network accounts both message
+counts and approximate byte sizes.
+
+The synchronous :class:`~repro.netsim.network.Network` hands a node the
+kind and the payload and builds nothing else.  :class:`Message` is the
+record :class:`~repro.netsim.delayed.DelayedNetwork` and
+:class:`~repro.netsim.chaos.ChaosNetwork` queue per link, where the
+addresses and the size must travel with the payload until delivery.
 """
 
 from __future__ import annotations
@@ -20,7 +25,12 @@ COORDINATOR: int = -1
 
 
 class MessageKind(enum.Enum):
-    """Wire-protocol message kinds across all implemented algorithms."""
+    """Wire-protocol message kinds across all implemented algorithms.
+
+    Each kind's ``index`` is its position in declaration order: its slot
+    in the int list a network counts kinds in
+    (:class:`~repro.netsim.network.KindCounts`).
+    """
 
     #: Infinite window, site -> coordinator: candidate element (Alg. 1 line 4).
     REPORT = "report"
@@ -37,14 +47,18 @@ class MessageKind(enum.Enum):
     #: Frequency-sensitive DRS baseline, coordinator -> site.
     DRS_THRESHOLD = "drs_threshold"
 
+    def __init__(self, value: str) -> None:
+        # Members are built in declaration order, each after the last one
+        # joined the class.
+        self.index = len(type(self).__members__)
+
     # Members are singletons compared by identity, so identity hashing
-    # agrees with equality and runs in C (``Enum`` hashes the name), which
-    # every per-kind count pays on each send.
+    # agrees with equality and runs in C (``Enum`` hashes the name).
     __hash__ = object.__hash__
 
 
 class Message(NamedTuple):
-    """A single message on the simulated network.
+    """A message queued on a delaying network.
 
     Attributes:
         src: Sender address (site index, or :data:`COORDINATOR`).

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .message import Message
+    from .message import MessageKind
     from .network import Network
 
 __all__ = ["Node", "StreamSite", "SlottedSite"]
@@ -20,8 +20,11 @@ __all__ = ["Node", "StreamSite", "SlottedSite"]
 class Node(Protocol):
     """Anything that can receive a message."""
 
-    def handle_message(self, message: "Message", network: "Network") -> None:
-        """Process an incoming message; may send replies via ``network``."""
+    def handle_message(
+        self, kind: "MessageKind", payload: Any, network: "Network"
+    ) -> None:
+        """Process an incoming message of ``kind`` carrying ``payload``;
+        may send replies via ``network``."""
         ...
 
 

@@ -27,7 +27,6 @@ copies drift.  :class:`Topology` owns it once:
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # the runtime import happens lazily at call time
@@ -152,13 +151,12 @@ def merge_message_stats(parts: Iterable[MessageStats]) -> MessageStats:
         field-wise sums (``by_kind`` merged per kind).
     """
     merged = MessageStats()
-    by_kind: Counter[Any] = merged.by_kind
     for stats in parts:
         merged.total_messages += stats.total_messages
         merged.total_bytes += stats.total_bytes
         merged.site_to_coordinator += stats.site_to_coordinator
         merged.coordinator_to_site += stats.coordinator_to_site
-        by_kind.update(stats.by_kind)
+        merged.by_kind.add(stats.by_kind)
     return merged
 
 

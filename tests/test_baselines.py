@@ -16,7 +16,7 @@ from repro.baselines import (
 )
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hashing import UnitHasher
-from repro.netsim import COORDINATOR, Message, MessageKind
+from repro.netsim import MessageKind
 
 
 class TestReservoir:
@@ -128,12 +128,10 @@ class TestDRS:
         with pytest.raises(ConfigurationError):
             DistributedRandomSampler(num_sites=1, sample_size=0)
         drs = DistributedRandomSampler(num_sites=1, sample_size=1, seed=4)
-        bad = Message(0, COORDINATOR, MessageKind.REPORT, None)
         with pytest.raises(ProtocolError):
-            drs.coordinator.handle_message(bad, drs.network)
-        bad_site = Message(COORDINATOR, 0, MessageKind.THRESHOLD, 0.5)
+            drs.coordinator.handle_message(MessageKind.REPORT, None, drs.network)
         with pytest.raises(ProtocolError):
-            drs.sites[0].handle_message(bad_site, drs.network)
+            drs.sites[0].handle_message(MessageKind.THRESHOLD, 0.5, drs.network)
 
 
 class TestPriorityWindow:

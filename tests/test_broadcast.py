@@ -8,7 +8,7 @@ import pytest
 from repro import BroadcastSamplerSystem, CentralizedDistinctSampler
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hashing import UnitHasher
-from repro.netsim import COORDINATOR, Message, MessageKind
+from repro.netsim import MessageKind
 
 
 class TestExactness:
@@ -100,12 +100,10 @@ class TestErrors:
 
     def test_site_rejects_threshold_kind(self):
         system = BroadcastSamplerSystem(2, 5, seed=6)
-        bad = Message(COORDINATOR, 0, MessageKind.THRESHOLD, 0.5)
         with pytest.raises(ProtocolError):
-            system.sites[0].handle_message(bad, system.network)
+            system.sites[0].handle_message(MessageKind.THRESHOLD, 0.5, system.network)
 
     def test_coordinator_rejects_foreign(self):
         system = BroadcastSamplerSystem(2, 5, seed=6)
-        bad = Message(0, COORDINATOR, MessageKind.SW_REPORT, None)
         with pytest.raises(ProtocolError):
-            system.coordinator.handle_message(bad, system.network)
+            system.coordinator.handle_message(MessageKind.SW_REPORT, None, system.network)

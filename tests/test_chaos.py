@@ -17,8 +17,8 @@ class Collector:
     def __init__(self):
         self.payloads = []
 
-    def handle_message(self, message, network):
-        self.payloads.append(message.payload)
+    def handle_message(self, kind, payload, network):
+        self.payloads.append(payload)
 
 
 def linked_net(**kwargs):

@@ -135,7 +135,7 @@ class TestFaultInjection:
         net = DelayedNetwork()
 
         class Sink:
-            def handle_message(self, message, network):
+            def handle_message(self, kind, payload, network):
                 pass
 
         net.register(0, Sink())
@@ -150,8 +150,8 @@ class TestFaultInjection:
         received = []
 
         class Collector:
-            def handle_message(self, message, network):
-                received.append(message.payload)
+            def handle_message(self, kind, payload, network):
+                received.append(payload)
 
         net = DelayedNetwork()
         net.register(0, Collector())

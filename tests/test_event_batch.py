@@ -78,6 +78,17 @@ class TestConstruction:
         assert EventBatch.from_events(flat).to_events() == flat
         assert EventBatch.from_events(iter(flat)).to_events() == flat
 
+    @pytest.mark.parametrize("slot", [2.5, 2.0, np.float64(2.0), "2", True, None])
+    def test_from_events_refuses_non_integer_slots(self, slot):
+        # np.array(..., dtype=np.int64) truncated 2.5 to slot 2.
+        for events in ([(0, 5, slot)], [(0, 5, 1), (1, 6, slot)], [(0, 5), (1, 6, slot)]):
+            with pytest.raises(ConfigurationError, match="is not an integer"):
+                EventBatch.from_events(events)
+
+    def test_from_events_takes_numpy_integer_slots(self):
+        events = [(0, 5, np.int64(1)), (1, 7, np.uint16(2))]
+        assert EventBatch.from_events(events).to_events() == [(0, 5, 1), (1, 7, 2)]
+
     def test_from_events_empty(self):
         batch = EventBatch.from_events([])
         assert len(batch) == 0

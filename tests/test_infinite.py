@@ -22,7 +22,7 @@ from repro import (
 )
 from repro.errors import ProtocolError
 from repro.hashing import UnitHasher
-from repro.netsim import COORDINATOR, Message, MessageKind
+from repro.netsim import MessageKind
 
 
 def drive(system, oracle, elements, sites):
@@ -219,15 +219,13 @@ class TestErrorsAndValidation:
 
     def test_site_rejects_foreign_message(self):
         system = DistinctSamplerSystem(2, 5, seed=9)
-        bad = Message(COORDINATOR, 0, MessageKind.BROADCAST, 0.5)
         with pytest.raises(ProtocolError):
-            system.sites[0].handle_message(bad, system.network)
+            system.sites[0].handle_message(MessageKind.BROADCAST, 0.5, system.network)
 
     def test_coordinator_rejects_foreign_message(self):
         system = DistinctSamplerSystem(2, 5, seed=9)
-        bad = Message(0, COORDINATOR, MessageKind.SW_REPORT, None)
         with pytest.raises(ProtocolError):
-            system.coordinator.handle_message(bad, system.network)
+            system.coordinator.handle_message(MessageKind.SW_REPORT, None, system.network)
 
     def test_properties(self):
         system = DistinctSamplerSystem(3, 7, seed=10)

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -21,24 +22,24 @@ from repro.netsim import (
 
 
 class Recorder:
-    """Minimal node that records received messages."""
+    """Minimal node that records the ``(kind, payload)`` it receives."""
 
     def __init__(self):
-        self.received: list[Message] = []
+        self.received: list[tuple[MessageKind, object]] = []
 
-    def handle_message(self, message, network):
-        self.received.append(message)
+    def handle_message(self, kind, payload, network):
+        self.received.append((kind, payload))
 
 
 class Echoer:
-    """Node that replies to every message (tests reentrancy)."""
+    """Node that answers every report (tests reentrancy)."""
 
     def __init__(self, address, reply_to):
         self.address = address
         self.reply_to = reply_to
 
-    def handle_message(self, message, network):
-        if message.src != self.reply_to:
+    def handle_message(self, kind, payload, network):
+        if kind is not MessageKind.REPORT:
             return
         network.send(self.address, self.reply_to, MessageKind.THRESHOLD, 0.5)
 
@@ -50,7 +51,7 @@ class PingPonger:
         self.address = address
         self.peer = peer
 
-    def handle_message(self, message, network):
+    def handle_message(self, kind, payload, network):
         network.send(self.address, self.peer, MessageKind.REPORT, None)
 
 
@@ -60,10 +61,7 @@ class TestRouting:
         node = Recorder()
         net.register(0, node)
         net.send(COORDINATOR, 0, MessageKind.THRESHOLD, 0.7)
-        assert len(node.received) == 1
-        message = node.received[0]
-        assert message.payload == 0.7
-        assert message.kind is MessageKind.THRESHOLD
+        assert node.received == [(MessageKind.THRESHOLD, 0.7)]
 
     def test_duplicate_address_rejected(self):
         net = Network()
@@ -184,6 +182,29 @@ class TestAccounting:
             MessageKind.SW_REPORT: 4,
             MessageKind.SW_SAMPLE: 2,
         }
+
+    def test_kind_counts_read_like_a_counter(self):
+        # Kinds count in an int list indexed by kind; reads keep the
+        # Counter's shape: unsent kinds read 0 and are not listed.
+        net = Network()
+        net.register(0, Recorder())
+        net.send(COORDINATOR, 0, MessageKind.BROADCAST, 0.5)
+        net.send(COORDINATOR, 0, MessageKind.THRESHOLD, 0.5)
+        net.send(COORDINATOR, 0, MessageKind.BROADCAST, 0.4)
+        by_kind = net.stats.by_kind
+        expected = Counter({MessageKind.THRESHOLD: 1, MessageKind.BROADCAST: 2})
+        assert by_kind == expected
+        assert dict(by_kind) == dict(expected)
+        assert sorted(by_kind.items(), key=str) == sorted(expected.items(), key=str)
+        assert len(by_kind) == 2
+        assert by_kind[MessageKind.REPORT] == 0
+        assert MessageKind.REPORT not in by_kind
+        assert MessageKind.BROADCAST in by_kind
+        assert by_kind.get("BROADCAST", 0) == 0
+        by_kind[MessageKind.REPORT] += 2
+        assert by_kind.counts[MessageKind.REPORT.index] == 2
+        assert by_kind.by_name() == {"REPORT": 2, "THRESHOLD": 1, "BROADCAST": 2}
+        assert [kind.index for kind in MessageKind] == list(range(len(MessageKind)))
 
     def test_messages_are_immutable_named_records(self):
         message = Message(0, COORDINATOR, MessageKind.REPORT, ("e", 0.5))

@@ -857,6 +857,56 @@ def test_lapse_lost_to_a_dead_site_is_resent():
     state.teardown()
 
 
+def test_a_stale_reply_settles_no_later_lapse():
+    # At slot 6 site 0 reports 2 under a threshold valid until slot 7
+    # and filters 4.  It dies with the answer for 2 in flight, so the
+    # lapse it takes at the slot-7 boundary (pending 2 and 4) pushes
+    # nothing, and the old answer lands after the revival.  Had any reply
+    # echoing a pending entry settled the whole lapse, it would settle
+    # this one, whose pushes never left the site, and 4 would stay out
+    # of the sample.
+    state = SlidingChaosConvergenceMachine()
+    state.setup(seed=0, s=2, duplicate=0.0, reorder=0.0)
+    state.observe(item=0, site=0)
+    state.observe(item=1, site=0)
+    state.partial_pump(limit=5)
+    state.advance(delta=3)
+    state.advance(delta=2)
+    state.observe(item=2, site=0)
+    state.observe(item=4, site=0)
+    state.partial_pump(limit=1)
+    state.kill_site(site=0)
+    state.advance(delta=1)
+    state.quiesce_and_compare()
+    state.teardown()
+
+
+def test_a_final_push_that_overtakes_its_lapse_still_converges():
+    # Site 0 holds 37 and 2, filtered by a threshold that lapses at slot
+    # 7, so its lapse pushes 37 (silent) and then 2 (final).  The link
+    # serves the final push first, and its answer settles the lapse
+    # while the push of 37 is still in flight; the drain delivers it.
+    state = SlidingChaosConvergenceMachine()
+    state.setup(seed=2, s=2, duplicate=0.0, reorder=0.5)
+    state.observe(item=18, site=1)
+    state.observe(item=29, site=1)
+    state.quiesce_and_compare()
+    state.observe(item=17, site=0)
+    state.quiesce_and_compare()
+    state.advance(delta=1)
+    state.observe(item=37, site=0)
+    state.observe(item=2, site=0)
+    state.advance(delta=3)
+    site = state.sampler.sites[0]
+    assert list(site.pending) == [37, 2]
+    state.partial_pump(limit=1)
+    state.partial_pump(limit=1)
+    assert site.pending == {}
+    assert state.network.in_flight == 1
+    state.quiesce_and_compare()
+    state.teardown()
+
+
 def test_late_replies_leave_no_gap():
     # No faults, only delay: at slot 9 site 0 adopts a threshold that
     # landed after its validity ran out, filters the arrival of 1 with it,

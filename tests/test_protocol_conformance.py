@@ -12,6 +12,7 @@ with no per-class branching.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro import (
     CachingSamplerSystem,
     ConfigurationError,
     DistinctSamplerSystem,
+    Engine,
     EventBatch,
     Sampler,
     SampleResult,
@@ -296,6 +298,47 @@ class TestLifecycle:
                 plain.observe(site, item)
                 numpy_ids.observe(np.int64(site), item)
         assert numpy_ids.state_dict() == plain.state_dict()
+
+    @pytest.mark.parametrize("slot", [6.5, 6.0, np.float64(6.0), "6", True, False])
+    def test_non_integer_slots_raise_before_any_delivery(self, config, slot):
+        # A float stamp was truncated to a slot (advance(2.7) moved the
+        # clock to 2), a string parsed as one, and a bool taken as slot 0
+        # or 1.
+        sampler = make_sampler(config)
+        drive(sampler, workload(n_slots=5))
+        before = json.dumps(sampler.state_dict(), sort_keys=True)
+        engine = Engine(sampler, policy="round-robin")
+        calls = [
+            lambda: sampler.advance(slot),
+            lambda: sampler.observe(0, 5, slot=slot),
+            lambda: sampler.observe_batch([(0, 5, slot)]),
+            lambda: sampler.observe_batch([(0, 1, 6), (1, 2, slot)]),
+            lambda: sampler.observe_batch([(0, 1), (1, 2, slot)]),
+            lambda: engine.observe(5, slot=slot),
+            lambda: engine.observe_batch([1, 2], slot=slot),
+        ]
+        for call in calls:
+            with pytest.raises(
+                ConfigurationError, match=re.escape(f"slot {slot!r} is not an integer")
+            ):
+                call()
+            assert json.dumps(sampler.state_dict(), sort_keys=True) == before
+
+    def test_numpy_integer_slots_stay_valid(self, config):
+        plain = make_sampler(config)
+        numpy_slots = make_sampler(config)
+        for slot, arrivals in workload(n_slots=10):
+            plain.advance(slot)
+            plain.observe_batch(arrivals)
+            numpy_slots.advance(np.int32(slot))
+            numpy_slots.observe_batch(
+                [(site, item, np.int64(slot)) for site, item in arrivals]
+            )
+            if arrivals:
+                site, item = arrivals[0]
+                plain.observe(site, item, slot=slot)
+                numpy_slots.observe(site, item, slot=np.uint8(slot))
+        assert numpy_slots.state_dict() == plain.state_dict()
 
 
 class TestSnapshotRoundTrip:

@@ -70,8 +70,8 @@ class _Sink:
         self.site_id = site_id
         self.received = []
 
-    def handle_message(self, message, network) -> None:
-        self.received.append(message)
+    def handle_message(self, kind, payload, network) -> None:
+        self.received.append((kind, payload))
 
 
 class TestTopology:

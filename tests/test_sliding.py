@@ -25,7 +25,7 @@ from repro import (
 )
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hashing import UnitHasher
-from repro.netsim import COORDINATOR, Message, MessageKind
+from repro.netsim import MessageKind
 from treap_oracle import treap_backed
 
 
@@ -335,15 +335,13 @@ class TestErrors:
 
     def test_site_rejects_foreign_kind(self):
         system = SlidingWindowSystem(num_sites=1, window=5, seed=1)
-        bad = Message(COORDINATOR, 0, MessageKind.THRESHOLD, 0.5)
         with pytest.raises(ProtocolError):
-            system.sites[0].handle_message(bad, system.network)
+            system.sites[0].handle_message(MessageKind.THRESHOLD, 0.5, system.network)
 
     def test_coordinator_rejects_foreign_kind(self):
         system = SlidingWindowSystem(num_sites=1, window=5, seed=1)
-        bad = Message(0, COORDINATOR, MessageKind.REPORT, None)
         with pytest.raises(ProtocolError):
-            system.coordinator.handle_message(bad, system.network)
+            system.coordinator.handle_message(MessageKind.REPORT, None, system.network)
 
 
 #: One config per sliding core whose state layout the facade base writes:

@@ -19,14 +19,16 @@ from repro import (
     snapshot,
 )
 from repro.core.sliding_feedback import (
+    SILENT,
     FeedbackBottomSSite,
     SlidingWindowBottomSFeedback,
 )
 from repro.core.sliding_general import SlidingWindowBottomS
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hashing import UnitHasher
-from repro.netsim import COORDINATOR, Message, MessageKind
+from repro.netsim import MessageKind
 from repro.structures.dominance import SortedDominanceSet, brute_force_survivors
+from feedback_oracle import AnswerEveryPush
 
 
 def random_schedule(rng, num_sites, universe, slots, max_per_slot=5):
@@ -108,16 +110,26 @@ class TestThresholdInvariants:
                     assert u <= site.u_local + 1e-15
 
     def test_messages_two_way(self):
+        # Every report travels one way; every reply answers a report.
+        # Only the pushes of a lapse before its final one go unanswered,
+        # which the answer-every-push oracle counts.
         system = SlidingWindowBottomSFeedback(
             num_sites=3, window=15, sample_size=2, seed=4
         )
+        oracle = AnswerEveryPush(num_sites=3, window=15, sample_size=2, seed=4)
         rng = np.random.default_rng(1)
         for slot, arrivals in random_schedule(rng, 3, 40, 300):
-            system.advance(slot)
-            system.observe_batch(arrivals)
+            for sampler in (system, oracle):
+                sampler.advance(slot)
+                sampler.observe_batch(arrivals)
         stats = system.network.stats
-        assert stats.total_messages == 2 * stats.site_to_coordinator
-        assert stats.by_kind[MessageKind.SW_REPORT] == stats.site_to_coordinator
+        reports = stats.by_kind[MessageKind.SW_REPORT]
+        replies = stats.by_kind[MessageKind.SW_SAMPLE]
+        assert reports == stats.site_to_coordinator
+        assert replies == stats.coordinator_to_site
+        assert stats.total_messages == reports + replies
+        assert replies == reports - oracle.non_final_pushes
+        assert oracle.non_final_pushes > 0
 
 
 class Outbox:
@@ -127,24 +139,20 @@ class Outbox:
         self.sent = []
 
     def send(self, src, dst, kind, payload, size_bytes=16):
-        self.sent.append(payload[:3])
+        self.sent.append(payload)
 
     def take(self):
+        """The ``(element, hash, expiry)`` of each report since the last
+        take."""
         sent, self.sent = self.sent, []
-        return sent
+        return [payload[:3] for payload in sent]
 
 
-def reply(site, element, expiry, u, valid_until):
+def reply(site, element, expiry, u, valid_until, lapse=None):
     """Deliver the coordinator's answer to ``site``'s report of
-    ``(element, expiry)``."""
+    ``(element, expiry)`` with lapse field ``lapse``."""
     site.handle_message(
-        Message(
-            COORDINATOR,
-            site.site_id,
-            MessageKind.SW_SAMPLE,
-            (u, valid_until, element, expiry),
-        ),
-        None,
+        MessageKind.SW_SAMPLE, (u, valid_until, element, expiry, lapse), None
     )
 
 
@@ -232,6 +240,106 @@ class TestDeltaFallback:
         assert peak <= 2 * s + 1
 
 
+    def lapse_of_two(self):
+        # a, b and c reported at slot 1 and only b answered, with a
+        # threshold valid until 12: the site lapses at 12, when its
+        # bottom-2 is c, a, neither of them acknowledged.
+        site = FeedbackBottomSSite(0, window=20, sample_size=2)
+        outbox = Outbox()
+        for element, h in (("a", 0.1), ("b", 0.2), ("c", 0.05)):
+            site.observe_hashed(element, h, 1, outbox)
+        reply(site, "b", 21, 0.2, 12)
+        outbox.take()
+        site.tick(12, outbox)
+        return site, outbox
+
+    def test_only_the_final_push_asks_for_a_reply(self):
+        site, outbox = self.lapse_of_two()
+        assert site.fallbacks == 1
+        assert [payload[4] for payload in outbox.sent] == [SILENT, 1]
+        assert outbox.take() == [("c", 0.05, 21), ("a", 0.1, 21)]
+        assert site.pending == {"c": 21, "a": 21}
+        # Arrival reports ask for a reply and carry no lapse number.
+        site.observe_hashed("d", 0.01, 12, outbox)
+        assert outbox.sent[-1][4] is None
+
+    def test_the_final_reply_settles_the_lapse_in_push_order(self):
+        site, outbox = self.lapse_of_two()
+        outbox.take()
+        reply(site, "a", 21, 0.1, 21, lapse=1)
+        assert site.pending == {}
+        assert list(site.known.items()) == [("c", 21), ("a", 21)]
+        assert (site.u_local, site.valid_until) == (0.1, 21)
+        site.tick(13, outbox)
+        assert outbox.take() == []
+
+    def test_a_reply_from_another_lapse_settles_only_its_entry(self):
+        # The answer to another lapse's final push (or to an arrival)
+        # acknowledges its own entry and leaves the lapse pending.
+        site, outbox = self.lapse_of_two()
+        outbox.take()
+        reply(site, "a", 21, 0.1, 21, lapse=7)
+        assert site.pending == {"c": 21}
+        assert site.known == {"a": 21}
+        site.tick(13, outbox)
+        assert site.fallbacks == 2
+        assert outbox.take() == [("c", 0.05, 21)]
+
+    def test_the_coordinator_answers_all_but_silent_pushes(self):
+        system = SlidingWindowBottomSFeedback(
+            num_sites=1, window=5, sample_size=2, seed=6
+        )
+        coordinator, network = system.coordinator, system.network
+        for element, lapse in (("a", SILENT), ("b", None), ("c", 3)):
+            coordinator.handle_message(
+                MessageKind.SW_REPORT, (element, 0.5, 5, 0, lapse), network
+            )
+        assert coordinator.reports_received == 3
+        assert network.kind_count(MessageKind.SW_SAMPLE) == 2
+        assert system.sites[0].known == {"b": 5, "c": 5}
+
+
+class TestOneReplyPerLapse:
+    """On the synchronous network, answering only a lapse's final push
+    reaches what answering every push reaches, slot by slot, and saves
+    exactly the replies to the other pushes."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_answer_every_push_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        params = dict(
+            num_sites=int(rng.integers(1, 6)),
+            window=int(rng.integers(2, 24)),
+            sample_size=int(rng.integers(2, 7)),
+            seed=seed,
+        )
+        system = SlidingWindowBottomSFeedback(**params)
+        oracle = AnswerEveryPush(**params)
+        universe = int(rng.integers(10, 80))
+        schedule = random_schedule(
+            rng, params["num_sites"], universe, 250, max_per_slot=8
+        )
+        for slot, arrivals in schedule:
+            for sampler in (system, oracle):
+                sampler.advance(slot)
+                sampler.observe_batch(arrivals)
+            assert system.sample() == oracle.sample(), slot
+            # Columns keep the records' insertion order, so this checks
+            # the order of known and pending too.
+            assert system.state_dict()["system"] == oracle.state_dict()["system"]
+            ours, theirs = system.network.stats, oracle.network.stats
+            assert (
+                ours.by_kind[MessageKind.SW_REPORT]
+                == theirs.by_kind[MessageKind.SW_REPORT]
+            )
+            assert (
+                theirs.by_kind[MessageKind.SW_SAMPLE]
+                - ours.by_kind[MessageKind.SW_SAMPLE]
+                == oracle.non_final_pushes
+            ), slot
+        assert oracle.non_final_pushes > 0
+
+
 class TestVsLocalPush:
     def test_same_samples_different_costs(self):
         hasher = UnitHasher(11)
@@ -277,13 +385,11 @@ class TestErrors:
         )
         with pytest.raises(ProtocolError):
             system.sites[0].handle_message(
-                Message(COORDINATOR, 0, MessageKind.THRESHOLD, 0.5),
-                system.network,
+                MessageKind.THRESHOLD, 0.5, system.network
             )
         with pytest.raises(ProtocolError):
             system.coordinator.handle_message(
-                Message(0, COORDINATOR, MessageKind.REPORT, None),
-                system.network,
+                MessageKind.REPORT, None, system.network
             )
 
 

@@ -8,7 +8,7 @@ import pytest
 from repro import CentralizedWindowSampler, SlidingWindowBottomS
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hashing import UnitHasher
-from repro.netsim import COORDINATOR, Message, MessageKind
+from repro.netsim import MessageKind
 
 
 def random_schedule(rng, num_sites, universe, slots, max_per_slot=5):
@@ -95,14 +95,12 @@ class TestErrors:
         system = SlidingWindowBottomS(
             num_sites=1, window=5, sample_size=1, seed=5
         )
-        bad = Message(COORDINATOR, 0, MessageKind.SW_SAMPLE, None)
         with pytest.raises(ProtocolError):
-            system.sites[0].handle_message(bad, system.network)
+            system.sites[0].handle_message(MessageKind.SW_SAMPLE, None, system.network)
 
     def test_coordinator_rejects_foreign(self):
         system = SlidingWindowBottomS(
             num_sites=1, window=5, sample_size=1, seed=5
         )
-        bad = Message(0, COORDINATOR, MessageKind.REPORT, None)
         with pytest.raises(ProtocolError):
-            system.coordinator.handle_message(bad, system.network)
+            system.coordinator.handle_message(MessageKind.REPORT, None, system.network)
