@@ -1,7 +1,6 @@
 """Theory: harmonic numbers, message/space bounds, reporting statistics."""
 
 from .bounds import (
-    drs_message_bound,
     lower_bound_total,
     optimality_gap,
     sliding_window_space,
@@ -23,7 +22,6 @@ __all__ = [
     "lower_bound_total",
     "optimality_gap",
     "sliding_window_space",
-    "drs_message_bound",
     "Summary",
     "summarize",
     "ratio_to_bound",

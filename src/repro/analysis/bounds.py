@@ -10,8 +10,6 @@ Implemented results (all message counts are expectations):
 * **Lemma 9** — lower bound ``E[Y] >= (ks/2)(H_d − H_s + 1)``
   ``≈ (ks/2) ln(de/s)``, giving the factor-4 optimality claim.
 * **Lemma 10** — sliding-window expected per-site space ``H_{M_i}``.
-* **DRS comparison** (intro) — the known optimal message complexity of
-  frequency-sensitive distributed sampling, for the DDS-vs-DRS contrast.
 
 The theory-validation benches ratio these against measured counts.
 """
@@ -30,7 +28,6 @@ __all__ = [
     "lower_bound_total",
     "optimality_gap",
     "sliding_window_space",
-    "drs_message_bound",
 ]
 
 
@@ -133,25 +130,3 @@ def sliding_window_space(m_i: int) -> float:
     if m_i < 0:
         raise ValueError(f"m_i must be >= 0, got {m_i}")
     return harmonic(m_i)
-
-
-def drs_message_bound(k: int, s: int, n: int) -> float:
-    """Optimal message complexity of frequency-sensitive DRS (intro).
-
-    From Cormode et al. (2012) / Tirthapura & Woodruff (2011):
-    ``Θ(k · log(n/s) / log(k/s))`` if ``s < k/8``, else ``Θ(s log(n/s))``.
-    Constants are unspecified in the paper; we return the Θ-expression
-    with constant 1, suitable only for *ratio/shape* comparisons.
-
-    Args:
-        k: Number of sites.
-        s: Sample size.
-        n: Total number of occurrences.
-    """
-    _check(k, s, n)
-    if n <= s:
-        return float(n)
-    if s < k / 8.0:
-        denom = math.log(k / s)
-        return k * math.log(n / s) / max(denom, 1e-9)
-    return s * math.log(n / s)

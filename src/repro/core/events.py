@@ -41,7 +41,7 @@ import numpy.typing as npt
 from ..errors import ConfigurationError
 from ..hashing.unit import UnitHasher, unit_hash_array
 
-__all__ = ["EventBatch", "CURRENT_SLOT", "check_site_id", "check_slot"]
+__all__ = ["EventBatch", "CURRENT_SLOT", "check_integer"]
 
 #: One int64 column (items, sites, or slots).
 IntColumn = npt.NDArray[np.int64]
@@ -83,41 +83,28 @@ def _as_int64(values: npt.ArrayLike, name: str) -> IntColumn:
     return arr.astype(np.int64)
 
 
-def check_site_id(site_id: Any) -> None:
-    """Require ``site_id`` to be an ``int`` or a NumPy integer.
+def check_integer(value: Any, name: str) -> None:
+    """Require ``value`` (a site id, a slot stamp or an integer config
+    field) to be an ``int`` or a NumPy integer.
 
-    A float would otherwise be truncated to a site (or fail as a list
-    index), a numeric string be parsed as one, and a bool address site 0
-    or 1.
-
-    Raises:
-        ConfigurationError: For a bool, a float, a string or anything else.
-    """
-    if isinstance(site_id, bool) or not isinstance(site_id, (int, np.integer)):
-        raise ConfigurationError(f"site id {site_id!r} is not an integer")
-
-
-def check_slot(slot: Any) -> None:
-    """Require a slot stamp to be an ``int`` or a NumPy integer.
-
-    A float would otherwise be truncated to a slot, a numeric string be
-    parsed as one, and a bool stamp slot 0 or 1.
+    A float would otherwise be truncated, a numeric string be parsed as
+    a number, and a bool be taken as 0 or 1.
 
     Raises:
         ConfigurationError: For a bool, a float, a string or anything else.
     """
-    if isinstance(slot, bool) or not isinstance(slot, (int, np.integer)):
-        raise ConfigurationError(f"slot {slot!r} is not an integer")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} {value!r} is not an integer")
 
 
 def _site_column(sites: Any) -> IntColumn:
     """The site column for a sequence of site ids, each of which
-    :func:`check_site_id` accepts, scanned once when every id is a plain
+    :func:`check_integer` accepts, scanned once when every id is a plain
     ``int`` (an array takes :func:`_as_int64`)."""
     sites = sites if isinstance(sites, (list, tuple)) else list(sites)
     if not set(map(type, sites)) <= {int}:
         for site_id in sites:
-            check_site_id(site_id)
+            check_integer(site_id, "site id")
     try:
         return np.array(sites, dtype=np.int64)
     except OverflowError as exc:
@@ -218,9 +205,8 @@ class EventBatch:
 
         Raises:
             ConfigurationError: For an event with fewer than two fields,
-                a site id :func:`check_site_id` or a slot
-                :func:`check_slot` refuses, or sites and slots that are
-                not int64-range integers.
+                a site id or a slot :func:`check_integer` refuses, or
+                sites and slots that are not int64-range integers.
         """
         events = events if isinstance(events, list) else list(events)
         if not events:
@@ -248,7 +234,7 @@ class EventBatch:
         site_column = _site_column(sites)
         if slots is not None and not set(map(type, slots)) <= {int}:
             for slot in slots:
-                check_slot(slot)
+                check_integer(slot, "slot")
         try:
             slot_column = (
                 None if slots is None else np.array(slots, dtype=np.int64)

@@ -42,10 +42,10 @@ import numpy as np
 import numpy.typing as npt
 
 from ..errors import ConfigurationError, ProtocolError
-from ..hashing.unit import UnitHasher
+from ..hashing.unit import HASH_ALGORITHMS, UnitHasher
 from ..netsim.message import MessageKind
 from ..netsim.network import MessageStats, Network
-from .events import EventBatch, check_site_id, check_slot
+from .events import EventBatch, check_integer
 
 if TYPE_CHECKING:  # runtime.topology imports this module back at call time
     from ..runtime.topology import Topology
@@ -63,6 +63,18 @@ _INF = float("inf")
 #: Execution backend names accepted by ``SamplerConfig.executor`` (see
 #: :mod:`repro.runtime.executor` for the implementations).
 EXECUTORS = ("serial", "shm")
+
+#: The integer fields of :class:`SamplerConfig` (``cache_size`` may also
+#: be None).
+_INT_FIELDS = (
+    "num_sites",
+    "sample_size",
+    "window",
+    "seed",
+    "cache_size",
+    "shards",
+    "workers",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +208,8 @@ class SamplerConfig:
         window: Window size w in slots; 0 means infinite window.
             Sliding variants require ``window >= 1``.
         seed: Hash seed (fix it for reproducible runs).
-        algorithm: Hash algorithm name (see ``repro.hashing``).
+        algorithm: Hash algorithm name, one of
+            :data:`~repro.hashing.unit.HASH_ALGORITHMS`.
         coordinator_mode: ``"exact"``/``"paper"`` for the s = 1 sliding
             system (see :mod:`repro.core.sliding`).
         cache_size: Per-site LRU capacity for the ``"caching"`` variant
@@ -211,6 +224,9 @@ class SamplerConfig:
             columns).  ``"shm"`` applies to ``sharded:*`` variants only.
         workers: Worker-process count W for the ``"shm"`` executor
             (0 = auto); ignored by the serial executor.
+
+    The integer fields take an ``int`` or a NumPy integer, which the
+    config holds as a plain ``int``.
     """
 
     variant: str = "infinite"
@@ -225,12 +241,30 @@ class SamplerConfig:
     executor: str = "serial"
     workers: int = 0
 
+    def __post_init__(self) -> None:
+        # Samplers built from the config compute in plain ints, so their
+        # snapshots stay JSON-serializable.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int and isinstance(value, np.integer):
+                object.__setattr__(self, name, int(value))
+
     def validate(self) -> "SamplerConfig":
         """Check variant-independent invariants; returns self.
 
         Raises:
-            ConfigurationError: On any out-of-range field.
+            ConfigurationError: On any out-of-range field, an integer
+                field that is not an integer (a bool, a float, a string
+                or anything else), or an unknown hash algorithm.
         """
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int and (name != "cache_size" or value is not None):
+                check_integer(value, name)
+        if self.algorithm not in HASH_ALGORITHMS:
+            raise ConfigurationError(
+                f"algorithm must be one of {HASH_ALGORITHMS}, got {self.algorithm!r}"
+            )
         if self.num_sites < 1:
             raise ConfigurationError(
                 f"num_sites must be >= 1, got {self.num_sites}"
@@ -435,9 +469,9 @@ class Sampler(ABC):
 
     def _check_site(self, site_id: int) -> None:
         """Require ``site_id`` to be an integer addressing one of the k
-        sites (:func:`~repro.core.events.check_site_id`)."""
+        sites (:func:`~repro.core.events.check_integer`)."""
         if type(site_id) is not int:
-            check_site_id(site_id)
+            check_integer(site_id, "site id")
         if not 0 <= site_id < self.num_sites:
             raise ConfigurationError(
                 f"site id {site_id!r} is outside [0, {self.num_sites})"
@@ -529,12 +563,12 @@ class Sampler(ABC):
         Raises:
             ConfigurationError: For a slot that is not an integer (a
                 float, a string or a bool), before time advances
-                (:func:`~repro.core.events.check_slot`).
+                (:func:`~repro.core.events.check_integer`).
             ProtocolError: If ``slot`` is before the current slot (time
                 never rewinds in the synchronized-clock model).
         """
         if type(slot) is not int:
-            check_slot(slot)
+            check_integer(slot, "slot")
         slot = int(slot)
         if self._last_slot is not None:
             if slot < self._last_slot:

@@ -47,15 +47,6 @@ infinite family's ``[hash, element]`` sample rows; and the sliding
 family's ``[element, expiry, hash]`` and ``[element, expiry]`` candidate
 rows, ``[element, expiry]`` record rows and missing ``known``/``pending``
 records.  A stored hash loads only when it is the recomputed one.
-
-Under the ``python`` hash algorithm, ``hash()`` salts str and bytes per
-process (unless ``PYTHONHASHSEED`` is fixed), so a snapshot of such
-elements restores exactly only under the salt that wrote it.  Under
-another salt a restore raises :class:`~repro.errors.ConfigurationError`
-when the recomputed hashes break the stored order or, in the sliding
-family, make the load drop a row; only a sample or set that happens to
-keep both rules (one element, say) loads, under its new hashes.  Earlier
-releases loaded such a snapshot anywhere.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Every differential guarantee in this repo — sharded == oracle,
 process == serial, restored == original — holds because a sampler's
 behavior is a pure function of (config, seed, stream).  One
-``time.time()`` feeding a decision, one unseeded RNG, or one iteration
-over a ``set`` (whose order hashes per process) and the property suite
-starts flaking in ways that are nearly impossible to bisect.
+``time.time()`` feeding a decision, one unseeded RNG, one iteration
+over a ``set`` (whose order hashes per process) or one builtin
+``hash()`` of a string and the property suite starts flaking in ways
+that are nearly impossible to bisect.
 
 Flagged constructs:
 
@@ -21,7 +22,10 @@ Flagged constructs:
   ``default_rng()`` called *without* a seed;
 * order-sensitive iteration over sets: ``for x in set(...)``,
   ``list(set(...))``, ``tuple(set(...))``, ``enumerate(set(...))``
-  (wrap in ``sorted(...)`` to restore a canonical order).
+  (wrap in ``sorted(...)`` to restore a canonical order);
+* the builtin ``hash()``, which salts ``str`` and ``bytes`` per process
+  (unless ``PYTHONHASHSEED`` is fixed), outside a ``__hash__`` method
+  (use a seeded :class:`~repro.hashing.unit.UnitHasher`).
 """
 
 from __future__ import annotations
@@ -104,14 +108,22 @@ class DeterminismRule(Rule):
     code = "RPR005"
     name = "determinism"
     summary = (
-        "no wall-clock reads, unseeded/global RNGs, or set-order "
-        "iteration on paths that decide sampler behavior"
+        "no wall-clock reads, unseeded/global RNGs, set-order "
+        "iteration, or builtin hash() on paths that decide sampler behavior"
     )
 
     def check_module(self, module: ModuleContext) -> Iterator[Violation]:
+        # A __hash__ only has to agree with __eq__ within one process.
+        in_dunder_hash = {
+            node
+            for method in ast.walk(module.tree)
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and method.name == "__hash__"
+            for node in ast.walk(method)
+        }
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
-                message = self._check_call(node)
+                message = self._check_call(node, node in in_dunder_hash)
                 if message is not None:
                     yield self.violation(module, node, message)
             elif isinstance(node, (ast.For, ast.comprehension)):
@@ -126,10 +138,15 @@ class DeterminismRule(Rule):
                         "(sorted(...)) to keep sample order deterministic",
                     )
 
-    def _check_call(self, node: ast.Call) -> Optional[str]:
+    def _check_call(self, node: ast.Call, in_dunder_hash: bool) -> Optional[str]:
         chain = _attr_chain(node.func)
         if not chain:
             return None
+        if chain == ["hash"] and not in_dunder_hash:
+            return (
+                "builtin hash() salts str and bytes per process; use a "
+                "seeded UnitHasher (hash() belongs only in __hash__)"
+            )
         last = chain[-1]
         owner = chain[-2] if len(chain) >= 2 else None
         if last in _CLOCK_CALLS and owner in _CLOCK_OWNERS:

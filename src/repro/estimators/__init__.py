@@ -17,7 +17,6 @@ from .predicate import (
 )
 from .quantiles import QuantileEstimate, estimate_cdf_band, estimate_quantile
 from .windowed import (
-    windowed_count,
     windowed_distinct,
     windowed_fraction,
     windowed_heavy_hitters,
@@ -42,7 +41,6 @@ __all__ = [
     "windowed_sample",
     "windowed_distinct",
     "windowed_fraction",
-    "windowed_count",
     "windowed_quantile",
     "windowed_heavy_hitters",
 ]

@@ -2,7 +2,7 @@
 
 The lower-level estimators in this package consume raw samples; this
 module is the runtime query layer on top of the unified
-:class:`~repro.core.protocol.Sampler` protocol, so the same five queries
+:class:`~repro.core.protocol.Sampler` protocol, so the same four queries
 run unchanged against every registered variant — centralized or
 ``sharded:*`` (where ``sample()`` is the provably-global merged bottom-s
 sample), serial or process-executed, infinite or sliding.
@@ -33,20 +33,19 @@ edge-case tests):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from ..core.protocol import Sampler, SampleResult
 from ..errors import EstimationError
 from .distinct_count import DistinctCountEstimate, kmv_estimate
 from .heavy_hitters import HeavyHitterEstimate, estimate_heavy_hitters
-from .predicate import PredicateEstimate, estimate_count, estimate_fraction
+from .predicate import PredicateEstimate, estimate_fraction
 from .quantiles import QuantileEstimate, estimate_quantile
 
 __all__ = [
     "windowed_sample",
     "windowed_distinct",
     "windowed_fraction",
-    "windowed_count",
     "windowed_quantile",
     "windowed_heavy_hitters",
 ]
@@ -107,28 +106,6 @@ def windowed_fraction(
     """
     result = _require_members(windowed_sample(sampler), "predicate fraction")
     return estimate_fraction(result, predicate)
-
-
-def windowed_count(
-    sampler: Sampler,
-    predicate: Callable[[Any], bool],
-    distinct_count: Optional[DistinctCountEstimate] = None,
-) -> PredicateEstimate:
-    """Number of distinct elements in the window matching ``predicate``.
-
-    Args:
-        sampler: Any without-replacement bottom-s sampler facade.
-        predicate: Boolean test over elements.
-        distinct_count: Optional precomputed KMV estimate (defaults to
-            :func:`windowed_distinct` over the same sampler).
-
-    Raises:
-        EstimationError: If the window is empty.
-    """
-    result = _require_members(windowed_sample(sampler), "predicate count")
-    if distinct_count is None:
-        distinct_count = windowed_distinct(sampler)
-    return estimate_count(result, predicate, distinct_count)
 
 
 def windowed_quantile(

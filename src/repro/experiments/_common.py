@@ -8,16 +8,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 
-__all__ = ["mean", "averaged", "run_rngs", "hash_seed_from", "drive_slotted"]
-
-
-def drive_slotted(sampler, schedule) -> None:
-    """Drive any :class:`~repro.core.protocol.Sampler` through a
-    :class:`~repro.streams.slotted.SlottedArrivals` schedule using the
-    unified lifecycle (``advance`` + ``observe_batch``)."""
-    for slot, arrivals in schedule.slots():
-        sampler.advance(slot)
-        sampler.observe_batch(arrivals)
+__all__ = ["mean", "averaged", "run_rngs"]
 
 
 def mean(values: Sequence[float]) -> float:
@@ -49,8 +40,3 @@ def run_rngs(
         hash_seed = int(children[1].generate_state(1)[0])
         pairs.append((rng, hash_seed))
     return pairs
-
-
-def hash_seed_from(seq: np.random.SeedSequence) -> int:
-    """Derive a 32-bit hash seed from a seed sequence."""
-    return int(seq.generate_state(1)[0])

@@ -30,7 +30,7 @@ from ..analysis.bounds import (
 
 # upper_bound_observation1/upper_bound_total also feed run_obs1 below.
 from ..core.api import make_sampler
-from ..hashing.unit import UnitHasher
+from ..hashing.unit import HASH_ALGORITHMS, UnitHasher
 from ..streams.adversarial import adversarial_input
 from ..streams.datasets import get_dataset
 from ..streams.partition import make_distributor
@@ -303,7 +303,6 @@ def run_obs1(config: ExperimentConfig) -> list[FigureResult]:
     return results
 
 
-_HASH_ALGORITHMS = ("murmur2", "murmur3", "mix64")
 _HASH_SITES = 5
 _HASH_SAMPLE = 10
 
@@ -326,7 +325,7 @@ def run_hash(config: ExperimentConfig) -> list[FigureResult]:
         spec = get_dataset(family, config.scale)
         elements = all_distinct_stream(spec.n_distinct).tolist()
         series = []
-        for algorithm in _HASH_ALGORITHMS:
+        for algorithm in HASH_ALGORITHMS:
             finals: list[float] = []
             for rng, hash_seed in run_rngs(config):
                 sys_ = make_sampler(

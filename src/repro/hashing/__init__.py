@@ -7,14 +7,7 @@ supports that: canonical byte encodings and from-scratch MurmurHash2/3.
 """
 
 from .encoding import Element, encode_element
-from .murmur import (
-    fmix64,
-    fmix64_array,
-    murmur2_32,
-    murmur2_64a,
-    murmur3_32,
-    murmur3_128_x64,
-)
+from .murmur import fmix64, fmix64_array, murmur2_64a, murmur3_128_x64
 from .unit import (
     HASH_ALGORITHMS,
     SeededHashFamily,
@@ -25,9 +18,7 @@ from .unit import (
 __all__ = [
     "Element",
     "encode_element",
-    "murmur2_32",
     "murmur2_64a",
-    "murmur3_32",
     "murmur3_128_x64",
     "fmix64",
     "fmix64_array",

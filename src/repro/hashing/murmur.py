@@ -3,18 +3,16 @@
 The paper's experiments use "MurmurHash 2.0 (Holub)".  We implement, from
 scratch:
 
-* :func:`murmur2_32`   — Austin Appleby's original 32-bit MurmurHash2.
 * :func:`murmur2_64a`  — MurmurHash64A, the 64-bit variant for 64-bit
   platforms (the one production Java ports expose as ``hash64``).
-* :func:`murmur3_32`   — MurmurHash3 x86 32-bit.
 * :func:`murmur3_128_x64` — MurmurHash3 x64 128-bit (returned as a pair of
   64-bit halves); its first half is a convenient high-quality 64-bit hash.
 * :func:`fmix64`       — the MurmurHash3 64-bit finalizer, useful as a cheap
   integer mixer.
 
-All functions take ``bytes`` and an integer ``seed`` and return unsigned
-Python ints.  Arithmetic is done on Python ints with explicit masking to 32
-or 64 bits, which is exact (no overflow surprises) and fast enough for the
+The hashes take ``bytes`` and an integer ``seed`` and return unsigned
+Python ints.  Arithmetic is done on Python ints with explicit masking to
+64 bits, which is exact (no overflow surprises) and fast enough for the
 streaming workloads in this package: per-element cost is constant.
 
 A vectorized batch path for 64-bit *integer* keys is provided in
@@ -28,63 +26,14 @@ import numpy as np
 import numpy.typing as npt
 
 __all__ = [
-    "murmur2_32",
     "murmur2_64a",
-    "murmur3_32",
     "murmur3_128_x64",
     "fmix64",
     "fmix64_array",
     "fmix64_inplace",
 ]
 
-_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def murmur2_32(data: bytes, seed: int = 0) -> int:
-    """MurmurHash2, 32-bit output.
-
-    Direct translation of Appleby's reference ``MurmurHash2``; processes the
-    input four bytes at a time (little-endian) and finishes with the
-    avalanche mix.
-
-    Args:
-        data: Key to hash.
-        seed: 32-bit seed.
-
-    Returns:
-        Unsigned 32-bit hash value.
-    """
-    m = 0x5BD1E995
-    r = 24
-    length = len(data)
-    h = (seed ^ length) & _MASK32
-
-    i = 0
-    # Body: 4-byte little-endian chunks.
-    while length - i >= 4:
-        k = int.from_bytes(data[i : i + 4], "little")
-        k = (k * m) & _MASK32
-        k ^= k >> r
-        k = (k * m) & _MASK32
-        h = (h * m) & _MASK32
-        h ^= k
-        i += 4
-
-    # Tail: the remaining 0-3 bytes.
-    tail = length - i
-    if tail >= 3:
-        h ^= data[i + 2] << 16
-    if tail >= 2:
-        h ^= data[i + 1] << 8
-    if tail >= 1:
-        h ^= data[i]
-        h = (h * m) & _MASK32
-
-    h ^= h >> 13
-    h = (h * m) & _MASK32
-    h ^= h >> 15
-    return h
 
 
 def murmur2_64a(data: bytes, seed: int = 0) -> int:
@@ -128,61 +77,8 @@ def murmur2_64a(data: bytes, seed: int = 0) -> int:
     return h
 
 
-def _rotl32(x: int, r: int) -> int:
-    return ((x << r) | (x >> (32 - r))) & _MASK32
-
-
 def _rotl64(x: int, r: int) -> int:
     return ((x << r) | (x >> (64 - r))) & _MASK64
-
-
-def murmur3_32(data: bytes, seed: int = 0) -> int:
-    """MurmurHash3 x86 32-bit.
-
-    Args:
-        data: Key to hash.
-        seed: 32-bit seed.
-
-    Returns:
-        Unsigned 32-bit hash value.
-    """
-    c1 = 0xCC9E2D51
-    c2 = 0x1B873593
-    length = len(data)
-    h = seed & _MASK32
-
-    i = 0
-    while length - i >= 4:
-        k = int.from_bytes(data[i : i + 4], "little")
-        k = (k * c1) & _MASK32
-        k = _rotl32(k, 15)
-        k = (k * c2) & _MASK32
-        h ^= k
-        h = _rotl32(h, 13)
-        h = (h * 5 + 0xE6546B64) & _MASK32
-        i += 4
-
-    tail = length - i
-    k = 0
-    if tail >= 3:
-        k ^= data[i + 2] << 16
-    if tail >= 2:
-        k ^= data[i + 1] << 8
-    if tail >= 1:
-        k ^= data[i]
-        k = (k * c1) & _MASK32
-        k = _rotl32(k, 15)
-        k = (k * c2) & _MASK32
-        h ^= k
-
-    h ^= length
-    # fmix32
-    h ^= h >> 16
-    h = (h * 0x85EBCA6B) & _MASK32
-    h ^= h >> 13
-    h = (h * 0xC2B2AE35) & _MASK32
-    h ^= h >> 16
-    return h
 
 
 def fmix64(k: int) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .encoding import Element, encode_element
-from .murmur import fmix64, fmix64_inplace, murmur2_64a, murmur3_128_x64, murmur3_32
+from .murmur import fmix64, fmix64_inplace, murmur2_64a, murmur3_128_x64
 
 __all__ = [
     "UnitHasher",
@@ -32,7 +32,7 @@ _TWO_53 = float(1 << 53)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 #: Supported algorithm names for :class:`UnitHasher`.
-HASH_ALGORITHMS = ("murmur2", "murmur3", "python", "mix64")
+HASH_ALGORITHMS = ("murmur2", "murmur3", "mix64")
 
 
 class UnitHasher:
@@ -46,13 +46,10 @@ class UnitHasher:
         seed: Seed defining this member of the hash family.
         algorithm: One of :data:`HASH_ALGORITHMS`.  ``murmur2`` matches the
             paper's choice (MurmurHash 2.0, 64-bit variant); ``murmur3``
-            uses the 128-bit x64 variant's first lane; ``python`` uses the
-            built-in ``hash`` mixed through fmix64 (fast, but process-seed
-            dependent unless ``PYTHONHASHSEED`` is fixed — intended only for
-            throwaway exploration); ``mix64`` accepts **integer elements
-            only** and applies the fmix64 finalizer — the fast path used by
-            the experiment drivers, with a NumPy-vectorized companion
-            :func:`unit_hash_array`.
+            uses the 128-bit x64 variant's first lane; ``mix64`` accepts
+            **integer elements only** and applies the fmix64 finalizer —
+            the fast path used by the experiment drivers, with a
+            NumPy-vectorized companion :func:`unit_hash_array`.
 
     Raises:
         ValueError: For an unknown algorithm name.
@@ -73,10 +70,8 @@ class UnitHasher:
             self._fn = self._hash64_murmur2
         elif algorithm == "murmur3":
             self._fn = self._hash64_murmur3
-        elif algorithm == "mix64":
-            self._fn = self._hash64_mix
         else:
-            self._fn = self._hash64_python
+            self._fn = self._hash64_mix
 
     # -- 64-bit integer hash -------------------------------------------------
 
@@ -86,9 +81,6 @@ class UnitHasher:
     def _hash64_murmur3(self, element: Element) -> int:
         return murmur3_128_x64(encode_element(element), self.seed)[0]
 
-    def _hash64_python(self, element: Element) -> int:
-        return fmix64(hash(element) ^ self.seed)
-
     def _hash64_mix(self, element: Element) -> int:
         if not isinstance(element, int):
             raise TypeError(
@@ -96,14 +88,6 @@ class UnitHasher:
                 f"got {type(element).__name__}"
             )
         return fmix64((element ^ (self.seed * 0x9E3779B97F4A7C15)) & _MASK64)
-
-    def hash64(self, element: Element) -> int:
-        """Return the raw unsigned 64-bit hash of ``element``."""
-        return self._fn(element)
-
-    def hash32(self, element: Element) -> int:
-        """Return an unsigned 32-bit hash of ``element`` (murmur3_32 based)."""
-        return murmur3_32(encode_element(element), self.seed & 0xFFFFFFFF)
 
     # -- unit interval --------------------------------------------------------
 

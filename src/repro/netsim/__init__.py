@@ -10,8 +10,7 @@ from .clock import SlotClock
 from .delayed import DelayedNetwork
 from .message import COORDINATOR, Message, MessageKind
 from .network import KindCounts, MessageStats, Network
-from .node import Node, SlottedSite, StreamSite
-from .trace import MessageTrace
+from .node import Node
 
 __all__ = [
     "COORDINATOR",
@@ -23,8 +22,5 @@ __all__ = [
     "MessageStats",
     "KindCounts",
     "Node",
-    "StreamSite",
-    "SlottedSite",
     "SlotClock",
-    "MessageTrace",
 ]

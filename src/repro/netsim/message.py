@@ -42,10 +42,6 @@ class MessageKind(enum.Enum):
     SW_REPORT = "sw_report"
     #: Sliding window, coordinator -> site: (sample, expiry) (Alg. 4 line 6).
     SW_SAMPLE = "sw_sample"
-    #: Frequency-sensitive DRS baseline, site -> coordinator.
-    DRS_REPORT = "drs_report"
-    #: Frequency-sensitive DRS baseline, coordinator -> site.
-    DRS_THRESHOLD = "drs_threshold"
 
     def __init__(self, value: str) -> None:
         # Members are built in declaration order, each after the last one

@@ -1,8 +1,7 @@
-"""Node protocols for the simulated distributed system.
+"""The node protocol of the simulated distributed system.
 
 A node is anything addressable on the :class:`~repro.netsim.network.Network`
-that can receive messages.  Sites additionally observe stream elements;
-slotted (sliding-window) sites are driven by slot-boundary ticks.
+that can receive messages.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .message import MessageKind
     from .network import Network
 
-__all__ = ["Node", "StreamSite", "SlottedSite"]
+__all__ = ["Node"]
 
 
 @runtime_checkable
@@ -25,30 +24,4 @@ class Node(Protocol):
     ) -> None:
         """Process an incoming message of ``kind`` carrying ``payload``;
         may send replies via ``network``."""
-        ...
-
-
-@runtime_checkable
-class StreamSite(Node, Protocol):
-    """A site monitoring an infinite-window local stream."""
-
-    site_id: int
-
-    def observe(self, element: Any, network: "Network") -> None:
-        """Process one local stream element."""
-        ...
-
-
-@runtime_checkable
-class SlottedSite(Node, Protocol):
-    """A site monitoring a time-slotted (sliding-window) local stream."""
-
-    site_id: int
-
-    def observe(self, element: Any, now: int, network: "Network") -> None:
-        """Process one local element arriving in slot ``now``."""
-        ...
-
-    def tick(self, now: int, network: "Network") -> None:
-        """Run slot-boundary maintenance (expiry, sample refresh) for ``now``."""
         ...

@@ -1,4 +1,4 @@
-"""RPR005 fixture: wall clocks, global RNGs, and set-order iteration."""
+"""RPR005 fixture: wall clocks, global RNGs, set-order iteration, hash()."""
 
 import random
 import time
@@ -22,10 +22,25 @@ def order_dependent(keys):
     return ordered
 
 
+def salted_bucket(key, buckets):
+    return hash(key) % buckets  # line 26: builtin hash() salts str keys
+
+
 def deterministic_ok(seed, keys):
-    # Seeded instances and sorted sets — must NOT fire.
+    # Seeded instances, sorted sets and __hash__ — must NOT fire.
     rng = random.Random(seed)
     gen = default_rng(seed)
     started = time.perf_counter()
     ordered = sorted(set(keys))
     return rng, gen, started, ordered
+
+
+class Key:
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        return isinstance(other, Key) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)

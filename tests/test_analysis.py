@@ -9,7 +9,6 @@ import pytest
 from repro.analysis import (
     EULER_GAMMA,
     Summary,
-    drs_message_bound,
     harmonic,
     harmonic_diff,
     lower_bound_total,
@@ -117,29 +116,6 @@ class TestBounds:
             upper_bound_total(5, 0, 100)
         with pytest.raises(ValueError):
             upper_bound_total(5, 10, -1)
-
-
-class TestDRSBound:
-    def test_small_s_regime(self):
-        k, s, n = 100, 2, 10**6  # s < k/8
-        want = k * math.log(n / s) / math.log(k / s)
-        assert drs_message_bound(k, s, n) == pytest.approx(want)
-
-    def test_large_s_regime(self):
-        k, s, n = 10, 50, 10**6  # s >= k/8
-        assert drs_message_bound(k, s, n) == pytest.approx(
-            s * math.log(n / s)
-        )
-
-    def test_tiny_n(self):
-        assert drs_message_bound(10, 5, 3) == 3.0
-
-    def test_dds_exceeds_drs_asymptotically(self):
-        # The intro's comparison: DDS cost grows as k*s, DRS as max(k, s).
-        k, s = 50, 50
-        dds = upper_bound_total(k, s, 10**6)
-        drs = drs_message_bound(k, s, 10**6)
-        assert dds > 10 * drs
 
 
 class TestStats:

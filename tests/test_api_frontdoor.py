@@ -4,6 +4,7 @@ constructor validation contract.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -160,13 +161,40 @@ class TestUniformConstructorValidation:
             with pytest.raises(ConfigurationError):
                 build(**{**good, "window": -1})
 
-    def test_config_validate_rejects_bad_fields(self):
-        with pytest.raises(ConfigurationError):
-            SamplerConfig(num_sites=0).validate()
-        with pytest.raises(ConfigurationError):
-            SamplerConfig(sample_size=0).validate()
-        with pytest.raises(ConfigurationError):
-            SamplerConfig(window=-1).validate()
-        with pytest.raises(ConfigurationError):
-            SamplerConfig(cache_size=-1).validate()
-        assert SamplerConfig(num_sites=3).validate() is not None
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_sites", 0),
+            ("sample_size", 0),
+            ("window", -1),
+            ("cache_size", -1),
+            # Unchecked, a float, a string or a bool in an integer field
+            # would be truncated, compared or taken as 0/1 by the samplers.
+            ("num_sites", 3.0),
+            ("num_sites", "3"),
+            ("sample_size", 2.5),
+            ("sample_size", True),
+            ("window", 2.5),
+            ("window", True),
+            ("seed", "x"),
+            ("seed", 9.5),
+            ("shards", 2.0),
+            ("workers", False),
+            ("workers", None),
+            ("cache_size", "x"),
+            ("cache_size", 4.0),
+            ("algorithm", "sha256"),
+            ("algorithm", "python"),
+        ],
+    )
+    def test_config_validate_rejects_bad_fields(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SamplerConfig(**{field: value}).validate()
+
+    def test_config_holds_numpy_integer_fields_as_ints(self):
+        config = SamplerConfig(
+            num_sites=np.int64(3), window=np.uint8(5), cache_size=np.int32(4)
+        ).validate()
+        assert config == SamplerConfig(num_sites=3, window=5, cache_size=4)
+        types = {type(config.num_sites), type(config.window), type(config.cache_size)}
+        assert types == {int}

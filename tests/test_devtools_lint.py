@@ -174,18 +174,20 @@ class TestRPR004SnapshotSymmetry:
 class TestRPR005Determinism:
     def test_fires_on_each_nondeterminism_shape(self):
         report = lint_fixture("rpr005_determinism.py", "RPR005")
-        assert codes(report) == ["RPR005"] * 6
+        assert codes(report) == ["RPR005"] * 7
         messages = " ".join(v.message for v in report.violations)
         assert "wall-clock" in messages
         assert "global-RNG" in messages
         assert "numpy global RNG" in messages
         assert "default_rng() without a seed" in messages
         assert "hash-order dependent" in messages
+        assert "builtin hash() salts" in messages
 
     def test_seeded_and_sorted_constructs_are_clean(self):
         report = lint_fixture("rpr005_determinism.py", "RPR005")
-        # deterministic_ok spans lines 25-31; nothing there may fire.
-        assert all(v.line < 25 for v in report.violations)
+        # deterministic_ok and Key (its __hash__ calls hash()) span
+        # lines 29-46; nothing there may fire.
+        assert all(v.line < 29 for v in report.violations)
 
 
 class TestRPR006ExecutorSharedState:
@@ -311,7 +313,7 @@ class TestReportAndEngine:
         assert payload["ok"] is False
         assert payload["files_checked"] == 1
         assert payload["rules"] == ["RPR005"]
-        assert len(payload["violations"]) == 6
+        assert len(payload["violations"]) == 7
         record = payload["violations"][0]
         assert set(record) == {
             "rule", "severity", "path", "line", "col", "message",
@@ -352,7 +354,7 @@ class TestCLI:
         )
         assert rc == 1
         out = capsys.readouterr().out
-        assert "RPR005" in out and "6 violation(s)" in out
+        assert "RPR005" in out and "7 violation(s)" in out
 
     def test_lint_clean_exits_zero(self, capsys):
         rc = main(["lint", str(FIXTURES / "clean_module.py")])

@@ -1,9 +1,10 @@
 """Tests for the from-scratch MurmurHash implementations.
 
-Reference vectors were generated from the canonical C++ implementations
-(Austin Appleby's MurmurHash2.cpp / MurmurHash3.cpp); the smoke values
-below pin the implementation so refactors cannot silently change hashes
-(which would invalidate every recorded experiment).
+The MurmurHash3 x64 128-bit vectors are the published outputs of Austin
+Appleby's reference MurmurHash3.cpp; the MurmurHash64A values are
+stability pins recorded from this implementation.  Both pin the hashes
+so refactors cannot silently change them (which would invalidate every
+recorded experiment).
 """
 
 from __future__ import annotations
@@ -16,31 +17,28 @@ from hypothesis import strategies as st
 from repro.hashing.murmur import (
     fmix64,
     fmix64_array,
-    murmur2_32,
     murmur2_64a,
-    murmur3_32,
     murmur3_128_x64,
 )
+
+_FOX = b"The quick brown fox jumps over the lazy dog"
 
 
 class TestReferenceVectors:
     """Pin known-good outputs of each hash function."""
 
-    # Canonical test: murmur3_32("", 0) == 0 and well-known seeds.
-    def test_murmur3_32_empty(self):
-        assert murmur3_32(b"", 0) == 0
-
-    def test_murmur3_32_empty_seed1(self):
-        # Verified against the reference implementation.
-        assert murmur3_32(b"", 1) == 0x514E28B7
-
-    def test_murmur3_32_hello(self):
-        # "hello" with seed 0 — widely published vector.
-        assert murmur3_32(b"hello", 0) == 0x248BFA47
-
-    def test_murmur3_32_quick_fox(self):
-        data = b"The quick brown fox jumps over the lazy dog"
-        assert murmur3_32(data, 0) == 0x2E4FF723
+    # Published MurmurHash3_x64_128 outputs, as (h1, h2).
+    @pytest.mark.parametrize(
+        "data, seed, want",
+        [
+            (b"", 1, (0x4610ABE56EFF5CB5, 0x51622DAA78F83583)),
+            (b"hello", 0, (0xCBD8A7B341BD9B02, 0x5B1E906A48AE1D19)),
+            (_FOX, 0, (0xE34BBC7BBC071B6C, 0x7A433CA9C49A9347)),
+        ],
+        ids=["empty-seed1", "hello", "quick-fox"],
+    )
+    def test_murmur3_128_x64(self, data, seed, want):
+        assert murmur3_128_x64(data, seed) == want
 
     def test_fmix64_zero(self):
         assert fmix64(0) == 0
@@ -49,10 +47,18 @@ class TestReferenceVectors:
         # fmix64(1) from the reference finalizer.
         assert fmix64(1) == 0xB456BCFC34C2CB2C
 
-    def test_murmur2_32_stability(self):
-        # Self-recorded vectors (stability pins, not external references).
-        assert murmur2_32(b"", 0) == 0
-        assert murmur2_32(b"hello", 0) == murmur2_32(b"hello", 0)
+    # Self-recorded vectors (stability pins, not external references).
+    @pytest.mark.parametrize(
+        "data, seed, want",
+        [
+            (b"", 1, 0xC6A4A7935BD064DC),
+            (b"hello", 0, 0x1E68D17C457BF117),
+            (_FOX, 0, 0x5589CA33042A861B),
+        ],
+        ids=["empty-seed1", "hello", "quick-fox"],
+    )
+    def test_murmur2_64a_stability(self, data, seed, want):
+        assert murmur2_64a(data, seed) == want
 
     def test_murmur2_64a_distinct_seeds(self):
         assert murmur2_64a(b"hello", 0) != murmur2_64a(b"hello", 1)
@@ -60,11 +66,6 @@ class TestReferenceVectors:
 
 class TestShapes:
     """Output ranges and structural behaviour."""
-
-    @pytest.mark.parametrize("n", range(0, 17))
-    def test_murmur3_32_all_tail_lengths(self, n):
-        out = murmur3_32(bytes(range(n)), 7)
-        assert 0 <= out <= 0xFFFFFFFF
 
     @pytest.mark.parametrize("n", range(0, 25))
     def test_murmur2_64a_all_tail_lengths(self, n):
@@ -77,22 +78,13 @@ class TestShapes:
         assert 0 <= h1 <= 0xFFFFFFFFFFFFFFFF
         assert 0 <= h2 <= 0xFFFFFFFFFFFFFFFF
 
-    def test_murmur2_32_range(self):
-        assert 0 <= murmur2_32(b"abcdef", 3) <= 0xFFFFFFFF
-
     def test_length_sensitivity(self):
         # Same prefix, different length => different hash.
-        assert murmur3_32(b"aaaa", 0) != murmur3_32(b"aaaaa", 0)
         assert murmur2_64a(b"aaaa", 0) != murmur2_64a(b"aaaaa", 0)
 
 
 class TestProperties:
     """Hypothesis-driven properties."""
-
-    @given(st.binary(max_size=64), st.integers(0, 2**32 - 1))
-    @settings(max_examples=200)
-    def test_murmur3_32_deterministic(self, data, seed):
-        assert murmur3_32(data, seed) == murmur3_32(data, seed)
 
     @given(st.binary(max_size=64), st.integers(0, 2**64 - 1))
     @settings(max_examples=200)
@@ -135,17 +127,3 @@ class TestAvalanche:
             total += bin(diff).count("1")
         mean_flips = total / trials
         assert 24 <= mean_flips <= 40, f"poor avalanche: {mean_flips}"
-
-    def test_murmur3_32_avalanche(self):
-        rng = np.random.default_rng(2)
-        total = 0.0
-        trials = 200
-        for _ in range(trials):
-            data = bytearray(rng.integers(0, 256, 12, dtype=np.uint8).tobytes())
-            base = murmur3_32(bytes(data), 0)
-            i = int(rng.integers(0, len(data)))
-            bit = int(rng.integers(0, 8))
-            data[i] ^= 1 << bit
-            total += bin(base ^ murmur3_32(bytes(data), 0)).count("1")
-        mean_flips = total / trials
-        assert 12 <= mean_flips <= 20, f"poor avalanche: {mean_flips}"

@@ -32,10 +32,6 @@ class TestUnitRange:
         h = UnitHasher(1)
         assert h.unit_many(["a", "b"]) == [h.unit("a"), h.unit("b")]
 
-    def test_hash32_range(self):
-        h = UnitHasher(1)
-        assert 0 <= h.hash32("abc") <= 0xFFFFFFFF
-
 
 class TestDeterminismAndSeeds:
     def test_same_seed_same_hash(self):
@@ -57,9 +53,10 @@ class TestDeterminismAndSeeds:
         assert UnitHasher(1, "murmur2") != UnitHasher(1, "murmur3")
         assert len({UnitHasher(1), UnitHasher(1)}) == 1
 
-    def test_unknown_algorithm_rejected(self):
+    @pytest.mark.parametrize("algorithm", ["sha256", "python"])
+    def test_unknown_algorithm_rejected(self, algorithm):
         with pytest.raises(ValueError):
-            UnitHasher(0, "sha256")
+            UnitHasher(0, algorithm)
 
 
 class TestMix64:

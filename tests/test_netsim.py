@@ -15,7 +15,6 @@ from repro.netsim import (
     COORDINATOR,
     Message,
     MessageKind,
-    MessageTrace,
     Network,
     SlotClock,
 )
@@ -264,16 +263,3 @@ class TestClock:
         clock = SlotClock(10)
         with pytest.raises(ProtocolError):
             clock.advance_to(9)
-
-
-class TestTrace:
-    def test_sampling(self):
-        net = Network()
-        net.register(0, Recorder())
-        trace = MessageTrace(net)
-        trace.sample(0)
-        net.send(COORDINATOR, 0, MessageKind.THRESHOLD, 0.5)
-        trace.sample(100)
-        assert trace.series() == [(0, 0), (100, 1)]
-        assert len(trace) == 2
-        assert trace.bytes == [0, 16]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,6 +353,31 @@ class TestSnapshotRoundTrip:
         assert type(revived) is type(sampler)
         assert revived.sample() == sampler.sample()
         assert revived.stats() == sampler.stats()
+
+    @pytest.mark.parametrize("value", [2.5, True, "4"])
+    def test_a_non_integer_field_is_refused_on_build_and_restore(self, config, value):
+        # Unchecked, 2.5 would run as a fractional s, True as s = 1, and
+        # "4" would fail deep inside with a bare TypeError.
+        with pytest.raises(ConfigurationError, match="sample_size"):
+            make_sampler(replace(config, sample_size=value))
+        sampler = make_sampler(config)
+        drive(sampler, workload(n_slots=5))
+        wire = json.loads(json.dumps(snapshot(sampler)))
+        wire["config"]["sample_size"] = value
+        with pytest.raises(ConfigurationError, match="sample_size"):
+            restore(wire)
+
+    def test_numpy_integer_fields_snapshot_as_plain_ints(self, config):
+        numpy_fields = {
+            name: np.int64(value)
+            for name, value in config.to_dict().items()
+            if type(value) is int
+        }
+        plain = make_sampler(config)
+        numpy_built = make_sampler(replace(config, **numpy_fields))
+        for sampler in (plain, numpy_built):
+            drive(sampler, workload())
+        assert json.dumps(snapshot(numpy_built)) == json.dumps(snapshot(plain))
 
     def test_revived_sampler_continues_identically(self, config):
         sampler = make_sampler(config)
